@@ -24,7 +24,6 @@ from .diagrams import (
     ConstituentLabel,
     Diagram,
     DiagramPoint,
-    LadderSlot,
     LocalComponent,
     RSlot,
     constituent,

@@ -19,10 +19,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .congruence import InconsistentDataError, theorem_check
+from .congruence import theorem_check
 from .diagrams import DiagramPoint, LocalComponent, constituent, diagram, superpose, trace_back
 from .jsonio import (
     SchemaError,
+    _need,
     canonical_dumps,
     component_from_dict,
     dataset_from_dict,
@@ -32,7 +33,6 @@ from .jsonio import (
 )
 from .ledger import (
     GlobalContext,
-    InvariantViolation,
     filtration_graded,
     generic_infinitesimal,
     resolution_terms,
@@ -55,42 +55,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EX_SCHEMA)
 
 
-def _load_config(args) -> dict:
-    config = {}
-    if getattr(args, "config", None):
-        config = _load_json(args.config)
-    return config
-
-
 def _context_from(args, parser: _Parser) -> GlobalContext:
-    config = _load_config(args)
-    d = args.d if args.d is not None else config.get("d")
-    g = args.g if args.g is not None else config.get("g")
-    e_pi = args.e_pi if args.e_pi is not None else config.get("e_pi", 1)
-    kappa = args.kappa if args.kappa is not None else config.get("kappa", "1")
-    pi_id = args.pi_id if args.pi_id is not None else config.get("pi_id", "pi")
+    """Flags override the ``--config`` file, whose fields are type-checked."""
+    config = _load_json(args.config) if args.config else {}
+
+    def setting(key: str, typ, default=None):
+        flag = getattr(args, key)
+        return flag if flag is not None else _need(config, key, typ, "", default)
+
+    d, g = setting("d", int), setting("g", int)
     if d is None or g is None:
         parser.error("d and g are required (flags or config file)")
-    if not (d >= g >= 1):
-        print(f"error: need d >= g >= 1, got d={d}, g={g}", file=sys.stderr)
-        raise SystemExit(EX_INCONSISTENT)
-    kappa = Fraction(str(kappa))
-    if kappa <= 0:
-        print(f"error: kappa must be positive, got {kappa}", file=sys.stderr)
-        raise SystemExit(EX_INCONSISTENT)
-    pi = InertialCuspidal(id=pi_id, g=g, e_pi=e_pi)
+    pi = InertialCuspidal(id=setting("pi_id", str, "pi"), g=g, e_pi=setting("e_pi", int, 1))
+    kappa = Fraction(str(setting("kappa", (str, int, float), "1")))
     return GlobalContext(d=d, pi=pi, kappa=kappa)
 
 
@@ -109,12 +98,7 @@ def cmd_diagram(args, parser: _Parser) -> int:
     if args.at_r is not None and not args.component:
         parser.error("--at-r needs a --component file")
     if args.component:
-        obj = _load_json(args.component)
-        try:
-            component = component_from_dict(obj)
-        except SchemaError as exc:
-            print(f"schema error: {exc}", file=sys.stderr)
-            return EX_SCHEMA
+        component = component_from_dict(_load_json(args.component))
         if args.at_r is not None:
             return _print_constituents(component, args.at_r)
         diag = superpose(component)
@@ -147,7 +131,7 @@ def _print_constituents(component: LocalComponent, r: int) -> int:
     return EX_OK
 
 
-def cmd_ledger(args, parser: _Parser, which: str) -> int:
+def cmd_ledger(args, parser: _Parser) -> int:
     ctx = _context_from(args, parser)
     if not 1 <= args.t <= ctx.s_g:
         print(
@@ -156,14 +140,8 @@ def cmd_ledger(args, parser: _Parser, which: str) -> int:
         )
         return EX_STRATUM
     inf = generic_infinitesimal(ctx, args.t)
-    try:
-        if which == "resolution":
-            terms = resolution_terms(ctx, args.t, inf)
-        else:
-            terms = filtration_graded(ctx, args.t, inf)
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_INCONSISTENT
+    expand = resolution_terms if args.command == "resolution" else filtration_graded
+    terms = expand(ctx, args.t, inf)
     if args.format == "json":
         listing = ledger_listing_to_dict(ctx.d, ctx.g, args.t, terms)
         _emit(canonical_dumps(listing) + "\n", args.out)
@@ -181,22 +159,9 @@ def cmd_ledger(args, parser: _Parser, which: str) -> int:
 def cmd_congruence(args, parser: _Parser) -> int:
     obj_a = _load_json(args.dataset_a)
     obj_b = _load_json(args.dataset_b)
-    try:
-        ds_a = dataset_from_dict(obj_a)
-        ds_b = dataset_from_dict(obj_b)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EX_SCHEMA
-    except (InconsistentDataError, ValueError) as exc:
-        print(f"inconsistent input: {exc}", file=sys.stderr)
-        return EX_INCONSISTENT
-    try:
-        verdict = theorem_check(
-            ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, args.r, args.s
-        )
-    except (InconsistentDataError, ValueError) as exc:
-        print(f"inconsistent input: {exc}", file=sys.stderr)
-        return EX_INCONSISTENT
+    ds_a = dataset_from_dict(obj_a)
+    ds_b = dataset_from_dict(obj_b)
+    verdict = theorem_check(ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, args.r, args.s)
     report = canonical_dumps(verdict_to_dict(verdict))
     _emit(report + "\n", args.report)
     if args.report:
@@ -214,6 +179,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diag = sub.add_parser("diagram", help="render a support diagram")
+    p_diag.set_defaults(run=cmd_diagram)
     p_diag.add_argument("--s", type=int, default=None, help="row count")
     p_diag.add_argument("--t", type=int, default=None, help="row length")
     p_diag.add_argument("--component", default=None, help="local component JSON file")
@@ -232,6 +198,7 @@ def build_parser() -> _Parser:
 
     for name in ("resolution", "filtration"):
         p = sub.add_parser(name, help=f"list the {name} terms at stratum t")
+        p.set_defaults(run=cmd_ledger)
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--g", type=int, default=None)
         p.add_argument("--t", type=int, required=True)
@@ -244,6 +211,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
 
     p_cong = sub.add_parser("congruence", help="compare two datasets")
+    p_cong.set_defaults(run=cmd_congruence)
     p_cong.add_argument("dataset_a")
     p_cong.add_argument("dataset_b")
     p_cong.add_argument("--r", type=int, required=True)
@@ -256,14 +224,14 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "diagram":
-        return cmd_diagram(args, parser)
-    if args.command in ("resolution", "filtration"):
-        return cmd_ledger(args, parser, args.command)
-    if args.command == "congruence":
-        return cmd_congruence(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EX_USAGE
+    try:
+        return args.run(args, parser)
+    except SchemaError as exc:
+        print(f"schema error: {exc}", file=sys.stderr)
+        return EX_SCHEMA
+    except ValueError as exc:  # a constructor or check rejected well-typed input
+        print(f"inconsistent input: {exc}", file=sys.stderr)
+        return EX_INCONSISTENT
 
 
 def entry() -> None:

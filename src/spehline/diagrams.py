@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .formal import GrothSum
-from .zline import HalfInt, InertialCuspidal, Wildcard, reduced_label
+from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,6 @@ class LocalComponent:
         return replace(self, factors=factors)
 
     def __str__(self) -> str:
-        from .zline import LadderShape
-
         parts = [str(LadderShape(base, self.s, t)) for t, base in self.factors]
         if self.wildcard is not None:
             parts.append(str(self.wildcard))
@@ -174,32 +172,6 @@ def trace_back(
 
 
 @dataclass(frozen=True)
-class LadderSlot:
-    """A spectator factor ``Speh_s(St_t(base))`` inside a constituent label."""
-
-    s: int
-    t: int
-    base: InertialCuspidal
-
-    @property
-    def degree(self) -> int:
-        return self.s * self.t * self.base.g
-
-    def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "LadderSlot":
-        return replace(self, base=new) if self.base == old else self
-
-    def reduced(self) -> "LadderSlot":
-        return replace(self, base=reduced_label(self.base))
-
-    def __str__(self) -> str:
-        if self.s == 1:
-            return self.base.id if self.t == 1 else f"St_{self.t}({self.base.id})"
-        if self.t == 1:
-            return f"Speh_{self.s}({self.base.id})"
-        return f"Speh_{self.s}(St_{self.t}({self.base.id}))"
-
-
-@dataclass(frozen=True)
 class RSlot:
     """The opaque symbol replacing the traced factor at a diagram point.
 
@@ -238,7 +210,7 @@ class ConstituentLabel:
     """
 
     s: int
-    slots: tuple[LadderSlot | RSlot, ...]
+    slots: tuple[LadderShape | RSlot, ...]
     xi_index: int
     tate: HalfInt
     wildcard: Wildcard | None = None
@@ -280,12 +252,12 @@ def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
     t_k, _ = c.factor(k)
     if not m_indicator(c.s, t_k, p.r, p.i):
         raise ValueError(f"factor {k} does not annotate {p}")
-    slots: list[LadderSlot | RSlot] = []
+    slots: list[LadderShape | RSlot] = []
     for j, (t_j, base_j) in enumerate(c.factors, start=1):
         if j == k:
             slots.append(RSlot(c.s, t_j, p.r, p.i, base_j))
         else:
-            slots.append(LadderSlot(c.s, t_j, base_j))
+            slots.append(LadderShape(base_j, c.s, t_j))
     return ConstituentLabel(
         s=c.s,
         slots=tuple(slots),

@@ -4,6 +4,14 @@ Multisegments serialize to a bit-stable canonical form: the segment list
 is sorted, keys are emitted in sorted order and the encoding carries no
 whitespace, so equal values produce byte-equal documents and file diffs
 are meaningful.  All top-level documents carry a ``schema_version``.
+
+Each format has one reader, which type-checks every field through
+:func:`_need` as it reads it and builds the object in the same pass; a
+violation raises :class:`SchemaError` with the path of the field.  When a
+document breaks the schema in several places, the first field read
+decides which one is reported.  Values that are well typed but break an
+invariant of the object they build raise the constructor's
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,17 @@ from .zline import (
 
 SCHEMA_VERSION = 1
 
+_REQUIRED = object()
+_NULL = type(None)
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "a list",
+    _NULL: "null",
+}
+
 
 class SchemaError(ValueError):
     """A document does not match its schema; ``path`` locates the violation."""
@@ -39,6 +58,55 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _need(obj: dict, key: str, typ, path: str, default=_REQUIRED):
+    """``obj[key]`` checked against ``typ`` (a type or a tuple of types).
+
+    ``path`` locates ``obj`` in its document.  A missing key returns
+    ``default`` when one is given.  No field is a boolean, so booleans
+    never pass as integers.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(path or ".", "expected an object")
+    value = obj.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise SchemaError(_at(path, key), "missing field")
+        return default
+    if isinstance(value, bool) or not isinstance(value, typ):
+        names = typ if isinstance(typ, tuple) else (typ,)
+        expected = " or ".join(_TYPE_NAMES[t] for t in names)
+        raise SchemaError(_at(path, key), f"expected {expected}")
+    return value
+
+
+def _ints(values: list, path: str) -> tuple[int, ...]:
+    for idx, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError(f"{path}[{idx}]", "expected an integer")
+    return tuple(values)
+
+
+def _entries(obj: dict, key: str, path: str):
+    """The elements of the list ``obj[key]``, each with its path."""
+    where = _at(path, key)
+    for idx, item in enumerate(_need(obj, key, list, path)):
+        yield f"{where}[{idx}]", item
+
+
+def _cuspidal(
+    obj: dict, key: str, cuspidals: dict[str, InertialCuspidal], path: str
+) -> InertialCuspidal:
+    """The registry entry named by the id at ``obj[key]``."""
+    cid = _need(obj, key, str, path)
+    if cid not in cuspidals:
+        raise SchemaError(_at(path, key), f"unknown cuspidal {cid!r}")
+    return cuspidals[cid]
+
+
 # ---------------------------------------------------------------- multisegments
 
 
@@ -46,12 +114,17 @@ def wildcard_to_dict(w: Wildcard) -> dict:
     return {"id": w.id, "degree": w.degree, "shift_twice": w.shift.twice}
 
 
-def wildcard_from_dict(obj: dict) -> Wildcard:
+def wildcard_from_dict(obj: dict, path: str = "wildcard") -> Wildcard:
     return Wildcard(
-        id=obj["id"],
-        degree=obj["degree"],
-        shift=HalfInt(obj.get("shift_twice", 0)),
+        id=_need(obj, "id", str, path),
+        degree=_need(obj, "degree", int, path),
+        shift=HalfInt(_need(obj, "shift_twice", int, path, default=0)),
     )
+
+
+def _optional_wildcard(obj: dict, path: str) -> Wildcard | None:
+    wildcard = _need(obj, "wildcard", (dict, _NULL), path, default=None)
+    return None if wildcard is None else wildcard_from_dict(wildcard, _at(path, "wildcard"))
 
 
 def multisegment_to_dict(m: Multisegment) -> dict:
@@ -71,19 +144,22 @@ def multisegment_from_dict(
 ) -> Multisegment:
     segments = tuple(
         Segment(
-            base=cuspidals[s["base_id"]],
-            start=HalfInt(s["start_twice"]),
-            length=s["length"],
+            base=_cuspidal(s, "base_id", cuspidals, spath),
+            start=HalfInt(_need(s, "start_twice", int, spath)),
+            length=_need(s, "length", int, spath),
         )
-        for s in obj["segments"]
+        for spath, s in _entries(obj, "segments", "")
     )
-    wildcard = obj.get("wildcard")
-    tag = obj.get("order_tag")
+    tate = HalfInt(_need(obj, "tate_twice", int, "", default=0))
+    wildcard = _optional_wildcard(obj, "")
+    tag = _need(obj, "order_tag", (list, _NULL), "", default=None)
+    if tag is not None and len(tag) != 2:
+        raise SchemaError("order_tag", "expected two integers")
     return Multisegment(
         segments=segments,
-        tate=HalfInt(obj.get("tate_twice", 0)),
-        wildcard=None if wildcard is None else wildcard_from_dict(wildcard),
-        order_tag=None if tag is None else (tag[0], tag[1]),
+        tate=tate,
+        wildcard=wildcard,
+        order_tag=None if tag is None else _ints(tag, "order_tag"),
     )
 
 
@@ -99,15 +175,17 @@ def cuspidal_registry(bases: list[InertialCuspidal]) -> dict:
 
 
 def registry_from_dict(obj: dict) -> dict[str, InertialCuspidal]:
-    return {
-        cid: InertialCuspidal(
+    """Read the ``cuspidals`` object of a component or dataset file."""
+    registry = {}
+    for cid, rec in obj.items():
+        path = f"cuspidals[{cid}]"
+        registry[cid] = InertialCuspidal(
             id=cid,
-            g=rec["g"],
-            e_pi=rec.get("e_pi", 1),
-            modl_class=rec.get("modl_class", cid),
+            g=_need(rec, "g", int, path),
+            e_pi=_need(rec, "e_pi", int, path),
+            modl_class=_need(rec, "modl_class", str, path),
         )
-        for cid, rec in obj.items()
-    }
+    return registry
 
 
 # ----------------------------------------------------------------- ledger terms
@@ -149,30 +227,39 @@ def diagram_to_dict(diag: Diagram) -> dict:
     }
 
 
-def component_to_dict(c: LocalComponent) -> dict:
+# ------------------------------------------------------------- local components
+
+
+def _local_to_dict(c: LocalComponent) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "s": c.s,
         "factors": [{"t": t, "base_id": base.id} for t, base in c.factors],
         "wildcard": None if c.wildcard is None else wildcard_to_dict(c.wildcard),
+    }
+
+
+def _local_from_dict(
+    obj: dict, cuspidals: dict[str, InertialCuspidal], path: str
+) -> LocalComponent:
+    s = _need(obj, "s", int, path)
+    factors = tuple(
+        (_need(f, "t", int, fpath), _cuspidal(f, "base_id", cuspidals, fpath))
+        for fpath, f in _entries(obj, "factors", path)
+    )
+    return LocalComponent(s=s, factors=factors, wildcard=_optional_wildcard(obj, path))
+
+
+def component_to_dict(c: LocalComponent) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        **_local_to_dict(c),
         "cuspidals": cuspidal_registry([base for _, base in c.factors]),
     }
 
 
 def component_from_dict(obj: dict) -> LocalComponent:
-    _validate_component(obj, "")
-    cuspidals = registry_from_dict(obj["cuspidals"])
-    factors = []
-    for rec in obj["factors"]:
-        if rec["base_id"] not in cuspidals:
-            raise SchemaError("factors", f"unknown base_id {rec['base_id']!r}")
-        factors.append((rec["t"], cuspidals[rec["base_id"]]))
-    wildcard = obj.get("wildcard")
-    return LocalComponent(
-        s=obj["s"],
-        factors=tuple(factors),
-        wildcard=None if wildcard is None else wildcard_from_dict(wildcard),
-    )
+    cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
+    return _local_from_dict(obj, cuspidals, "")
 
 
 # --------------------------------------------------------------------- datasets
@@ -195,15 +282,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "data": [
             {
                 "id": datum.id,
-                "local": {
-                    "s": datum.local.s,
-                    "factors": [
-                        {"t": t, "base_id": base.id} for t, base in datum.local.factors
-                    ],
-                    "wildcard": None
-                    if datum.local.wildcard is None
-                    else wildcard_to_dict(datum.local.wildcard),
-                },
+                "local": _local_to_dict(datum.local),
                 "m": datum.m,
                 "d_xi": datum.d_xi,
                 "inv_dim": datum.inv_dim,
@@ -220,49 +299,34 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def dataset_from_dict(obj: dict) -> Dataset:
-    validate_dataset_obj(obj)
-    cuspidals = registry_from_dict(obj["cuspidals"])
-    pi_id = obj["context"]["pi_id"]
-    if pi_id not in cuspidals:
-        raise SchemaError("context.pi_id", f"unknown cuspidal {pi_id!r}")
-    context = GlobalContext(
-        d=obj["context"]["d"],
-        pi=cuspidals[pi_id],
-        kappa=Fraction(obj["context"]["kappa"]),
-    )
-    data = []
-    for idx, rec in enumerate(obj["data"]):
-        factors = []
-        for jdx, f in enumerate(rec["local"]["factors"]):
-            if f["base_id"] not in cuspidals:
-                raise SchemaError(
-                    f"data[{idx}].local.factors[{jdx}].base_id",
-                    f"unknown cuspidal {f['base_id']!r}",
-                )
-            factors.append((f["t"], cuspidals[f["base_id"]]))
-        wildcard = rec["local"].get("wildcard")
-        data.append(
-            AutomorphicDatum(
-                id=rec["id"],
-                local=LocalComponent(
-                    s=rec["local"]["s"],
-                    factors=tuple(factors),
-                    wildcard=None if wildcard is None else wildcard_from_dict(wildcard),
-                ),
-                m=rec["m"],
-                d_xi=rec["d_xi"],
-                inv_dim=rec["inv_dim"],
-                satake=rec["satake"],
-            )
+    _need(obj, "schema_version", int, "")
+    context = _need(obj, "context", dict, "")
+    d = _need(context, "d", int, "context")
+    kappa = _need(context, "kappa", str, "context")
+    cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
+    pi = _cuspidal(context, "pi_id", cuspidals, "context")
+    data = tuple(
+        AutomorphicDatum(
+            id=_need(rec, "id", str, rpath),
+            local=_local_from_dict(
+                _need(rec, "local", dict, rpath), cuspidals, f"{rpath}.local"
+            ),
+            m=_need(rec, "m", int, rpath),
+            d_xi=_need(rec, "d_xi", int, rpath),
+            inv_dim=_need(rec, "inv_dim", int, rpath),
+            satake=_need(rec, "satake", str, rpath),
         )
-    torsion = TorsionProfile(
-        t0=obj["torsion"]["t0"], tau=tuple(obj["torsion"]["tau"])
+        for rpath, rec in _entries(obj, "data", "")
     )
+    torsion = _need(obj, "torsion", dict, "")
     return Dataset(
-        context=context,
-        data=tuple(data),
-        torsion=torsion,
-        levels=tuple(obj["levels"]),
+        context=GlobalContext(d=d, pi=pi, kappa=Fraction(kappa)),
+        data=data,
+        torsion=TorsionProfile(
+            t0=_need(torsion, "t0", (int, _NULL), "torsion"),
+            tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
+        ),
+        levels=_ints(_need(obj, "levels", list, ""), "levels"),
     )
 
 
@@ -288,94 +352,3 @@ def verdict_to_dict(verdict: Verdict) -> dict:
             for sym, ca, cb in verdict.diffs
         ],
     }
-
-
-# ------------------------------------------------------------ schema validation
-
-
-def _need(obj: dict, key: str, typ, path: str, allow_none: bool = False):
-    if not isinstance(obj, dict):
-        raise SchemaError(path or ".", "expected an object")
-    where = f"{path}.{key}" if path else key
-    if key not in obj:
-        raise SchemaError(where, "missing field")
-    value = obj[key]
-    if value is None and allow_none:
-        return value
-    if typ is int and isinstance(value, bool):
-        raise SchemaError(where, "expected an integer")
-    if not isinstance(value, typ):
-        raise SchemaError(where, f"expected {getattr(typ, '__name__', typ)}")
-    return value
-
-
-def _int_list(values, path: str) -> None:
-    if not isinstance(values, list):
-        raise SchemaError(path, "expected a list")
-    for idx, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{path}[{idx}]", "expected an integer")
-
-
-def _validate_wildcard(obj, path: str) -> None:
-    if obj is None:
-        return
-    _need(obj, "id", str, path)
-    _need(obj, "degree", int, path)
-    if "shift_twice" in obj:
-        _need(obj, "shift_twice", int, path)
-
-
-def _validate_component(obj: dict, path: str) -> None:
-    prefix = f"{path}." if path else ""
-    _need(obj, "s", int, path)
-    factors = _need(obj, "factors", list, path)
-    for jdx, f in enumerate(factors):
-        fpath = f"{prefix}factors[{jdx}]"
-        if not isinstance(f, dict):
-            raise SchemaError(fpath, "expected an object")
-        _need(f, "t", int, fpath)
-        _need(f, "base_id", str, fpath)
-    _validate_wildcard(obj.get("wildcard"), f"{prefix}wildcard")
-    if "cuspidals" in obj:
-        _validate_registry(obj["cuspidals"], f"{prefix}cuspidals")
-
-
-def _validate_registry(obj, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for cid, rec in obj.items():
-        cpath = f"{path}[{cid}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(cpath, "expected an object")
-        _need(rec, "g", int, cpath)
-        _need(rec, "e_pi", int, cpath)
-        _need(rec, "modl_class", str, cpath)
-
-
-def validate_dataset_obj(obj: dict) -> None:
-    """Raise :class:`SchemaError` at the first structural violation."""
-    if not isinstance(obj, dict):
-        raise SchemaError(".", "expected a JSON object")
-    _need(obj, "schema_version", int, "")
-    context = _need(obj, "context", dict, "")
-    _need(context, "d", int, "context")
-    _need(context, "kappa", str, "context")
-    _need(context, "pi_id", str, "context")
-    _validate_registry(_need(obj, "cuspidals", dict, ""), "cuspidals")
-    data = _need(obj, "data", list, "")
-    for idx, rec in enumerate(data):
-        dpath = f"data[{idx}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(dpath, "expected an object")
-        _need(rec, "id", str, dpath)
-        local = _need(rec, "local", dict, dpath)
-        _validate_component(local, f"{dpath}.local")
-        _need(rec, "m", int, dpath)
-        _need(rec, "d_xi", int, dpath)
-        _need(rec, "inv_dim", int, dpath)
-        _need(rec, "satake", str, dpath)
-    torsion = _need(obj, "torsion", dict, "")
-    _need(torsion, "t0", int, "torsion", allow_none=True)
-    _int_list(_need(torsion, "tau", list, "torsion"), "torsion.tau")
-    _int_list(_need(obj, "levels", list, ""), "levels")

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HalfInt:
     """A half-integer, stored as twice its value.
 
@@ -66,26 +66,6 @@ class HalfInt:
         return HalfInt(self.twice * k)
 
     __rmul__ = __mul__
-
-    def __lt__(self, other: "HalfInt") -> bool:
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice < other.twice
-
-    def __le__(self, other: "HalfInt") -> bool:
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice <= other.twice
-
-    def __gt__(self, other: "HalfInt") -> bool:
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice > other.twice
-
-    def __ge__(self, other: "HalfInt") -> bool:
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice >= other.twice
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -309,6 +289,9 @@ class LadderShape:
 
     def shifted(self, n: HalfInt | int) -> "LadderShape":
         return replace(self, center=self.center + HalfInt.of(n))
+
+    def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "LadderShape":
+        return replace(self, base=new) if self.base == old else self
 
     def reduced(self) -> "LadderShape":
         return replace(self, base=reduced_label(self.base))

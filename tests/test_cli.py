@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import main
@@ -203,3 +209,126 @@ class TestCongruenceCommand:
         assert code == 0
         assert out.strip() == "equal"
         assert json.loads(report.read_text())["exit_code"] == 0
+
+
+# ------------------------------------------------------------ malformed input
+
+TRIPLE = json.loads((FIXTURES / "triple_component.json").read_text())
+
+
+def run_exit(capsys, *argv: str) -> tuple[int, str]:
+    """Exit status and stderr, whether ``main`` returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "edit, code, where",
+        [
+            (lambda c: c.pop("cuspidals"), 66, "cuspidals"),
+            (lambda c: c["factors"][1].update(base_id="ghost"), 66, "factors[1].base_id"),
+            (lambda c: c.update(s=0), 2, "s >= 1"),
+            (lambda c: c["cuspidals"]["pi"].update(g=0), 2, "g must be"),
+            (lambda c: c.update(wildcard={"id": "w", "degree": -1}), 2, "degree"),
+        ],
+        ids=["no-cuspidals", "unknown-base", "s-zero", "g-zero", "wildcard-degree"],
+    )
+    def test_component(self, capsys, tmp_path, edit, code, where):
+        doc = copy.deepcopy(TRIPLE)
+        edit(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        got, err = run_exit(capsys, "diagram", "--component", str(path))
+        assert got == code and where in err
+
+    def test_shape_out_of_range(self, capsys):
+        code, err = run_exit(capsys, "diagram", "--s", "0", "--t", "2")
+        assert code == 2 and "positive" in err
+
+    def test_config_field_type(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d": "4", "g": 1}))
+        code, err = run_exit(capsys, "resolution", "--config", str(config), "--t", "2")
+        assert code == 66
+        assert err.startswith("schema error: d:")
+
+    def test_directory_path(self, capsys, tmp_path):
+        code, err = run_exit(capsys, "diagram", "--component", str(tmp_path))
+        assert code == 64 and str(tmp_path) in err
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"s": "\xff"}')
+        code, err = run_exit(capsys, "diagram", "--component", str(path))
+        assert code == 66 and "not valid JSON" in err
+
+
+# One valid document per input format, the argv that reads it, and a fuzz
+# test that breaks one field of it at a time.
+CTX = GlobalContext(d=12, pi=PI)
+DATASET = dataset_to_dict(generate_dataset(3, CTX, r=4))
+DOCUMENTS = {
+    "dataset": (DATASET, ["congruence", "{}", "{}", "--r", "4", "--s", "2"]),
+    "component": (TRIPLE, ["diagram", "--component", "{}", "--at-r", "4"]),
+    "config": (
+        {"d": 4, "g": 1, "e_pi": 1, "kappa": "1/2", "pi_id": "pi"},
+        ["resolution", "--config", "{}", "--t", "2"],
+    ),
+}
+OTHER_JSON = (None, True, "x", 1.5, 7, [], {})
+
+
+def field_paths(doc, prefix=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    kind = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = copy.deepcopy(DOCUMENTS[kind][0])
+    *parents, key = draw(st.sampled_from(list(field_paths(doc))))
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    value = owner[key]
+    choices = ["delete"] + [v for v in OTHER_JSON if type(v) is not type(value)]
+    if type(value) is int:
+        choices += [0, -1]
+    if key in ("base_id", "pi_id"):
+        choices.append("ghost")
+    choice = draw(st.sampled_from(choices))
+    if choice == "delete":
+        del owner[key]
+    else:
+        owner[key] = choice
+    return kind, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_fuzz_one_broken_field(case):
+    kind, doc = case
+    valid, argv = DOCUMENTS[kind]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        broken, intact = Path(tmp) / "broken.json", Path(tmp) / "intact.json"
+        broken.write_text(json.dumps(doc))
+        intact.write_text(json.dumps(valid))
+        paths = iter([str(broken), str(intact)])
+        argv = [next(paths) if arg == "{}" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in {0, 1, 2, 64, 65, 66}, err.getvalue()

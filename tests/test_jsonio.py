@@ -21,7 +21,6 @@ from spehline.jsonio import (
     dataset_to_dict,
     multisegment_from_dict,
     multisegment_to_dict,
-    validate_dataset_obj,
 )
 
 from support import PI, RHO
@@ -56,6 +55,13 @@ class TestMultisegmentForm:
         m = make_speh(make_steinberg(PI, 3), 2).to_multisegment()
         assert multisegment_from_dict(multisegment_to_dict(m), CUSPIDALS) == m
 
+    def test_unknown_base_reference(self):
+        obj = multisegment_to_dict(Multisegment((Segment(PI, HalfInt(0), 2),)))
+        obj["segments"][0]["base_id"] = "ghost"
+        with pytest.raises(SchemaError) as err:
+            multisegment_from_dict(obj, CUSPIDALS)
+        assert err.value.path == "segments[0].base_id"
+
 
 class TestDatasetForm:
     def make(self) -> Dataset:
@@ -75,21 +81,21 @@ class TestDatasetForm:
         obj = dataset_to_dict(self.make())
         obj["data"][1]["m"] = "three"
         with pytest.raises(SchemaError) as err:
-            validate_dataset_obj(obj)
+            dataset_from_dict(obj)
         assert err.value.path == "data[1].m"
 
     def test_schema_missing_field(self):
         obj = dataset_to_dict(self.make())
         del obj["data"][0]["local"]["s"]
         with pytest.raises(SchemaError) as err:
-            validate_dataset_obj(obj)
+            dataset_from_dict(obj)
         assert err.value.path == "data[0].local.s"
 
     def test_schema_bad_levels(self):
         obj = dataset_to_dict(self.make())
         obj["levels"] = [0, "one"]
         with pytest.raises(SchemaError) as err:
-            validate_dataset_obj(obj)
+            dataset_from_dict(obj)
         assert err.value.path == "levels[1]"
 
     def test_unknown_base_reference(self):
