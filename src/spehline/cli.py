@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .congruence import theorem_check
 from .diagrams import DiagramPoint, LocalComponent, constituent, diagram, superpose, trace_back
 from .jsonio import (
     SchemaError,
+    _fraction,
     _need,
     canonical_dumps,
     component_from_dict,
@@ -79,14 +79,18 @@ def _context_from(args, parser: _Parser) -> GlobalContext:
     if d is None or g is None:
         parser.error("d and g are required (flags or config file)")
     pi = InertialCuspidal(id=setting("pi_id", str, "pi"), g=g, e_pi=setting("e_pi", int, 1))
-    kappa = Fraction(str(setting("kappa", (str, int, float), "1")))
+    kappa = _fraction(str(setting("kappa", (str, int, float), "1")))
     return GlobalContext(d=d, pi=pi, kappa=kappa)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(EX_USAGE)
     else:
         sys.stdout.write(text)
 

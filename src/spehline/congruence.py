@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Iterator
 
 from .diagrams import DiagramPoint, LocalComponent, constituent_sum
 from .formal import GrothSum
@@ -159,6 +160,17 @@ def _as_dim(value: GrothSum | int, n: int) -> GrothSum:
     raise TypeError(f"dimension oracle must return GrothSum or int, got {value!r}")
 
 
+def _weighted_dims(
+    ds: Dataset, pi: InertialCuspidal, r: int, oracle, s: int | None = None
+) -> Iterator[tuple[AutomorphicDatum, list[GrothSum]]]:
+    """Each record with a ``pi``-factor at radius ``r`` (and ``s`` rows, when
+    given), with its weight times its oracle dimension at each level."""
+    oracle = oracle or default_dimension_oracle
+    for datum in ds.data:
+        if (s is None or datum.local.s == s) and _matching_factors(datum, pi, r):
+            yield datum, [datum.weight * _as_dim(oracle(datum, pi, r, n), n) for n in ds.levels]
+
+
 def _observed_radius(ds: Dataset, pi: InertialCuspidal) -> int | None:
     best = None
     for datum in ds.data:
@@ -196,27 +208,23 @@ def d_sequence(
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    oracle = oracle or default_dimension_oracle
-    values: dict[tuple[int, int], GrothSum] = {
-        (k, n): GrothSum.zero() for k in range(r) for n in ds.levels
+    cells: dict[tuple[int, int], list[GrothSum]] = {
+        (k, n): [] for k in range(r) for n in ds.levels
     }
-    for datum in ds.data:
-        if not _matching_factors(datum, pi, r):
-            continue
-        for n in ds.levels:
-            contribution = datum.weight * _as_dim(oracle(datum, pi, r, n), n)
+    for datum, dims in _weighted_dims(ds, pi, r, oracle):
+        for n, contribution in zip(ds.levels, dims):
             for k in range(datum.local.s):
-                values[(k, n)] = values[(k, n)] + contribution
+                cells[(k, n)].append(contribution)
     for k in range(1, r):
         for n in ds.levels:
             tau = torsion_dimension(ds.torsion, k, n)
             if tau:
-                values[(k, n)] = values[(k, n)] + GrothSum.of(unit_symbol(n), tau)
+                cells[(k, n)].append(GrothSum.of(unit_symbol(n), tau))
     observed = _observed_radius(ds, pi)
     return DimensionTable(
         r=r,
         levels=ds.levels,
-        values=values,
+        values={cell: GrothSum.sum(parts) for cell, parts in cells.items()},
         maximal=(observed is None or observed <= r),
         pi_id=pi.id,
     )
@@ -273,7 +281,7 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
             clean[(k, n)] = value
     pairs: dict[tuple[int, int], GrothSum] = {}
     for k in range(r, 0, -1):
-        weight = GrothSum.zero()
+        diffs = []
         for n in table.levels:
             above = clean[(k, n)] if k < r else GrothSum.zero()
             diff = clean[(k - 1, n)] - above
@@ -281,7 +289,8 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-            weight = weight + diff
+            diffs.append(diff)
+        weight = GrothSum.sum(diffs)
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
     return ContributionSet(r=r, pairs=pairs)
@@ -291,18 +300,13 @@ def expected_contributions(
     ds: Dataset, pi: InertialCuspidal, r: int, oracle=None
 ) -> ContributionSet:
     """Ground-truth contribution set read directly off the records."""
-    oracle = oracle or default_dimension_oracle
-    pairs: dict[tuple[int, int], GrothSum] = {}
+    parts: dict[tuple[int, int], list[GrothSum]] = {}
     witnesses: dict[tuple[int, int], tuple[str, ...]] = {}
-    for datum in ds.data:
-        if not _matching_factors(datum, pi, r):
-            continue
+    for datum, dims in _weighted_dims(ds, pi, r, oracle):
         shape = (datum.local.s, r - datum.local.s + 1)
-        weight = GrothSum.zero()
-        for n in ds.levels:
-            weight = weight + datum.weight * _as_dim(oracle(datum, pi, r, n), n)
-        pairs[shape] = pairs.get(shape, GrothSum.zero()) + weight
+        parts.setdefault(shape, []).extend(dims)
         witnesses[shape] = witnesses.get(shape, ()) + (datum.id,)
+    pairs = {shape: GrothSum.sum(sums) for shape, sums in parts.items()}
     return ContributionSet(r=r, pairs=pairs, witnesses=witnesses)
 
 
@@ -319,16 +323,6 @@ class Verdict:
     @property
     def exit_code(self) -> int:
         return 0 if self.equal else 1
-
-
-def _side_sum(
-    ds: Dataset, pi: InertialCuspidal, r: int, s: int, oracle
-) -> GrothSum:
-    total = GrothSum.zero()
-    for datum in members(ds, pi, r, s):
-        for n in ds.levels:
-            total = total + datum.weight * _as_dim(oracle(datum, pi, r, n), n)
-    return total
 
 
 def theorem_check(
@@ -357,8 +351,7 @@ def theorem_check(
         raise InconsistentDataError("datasets have different level towers")
     if r < 1 or s < 1 or s > r:
         raise InconsistentDataError(f"need 1 <= s <= r, got r={r}, s={s}")
-    oracle = oracle or default_dimension_oracle
-    warnings = []
+    warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
         observed = _observed_radius(ds, pi)
         if observed is not None and observed != r:
@@ -366,8 +359,9 @@ def theorem_check(
                 f"dataset {name}: r={r} is not the maximal radius "
                 f"(observed {observed}); check performed anyway"
             )
-    lhs = _side_sum(ds_a, pi_a, r, s, oracle)
-    rhs = _side_sum(ds_b, pi_b, r, s, oracle)
+        side = _weighted_dims(ds, pi, r, oracle, s)
+        sides.append(GrothSum.sum(dim for _, dims in side for dim in dims))
+    lhs, rhs = sides
     delta = lhs - rhs
     diffs = [
         (symbol, lhs.coefficient(symbol), rhs.coefficient(symbol))

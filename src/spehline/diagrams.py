@@ -275,10 +275,8 @@ def constituent_sum(
     One unit term per factor index ``k`` with ``base_k`` in the inertial
     class of ``pi`` whose indicator is nonzero at ``p``.
     """
-    total = GrothSum.zero()
-    for k, (t_k, base_k) in enumerate(c.factors, start=1):
-        if base_k.id != pi.id:
-            continue
-        if m_indicator(c.s, t_k, p.r, p.i):
-            total = total + GrothSum.of(constituent(c, p, k))
-    return total
+    return GrothSum(
+        (constituent(c, p, k), 1)
+        for k, (t_k, base_k) in enumerate(c.factors, start=1)
+        if base_k.id == pi.id and m_indicator(c.s, t_k, p.r, p.i)
+    )

@@ -4,6 +4,11 @@ A ``GrothSum`` is the image of a list of labelled objects in a free
 abelian group: a finite map ``label -> integer coefficient`` with zero
 coefficients dropped.  Addition is commutative, the empty sum is the
 zero element, and equality ignores construction order.
+
+Build a sum in one pass: from ``(label, coeff)`` pairs with
+``GrothSum(pairs)``, from other sums with ``GrothSum.sum(sums)``, never
+with ``+`` in a loop, which copies the whole sum at every step.  No
+operation mutates an operand, so one sum may be shared.
 """
 
 from __future__ import annotations
@@ -21,17 +26,22 @@ class GrothSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Any, int] | Iterable[tuple[Any, int]] = ()):
+        self._terms = _merge({}, terms.items() if isinstance(terms, Mapping) else terms)
+
+    @classmethod
+    def _wrap(cls, terms: dict[Any, int]) -> "GrothSum":
+        """Trusted constructor: ``terms`` holds only nonzero integer coefficients."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def sum(cls, sums: Iterable["GrothSum"]) -> "GrothSum":
+        """The sum of ``sums`` in one pass, without touching any of them."""
         acc: dict[Any, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for label, coeff in items:
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficient must be an integer, got {coeff!r}")
-            new = acc.get(label, 0) + coeff
-            if new:
-                acc[label] = new
-            else:
-                acc.pop(label, None)
-        self._terms = acc
+        for part in sums:
+            _merge(acc, part._terms.items())
+        return cls._wrap(acc)
 
     @classmethod
     def zero(cls) -> "GrothSum":
@@ -64,17 +74,10 @@ class GrothSum:
     def __add__(self, other: "GrothSum") -> "GrothSum":
         if not isinstance(other, GrothSum):
             return NotImplemented
-        out = dict(self._terms)
-        for label, coeff in other._terms.items():
-            new = out.get(label, 0) + coeff
-            if new:
-                out[label] = new
-            else:
-                out.pop(label, None)
-        return GrothSum(out)
+        return GrothSum._wrap(_merge(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "GrothSum":
-        return GrothSum({k: -v for k, v in self._terms.items()})
+        return GrothSum._wrap({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "GrothSum") -> "GrothSum":
         if not isinstance(other, GrothSum):
@@ -86,7 +89,7 @@ class GrothSum:
             return NotImplemented
         if k == 0:
             return GrothSum()
-        return GrothSum({label: k * c for label, c in self._terms.items()})
+        return GrothSum._wrap({label: k * c for label, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -99,12 +102,22 @@ class GrothSum:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "GrothSum(0)"
-        body = " + ".join(f"{c}*[{label}]" for label, c in self.items())
-        return f"GrothSum({body})"
+        return f"GrothSum({self})"
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         return " + ".join(f"{c}*[{label}]" for label, c in self.items())
+
+
+def _merge(acc: dict[Any, int], items: Iterable[tuple[Any, int]]) -> dict[Any, int]:
+    """Add ``(label, coeff)`` pairs into ``acc`` in place, dropping zero coefficients."""
+    for label, coeff in items:
+        if not isinstance(coeff, int):
+            raise TypeError(f"coefficient must be an integer, got {coeff!r}")
+        new = acc.get(label, 0) + coeff
+        if new:
+            acc[label] = new
+        else:
+            acc.pop(label, None)
+    return acc

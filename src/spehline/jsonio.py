@@ -58,6 +58,14 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``; a zero denominator is rejected like any other bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -320,7 +328,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
     )
     torsion = _need(obj, "torsion", dict, "")
     return Dataset(
-        context=GlobalContext(d=d, pi=pi, kappa=Fraction(kappa)),
+        context=GlobalContext(d=d, pi=pi, kappa=_fraction(kappa)),
         data=data,
         torsion=TorsionProfile(
             t0=_need(torsion, "t0", (int, _NULL), "torsion"),

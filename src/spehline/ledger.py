@@ -244,10 +244,7 @@ def strip_adjunction_core(induced: Multisegment, t: int) -> Multisegment:
 
 def expand_shriek(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
     """Rewrite the shriek class at ``t`` as the sum of its graded parts."""
-    total = GrothSum.zero()
-    for term in filtration_graded(ctx, t, inf):
-        total = total + GrothSum.of(term)
-    return total
+    return GrothSum((term, 1) for term in filtration_graded(ctx, t, inf))
 
 
 def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
@@ -258,20 +255,17 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     stratum and conserves degree term by term.  The sum is exposed as is:
     no Speh-times-Steinberg cancellation is applied.
     """
-    total = GrothSum.zero()
-    for term in resolution_terms(ctx, t, inf):
-        if term.kind != SHRIEK:
-            continue
-        for sub in filtration_graded(ctx, term.stratum, term.infinitesimal):
-            carried = replace(sub, xi_power=term.xi_power, sign=1)
-            total = total + GrothSum.of(carried, term.sign)
-    return total
+    return GrothSum(
+        (replace(sub, xi_power=term.xi_power, sign=1), term.sign)
+        for term in resolution_terms(ctx, t, inf)
+        if term.kind == SHRIEK
+        for sub in filtration_graded(ctx, term.stratum, term.infinitesimal)
+    )
 
 
 def group_by_stratum(total: GrothSum) -> dict[int, GrothSum]:
     """Split a sum of ledger terms by their stratum, for inspection."""
-    groups: dict[int, GrothSum] = {}
+    groups: dict[int, list[tuple[LedgerTerm, int]]] = {}
     for term, coeff in total.items():
-        groups.setdefault(term.stratum, GrothSum.zero())
-        groups[term.stratum] = groups[term.stratum] + GrothSum.of(term, coeff)
-    return groups
+        groups.setdefault(term.stratum, []).append((term, coeff))
+    return {stratum: GrothSum(pairs) for stratum, pairs in groups.items()}

@@ -332,3 +332,38 @@ def test_fuzz_one_broken_field(case):
             except SystemExit as exc:
                 code = exc.code
     assert code in {0, 1, 2, 64, 65, 66}, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "kind, edit, extra",
+    [
+        ("dataset", lambda doc: doc["context"].update(kappa="1/0"), []),
+        ("config", lambda doc: doc.update(kappa="1/0"), []),
+        ("config", lambda doc: None, ["--kappa", "1/0"]),
+    ],
+    ids=["dataset", "config", "flag"],
+)
+def test_kappa_zero_denominator(capsys, tmp_path, kind, edit, extra):
+    doc, argv = copy.deepcopy(DOCUMENTS[kind][0]), DOCUMENTS[kind][1]
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if arg == "{}" else arg for arg in argv] + extra
+    code, err = run_exit(capsys, *argv)
+    assert code == 2 and err.startswith("inconsistent input:") and "1/0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagram", "--s", "2", "--t", "2", "--out", "{missing}/x.txt"],
+        ["congruence", "{data}", "{data}", "--r", "4", "--s", "2", "--report", "{missing}/r.json"],
+    ],
+    ids=["diagram-out", "congruence-report"],
+)
+def test_unwritable_output(capsys, tmp_path, argv):
+    data, missing = tmp_path / "ds.json", tmp_path / "missing"
+    data.write_text(json.dumps(DATASET))
+    argv = [arg.format(data=data, missing=missing) for arg in argv]
+    code, err = run_exit(capsys, *argv)
+    assert code == 64 and err.startswith(f"error: cannot write {missing}/")

@@ -1,0 +1,58 @@
+"""Properties of ``GrothSum`` arithmetic: one-pass sums, no zero terms, no aliasing."""
+
+from __future__ import annotations
+
+import functools
+import operator
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spehline import GrothSum
+
+coefficients = st.integers(-3, 3)
+sums = st.lists(st.tuples(st.sampled_from("abcde"), coefficients), max_size=8).map(GrothSum)
+sum_lists = st.lists(sums, max_size=6)
+
+
+def folded(parts: list[GrothSum]) -> GrothSum:
+    return functools.reduce(operator.add, parts, GrothSum.zero())
+
+
+@given(sum_lists)
+def test_sum_equals_folded_add(parts):
+    total = GrothSum.sum(parts)
+    assert total == folded(parts)
+    assert total.items() == folded(parts).items()
+
+
+def test_sum_of_nothing_is_zero():
+    assert GrothSum.sum([]) == GrothSum.zero()
+    assert GrothSum.sum(iter(())).is_zero
+
+
+@given(sums, sums, coefficients)
+def test_results_hold_no_zero_coefficient(a, b, k):
+    results = (a + b, a - b, -a, a * k, k * a, GrothSum.sum([a, b, -a]))
+    for result in results:
+        assert all(coeff != 0 for _, coeff in result.items())
+    for cancelled in (a - a, a + (-a), GrothSum.sum([a, b, -b, -a]), a * 0):
+        assert cancelled.is_zero and len(cancelled) == 0
+
+
+@given(sum_lists, coefficients)
+def test_operands_are_never_mutated(parts, k):
+    before = [part.items() for part in parts]
+    GrothSum.sum(parts)
+    GrothSum.sum(parts + parts)
+    folded(parts)
+    for part in parts:
+        _ = (part + part, part - part, -part, part * k, k * part)
+    assert [part.items() for part in parts] == before
+
+
+@given(sums)
+def test_shared_operand_sums_like_a_copy(a):
+    # one object added many times, as d_sequence adds one contribution to every k
+    assert GrothSum.sum([a] * 3) == a * 3 == a + a + a
+    assert GrothSum.sum([a] * 3) is not a
