@@ -11,7 +11,6 @@ from .congruence import (
     InconsistentTableError,
     Verdict,
     d_sequence,
-    default_dimension_oracle,
     expected_contributions,
     generate_dataset,
     infer_B,
@@ -55,7 +54,6 @@ from .torsion import (
     torsion_transfer_label,
 )
 from .zline import (
-    HALF,
     HalfInt,
     InertialCuspidal,
     LadderShape,

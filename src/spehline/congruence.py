@@ -12,11 +12,9 @@ the table therefore recovers the contributing ``(s, t)`` pairs exactly,
 and the two-sided check compares the formal level-indexed sums of two
 datasets anchored at congruent cuspidals.
 
-Invariant dimensions are not computable from labels, so the default
-dimension oracle emits one formal symbol per (mod-l class, level); an
-integer-valued oracle can be plugged in instead, in which case values
-are carried on a reserved unit symbol so that torsion bookkeeping still
-merges.
+Invariant dimensions are not computable from labels, so a matching
+record contributes its weight on one formal symbol per (mod-l class,
+level); torsion rides on the reserved unit symbol of each level.
 """
 
 from __future__ import annotations
@@ -90,14 +88,18 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", tuple(self.data))
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
         if not self.levels:
             raise InconsistentDataError("dataset needs at least one level")
         if len(set(self.levels)) != len(self.levels):
             raise InconsistentDataError("levels must be distinct")
         if any(n < 0 for n in self.levels):
             raise InconsistentDataError("levels must be >= 0")
+        ids: set[str] = set()
         for datum in self.data:
+            if datum.id in ids:
+                raise InconsistentDataError(f"duplicate datum id {datum.id!r}")
+            ids.add(datum.id)
             if datum.local.degree != self.context.d:
                 raise InconsistentDataError(
                     f"datum {datum.id!r} has degree {datum.local.degree}, "
@@ -109,13 +111,9 @@ class Dataset:
             )
 
 
-def _matching_factors(datum: AutomorphicDatum, pi: InertialCuspidal, r: int) -> list[int]:
-    s = datum.local.s
-    return [
-        k
-        for k, (t_k, base_k) in enumerate(datum.local.factors, start=1)
-        if base_k.id == pi.id and s + t_k - 1 == r
-    ]
+def _radii(local: LocalComponent, pi: InertialCuspidal) -> Iterator[int]:
+    """The radius ``s + t_k - 1`` of each factor whose base is ``pi``."""
+    return (local.s + t_k - 1 for t_k, base_k in local.factors if base_k.id == pi.id)
 
 
 def members(
@@ -129,7 +127,7 @@ def members(
     return [
         datum
         for datum in ds.data
-        if datum.local.s == s and _matching_factors(datum, pi, r)
+        if datum.local.s == s and r in _radii(datum.local, pi)
     ]
 
 
@@ -145,40 +143,19 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
     return ";".join(f"{coeff}*{label}" for label, coeff in reduced.items())
 
 
-def default_dimension_oracle(
-    datum: AutomorphicDatum, pi: InertialCuspidal, r: int, n: int
-) -> GrothSum:
-    """One unit of the formal symbol of the record's mod-l class at level ``n``."""
-    return GrothSum.of(DimensionProfileSymbol(modl_key(datum.local, pi, r), n))
-
-
-def _as_dim(value: GrothSum | int, n: int) -> GrothSum:
-    if isinstance(value, GrothSum):
-        return value
-    if isinstance(value, int):
-        return GrothSum.of(unit_symbol(n), value)
-    raise TypeError(f"dimension oracle must return GrothSum or int, got {value!r}")
-
-
-def _weighted_dims(
-    ds: Dataset, pi: InertialCuspidal, r: int, oracle, s: int | None = None
-) -> Iterator[tuple[AutomorphicDatum, list[GrothSum]]]:
-    """Each record with a ``pi``-factor at radius ``r`` (and ``s`` rows, when
-    given), with its weight times its oracle dimension at each level."""
-    oracle = oracle or default_dimension_oracle
-    for datum in ds.data:
-        if (s is None or datum.local.s == s) and _matching_factors(datum, pi, r):
-            yield datum, [datum.weight * _as_dim(oracle(datum, pi, r, n), n) for n in ds.levels]
+def _terms(
+    datum: AutomorphicDatum, pi: InertialCuspidal, r: int, levels: tuple[int, ...]
+) -> list[tuple[DimensionProfileSymbol, int]]:
+    """The record's weight on the symbol of its mod-l class at each level."""
+    key = modl_key(datum.local, pi, r)
+    return [(DimensionProfileSymbol(key, n), datum.weight) for n in levels]
 
 
 def _observed_radius(ds: Dataset, pi: InertialCuspidal) -> int | None:
-    best = None
-    for datum in ds.data:
-        for t_k, base_k in datum.local.factors:
-            if base_k.id == pi.id:
-                radius = datum.local.s + t_k - 1
-                best = radius if best is None else max(best, radius)
-    return best
+    return max(
+        (radius for datum in ds.data for radius in _radii(datum.local, pi)),
+        default=None,
+    )
 
 
 @dataclass
@@ -195,36 +172,35 @@ class DimensionTable:
         return self.values.get((k, n), GrothSum.zero())
 
 
-def d_sequence(
-    ds: Dataset, pi: InertialCuspidal, r: int, oracle=None
-) -> DimensionTable:
+def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
     """Build the dimension table at radius ``r`` anchored at ``pi``.
 
     A record with ``s`` rows and a matching factor contributes its
-    weight times the oracle dimension to ``d_{k,n}`` for ``k = 0..s-1``
+    weight on its mod-l class symbol to ``d_{k,n}`` for ``k = 0..s-1``
     exactly; the torsion profile adds ``tau[n]`` units to every
     ``k >= 1`` entry and nothing at ``k = 0``.  The table is additive in
     the dataset.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    cells: dict[tuple[int, int], list[GrothSum]] = {
+    cells: dict[tuple[int, int], list[tuple[DimensionProfileSymbol, int]]] = {
         (k, n): [] for k in range(r) for n in ds.levels
     }
-    for datum, dims in _weighted_dims(ds, pi, r, oracle):
-        for n, contribution in zip(ds.levels, dims):
-            for k in range(datum.local.s):
-                cells[(k, n)].append(contribution)
+    for datum in ds.data:
+        if r in _radii(datum.local, pi):
+            for n, term in zip(ds.levels, _terms(datum, pi, r, ds.levels)):
+                for k in range(datum.local.s):
+                    cells[(k, n)].append(term)
     for k in range(1, r):
         for n in ds.levels:
             tau = torsion_dimension(ds.torsion, k, n)
             if tau:
-                cells[(k, n)].append(GrothSum.of(unit_symbol(n), tau))
+                cells[(k, n)].append((unit_symbol(n), tau))
     observed = _observed_radius(ds, pi)
     return DimensionTable(
         r=r,
         levels=ds.levels,
-        values={cell: GrothSum.sum(parts) for cell, parts in cells.items()},
+        values={cell: GrothSum(terms) for cell, terms in cells.items()},
         maximal=(observed is None or observed <= r),
         pi_id=pi.id,
     )
@@ -297,16 +273,17 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
 
 
 def expected_contributions(
-    ds: Dataset, pi: InertialCuspidal, r: int, oracle=None
+    ds: Dataset, pi: InertialCuspidal, r: int
 ) -> ContributionSet:
     """Ground-truth contribution set read directly off the records."""
-    parts: dict[tuple[int, int], list[GrothSum]] = {}
+    parts: dict[tuple[int, int], list[tuple[DimensionProfileSymbol, int]]] = {}
     witnesses: dict[tuple[int, int], tuple[str, ...]] = {}
-    for datum, dims in _weighted_dims(ds, pi, r, oracle):
-        shape = (datum.local.s, r - datum.local.s + 1)
-        parts.setdefault(shape, []).extend(dims)
-        witnesses[shape] = witnesses.get(shape, ()) + (datum.id,)
-    pairs = {shape: GrothSum.sum(sums) for shape, sums in parts.items()}
+    for datum in ds.data:
+        if r in _radii(datum.local, pi):
+            shape = (datum.local.s, r - datum.local.s + 1)
+            parts.setdefault(shape, []).extend(_terms(datum, pi, r, ds.levels))
+            witnesses[shape] = witnesses.get(shape, ()) + (datum.id,)
+    pairs = {shape: GrothSum(terms) for shape, terms in parts.items()}
     return ContributionSet(r=r, pairs=pairs, witnesses=witnesses)
 
 
@@ -332,7 +309,6 @@ def theorem_check(
     pi_b: InertialCuspidal,
     r: int,
     s: int,
-    oracle=None,
 ) -> Verdict:
     """Compare the two formal sums of congruent datasets at ``(r, s)``.
 
@@ -359,8 +335,8 @@ def theorem_check(
                 f"dataset {name}: r={r} is not the maximal radius "
                 f"(observed {observed}); check performed anyway"
             )
-        side = _weighted_dims(ds, pi, r, oracle, s)
-        sides.append(GrothSum.sum(dim for _, dims in side for dim in dims))
+        records = members(ds, pi, r, s)
+        sides.append(GrothSum(t for datum in records for t in _terms(datum, pi, r, ds.levels)))
     lhs, rhs = sides
     delta = lhs - rhs
     diffs = [
@@ -471,5 +447,5 @@ def generate_dataset(
         context=ctx,
         data=tuple(data),
         torsion=torsion if torsion is not None else TorsionProfile(),
-        levels=tuple(sorted(levels)),
+        levels=levels,
     )

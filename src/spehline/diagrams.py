@@ -115,25 +115,28 @@ class Diagram:
     def i_max(self) -> int:
         return max((abs(p.i) for p in self.points), default=0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.points == other.points and self.annotations == other.annotations
-
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _scan(s: int, ts: list[int]) -> Diagram:
+    """Superposed supports of the shapes ``(s, t_k)``, each point annotated
+    with every 1-based ``k`` whose indicator is nonzero there."""
+    ann: dict[DiagramPoint, tuple[int, ...]] = {}
+    for k, t_k in enumerate(ts, start=1):
+        for r in range(1, s + t_k):
+            for i in range(-(s - 1), s):
+                if m_indicator(s, t_k, r, i):
+                    p = DiagramPoint(r, i)
+                    ann[p] = ann.get(p, ()) + (k,)
+    return Diagram(points=frozenset(ann), annotations=ann)
 
 
 def diagram(s: int, t: int) -> Diagram:
     """All points with ``m_indicator(s, t, r, i) = 1``, annotated {1}."""
     if s < 1 or t < 1:
         raise ValueError(f"shape parameters must be positive, got s={s}, t={t}")
-    pts = {}
-    for r in range(1, s + t):
-        for i in range(-(s - 1), s):
-            if m_indicator(s, t, r, i):
-                pts[DiagramPoint(r, i)] = (1,)
-    return Diagram(points=frozenset(pts), annotations=pts)
+    return _scan(s, [t])
 
 
 def superpose(c: LocalComponent) -> Diagram:
@@ -143,14 +146,7 @@ def superpose(c: LocalComponent) -> Diagram:
     such that the k-th factor's indicator is nonzero there.  Adding a
     factor never removes points or annotations.
     """
-    ann: dict[DiagramPoint, tuple[int, ...]] = {}
-    for k, (t_k, _base) in enumerate(c.factors, start=1):
-        for r in range(1, c.s + t_k):
-            for i in range(-(c.s - 1), c.s):
-                if m_indicator(c.s, t_k, r, i):
-                    p = DiagramPoint(r, i)
-                    ann[p] = ann.get(p, ()) + (k,)
-    return Diagram(points=frozenset(ann), annotations=ann)
+    return _scan(c.s, [t_k for t_k, _ in c.factors])
 
 
 def trace_back(

@@ -39,10 +39,6 @@ class HalfInt:
         raise TypeError(f"cannot coerce {value!r} to a half-integer")
 
     @property
-    def is_integral(self) -> bool:
-        return self.twice % 2 == 0
-
-    @property
     def is_zero(self) -> bool:
         return self.twice == 0
 
@@ -77,7 +73,6 @@ class HalfInt:
 
 
 ZERO = HalfInt(0)
-HALF = HalfInt(1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +211,6 @@ class Multisegment:
         if self.wildcard is not None:
             total += self.wildcard.degree
         return total
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.segments and self.wildcard is None
 
     def shifted(self, n: HalfInt | int) -> "Multisegment":
         n = HalfInt.of(n)

@@ -199,6 +199,24 @@ class TestCongruenceCommand:
         assert code == 66
         assert "data[0].inv_dim" in err
 
+    def test_level_order_ignored(self, capsys, tmp_path):
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(b).read_text())
+        obj["levels"].reverse()
+        Path(b).write_text(canonical_dumps(obj))
+        code, out, _ = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        assert code == 0
+        assert json.loads(out)["equal"] is True
+
+    def test_duplicate_id_exit_2(self, capsys, tmp_path):
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(a).read_text())
+        obj["data"][1]["id"] = obj["data"][0]["id"]
+        Path(a).write_text(canonical_dumps(obj))
+        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        assert code == 2
+        assert f"duplicate datum id {obj['data'][0]['id']!r}" in err
+
     def test_report_file(self, capsys, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         report = tmp_path / "report.json"

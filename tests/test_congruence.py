@@ -76,6 +76,17 @@ class TestDatasetInvariants:
                 levels=(0, 1),
             )
 
+    def test_level_order_is_normalised(self):
+        ds = generate_dataset(3, CTX, r=4, levels=(0, 1))
+        flipped = dataclasses.replace(ds, levels=(1, 0))
+        assert flipped.levels == (0, 1)
+        s = ds.data[0].local.s
+        assert theorem_check(ds, PI, flipped, PI, 4, s).equal
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(InconsistentDataError, match="'a'"):
+            dataset(datum("a", 2, 3), datum("a", 4, 1))
+
 
 class TestMembers:
     def test_empty_dataset(self):
@@ -250,3 +261,21 @@ class TestGenerator:
             generate_dataset(0, CTX, r=4, pairs=[(4, 4)])  # 16 cells > d = 12
         with pytest.raises(ValueError):
             generate_dataset(0, CTX, r=4, pairs=[(2, 2)])  # wrong radius
+
+
+class TestOneRecordFilter:
+    """Table building, the ground truth and the two-sided check select the
+    same records for each shape."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witnesses_and_sides_match_members(self, seed):
+        torsion = TorsionProfile(t0=1, tau=(2, 3, 5)) if seed % 2 else None
+        r = 3 + seed % 3
+        ds = generate_dataset(seed, CTX, r=r, torsion=torsion, noise_data=2)
+        expected = expected_contributions(ds, PI, r)
+        for s in range(1, r + 1):
+            shape = (s, r - s + 1)
+            ids = tuple(datum.id for datum in members(ds, PI, r, s))
+            assert expected.witnesses.get(shape, ()) == ids
+            lhs = theorem_check(ds, PI, ds, PI, r, s).lhs
+            assert lhs == expected.pairs.get(shape, GrothSum.zero())
