@@ -104,7 +104,7 @@ def cmd_diagram(args, parser: _Parser) -> int:
     if args.component:
         component = component_from_dict(_load_json(args.component))
         if args.at_r is not None:
-            return _print_constituents(component, args.at_r)
+            return _emit_constituents(component, args.at_r, args.out)
         diag = superpose(component)
     else:
         if args.s is None or args.t is None:
@@ -120,18 +120,20 @@ def cmd_diagram(args, parser: _Parser) -> int:
     return EX_OK
 
 
-def _print_constituents(component: LocalComponent, r: int) -> int:
+def _emit_constituents(component: LocalComponent, r: int, out: str | None) -> int:
     p = DiagramPoint(r, 0)
     diag = superpose(component)
     if p not in diag.points:
         print(f"no support at {p}", file=sys.stderr)
         return EX_INCONSISTENT
+    lines = []
     for k in diag.factors_at(p):
         label = constituent(component, p, k)
         origin = trace_back(component, p, k)
         source = f"comes from {origin}" if origin else "no higher origin"
         t_k, _ = component.factor(k)
-        print(f"{p} factor {k} (t={t_k}): {label.product_str()}  <- {source}")
+        lines.append(f"{p} factor {k} (t={t_k}): {label.product_str()}  <- {source}\n")
+    _emit("".join(lines), out)
     return EX_OK
 
 
@@ -183,15 +185,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diag = sub.add_parser("diagram", help="render a support diagram")
-    p_diag.set_defaults(run=cmd_diagram)
+    p_diag.set_defaults(run=cmd_diagram, format="ascii")
     p_diag.add_argument("--s", type=int, default=None, help="row count")
     p_diag.add_argument("--t", type=int, default=None, help="row length")
     p_diag.add_argument("--component", default=None, help="local component JSON file")
     p_diag.add_argument(
         "--at-r", type=int, default=None, help="list constituents at (r, 0)"
-    )
-    p_diag.add_argument(
-        "--format", choices=("ascii", "json", "svg"), default="ascii"
     )
     p_diag.add_argument(
         "--ascii", dest="format", action="store_const", const="ascii"
@@ -202,7 +201,7 @@ def build_parser() -> _Parser:
 
     for name in ("resolution", "filtration"):
         p = sub.add_parser(name, help=f"list the {name} terms at stratum t")
-        p.set_defaults(run=cmd_ledger)
+        p.set_defaults(run=cmd_ledger, format="text")
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--g", type=int, default=None)
         p.add_argument("--t", type=int, required=True)
@@ -210,7 +209,6 @@ def build_parser() -> _Parser:
         p.add_argument("--pi-id", dest="pi_id", default=None)
         p.add_argument("--kappa", default=None)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--json", dest="format", action="store_const", const="json")
         p.add_argument("--out", default=None)
 

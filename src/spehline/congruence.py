@@ -87,7 +87,6 @@ class Dataset:
     levels: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", tuple(self.data))
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
         if not self.levels:
             raise InconsistentDataError("dataset needs at least one level")
@@ -356,7 +355,7 @@ def substitute_cuspidal(
         replace(datum, local=datum.local.substituted(old, new)) for datum in ds.data
     )
     context = ds.context
-    if context.pi == old:
+    if context.pi.id == old.id:
         context = replace(context, pi=new)
     return replace(ds, context=context, data=data)
 

@@ -13,6 +13,7 @@ which factors contributed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import KeysView
 
 from .formal import GrothSum
 from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
@@ -61,13 +62,11 @@ class LocalComponent:
     def __post_init__(self) -> None:
         if self.s < 1:
             raise ValueError(f"component needs s >= 1, got {self.s}")
-        factors = tuple((int(t), base) for t, base in self.factors)
-        if not factors and self.wildcard is None:
+        if not self.factors and self.wildcard is None:
             raise ValueError("component needs at least one factor or a wildcard")
-        for t, _ in factors:
+        for t, _ in self.factors:
             if t < 1:
                 raise ValueError(f"factor length must be >= 1, got {t}")
-        object.__setattr__(self, "factors", factors)
 
     @property
     def degree(self) -> int:
@@ -86,7 +85,7 @@ class LocalComponent:
         self, old: InertialCuspidal, new: InertialCuspidal
     ) -> "LocalComponent":
         factors = tuple(
-            (t, new if base == old else base) for t, base in self.factors
+            (t, new if base.id == old.id else base) for t, base in self.factors
         )
         return replace(self, factors=factors)
 
@@ -101,8 +100,11 @@ class LocalComponent:
 class Diagram:
     """A set of support points with per-point factor annotations."""
 
-    points: frozenset[DiagramPoint]
     annotations: dict[DiagramPoint, tuple[int, ...]]
+
+    @property
+    def points(self) -> KeysView[DiagramPoint]:
+        return self.annotations.keys()
 
     def factors_at(self, p: DiagramPoint) -> tuple[int, ...]:
         return self.annotations.get(p, ())
@@ -116,7 +118,7 @@ class Diagram:
         return max((abs(p.i) for p in self.points), default=0)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.annotations)
 
 
 def _scan(s: int, ts: list[int]) -> Diagram:
@@ -129,7 +131,7 @@ def _scan(s: int, ts: list[int]) -> Diagram:
                 if m_indicator(s, t_k, r, i):
                     p = DiagramPoint(r, i)
                     ann[p] = ann.get(p, ()) + (k,)
-    return Diagram(points=frozenset(ann), annotations=ann)
+    return Diagram(ann)
 
 
 def diagram(s: int, t: int) -> Diagram:
@@ -187,7 +189,7 @@ class RSlot:
         return self.s * self.t * self.base.g
 
     def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "RSlot":
-        return replace(self, base=new) if self.base == old else self
+        return replace(self, base=new) if self.base.id == old.id else self
 
     def reduced(self) -> "RSlot":
         return replace(self, base=reduced_label(self.base))

@@ -13,7 +13,7 @@ operation mutates an operand, so one sum may be shared.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 
 class GrothSum:
@@ -25,8 +25,8 @@ class GrothSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Any, int] | Iterable[tuple[Any, int]] = ()):
-        self._terms = _merge({}, terms.items() if isinstance(terms, Mapping) else terms)
+    def __init__(self, terms: Iterable[tuple[Any, int]] = ()):
+        self._terms = _merge({}, terms)
 
     @classmethod
     def _wrap(cls, terms: dict[Any, int]) -> "GrothSum":

@@ -257,14 +257,6 @@ def _local_from_dict(
     return LocalComponent(s=s, factors=factors, wildcard=_optional_wildcard(obj, path))
 
 
-def component_to_dict(c: LocalComponent) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        **_local_to_dict(c),
-        "cuspidals": cuspidal_registry([base for _, base in c.factors]),
-    }
-
-
 def component_from_dict(obj: dict) -> LocalComponent:
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     return _local_from_dict(obj, cuspidals, "")

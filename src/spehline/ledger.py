@@ -99,8 +99,6 @@ class LedgerTerm:
             raise ValueError(f"stratum must be >= 1, got {self.stratum}")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
-        object.__setattr__(self, "xi_power", HalfInt.of(self.xi_power))
-        object.__setattr__(self, "tate", HalfInt.of(self.tate))
 
     @property
     def shift_cells(self) -> int:

@@ -39,7 +39,6 @@ class TorsionProfile:
     tau: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", tuple(int(x) for x in self.tau))
         if any(x < 0 for x in self.tau):
             raise ValueError("torsion dimensions must be >= 0")
         if self.t0 is None:

@@ -7,11 +7,13 @@ multiset of segments, optionally decorated with a power of the
 half-Tate marker and with an opaque wildcard factor of declared degree.
 Ladders are the staggered-row shapes of ``Speh_s(St_t(pi))``.
 
-Twists are stored absolutely on every segment.  Because the product of
-two multisegments models *normalized* induction, the written twists of
-the factors already are absolute positions, and the product reduces to
-a plain multiset union; this makes the product exactly associative and
-degree additive.
+Twists are ``HalfInt`` values, stored absolutely on every segment.
+Constructors check the ranges of their parts but do not convert them:
+callers pass each part in its final type (``jsonio`` builds them from
+checked JSON).  Because the product of two multisegments models
+*normalized* induction, the written twists of the factors already are
+absolute positions, and the product reduces to a plain multiset union;
+this makes the product exactly associative and degree additive.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ class Segment:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"segment length must be >= 1, got {self.length}")
-        object.__setattr__(self, "start", HalfInt.of(self.start))
 
     @property
     def end(self) -> HalfInt:
@@ -139,8 +140,8 @@ class Segment:
     def degree(self) -> int:
         return self.length * self.base.g
 
-    def shifted(self, n: HalfInt | int) -> "Segment":
-        return replace(self, start=self.start + HalfInt.of(n))
+    def shifted(self, n: HalfInt) -> "Segment":
+        return replace(self, start=self.start + n)
 
     def __str__(self) -> str:
         if self.length == 1:
@@ -164,10 +165,9 @@ class Wildcard:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("wildcard degree must be >= 0")
-        object.__setattr__(self, "shift", HalfInt.of(self.shift))
 
-    def shifted(self, n: HalfInt | int) -> "Wildcard":
-        return replace(self, shift=self.shift + HalfInt.of(n))
+    def shifted(self, n: HalfInt) -> "Wildcard":
+        return replace(self, shift=self.shift + n)
 
     def __str__(self) -> str:
         body = f"?{self.id}({self.degree})"
@@ -199,7 +199,6 @@ class Multisegment:
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "tate", HalfInt.of(self.tate))
 
     @classmethod
     def empty(cls) -> "Multisegment":
@@ -212,8 +211,7 @@ class Multisegment:
             total += self.wildcard.degree
         return total
 
-    def shifted(self, n: HalfInt | int) -> "Multisegment":
-        n = HalfInt.of(n)
+    def shifted(self, n: HalfInt) -> "Multisegment":
         if n.is_zero:
             return self
         return replace(
@@ -222,8 +220,8 @@ class Multisegment:
             wildcard=None if self.wildcard is None else self.wildcard.shifted(n),
         )
 
-    def with_tate(self, n: HalfInt | int) -> "Multisegment":
-        return replace(self, tate=HalfInt.of(n))
+    def with_tate(self, n: HalfInt) -> "Multisegment":
+        return replace(self, tate=n)
 
     def without_wildcard(self) -> "Multisegment":
         return replace(self, wildcard=None)
@@ -262,7 +260,6 @@ class LadderShape:
             raise ValueError(f"ladder needs s >= 1, got {self.s}")
         if self.t < 1:
             raise ValueError(f"ladder needs t >= 1, got {self.t}")
-        object.__setattr__(self, "center", HalfInt.of(self.center))
 
     @property
     def degree(self) -> int:
@@ -278,11 +275,11 @@ class LadderShape:
         )
         return Multisegment(rows)
 
-    def shifted(self, n: HalfInt | int) -> "LadderShape":
-        return replace(self, center=self.center + HalfInt.of(n))
+    def shifted(self, n: HalfInt) -> "LadderShape":
+        return replace(self, center=self.center + n)
 
     def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "LadderShape":
-        return replace(self, base=new) if self.base == old else self
+        return replace(self, base=new) if self.base.id == old.id else self
 
     def reduced(self) -> "LadderShape":
         return replace(self, base=reduced_label(self.base))
@@ -325,22 +322,12 @@ def make_speh(pi_or_ladder: InertialCuspidal | LadderShape, s: int) -> LadderSha
     raise TypeError(f"cannot build a Speh shape from {pi_or_ladder!r}")
 
 
-def twist(m: Multisegment | LadderShape, n: HalfInt | int) -> Multisegment | LadderShape:
+def twist(m: Multisegment | LadderShape, n: HalfInt) -> Multisegment | LadderShape:
     """Shift every position of ``m`` by the half-integer ``n``."""
     return m.shifted(n)
 
 
-def _as_multisegment(x: Multisegment | LadderShape) -> Multisegment:
-    if isinstance(x, LadderShape):
-        return x.to_multisegment()
-    if isinstance(x, Multisegment):
-        return x
-    raise TypeError(f"expected a multisegment or ladder, got {x!r}")
-
-
-def normalized_product(
-    a: Multisegment | LadderShape, b: Multisegment | LadderShape
-) -> Multisegment:
+def normalized_product(a: Multisegment, b: Multisegment) -> Multisegment:
     """The multisegment of the normalized induction of ``a`` and ``b``.
 
     Because stored twists are absolute, this is the multiset union of
@@ -348,40 +335,32 @@ def normalized_product(
     may carry a wildcard.  Degree is additive and the operation is
     associative and commutative up to multiset equality.
     """
-    ma, mb = _as_multisegment(a), _as_multisegment(b)
-    if ma.wildcard is not None and mb.wildcard is not None:
+    if a.wildcard is not None and b.wildcard is not None:
         raise ValueError("cannot combine two wildcard factors in one product")
     return Multisegment(
-        segments=ma.segments + mb.segments,
-        tate=ma.tate + mb.tate,
-        wildcard=ma.wildcard if ma.wildcard is not None else mb.wildcard,
+        segments=a.segments + b.segments,
+        tate=a.tate + b.tate,
+        wildcard=a.wildcard if a.wildcard is not None else b.wildcard,
     )
 
 
-def ordered_product(
-    a: Multisegment | LadderShape, b: Multisegment | LadderShape
-) -> Multisegment:
+def ordered_product(a: Multisegment, b: Multisegment) -> Multisegment:
     """Normalized product remembering the ordered pair of factors.
 
     The tag records the degrees of the left and right factors; it takes
     part in equality and serialization, so an ordered product never
     collides with the unordered one.
     """
-    ma, mb = _as_multisegment(a), _as_multisegment(b)
-    prod = normalized_product(ma, mb)
-    return replace(prod, order_tag=(ma.degree, mb.degree))
+    prod = normalized_product(a, b)
+    return replace(prod, order_tag=(a.degree, b.degree))
 
 
-def mod_l_reduce(
-    m: Multisegment | LadderShape | InertialCuspidal,
-) -> Multisegment | LadderShape | InertialCuspidal:
+def mod_l_reduce(m: Multisegment | LadderShape) -> Multisegment | LadderShape:
     """Replace every cuspidal base by the label of its mod-l class.
 
     Idempotent, commutes with twisting and with the normalized product,
     and fixes wildcards.
     """
-    if isinstance(m, InertialCuspidal):
-        return reduced_label(m)
     return m.reduced()
 
 

@@ -95,6 +95,16 @@ class TestDiagramCommand:
         assert code == 0 and out == ""
         assert target.read_text().startswith("<svg")
 
+    def test_constituents_out_file(self, capsys, tmp_path):
+        argv = ["diagram", "--component", str(FIXTURES / "triple_component.json"), "--at-r", "4"]
+        _, printed, _ = run(capsys, *argv)
+        target = tmp_path / "x.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == printed
+        code, err = run_exit(capsys, *argv, "--out", str(tmp_path / "missing" / "x.txt"))
+        assert code == 64 and err.startswith("error: cannot write")
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram", "--s", "one", "--t", "3")

@@ -227,6 +227,16 @@ class TestTheoremCheck:
         verdict = theorem_check(a, PI, b, PI_TWIN, 4, 2)
         assert verdict.equal
 
+    def test_substitution_matches_by_id(self):
+        # a record based at a label with pi's id but another e_pi is a member
+        # for pi, so substitution must replace its base as well
+        variant = dataclasses.replace(PI, e_pi=2)
+        ds = dataset(datum("a", 2, 2, base=variant))
+        assert members(ds, PI, 3, 2) == list(ds.data)
+        twin = substitute_cuspidal(ds, PI, PI_TWIN)
+        assert [base for _, base in twin.data[0].local.factors] == [PI_TWIN]
+        assert theorem_check(ds, PI, twin, PI_TWIN, 3, 2).equal
+
     def test_requires_shared_modl_class(self):
         ds = generate_dataset(1, CTX, r=4)
         with pytest.raises(InconsistentDataError):
