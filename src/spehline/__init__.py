@@ -24,7 +24,6 @@ from .diagrams import (
     Diagram,
     DiagramPoint,
     LocalComponent,
-    RSlot,
     constituent,
     constituent_sum,
     diagram,

@@ -62,7 +62,7 @@ def _load_json(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EX_SCHEMA)
 

@@ -165,7 +165,6 @@ class DimensionTable:
     levels: tuple[int, ...]
     values: dict[tuple[int, int], GrothSum]
     maximal: bool
-    pi_id: str
 
     def entry(self, k: int, n: int) -> GrothSum:
         return self.values.get((k, n), GrothSum.zero())
@@ -201,7 +200,6 @@ def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
         levels=ds.levels,
         values={cell: GrothSum(terms) for cell, terms in cells.items()},
         maximal=(observed is None or observed <= r),
-        pi_id=pi.id,
     )
 
 

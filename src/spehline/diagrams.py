@@ -7,7 +7,9 @@ when ``s >= t`` (left vertex ``(t-s+1, 0)`` when ``t >= s``), with ``i``
 stepping by 2 from the boundary at each fixed ``r``.  A local component
 is a product of such shapes sharing the row count ``s``; its diagram is
 the superposition of the per-factor diagrams, each point remembering
-which factors contributed.
+which factors contributed.  A constituent is the triple (component,
+point, traced factor ``k``): the component with its k-th factor
+replaced by an opaque ``R`` symbol at the point.
 """
 
 from __future__ import annotations
@@ -89,11 +91,26 @@ class LocalComponent:
         )
         return replace(self, factors=factors)
 
+    def reduced(self) -> "LocalComponent":
+        """Every base replaced by the label of its mod-l class."""
+        factors = tuple((t, reduced_label(base)) for t, base in self.factors)
+        return replace(self, factors=factors)
+
     def __str__(self) -> str:
-        parts = [str(LadderShape(base, self.s, t)) for t, base in self.factors]
-        if self.wildcard is not None:
-            parts.append(str(self.wildcard))
-        return " x ".join(parts)
+        return _product_str(self)
+
+
+def _product_str(
+    c: LocalComponent, p: DiagramPoint | None = None, k: int = 0
+) -> str:
+    """``c`` as a product of shapes, factor ``k`` written as its ``R`` symbol at ``p``."""
+    parts = [
+        f"R_{base.id}({c.s},{t}){p}" if j == k else str(LadderShape(base, c.s, t))
+        for j, (t, base) in enumerate(c.factors, start=1)
+    ]
+    if c.wildcard is not None:
+        parts.append(str(c.wildcard))
+    return " x ".join(parts)
 
 
 @dataclass
@@ -151,6 +168,14 @@ def superpose(c: LocalComponent) -> Diagram:
     return _scan(c.s, [t_k for t_k, _ in c.factors])
 
 
+def _traced_length(c: LocalComponent, p: DiagramPoint, k: int) -> int:
+    """The length ``t_k`` of factor ``k``; raises unless that factor annotates ``p``."""
+    t_k, _ = c.factor(k)
+    if not m_indicator(c.s, t_k, p.r, p.i):
+        raise ValueError(f"factor {k} does not annotate {p}")
+    return t_k
+
+
 def trace_back(
     c: LocalComponent, p: DiagramPoint, k: int
 ) -> DiagramPoint | None:
@@ -160,109 +185,54 @@ def trace_back(
     ``p``; at the right vertex itself the constituent does not come
     from any higher point and the result is ``None``.
     """
-    t_k, _ = c.factor(k)
-    if not m_indicator(c.s, t_k, p.r, p.i):
-        raise ValueError(f"factor {k} does not annotate {p}")
-    origin_r = c.s + t_k - 1
+    origin_r = c.s + _traced_length(c, p, k) - 1
     if origin_r > p.r:
         return DiagramPoint(origin_r, 0)
     return None
 
 
 @dataclass(frozen=True)
-class RSlot:
-    """The opaque symbol replacing the traced factor at a diagram point.
-
-    Functorial in the base: substituting the base commutes with the
-    whole constituent construction.  For degree bookkeeping the slot
-    keeps the degree of the factor it replaces.
-    """
-
-    s: int
-    t: int
-    r: int
-    i: int
-    base: InertialCuspidal
-
-    @property
-    def degree(self) -> int:
-        return self.s * self.t * self.base.g
-
-    def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "RSlot":
-        return replace(self, base=new) if self.base.id == old.id else self
-
-    def reduced(self) -> "RSlot":
-        return replace(self, base=reduced_label(self.base))
-
-    def __str__(self) -> str:
-        return f"R_{self.base.id}({self.s},{self.t})({self.r},{self.i})"
-
-
-@dataclass(frozen=True)
 class ConstituentLabel:
-    """Formal product of factor slots with the character/Tate marker.
+    """The constituent of ``component`` at ``point`` traced by factor ``xi_index``.
 
-    Exactly one slot is the opaque ``R`` symbol of the traced factor;
-    ``xi_index`` records which factor carries the twisting character
-    and ``tate`` the half power of the Tate marker (``i/2``).
+    Written as the component's product with the traced factor replaced
+    by the opaque symbol ``R_<id>(s,t)(r,i)``, marked with the k-th
+    twisting character and ``Xi^{i/2}``.  The symbol keeps the base and
+    degree of the factor it replaces, so substituting or reducing a base
+    commutes with the construction.
     """
 
-    s: int
-    slots: tuple[LadderShape | RSlot, ...]
+    component: LocalComponent
+    point: DiagramPoint
     xi_index: int
-    tate: HalfInt
-    wildcard: Wildcard | None = None
+
+    @property
+    def tate(self) -> HalfInt:
+        return HalfInt(self.point.i)
 
     @property
     def degree(self) -> int:
-        total = sum(slot.degree for slot in self.slots)
-        if self.wildcard is not None:
-            total += self.wildcard.degree
-        return total
+        return self.component.degree
 
     def substituted(
         self, old: InertialCuspidal, new: InertialCuspidal
     ) -> "ConstituentLabel":
-        return replace(
-            self, slots=tuple(slot.substituted(old, new) for slot in self.slots)
-        )
+        return replace(self, component=self.component.substituted(old, new))
 
     def reduced(self) -> "ConstituentLabel":
-        return replace(self, slots=tuple(slot.reduced() for slot in self.slots))
+        return replace(self, component=self.component.reduced())
 
     def product_str(self) -> str:
-        parts = [str(slot) for slot in self.slots]
-        if self.wildcard is not None:
-            parts.append(str(self.wildcard))
-        return " x ".join(parts)
+        return _product_str(self.component, self.point, self.xi_index)
 
     def __str__(self) -> str:
         return f"{self.product_str()} [xi_{self.xi_index}, Xi^{self.tate}]"
 
 
 def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
-    """The labelled constituent contributed by factor ``k`` at ``p``.
-
-    Every factor ``j != k`` stays as its Speh-of-Steinberg slot; factor
-    ``k`` is replaced by the opaque ``R`` symbol at ``p``, and the label
-    is marked with the k-th twisting character and ``Xi^{i/2}``.
-    """
-    t_k, _ = c.factor(k)
-    if not m_indicator(c.s, t_k, p.r, p.i):
-        raise ValueError(f"factor {k} does not annotate {p}")
-    slots: list[LadderShape | RSlot] = []
-    for j, (t_j, base_j) in enumerate(c.factors, start=1):
-        if j == k:
-            slots.append(RSlot(c.s, t_j, p.r, p.i, base_j))
-        else:
-            slots.append(LadderShape(base_j, c.s, t_j))
-    return ConstituentLabel(
-        s=c.s,
-        slots=tuple(slots),
-        xi_index=k,
-        tate=HalfInt(p.i),
-        wildcard=c.wildcard,
-    )
+    """The labelled constituent contributed by factor ``k`` at ``p``."""
+    _traced_length(c, p, k)
+    return ConstituentLabel(c, p, k)
 
 
 def constituent_sum(
@@ -274,7 +244,7 @@ def constituent_sum(
     class of ``pi`` whose indicator is nonzero at ``p``.
     """
     return GrothSum(
-        (constituent(c, p, k), 1)
+        (ConstituentLabel(c, p, k), 1)
         for k, (t_k, base_k) in enumerate(c.factors, start=1)
         if base_k.id == pi.id and m_indicator(c.s, t_k, p.r, p.i)
     )

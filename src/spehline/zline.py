@@ -176,8 +176,9 @@ class Wildcard:
         return body
 
 
-def _segment_key(seg: Segment) -> tuple[str, int, int]:
-    return (seg.base.id, seg.start.twice, seg.length)
+def _segment_key(seg: Segment) -> tuple[str, int, int, int, int, str]:
+    base = seg.base
+    return (base.id, seg.start.twice, seg.length, base.g, base.e_pi, base.modl_class)
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,6 @@ class LadderShape:
 
     def shifted(self, n: HalfInt) -> "LadderShape":
         return replace(self, center=self.center + n)
-
-    def substituted(self, old: InertialCuspidal, new: InertialCuspidal) -> "LadderShape":
-        return replace(self, base=new) if self.base.id == old.id else self
 
     def reduced(self) -> "LadderShape":
         return replace(self, base=reduced_label(self.base))
@@ -385,6 +383,6 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
             if c > 0:
                 left.append(Segment(base, start, c))
             if c < t:
-                right.append(Segment(base, start + c, t - c))
+                right.append(Segment(base, HalfInt(start.twice + 2 * c), t - c))
         cuts.append((Multisegment(tuple(left)), Multisegment(tuple(right))))
     return cuts

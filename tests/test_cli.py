@@ -395,3 +395,19 @@ def test_unwritable_output(capsys, tmp_path, argv):
     argv = [arg.format(data=data, missing=missing) for arg in argv]
     code, err = run_exit(capsys, *argv)
     assert code == 64 and err.startswith(f"error: cannot write {missing}/")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["congruence", "{deep}", "{deep}", "--r", "4", "--s", "2"],
+        ["diagram", "--component", "{deep}"],
+        ["resolution", "--config", "{deep}", "--t", "1"],
+    ],
+    ids=["congruence", "diagram", "resolution"],
+)
+def test_json_nested_too_deep(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, err = run_exit(capsys, *[arg.format(deep=deep) for arg in argv])
+    assert code == 66 and str(deep) in err

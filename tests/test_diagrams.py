@@ -4,12 +4,14 @@ import pytest
 
 from spehline import (
     DiagramPoint,
+    HalfInt,
     LocalComponent,
     Wildcard,
     constituent,
     constituent_sum,
     diagram,
     m_indicator,
+    modl_key,
     superpose,
     trace_back,
 )
@@ -211,3 +213,47 @@ class TestConstituent:
         assert len(total) == 1
         (label, coeff), = total.items()
         assert coeff == 1 and label.xi_index == 1
+
+
+class TestConstituentStrings:
+    """Full label strings, reduced labels and mod-l keys, as the
+    ``congruence --report`` keys print them."""
+
+    # two bases, pi twice, and a shifted wildcard
+    C = LocalComponent(
+        s=2,
+        factors=((2, PI), (1, RHO), (2, PI)),
+        wildcard=Wildcard("q", 3, HalfInt(1)),
+    )
+
+    def test_str_at_odd_i(self):
+        p = DiagramPoint(2, 1)
+        assert str(constituent(self.C, p, 1)) == (
+            "R_pi(2,2)(2,1) x Speh_2(rho) x Speh_2(St_2(pi)) x ?q(3){1/2}"
+            " [xi_1, Xi^1/2]"
+        )
+        assert str(constituent(self.C, DiagramPoint(2, -1), 3)) == (
+            "Speh_2(St_2(pi)) x Speh_2(rho) x R_pi(2,2)(2,-1) x ?q(3){1/2}"
+            " [xi_3, Xi^-1/2]"
+        )
+
+    def test_reduced_str(self):
+        label = constituent(self.C, DiagramPoint(2, 1), 3).reduced()
+        assert str(label) == (
+            "Speh_2(St_2(rl(a))) x Speh_2(rl(b)) x R_rl(a)(2,2)(2,1) x ?q(3){1/2}"
+            " [xi_3, Xi^1/2]"
+        )
+        assert label.degree == self.C.degree
+
+    def test_modl_key(self):
+        assert modl_key(self.C, PI, 3) == (
+            "1*R_rl(a)(2,2)(3,0) x Speh_2(rl(b)) x Speh_2(St_2(rl(a))) x ?q(3){1/2}"
+            " [xi_1, Xi^0];"
+            "1*Speh_2(St_2(rl(a))) x Speh_2(rl(b)) x R_rl(a)(2,2)(3,0) x ?q(3){1/2}"
+            " [xi_3, Xi^0]"
+        )
+        assert modl_key(self.C, RHO, 2) == (
+            "1*Speh_2(St_2(rl(a))) x R_rl(b)(2,1)(2,0) x Speh_2(St_2(rl(a))) x ?q(3){1/2}"
+            " [xi_2, Xi^0]"
+        )
+        assert modl_key(self.C, PI, 4) == "0"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from spehline import (
     HalfInt,
+    InertialCuspidal,
     Multisegment,
     Segment,
     Wildcard,
@@ -169,6 +170,17 @@ class TestNormalizedProduct:
         s1 = Segment(PI, HalfInt(0), 2)
         s2 = Segment(PI, HalfInt(3), 1)
         assert ms(s1, s2) == ms(s2, s1)
+
+    def test_order_free_for_same_id_bases(self):
+        # bases sharing an id but not g (or e_pi, or class) still sort apart
+        for other in (
+            InertialCuspidal(PI.id, 2, PI.e_pi, PI.modl_class),
+            InertialCuspidal(PI.id, PI.g, 3, PI.modl_class),
+            InertialCuspidal(PI.id, PI.g, PI.e_pi, "z"),
+        ):
+            x = Segment(PI, HalfInt(0), 2)
+            y = Segment(other, HalfInt(0), 2)
+            assert ms(x, y) == ms(y, x)
 
 
 class TestJacquetCuts:
