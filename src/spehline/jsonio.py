@@ -5,13 +5,15 @@ is sorted, keys are emitted in sorted order and the encoding carries no
 whitespace, so equal values produce byte-equal documents and file diffs
 are meaningful.  All top-level documents carry a ``schema_version``.
 
-Each format has one reader, which type-checks every field through
+Each format has one checked reader, which type-checks every field through
 :func:`_need` as it reads it and builds the object in the same pass; a
-violation raises :class:`SchemaError` with the path of the field.  When a
-document breaks the schema in several places, the first field read
-decides which one is reported.  Values that are well typed but break an
-invariant of the object they build raise the constructor's
-``ValueError``.
+violation raises :class:`SchemaError` with the path of the field, and the
+first field read decides which one is reported.  Well-typed values that
+break an invariant raise the constructor's ``ValueError``.  Dataset files
+carry the traffic, thousands of records each, so a record is first read
+by indexing and exact ``type`` tests; a record that pass cannot read goes
+to the checked reader, the only one that produces errors.  The other
+formats hold a handful of fields and have no fast pass.
 """
 
 from __future__ import annotations
@@ -298,6 +300,46 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
+def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
+    return AutomorphicDatum(
+        id=_need(rec, "id", str, path),
+        local=_local_from_dict(_need(rec, "local", dict, path), cuspidals, f"{path}.local"),
+        m=_need(rec, "m", int, path),
+        d_xi=_need(rec, "d_xi", int, path),
+        inv_dim=_need(rec, "inv_dim", int, path),
+        satake=_need(rec, "satake", str, path),
+    )
+
+
+def _record(rec: dict, cuspidals: dict, idx: int) -> AutomorphicDatum:
+    """Record ``data[idx]`` read by indexing and exact type tests, or else,
+    whatever goes wrong, by :func:`_checked_record`."""
+    try:
+        loc = rec["local"]
+        factors, wild = loc["factors"], loc.get("wildcard")
+        ident, s, m, d_xi, inv_dim, satake = fields = (
+            rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
+        )
+        types = (type(rec), type(loc), type(factors), *map(type, fields))
+        if types != (dict, dict, list, str, int, int, int, int, str):
+            raise TypeError
+        if wild is not None:
+            wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
+            if (type(wild), type(wid), type(degree), type(shift)) != (dict, str, int, int):
+                raise TypeError
+            wild = Wildcard(wid, degree, HalfInt(shift))
+        pairs = []
+        for f in factors:
+            t, cid = f["t"], f["base_id"]
+            if (type(f), type(t), type(cid)) != (dict, int, str):
+                raise TypeError
+            pairs.append((t, cuspidals[cid]))
+        local = LocalComponent(s, tuple(pairs), wild)
+        return AutomorphicDatum(ident, local, m, d_xi, inv_dim, satake)
+    except Exception:
+        return _checked_record(rec, cuspidals, f"data[{idx}]")
+
+
 def dataset_from_dict(obj: dict) -> Dataset:
     _need(obj, "schema_version", int, "")
     context = _need(obj, "context", dict, "")
@@ -305,19 +347,8 @@ def dataset_from_dict(obj: dict) -> Dataset:
     kappa = _need(context, "kappa", str, "context")
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
-    data = tuple(
-        AutomorphicDatum(
-            id=_need(rec, "id", str, rpath),
-            local=_local_from_dict(
-                _need(rec, "local", dict, rpath), cuspidals, f"{rpath}.local"
-            ),
-            m=_need(rec, "m", int, rpath),
-            d_xi=_need(rec, "d_xi", int, rpath),
-            inv_dim=_need(rec, "inv_dim", int, rpath),
-            satake=_need(rec, "satake", str, rpath),
-        )
-        for rpath, rec in _entries(obj, "data", "")
-    )
+    records = enumerate(_need(obj, "data", list, ""))
+    data = tuple(_record(rec, cuspidals, idx) for idx, rec in records)
     torsion = _need(obj, "torsion", dict, "")
     return Dataset(
         context=GlobalContext(d=d, pi=pi, kappa=_fraction(kappa)),

@@ -116,6 +116,17 @@ def hull_vertices(points: set[tuple[int, int]]) -> set[tuple[int, int]]:
 # ------------------------------------------------------------ dataset mutation
 
 
+def field_paths(doc, prefix=()):
+    """The key path of every field of a JSON document, parents before children."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
 def _refit(datum: AutomorphicDatum, d: int, **changes) -> AutomorphicDatum | None:
     """Apply field changes to a record, refitting the wildcard filler so the
     total degree stays ``d``.  Returns None when the new shape overflows."""

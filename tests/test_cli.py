@@ -15,7 +15,7 @@ from spehline import GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import main
 from spehline.jsonio import canonical_dumps, dataset_to_dict
 
-from support import PI, PI_TWIN
+from support import PI, PI_TWIN, field_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -310,16 +310,6 @@ DOCUMENTS = {
 OTHER_JSON = (None, True, "x", 1.5, 7, [], {})
 
 
-def field_paths(doc, prefix=()):
-    if isinstance(doc, dict):
-        items = doc.items()
-    else:
-        items = enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from field_paths(value, prefix + (key,))
-
-
 @st.composite
 def mutated_documents(draw):
     kind = draw(st.sampled_from(sorted(DOCUMENTS)))
@@ -411,3 +401,94 @@ def test_json_nested_too_deep(capsys, tmp_path, argv):
     deep.write_text("[" * 200_000 + "]" * 200_000)
     code, err = run_exit(capsys, *[arg.format(deep=deep) for arg in argv])
     assert code == 66 and str(deep) in err
+
+
+def run_broken_dataset(capsys, tmp_path, edit) -> tuple[int, str]:
+    """``congruence`` on a copy of ``DATASET`` changed by ``edit`` and an intact one."""
+    doc = copy.deepcopy(DATASET)
+    edit(doc)
+    broken, intact = tmp_path / "broken.json", tmp_path / "intact.json"
+    broken.write_text(json.dumps(doc))
+    intact.write_text(json.dumps(DATASET))
+    return run_exit(capsys, "congruence", str(broken), str(intact), "--r", "4", "--s", "2")
+
+
+def _set(path: str, value):
+    """An edit that sets the field at ``path`` (keys and indices split by dots)."""
+    *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+
+    def edit(doc):
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+def _edits(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+
+    return edit
+
+
+def _factorless(factors):
+    """Record 0 with ``factors`` replaced and a wildcard that fills the degree."""
+    return _edits(
+        _set("data.0.local.factors", factors),
+        _set("data.0.local.wildcard", {"id": "w0", "degree": 12, "shift_twice": 0}),
+    )
+
+
+# Containers as well as leaves must have their exact type: a string or an
+# object iterates like an empty factor list, and the wildcard then fills the
+# degree, so only a type check on the list itself rejects these.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_factorless(""), "data[0].local.factors: expected a list"),
+        (_factorless({}), "data[0].local.factors: expected a list"),
+        (_set("data", {}), "data: expected a list"),
+        (_set("data.0.local.wildcard", []), "data[0].local.wildcard: expected an object or null"),
+        (_set("data.0.m", True), "data[0].m: expected an integer"),
+    ],
+    ids=["factors-string", "factors-object", "data-object", "wildcard-list", "m-true"],
+)
+def test_dataset_container_types(capsys, tmp_path, edit, message):
+    code, err = run_broken_dataset(capsys, tmp_path, edit)
+    assert (code, err) == (66, f"schema error: {message}\n")
+
+
+# When several fields are broken, the first one the reader reaches decides
+# the error: a record's fields in order (its component is built before ``m``
+# is read), records in order, then the torsion profile and the levels, and
+# only then the checks across records.
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (
+            _edits(_set("data.0.local.s", 0), _set("data.0.m", "x")),
+            2,
+            "inconsistent input: component needs s >= 1, got 0",
+        ),
+        (
+            _edits(_set("data.0.m", "x"), _set("data.1.local.s", 0)),
+            66,
+            "schema error: data[0].m: expected an integer",
+        ),
+        (
+            _edits(_set("data.0.m", 0), lambda doc: doc["data"][0].pop("satake")),
+            66,
+            "schema error: data[0].satake: missing field",
+        ),
+        (
+            _edits(_set("data.1.id", DATASET["data"][0]["id"]), _set("levels", [0, "x"])),
+            66,
+            "schema error: levels[1]: expected an integer",
+        ),
+    ],
+    ids=["component-before-m", "record-order", "satake-before-m-check", "levels-before-duplicates"],
+)
+def test_dataset_error_order(capsys, tmp_path, edit, code, message):
+    assert run_broken_dataset(capsys, tmp_path, edit) == (code, message + "\n")
