@@ -19,12 +19,13 @@ level); torsion rides on the reserved unit symbol of each level.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .diagrams import DiagramPoint, LocalComponent, constituent_sum
+from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, constituent_sum
 from .formal import GrothSum
 from .ledger import GlobalContext
 from .torsion import TorsionProfile, torsion_dimension
@@ -108,11 +109,45 @@ class Dataset:
             raise InconsistentDataError(
                 "torsion profile does not cover every level of the tower"
             )
+        _one_label_per_id(self.cuspidals())
+
+    def cuspidals(self) -> Iterator[InertialCuspidal]:
+        """The anchor, then the base of every factor of every record."""
+        yield self.context.pi
+        for datum in self.data:
+            for _, base in datum.local.factors:
+                yield base
+
+
+def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
+    """Reject an id that names two labels, or a mod-l class on two ``g``.
+
+    Fields are compared only when an id comes back as another object:
+    the records of a file share its registry's labels.
+    """
+    by_id: dict[str, InertialCuspidal] = {}
+    by_class: dict[str, InertialCuspidal] = {}
+    for label in labels:
+        seen = by_id.get(label.id)
+        if seen is None:
+            by_id[label.id] = label
+            first = by_class.setdefault(label.modl_class, label)
+            if first.g != label.g:
+                raise InconsistentDataError(
+                    f"mod-l class {label.modl_class!r} holds {first.id!r} on "
+                    f"GL_{first.g} and {label.id!r} on GL_{label.g}"
+                )
+        elif seen is not label and (seen.g, seen.e_pi, seen.modl_class) != (
+            label.g, label.e_pi, label.modl_class
+        ):
+            raise InconsistentDataError(
+                f"cuspidal id {label.id!r} names two labels: {seen!r} and {label!r}"
+            )
 
 
 def _radii(local: LocalComponent, pi: InertialCuspidal) -> Iterator[int]:
     """The radius ``s + t_k - 1`` of each factor whose base is ``pi``."""
-    return (local.s + t_k - 1 for t_k, base_k in local.factors if base_k.id == pi.id)
+    return (local.s + t_k - 1 for t_k, base_k in local.factors if base_k == pi)
 
 
 def members(
@@ -121,7 +156,7 @@ def members(
     """Records whose component has ``s`` rows and a ``pi``-factor at radius ``r``.
 
     A record qualifies when some factor ``(t_k, base_k)`` has ``base_k``
-    inertially equal to ``pi`` and ``s + t_k - 1 = r``.
+    equal to ``pi`` and ``s + t_k - 1 = r``.
     """
     return [
         datum
@@ -130,16 +165,28 @@ def members(
     ]
 
 
-@lru_cache(maxsize=16384)
 def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
-    """Canonical string of the mod-l class of the point-(r, 0) constituent sum."""
-    total = constituent_sum(local, pi, DiagramPoint(r, 0))
-    reduced = GrothSum(
-        ((label.reduced(), coeff) for label, coeff in total.items())
+    """Canonical string of the mod-l class of the point-(r, 0) constituent sum.
+
+    One ``1*<label>`` per traced factor, the label's component reduced
+    mod l, sorted and joined by ``;``; ``"0"`` when no factor traces.
+    """
+    # labels compare by id, so the classes the string reads key the cache too
+    return _modl_key(local, pi, r, tuple(base.modl_class for _, base in local.factors))
+
+
+@lru_cache(maxsize=16384)
+def _modl_key(local: LocalComponent, pi: InertialCuspidal, r: int, _classes: tuple) -> str:
+    p = DiagramPoint(r, 0)
+    reduced = local.reduced()
+    terms = sorted(
+        f"1*{ConstituentLabel(reduced, p, label.xi_index)}"
+        for label in constituent_sum(local, pi, p).labels()
     )
-    if reduced.is_zero:
-        return "0"
-    return ";".join(f"{coeff}*{label}" for label, coeff in reduced.items())
+    return ";".join(terms) or "0"
+
+
+modl_key.cache_info = _modl_key.cache_info
 
 
 def _terms(
@@ -324,6 +371,7 @@ def theorem_check(
         raise InconsistentDataError("datasets have different level towers")
     if r < 1 or s < 1 or s > r:
         raise InconsistentDataError(f"need 1 <= s <= r, got r={r}, s={s}")
+    _one_label_per_id(itertools.chain(ds_a.cuspidals(), ds_b.cuspidals(), (pi_a, pi_b)))
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
         observed = _observed_radius(ds, pi)
@@ -353,7 +401,7 @@ def substitute_cuspidal(
         replace(datum, local=datum.local.substituted(old, new)) for datum in ds.data
     )
     context = ds.context
-    if context.pi.id == old.id:
+    if context.pi == old:
         context = replace(context, pi=new)
     return replace(ds, context=context, data=data)
 
@@ -367,7 +415,6 @@ def generate_dataset(
     levels: tuple[int, ...] = (0, 1, 2),
     torsion: TorsionProfile | None = None,
     noise_data: int = 1,
-    with_extra_factors: bool = True,
 ) -> Dataset:
     """Deterministic pseudo-random dataset anchored at ``ctx.pi``.
 
@@ -406,7 +453,7 @@ def generate_dataset(
     data = []
     for idx, (s, t) in enumerate(pairs):
         factors: list[tuple[int, InertialCuspidal]] = [(t, pi)]
-        if with_extra_factors and rng.random() < 0.5:
+        if rng.random() < 0.5:
             extra_t = rng.randint(1, 2)
             if s * (t * g + extra_t) <= d:
                 factors.append((extra_t, rng.choice(noise_bases)))

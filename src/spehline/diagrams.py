@@ -87,7 +87,7 @@ class LocalComponent:
         self, old: InertialCuspidal, new: InertialCuspidal
     ) -> "LocalComponent":
         factors = tuple(
-            (t, new if base.id == old.id else base) for t, base in self.factors
+            (t, new if base == old else base) for t, base in self.factors
         )
         return replace(self, factors=factors)
 
@@ -238,13 +238,13 @@ def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
 def constituent_sum(
     c: LocalComponent, pi: InertialCuspidal, p: DiagramPoint
 ) -> GrothSum:
-    """Sum of the constituents at ``p`` over factors inertially equal to ``pi``.
+    """Sum of the constituents at ``p`` over factors whose base is equal to ``pi``.
 
-    One unit term per factor index ``k`` with ``base_k`` in the inertial
-    class of ``pi`` whose indicator is nonzero at ``p``.
+    One unit term per factor index ``k`` with ``base_k`` equal to ``pi``
+    whose indicator is nonzero at ``p``.
     """
     return GrothSum(
         (ConstituentLabel(c, p, k), 1)
         for k, (t_k, base_k) in enumerate(c.factors, start=1)
-        if base_k.id == pi.id and m_indicator(c.s, t_k, p.r, p.i)
+        if base_k == pi and m_indicator(c.s, t_k, p.r, p.i)
     )

@@ -3,7 +3,8 @@
 Multisegments serialize to a bit-stable canonical form: the segment list
 is sorted, keys are emitted in sorted order and the encoding carries no
 whitespace, so equal values produce byte-equal documents and file diffs
-are meaningful.  All top-level documents carry a ``schema_version``.
+are meaningful.  Every document written carries a ``schema_version``,
+and dataset and component files are read only at ``SCHEMA_VERSION``.
 
 Each format has one checked reader, which type-checks every field through
 :func:`_need` as it reads it and builds the object in the same pass; a
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .congruence import AutomorphicDatum, Dataset, Verdict
 from .diagrams import Diagram, LocalComponent
@@ -107,6 +108,14 @@ def _entries(obj: dict, key: str, path: str):
         yield f"{where}[{idx}]", item
 
 
+def _version(obj: dict) -> None:
+    """Reject a document whose ``schema_version`` is not ``SCHEMA_VERSION``."""
+    version = _need(obj, "schema_version", int, "")
+    if version != SCHEMA_VERSION:
+        message = f"unsupported version {version}, expected {SCHEMA_VERSION}"
+        raise SchemaError("schema_version", message)
+
+
 def _cuspidal(
     obj: dict, key: str, cuspidals: dict[str, InertialCuspidal], path: str
 ) -> InertialCuspidal:
@@ -180,7 +189,7 @@ def cuspidal_to_dict(pi: InertialCuspidal) -> dict:
     return {"g": pi.g, "e_pi": pi.e_pi, "modl_class": pi.modl_class}
 
 
-def cuspidal_registry(bases: list[InertialCuspidal]) -> dict:
+def cuspidal_registry(bases: Iterable[InertialCuspidal]) -> dict:
     return {pi.id: cuspidal_to_dict(pi) for pi in bases}
 
 
@@ -260,6 +269,7 @@ def _local_from_dict(
 
 
 def component_from_dict(obj: dict) -> LocalComponent:
+    _version(obj)
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     return _local_from_dict(obj, cuspidals, "")
 
@@ -268,11 +278,6 @@ def component_from_dict(obj: dict) -> LocalComponent:
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
-    bases = [ds.context.pi]
-    for datum in ds.data:
-        for _, base in datum.local.factors:
-            if base not in bases:
-                bases.append(base)
     return {
         "schema_version": SCHEMA_VERSION,
         "context": {
@@ -280,7 +285,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
             "kappa": str(ds.context.kappa),
             "pi_id": ds.context.pi.id,
         },
-        "cuspidals": cuspidal_registry(bases),
+        "cuspidals": cuspidal_registry(ds.cuspidals()),
         "data": [
             {
                 "id": datum.id,
@@ -341,7 +346,7 @@ def _record(rec: dict, cuspidals: dict, idx: int) -> AutomorphicDatum:
 
 
 def dataset_from_dict(obj: dict) -> Dataset:
-    _need(obj, "schema_version", int, "")
+    _version(obj)
     context = _need(obj, "context", dict, "")
     d = _need(context, "d", int, "context")
     kappa = _need(context, "kappa", str, "context")

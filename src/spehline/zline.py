@@ -19,7 +19,7 @@ this makes the product exactly associative and degree additive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True, order=True)
@@ -83,14 +83,16 @@ class InertialCuspidal:
 
     ``g`` is the dimension of the GL_g it lives on, ``e_pi`` the number
     of unramified self-twists, and ``modl_class`` an opaque identifier
-    of its mod-l reduction class.  Two labels with the same ``id`` are
-    expected to agree in every other field.
+    of its mod-l reduction class.  A label is its ``id``: labels compare
+    and hash by ``id`` alone, so one id must name one label.  Datasets
+    enforce this, and also that all labels of one ``modl_class`` share
+    one ``g``.
     """
 
     id: str
-    g: int
-    e_pi: int = 1
-    modl_class: str = ""
+    g: int = field(compare=False)
+    e_pi: int = field(default=1, compare=False)
+    modl_class: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if self.g < 1:
@@ -176,9 +178,8 @@ class Wildcard:
         return body
 
 
-def _segment_key(seg: Segment) -> tuple[str, int, int, int, int, str]:
-    base = seg.base
-    return (base.id, seg.start.twice, seg.length, base.g, base.e_pi, base.modl_class)
+def _segment_key(seg: Segment) -> tuple[str, int, int]:
+    return (seg.base.id, seg.start.twice, seg.length)
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,31 @@ class TestCongruenceCommand:
         assert code == 2
         assert f"duplicate datum id {obj['data'][0]['id']!r}" in err
 
+    def test_class_on_two_gl_exit_2(self, capsys, tmp_path):
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(a).read_text())
+        local = next(
+            rec["local"] for rec in obj["data"]
+            if rec["local"]["wildcard"] and rec["local"]["wildcard"]["degree"] >= 2 * rec["local"]["s"]
+        )
+        local["factors"].append({"t": 1, "base_id": "rho"})
+        local["wildcard"]["degree"] -= 2 * local["s"]
+        obj["cuspidals"]["rho"] = {"g": 2, "e_pi": 1, "modl_class": "a"}
+        Path(a).write_text(canonical_dumps(obj))
+        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        assert code == 2
+        assert "mod-l class 'a' holds 'pi' on GL_1 and 'rho' on GL_2" in err
+
+    def test_files_disagree_on_an_id_exit_2(self, capsys, tmp_path):
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(b).read_text())
+        shared = min(set(obj["cuspidals"]) & set(json.loads(Path(a).read_text())["cuspidals"]))
+        obj["cuspidals"][shared]["e_pi"] += 1
+        Path(b).write_text(canonical_dumps(obj))
+        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        assert code == 2
+        assert f"cuspidal id {shared!r} names two labels" in err
+
     def test_report_file(self, capsys, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         report = tmp_path / "report.json"
@@ -262,8 +287,13 @@ class TestMalformedInput:
             (lambda c: c.update(s=0), 2, "s >= 1"),
             (lambda c: c["cuspidals"]["pi"].update(g=0), 2, "g must be"),
             (lambda c: c.update(wildcard={"id": "w", "degree": -1}), 2, "degree"),
+            (lambda c: c.pop("schema_version"), 66, "schema_version: missing field"),
+            (lambda c: c.update(schema_version=7), 66, "schema_version: unsupported version 7"),
         ],
-        ids=["no-cuspidals", "unknown-base", "s-zero", "g-zero", "wildcard-degree"],
+        ids=[
+            "no-cuspidals", "unknown-base", "s-zero", "g-zero", "wildcard-degree",
+            "no-version", "version-7",
+        ],
     )
     def test_component(self, capsys, tmp_path, edit, code, where):
         doc = copy.deepcopy(TRIPLE)
@@ -295,8 +325,8 @@ class TestMalformedInput:
         assert code == 66 and "not valid JSON" in err
 
 
-# One valid document per input format, the argv that reads it, and a fuzz
-# test that breaks one field of it at a time.
+# One valid document per input format, the argv that reads it, and fuzz
+# tests that break one field of it, or two or three at once.
 CTX = GlobalContext(d=12, pi=PI)
 DATASET = dataset_to_dict(generate_dataset(3, CTX, r=4))
 DOCUMENTS = {
@@ -311,30 +341,43 @@ OTHER_JSON = (None, True, "x", 1.5, 7, [], {})
 
 
 @st.composite
-def mutated_documents(draw):
+def mutated_documents(draw, fields=st.just(1)):
     kind = draw(st.sampled_from(sorted(DOCUMENTS)))
     doc = copy.deepcopy(DOCUMENTS[kind][0])
-    *parents, key = draw(st.sampled_from(list(field_paths(doc))))
-    owner = doc
-    for step in parents:
-        owner = owner[step]
-    value = owner[key]
-    choices = ["delete"] + [v for v in OTHER_JSON if type(v) is not type(value)]
-    if type(value) is int:
-        choices += [0, -1]
-    if key in ("base_id", "pi_id"):
-        choices.append("ghost")
-    choice = draw(st.sampled_from(choices))
-    if choice == "delete":
-        del owner[key]
-    else:
-        owner[key] = choice
+    for _ in range(draw(fields)):
+        *parents, key = draw(st.sampled_from(list(field_paths(doc))))
+        owner = doc
+        for step in parents:
+            owner = owner[step]
+        value = owner[key]
+        choices = ["delete"] + [v for v in OTHER_JSON if type(v) is not type(value)]
+        if type(value) is int:
+            choices += [0, -1]
+        if key in ("base_id", "pi_id"):
+            choices.append("ghost")
+        choice = draw(st.sampled_from(choices))
+        if choice == "delete":
+            del owner[key]
+        else:
+            owner[key] = choice
     return kind, doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mutated_documents())
 def test_fuzz_one_broken_field(case):
+    check_documented_exit(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_documents(fields=st.integers(2, 3)))
+def test_fuzz_several_broken_fields(case):
+    check_documented_exit(case)
+
+
+def check_documented_exit(case):
+    """Run the command reading the broken document; it ends in a documented
+    exit code, never in a traceback."""
     kind, doc = case
     valid, argv = DOCUMENTS[kind]
     out, err = io.StringIO(), io.StringIO()

@@ -11,6 +11,7 @@ from spehline import (
     GrothSum,
     InconsistentDataError,
     InconsistentTableError,
+    InertialCuspidal,
     LocalComponent,
     TorsionProfile,
     Wildcard,
@@ -19,6 +20,7 @@ from spehline import (
     generate_dataset,
     infer_B,
     members,
+    modl_key,
     substitute_cuspidal,
     theorem_check,
 )
@@ -75,6 +77,20 @@ class TestDatasetInvariants:
                 torsion=TorsionProfile(t0=1, tau=(1,)),
                 levels=(0, 1),
             )
+
+    def test_rejects_one_class_on_two_gl(self):
+        # St_4(pi) x q1 x q3 and St_4(pi) x q2 x q2 at d = 8, with q1, q2 and
+        # q3 of class b on GL_1, GL_2 and GL_3: both reduce to one key
+        q1, q2, q3 = (InertialCuspidal(f"q{g}", g, modl_class="b") for g in (1, 2, 3))
+        x = LocalComponent(1, ((4, PI), (1, q1), (1, q3)))
+        y = LocalComponent(1, ((4, PI), (1, q2), (1, q2)))
+        assert modl_key(x, PI, 4) == modl_key(y, PI, 4)
+        records = tuple(
+            AutomorphicDatum(did, local, 1, 1, 1, "h")
+            for did, local in (("x", x), ("y", y))
+        )
+        with pytest.raises(InconsistentDataError, match="mod-l class 'b'"):
+            Dataset(GlobalContext(d=8, pi=PI), records)
 
     def test_level_order_is_normalised(self):
         ds = generate_dataset(3, CTX, r=4, levels=(0, 1))
@@ -228,14 +244,22 @@ class TestTheoremCheck:
         assert verdict.equal
 
     def test_substitution_matches_by_id(self):
-        # a record based at a label with pi's id but another e_pi is a member
-        # for pi, so substitution must replace its base as well
+        # a label with pi's id but another e_pi is pi: a dataset holding both
+        # is rejected, and substitution replaces the variant as it replaces pi
         variant = dataclasses.replace(PI, e_pi=2)
-        ds = dataset(datum("a", 2, 2, base=variant))
-        assert members(ds, PI, 3, 2) == list(ds.data)
+        with pytest.raises(InconsistentDataError):
+            dataset(datum("a", 2, 2, base=variant))
+        local = datum("a", 2, 2, base=variant).local
+        assert [base for _, base in local.substituted(PI, PI_TWIN).factors] == [PI_TWIN]
+
+    def test_rejects_datasets_disagreeing_on_an_id(self):
+        ds = generate_dataset(7, CTX, r=4)
         twin = substitute_cuspidal(ds, PI, PI_TWIN)
-        assert [base for _, base in twin.data[0].local.factors] == [PI_TWIN]
-        assert theorem_check(ds, PI, twin, PI_TWIN, 3, 2).equal
+        shared = next(b for d in ds.data for _, b in d.local.factors if b != PI)
+        moved = dataclasses.replace(shared, modl_class="elsewhere")
+        twin = substitute_cuspidal(twin, shared, moved)
+        with pytest.raises(InconsistentDataError, match="names two labels"):
+            theorem_check(ds, PI, twin, PI_TWIN, 4, 1)
 
     def test_requires_shared_modl_class(self):
         ds = generate_dataset(1, CTX, r=4)

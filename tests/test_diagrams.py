@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from spehline import (
@@ -257,3 +259,9 @@ class TestConstituentStrings:
             " [xi_2, Xi^0]"
         )
         assert modl_key(self.C, PI, 4) == "0"
+
+    def test_modl_key_reads_the_classes_of_equal_components(self):
+        # components of two unrelated datasets may be equal by id alone
+        moved = self.C.substituted(PI, dataclasses.replace(PI, modl_class="z"))
+        assert moved == self.C
+        assert modl_key(self.C, PI, 3) != modl_key(moved, PI, 3)

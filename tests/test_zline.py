@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spehline import (
     HalfInt,
-    InertialCuspidal,
+    LocalComponent,
     Multisegment,
     Segment,
     Wildcard,
@@ -31,6 +32,12 @@ from support import (
 )
 
 shifts = st.builds(HalfInt, st.integers(-9, 9))
+# the support labels, and each of them again with another g, e_pi or class
+LABELS = BASES + [
+    replace(b, **change)
+    for b in BASES
+    for change in ({"g": b.g + 1}, {"e_pi": b.e_pi + 1}, {"modl_class": "z"})
+]
 
 
 def ms(*segs: Segment) -> Multisegment:
@@ -171,16 +178,22 @@ class TestNormalizedProduct:
         s2 = Segment(PI, HalfInt(3), 1)
         assert ms(s1, s2) == ms(s2, s1)
 
-    def test_order_free_for_same_id_bases(self):
-        # bases sharing an id but not g (or e_pi, or class) still sort apart
-        for other in (
-            InertialCuspidal(PI.id, 2, PI.e_pi, PI.modl_class),
-            InertialCuspidal(PI.id, PI.g, 3, PI.modl_class),
-            InertialCuspidal(PI.id, PI.g, PI.e_pi, "z"),
-        ):
-            x = Segment(PI, HalfInt(0), 2)
-            y = Segment(other, HalfInt(0), 2)
-            assert ms(x, y) == ms(y, x)
+    @settings(max_examples=200, derandomize=True)
+    @given(st.sampled_from(LABELS), st.sampled_from(LABELS), shifts, st.integers(1, 3))
+    def test_equal_exactly_when_ids_match(self, x, y, start, n):
+        # labels, and the segments, multisegments (in either order) and
+        # components built on them, are equal and hash equal iff the ids match
+        seg_x, seg_y, other = Segment(x, start, n), Segment(y, start, n), Segment(RHO, start, 1)
+        pairs = [
+            (x, y),
+            (seg_x, seg_y),
+            (ms(seg_x, other), ms(other, seg_y)),
+            (LocalComponent(n, ((n, x), (1, RHO))), LocalComponent(n, ((n, y), (1, RHO)))),
+        ]
+        for a, b in pairs:
+            assert (a == b) is (x.id == y.id)
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 class TestJacquetCuts:
