@@ -19,7 +19,15 @@ import json
 import sys
 
 from .congruence import theorem_check
-from .diagrams import DiagramPoint, LocalComponent, constituent, diagram, superpose, trace_back
+from .diagrams import (
+    DiagramPoint,
+    LocalComponent,
+    constituent,
+    diagram,
+    m_indicator,
+    superpose,
+    trace_back,
+)
 from .jsonio import (
     SchemaError,
     _fraction,
@@ -122,17 +130,17 @@ def cmd_diagram(args, parser: _Parser) -> int:
 
 def _emit_constituents(component: LocalComponent, r: int, out: str | None) -> int:
     p = DiagramPoint(r, 0)
-    diag = superpose(component)
-    if p not in diag.points:
-        print(f"no support at {p}", file=sys.stderr)
-        return EX_INCONSISTENT
     lines = []
-    for k in diag.factors_at(p):
+    for k, (t_k, _) in enumerate(component.factors, start=1):
+        if not m_indicator(component.s, t_k, r, 0):
+            continue
         label = constituent(component, p, k)
         origin = trace_back(component, p, k)
         source = f"comes from {origin}" if origin else "no higher origin"
-        t_k, _ = component.factor(k)
         lines.append(f"{p} factor {k} (t={t_k}): {label.product_str()}  <- {source}\n")
+    if not lines:
+        print(f"no support at {p}", file=sys.stderr)
+        return EX_INCONSISTENT
     _emit("".join(lines), out)
     return EX_OK
 

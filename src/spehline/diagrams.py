@@ -4,18 +4,18 @@ For a shape with ``s`` rows of length ``t`` the indicator ``m_{s,t}(r,i)``
 marks the lattice points carrying cohomology: they fill the convex
 polygon with vertices ``(s+t-1, 0)``, ``(t, +-(s-1))`` and ``(1, +-(s-t))``
 when ``s >= t`` (left vertex ``(t-s+1, 0)`` when ``t >= s``), with ``i``
-stepping by 2 from the boundary at each fixed ``r``.  A local component
-is a product of such shapes sharing the row count ``s``; its diagram is
-the superposition of the per-factor diagrams, each point remembering
-which factors contributed.  A constituent is the triple (component,
-point, traced factor ``k``): the component with its k-th factor
-replaced by an opaque ``R`` symbol at the point.
+stepping by 2 from the boundary at each fixed ``r``.  A diagram is the
+mapping from each support point to the 1-based indices of the factors
+whose support holds it.  A local component is a product of such shapes
+sharing the row count ``s``; its diagram is the superposition of the
+per-factor diagrams.  A constituent is the triple (component, point,
+traced factor ``k``): the component with its k-th factor replaced by an
+opaque ``R`` symbol at the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import KeysView
 
 from .formal import GrothSum
 from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
@@ -30,23 +30,22 @@ class DiagramPoint:
         return f"({self.r},{self.i})"
 
 
+def _half_width(s: int, t: int, r: int) -> int:
+    """The largest ``|i|`` of the support of ``(s, t)`` at ``r``; negative past either end."""
+    return s + t - 1 - r if r >= t else s - 1 - (t - r)
+
+
 def m_indicator(s: int, t: int, r: int, i: int) -> int:
     """0/1 indicator of the support at the point ``(r, i)``.
 
-    Nonzero iff ``max(1, s+t-1-2(s-1)) <= r <= s+t-1`` and, writing
-    ``m = s+t-1-r`` for ``r >= t`` and ``m = s-1-(t-r)`` for ``r <= t``,
-    ``|i| <= m`` with ``i`` congruent to ``m`` mod 2.
+    Nonzero iff ``r >= 1`` and, writing ``m = s+t-1-r`` for ``r >= t``
+    and ``m = s-1-(t-r)`` for ``r <= t``, ``|i| <= m`` with ``i``
+    congruent to ``m`` mod 2; so ``max(1, t-s+1) <= r <= s+t-1``.
     """
     if s < 1 or t < 1:
         raise ValueError(f"shape parameters must be positive, got s={s}, t={t}")
-    lo = max(1, s + t - 1 - 2 * (s - 1))
-    if not lo <= r <= s + t - 1:
-        return 0
-    if r >= t:
-        m = s + t - 1 - r
-    else:
-        m = s - 1 - (t - r)
-    return 1 if abs(i) <= m and (i - m) % 2 == 0 else 0
+    m = _half_width(s, t, r)
+    return 1 if r >= 1 and abs(i) <= m and (i - m) % 2 == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -113,46 +112,28 @@ def _product_str(
     return " x ".join(parts)
 
 
-@dataclass
-class Diagram:
-    """A set of support points with per-point factor annotations."""
-
-    annotations: dict[DiagramPoint, tuple[int, ...]]
-
-    @property
-    def points(self) -> KeysView[DiagramPoint]:
-        return self.annotations.keys()
-
-    def factors_at(self, p: DiagramPoint) -> tuple[int, ...]:
-        return self.annotations.get(p, ())
-
-    @property
-    def r_max(self) -> int:
-        return max((p.r for p in self.points), default=0)
-
-    @property
-    def i_max(self) -> int:
-        return max((abs(p.i) for p in self.points), default=0)
-
-    def __len__(self) -> int:
-        return len(self.annotations)
+Diagram = dict[DiagramPoint, tuple[int, ...]]  # point -> 1-based factor indices
 
 
 def _scan(s: int, ts: list[int]) -> Diagram:
     """Superposed supports of the shapes ``(s, t_k)``, each point annotated
-    with every 1-based ``k`` whose indicator is nonzero there."""
-    ann: dict[DiagramPoint, tuple[int, ...]] = {}
+    with every 1-based ``k`` whose support holds it.
+
+    Walks each polygon column by column: ``r`` from its left end to the
+    right vertex, ``i`` from ``-m`` to ``m`` in steps of 2.
+    """
+    ann: Diagram = {}
     for k, t_k in enumerate(ts, start=1):
-        for r in range(1, s + t_k):
-            for i in range(-(s - 1), s):
-                if m_indicator(s, t_k, r, i):
-                    p = DiagramPoint(r, i)
-                    ann[p] = ann.get(p, ()) + (k,)
-    return Diagram(ann)
+        for r in range(max(1, t_k - s + 1), s + t_k):
+            m = _half_width(s, t_k, r)
+            for i in range(-m, m + 1, 2):
+                p = DiagramPoint(r, i)
+                ann[p] = ann.get(p, ()) + (k,)
+    return ann
 
 
 def diagram(s: int, t: int) -> Diagram:
-    """All points with ``m_indicator(s, t, r, i) = 1``, annotated {1}."""
+    """All points with ``m_indicator(s, t, r, i) = 1``, each mapped to ``(1,)``."""
     if s < 1 or t < 1:
         raise ValueError(f"shape parameters must be positive, got s={s}, t={t}")
     return _scan(s, [t])
@@ -161,9 +142,9 @@ def diagram(s: int, t: int) -> Diagram:
 def superpose(c: LocalComponent) -> Diagram:
     """Union of the per-factor diagrams of ``c`` with factor annotations.
 
-    The point ``(r, i)`` is annotated with every 1-based index ``k``
-    such that the k-th factor's indicator is nonzero there.  Adding a
-    factor never removes points or annotations.
+    Maps the point ``(r, i)`` to every 1-based index ``k`` such that the
+    k-th factor's indicator is nonzero there, in increasing order.
+    Adding a factor never removes points or annotations.
     """
     return _scan(c.s, [t_k for t_k, _ in c.factors])
 

@@ -6,15 +6,16 @@ whitespace, so equal values produce byte-equal documents and file diffs
 are meaningful.  Every document written carries a ``schema_version``,
 and dataset and component files are read only at ``SCHEMA_VERSION``.
 
-Each format has one checked reader, which type-checks every field through
-:func:`_need` as it reads it and builds the object in the same pass; a
-violation raises :class:`SchemaError` with the path of the field, and the
-first field read decides which one is reported.  Well-typed values that
-break an invariant raise the constructor's ``ValueError``.  Dataset files
-carry the traffic, thousands of records each, so a record is first read
-by indexing and exact ``type`` tests; a record that pass cannot read goes
-to the checked reader, the only one that produces errors.  The other
-formats hold a handful of fields and have no fast pass.
+Each input format has one checked reader, which type-checks every field
+through :func:`_need` as it reads it and builds the object in the same
+pass; a violation raises :class:`SchemaError` with the path of the
+field, and the first field read decides which one is reported.
+Well-typed values that break an invariant raise the constructor's
+``ValueError``.  Dataset files carry the traffic, thousands of records
+each, so a record is first read by indexing and exact ``type`` tests; a
+record that pass cannot read goes to the checked reader, the only one
+that produces errors.  The other formats hold a handful of fields and
+have no fast pass.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from .congruence import AutomorphicDatum, Dataset, Verdict
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
-from .zline import (
-    HalfInt,
-    InertialCuspidal,
-    Multisegment,
-    Segment,
-    Wildcard,
-)
+from .zline import HalfInt, InertialCuspidal, Multisegment, Wildcard
 
 SCHEMA_VERSION = 1
 
@@ -158,30 +153,6 @@ def multisegment_to_dict(m: Multisegment) -> dict:
     }
 
 
-def multisegment_from_dict(
-    obj: dict, cuspidals: dict[str, InertialCuspidal]
-) -> Multisegment:
-    segments = tuple(
-        Segment(
-            base=_cuspidal(s, "base_id", cuspidals, spath),
-            start=HalfInt(_need(s, "start_twice", int, spath)),
-            length=_need(s, "length", int, spath),
-        )
-        for spath, s in _entries(obj, "segments", "")
-    )
-    tate = HalfInt(_need(obj, "tate_twice", int, "", default=0))
-    wildcard = _optional_wildcard(obj, "")
-    tag = _need(obj, "order_tag", (list, _NULL), "", default=None)
-    if tag is not None and len(tag) != 2:
-        raise SchemaError("order_tag", "expected two integers")
-    return Multisegment(
-        segments=segments,
-        tate=tate,
-        wildcard=wildcard,
-        order_tag=None if tag is None else _ints(tag, "order_tag"),
-    )
-
-
 # -------------------------------------------------------------------- cuspidals
 
 
@@ -237,12 +208,10 @@ def ledger_listing_to_dict(
 
 
 def diagram_to_dict(diag: Diagram) -> dict:
-    points = sorted(diag.points, key=lambda p: (p.r, p.i))
+    points = sorted(diag, key=lambda p: (p.r, p.i))
     return {
         "schema_version": SCHEMA_VERSION,
-        "points": [
-            {"r": p.r, "i": p.i, "factors": list(diag.factors_at(p))} for p in points
-        ],
+        "points": [{"r": p.r, "i": p.i, "factors": list(diag[p])} for p in points],
     }
 
 

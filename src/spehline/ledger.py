@@ -264,6 +264,6 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
 def group_by_stratum(total: GrothSum) -> dict[int, GrothSum]:
     """Split a sum of ledger terms by their stratum, for inspection."""
     groups: dict[int, list[tuple[LedgerTerm, int]]] = {}
-    for term, coeff in total.items():
-        groups.setdefault(term.stratum, []).append((term, coeff))
+    for term in total.labels():
+        groups.setdefault(term.stratum, []).append((term, total.coefficient(term)))
     return {stratum: GrothSum(pairs) for stratum, pairs in groups.items()}

@@ -72,9 +72,9 @@ def closed_form(s: int, t: int) -> int:
 def test_point_diagrams_and_triangle():
     with checked("single-row and single-column diagrams"):
         for t in range(1, 13):
-            assert {(p.r, p.i) for p in diagram(1, t).points} == {(t, 0)}
+            assert {(p.r, p.i) for p in diagram(1, t)} == {(t, 0)}
         for s in range(1, 13):
-            pts = {(p.r, p.i) for p in diagram(s, 1).points}
+            pts = {(p.r, p.i) for p in diagram(s, 1)}
             assert len(pts) == s * (s + 1) // 2
             assert pts == enumerate_support(s, 1)
             expected_vertices = {(s, 0), (1, s - 1), (1, 1 - s)}
@@ -85,7 +85,7 @@ def test_polygon_extreme_points():
     with checked("polygon extreme points for all s,t <= 10"):
         for s in range(1, 11):
             for t in range(1, 11):
-                pts = {(p.r, p.i) for p in diagram(s, t).points}
+                pts = {(p.r, p.i) for p in diagram(s, t)}
                 if s >= t:
                     expected = {
                         (s + t - 1, 0),
@@ -108,7 +108,7 @@ def test_triple_product_constituents():
     with checked("triple-product constituents and origins at (4,0)"):
         component = LocalComponent(s=4, factors=((1, PI), (3, PI), (5, PI)))
         p = DiagramPoint(4, 0)
-        assert superpose(component).factors_at(p) == (1, 2, 3)
+        assert superpose(component)[p] == (1, 2, 3)
 
         bullets = {
             3: (
@@ -135,7 +135,7 @@ def test_cardinality_law():
             for t in range(1, 13):
                 enumerated = enumerate_support(s, t)
                 assert len(diagram(s, t)) == closed_form(s, t)
-                assert {(p.r, p.i) for p in diagram(s, t).points} == enumerated
+                assert {(p.r, p.i) for p in diagram(s, t)} == enumerated
                 assert len(enumerated) == closed_form(s, t)
 
 

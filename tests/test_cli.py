@@ -74,6 +74,20 @@ class TestDiagramCommand:
         assert "Speh_4(pi) x Speh_4(St_3(pi)) x R_pi(4,5)(4,0)" in lines[2]
         assert lines[2].endswith("comes from (8,0)")
 
+    @pytest.mark.parametrize("r", [0, 9, -1])
+    def test_component_without_support_at_r(self, capsys, r):
+        code, out, err = run(
+            capsys,
+            "diagram",
+            "--component",
+            str(FIXTURES / "triple_component.json"),
+            "--at-r",
+            str(r),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"no support at ({r},0)\n"
+
     def test_svg_smoke(self, capsys):
         code, out, _ = run(capsys, "diagram", "--s", "3", "--t", "2", "--svg")
         assert code == 0

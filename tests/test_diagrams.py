@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from spehline import (
     DiagramPoint,
@@ -73,13 +75,13 @@ class TestIndicator:
 class TestDiagram:
     def test_steinberg_diagram_is_a_point(self):
         for t in range(1, 13):
-            assert {(p.r, p.i) for p in diagram(1, t).points} == {(t, 0)}
+            assert {(p.r, p.i) for p in diagram(1, t)} == {(t, 0)}
 
     def test_speh_triangle(self):
         for s in range(1, 13):
             diag = diagram(s, 1)
             assert len(diag) == s * (s + 1) // 2
-            pts = {(p.r, p.i) for p in diag.points}
+            pts = {(p.r, p.i) for p in diag}
             assert (s, 0) in pts and (1, s - 1) in pts and (1, 1 - s) in pts
 
     def test_cardinality_closed_form(self):
@@ -91,7 +93,7 @@ class TestDiagram:
     def test_mirror_symmetry(self):
         for s in range(1, 9):
             for t in range(1, 9):
-                pts = {(p.r, p.i) for p in diagram(s, t).points}
+                pts = {(p.r, p.i) for p in diagram(s, t)}
                 assert pts == {(r, -i) for r, i in pts}
 
     def test_rows_are_progressions_from_boundary(self):
@@ -99,14 +101,14 @@ class TestDiagram:
             for t in range(1, 9):
                 diag = diagram(s, t)
                 for r in range(t, s + t):
-                    column = sorted(p.i for p in diag.points if p.r == r)
+                    column = sorted(p.i for p in diag if p.r == r)
                     bound = s + t - 1 - r
                     assert column == list(range(-bound, bound + 1, 2))
 
     def test_hull_vertices(self):
         for s in range(1, 11):
             for t in range(1, 11):
-                pts = {(p.r, p.i) for p in diagram(s, t).points}
+                pts = {(p.r, p.i) for p in diagram(s, t)}
                 if s >= t:
                     expected = {
                         (s + t - 1, 0),
@@ -132,21 +134,34 @@ class TestSuperpose:
 
     def test_triple_component_annotations_at_4_0(self):
         diag = superpose(triple_component())
-        assert diag.factors_at(DiagramPoint(4, 0)) == (1, 2, 3)
+        assert diag[DiagramPoint(4, 0)] == (1, 2, 3)
 
     def test_right_vertex_annotated(self):
         c = triple_component()
         for k, (t_k, _) in enumerate(c.factors, start=1):
             p = DiagramPoint(c.s + t_k - 1, 0)
-            assert k in superpose(c).factors_at(p)
+            assert k in superpose(c)[p]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(1, 7), st.sampled_from([PI, RHO])), min_size=1, max_size=5),
+    )
+    def test_matches_independent_enumeration(self, s, factors):
+        expected: dict[tuple[int, int], tuple[int, ...]] = {}
+        for k, (t_k, _) in enumerate(factors, start=1):
+            for point in enumerate_support(s, t_k):
+                expected[point] = expected.get(point, ()) + (k,)
+        diag = superpose(LocalComponent(s=s, factors=tuple(factors)))
+        assert {(p.r, p.i): ks for p, ks in diag.items()} == expected
 
     def test_monotone_under_adding_factors(self):
         small = LocalComponent(s=4, factors=((1, PI), (3, PI)))
         big = triple_component()
         small_diag, big_diag = superpose(small), superpose(big)
-        assert small_diag.points <= big_diag.points
-        for p in small_diag.points:
-            assert set(small_diag.factors_at(p)) <= set(big_diag.factors_at(p))
+        assert small_diag.keys() <= big_diag.keys()
+        for p in small_diag:
+            assert set(small_diag[p]) <= set(big_diag[p])
 
 
 class TestTraceBack:
@@ -165,8 +180,8 @@ class TestTraceBack:
     def test_none_exactly_at_own_vertex(self):
         c = triple_component()
         diag = superpose(c)
-        for p in diag.points:
-            for k in diag.factors_at(p):
+        for p in diag:
+            for k in diag[p]:
                 t_k, _ = c.factor(k)
                 origin = trace_back(c, p, k)
                 if c.s + t_k - 1 > p.r:

@@ -13,10 +13,7 @@ from spehline import (
     HalfInt,
     Multisegment,
     Segment,
-    Wildcard,
     generate_dataset,
-    make_speh,
-    make_steinberg,
 )
 from spehline.congruence import Dataset
 from spehline.jsonio import (
@@ -24,29 +21,13 @@ from spehline.jsonio import (
     canonical_dumps,
     dataset_from_dict,
     dataset_to_dict,
-    multisegment_from_dict,
     multisegment_to_dict,
 )
 
-from support import PI, RHO, field_paths
-
-CUSPIDALS = {"pi": PI, "rho": RHO}
+from support import PI, field_paths
 
 
 class TestMultisegmentForm:
-    def test_roundtrip(self):
-        m = Multisegment(
-            segments=(
-                Segment(PI, HalfInt(-1), 2),
-                Segment(RHO, HalfInt(3), 1),
-            ),
-            tate=HalfInt(1),
-            wildcard=Wildcard("q", 4, HalfInt(-2)),
-            order_tag=(4, 2),
-        )
-        back = multisegment_from_dict(multisegment_to_dict(m), CUSPIDALS)
-        assert back == m
-
     def test_canonical_form_is_sorted_and_stable(self):
         a = Multisegment((Segment(PI, HalfInt(2), 1), Segment(PI, HalfInt(-2), 1)))
         b = Multisegment((Segment(PI, HalfInt(-2), 1), Segment(PI, HalfInt(2), 1)))
@@ -55,17 +36,6 @@ class TestMultisegmentForm:
         )
         starts = [s["start_twice"] for s in multisegment_to_dict(a)["segments"]]
         assert starts == sorted(starts)
-
-    def test_ladder_roundtrip(self):
-        m = make_speh(make_steinberg(PI, 3), 2).to_multisegment()
-        assert multisegment_from_dict(multisegment_to_dict(m), CUSPIDALS) == m
-
-    def test_unknown_base_reference(self):
-        obj = multisegment_to_dict(Multisegment((Segment(PI, HalfInt(0), 2),)))
-        obj["segments"][0]["base_id"] = "ghost"
-        with pytest.raises(SchemaError) as err:
-            multisegment_from_dict(obj, CUSPIDALS)
-        assert err.value.path == "segments[0].base_id"
 
 
 class TestDatasetForm:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -200,6 +201,19 @@ class TestExpansion:
                 # the markers recover the appended cell count
                 assert term.shift_cells == stratum - 2
                 assert term.degree(ctx.g) == ctx.d
+
+    def test_grouping_formats_no_term(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unprintable:
+            name: str
+            stratum: int
+
+            def __str__(self) -> str:
+                raise AssertionError("group_by_stratum formatted a term")
+
+        a, b, c = Unprintable("a", 1), Unprintable("b", 2), Unprintable("c", 1)
+        groups = group_by_stratum(GrothSum([(a, 2), (b, -1), (c, 3)]))
+        assert groups == {1: GrothSum([(a, 2), (c, 3)]), 2: GrothSum([(b, -1)])}
 
     def test_expansion_degree_invariant_sweep(self):
         for ctx in all_contexts(20):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from spehline import DiagramPoint
+from spehline import DiagramPoint, GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import main
+from spehline.jsonio import canonical_dumps, dataset_to_dict
+
+from support import PI, PI_TWIN
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -19,6 +23,25 @@ def fenced(lang: str, after: str) -> str:
     match = re.search(rf"^## {after}\n.*?```{lang}\n(.*?)```", README, re.S | re.M)
     assert match, f"no {lang} block under '## {after}'"
     return match.group(1)
+
+
+def section_blocks(lang: str, heading: str) -> list[str]:
+    """Every ``lang`` code block in the section under ``## heading``."""
+    match = re.search(rf"^## {heading}\n(.*?)(?=^## )", README, re.S | re.M)
+    assert match, f"no section '## {heading}'"
+    return re.findall(rf"```{lang}\n(.*?)```", match.group(1), re.S)
+
+
+def key_paths(doc, at: str = "") -> set[str]:
+    """The dotted path of every key in a JSON document; list items share their list's path."""
+    if isinstance(doc, dict):
+        paths = set()
+        for key, value in doc.items():
+            paths |= {at + key} | key_paths(value, f"{at}{key}.")
+        return paths
+    if isinstance(doc, list):
+        return set().union(*(key_paths(item, at) for item in doc))
+    return set()
 
 
 def cli_lines() -> list[list[str]]:
@@ -65,3 +88,33 @@ def test_cli_line_without_input_file(argv, tmp_path, monkeypatch, capsys):
         assert out == "" and written.read_text().startswith("<svg")
     else:
         assert out
+
+
+def test_output_files_document_every_field(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    documented = [json.loads(block) for block in section_blocks("json", "Output files")]
+    outputs = []
+    for argv in (
+        ["diagram", "--s", "3", "--t", "2", "--json"],
+        ["resolution", "--d", "4", "--g", "1", "--t", "2", "--json"],
+        ["filtration", "--d", "4", "--g", "1", "--t", "2", "--json"],
+    ):
+        main(argv)
+        outputs.append(json.loads(capsys.readouterr().out))
+    ds = generate_dataset(5, GlobalContext(d=12, pi=PI), r=4)
+    twin = dataset_to_dict(substitute_cuspidal(ds, PI, PI_TWIN))
+    twin["data"][0]["m"] += 1  # an unequal pair, so the report has diffs
+    Path("a.json").write_text(canonical_dumps(dataset_to_dict(ds)))
+    Path("b.json").write_text(canonical_dumps(twin))
+    s = str(ds.data[0].local.s)
+    assert main(["congruence", "a.json", "b.json", "--r", "4", "--s", s, "--report", "r.json"]) == 1
+    outputs.append(json.loads(Path("r.json").read_text()))
+
+    diagram_doc, resolution_doc, filtration_doc, report_doc = outputs
+    points = [(p["r"], p["i"]) for p in diagram_doc["points"]]
+    assert points == sorted(points)
+    assert report_doc["diffs"]
+    assert [key_paths(doc) for doc in documented] == [
+        key_paths(diagram_doc), key_paths(resolution_doc), key_paths(report_doc)
+    ]
+    assert key_paths(filtration_doc) == key_paths(resolution_doc)
