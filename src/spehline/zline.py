@@ -19,6 +19,7 @@ this makes the product exactly associative and degree additive.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 
@@ -178,8 +179,8 @@ class Wildcard:
         return body
 
 
-def _segment_key(seg: Segment) -> tuple[str, int, int]:
-    return (seg.base.id, seg.start.twice, seg.length)
+# (base id, start, length), read in C
+_segment_key = operator.attrgetter("base.id", "start.twice", "length")
 
 
 @dataclass(frozen=True)
@@ -371,19 +372,25 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
     keeps its first ``c_j`` cells on the left and the remaining
     ``t - c_j`` on the right, both sides inheriting absolute twists.
     There are C(s+t, s) cuts, pairwise distinct, and each conserves the
-    total degree.
+    total degree.  Each row's ``2t`` pieces are built once, so the cuts
+    share their (immutable) segment objects; each side's segments are
+    in ``_segment_key`` order, as in every ``Multisegment``.
     """
-    s, t = ladder.s, ladder.t
-    rows = [(ladder.row_start(j), ladder.base) for j in range(s)]
+    s, t, base = ladder.s, ladder.t, ladder.base
+    # lefts[j][c] keeps c cells of row j (c >= 1), rights[j][c] the other t - c
+    lefts: list[list[Segment | None]] = []
+    rights: list[list[Segment | None]] = []
+    for j in range(s):
+        start = ladder.row_start(j)
+        lefts.append([None] + [Segment(base, start, c) for c in range(1, t + 1)])
+        rights.append(
+            [Segment(base, HalfInt(start.twice + 2 * c), t - c) for c in range(t)]
+            + [None]
+        )
     cuts: list[tuple[Multisegment, Multisegment]] = []
     for nondecreasing in itertools.combinations_with_replacement(range(t + 1), s):
         vector = tuple(reversed(nondecreasing))
-        left: list[Segment] = []
-        right: list[Segment] = []
-        for (start, base), c in zip(rows, vector):
-            if c > 0:
-                left.append(Segment(base, start, c))
-            if c < t:
-                right.append(Segment(base, HalfInt(start.twice + 2 * c), t - c))
+        left = [row[c] for row, c in zip(lefts, vector) if c > 0]
+        right = [row[c] for row, c in zip(rights, vector) if c < t]
         cuts.append((Multisegment(tuple(left)), Multisegment(tuple(right))))
     return cuts

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spehline import (
     HalfInt,
+    LadderShape,
     LocalComponent,
     Multisegment,
     Segment,
@@ -196,6 +198,26 @@ class TestNormalizedProduct:
                 assert hash(a) == hash(b)
 
 
+# few ids, starts and lengths, so lists repeat segments and share starts
+crowded_segments = st.builds(
+    Segment,
+    base=st.sampled_from(BASES),
+    start=st.builds(HalfInt, st.integers(-1, 1)),
+    length=st.integers(1, 3),
+)
+
+
+class TestSegmentOrder:
+    @settings(max_examples=150, derandomize=True)
+    @given(st.lists(crowded_segments, max_size=5))
+    def test_every_permutation_gives_one_sorted_tuple(self, segs):
+        expected = tuple(
+            sorted(segs, key=lambda seg: (seg.base.id, seg.start.twice, seg.length))
+        )
+        for perm in itertools.permutations(segs):
+            assert Multisegment(perm).segments == expected
+
+
 class TestJacquetCuts:
     def test_single_row_has_t_plus_one_cuts(self):
         cuts = jacquet_cuts(make_steinberg(PI, 2))
@@ -225,6 +247,30 @@ class TestJacquetCuts:
                 assert len(set(cuts)) == len(cuts)
                 for left, right in cuts:
                     assert left.degree + right.degree == shape.degree
+
+    def test_every_cut_rebuilt_from_scratch(self):
+        # each cut built afresh from its vector, in enumeration order
+        for base, s, t, center in itertools.product(
+            (PI, RHO), range(1, 7), range(1, 7), (HalfInt(-3), HalfInt(0), HalfInt(5))
+        ):
+            # row j runs from center + (1-s)/2 + j - (t-1)/2, in doubled units
+            starts = [center.twice + 1 - s + 2 * j - (t - 1) for j in range(s)]
+            expected = []
+            for ascending in itertools.combinations_with_replacement(range(t + 1), s):
+                vector = tuple(reversed(ascending))
+                left = [
+                    Segment(base, HalfInt(x), c) for x, c in zip(starts, vector) if c > 0
+                ]
+                right = [
+                    Segment(base, HalfInt(x + 2 * c), t - c)
+                    for x, c in zip(starts, vector)
+                    if c < t
+                ]
+                expected.append((ms(*left), ms(*right)))
+            cuts = jacquet_cuts(LadderShape(base, s, t, center))
+            assert type(cuts) is list
+            # multisegments compare by their sorted .segments tuples
+            assert cuts == expected
 
 
 class TestModLReduce:
