@@ -7,14 +7,16 @@ Subcommands: ``diagram`` (render a shape or a superposed component),
     0  success / verdict equal
     1  verdict unequal
     2  inconsistent input (semantic invariant broken)
-    64 usage error
+    64 usage error, or an input or output path that cannot be read or written
     65 stratum index out of range
-    66 schema violation in an input file
+    66 schema violation, file not UTF-8 or not JSON, JSON nested too deeply
+       to read, or a config field of the wrong type
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,6 +190,7 @@ def cmd_congruence(args, parser: _Parser) -> int:
 # ---------------------------------------------------------------------- parser
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="spehline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

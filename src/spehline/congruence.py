@@ -13,8 +13,14 @@ and the two-sided check compares the formal level-indexed sums of two
 datasets anchored at congruent cuspidals.
 
 Invariant dimensions are not computable from labels, so a matching
-record contributes its weight on one formal symbol per (mod-l class,
-level); torsion rides on the reserved unit symbol of each level.
+record contributes its weight to its mod-l class, the same at every
+level.  Weights are therefore level-free until read: tables, peels and
+the two sides of the check are sums over mod-l keys, and only torsion
+carries a level, as one integer per ``(k, n)``.  Where a caller reads a
+level (``DimensionTable.entry``/``values``, ``ContributionSet.pairs``,
+the ``Verdict`` sides and diffs) a weight is spread onto one formal
+symbol per (mod-l class, level), and torsion onto the reserved unit
+symbol of each level.
 """
 
 from __future__ import annotations
@@ -145,9 +151,19 @@ def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
             )
 
 
-def _radii(local: LocalComponent, pi: InertialCuspidal) -> Iterator[int]:
-    """The radius ``s + t_k - 1`` of each factor whose base is ``pi``."""
-    return (local.s + t_k - 1 for t_k, base_k in local.factors if base_k == pi)
+def _matching(
+    ds: Dataset, pi: InertialCuspidal, r: int
+) -> tuple[list[AutomorphicDatum], int | None]:
+    """The records with a ``pi``-factor at radius ``r``, in dataset order,
+    and the largest radius of any ``pi``-factor (``None`` when there is none)."""
+    found, observed = [], None
+    for datum in ds.data:
+        radii = [datum.local.s + t_k - 1 for t_k, base_k in datum.local.factors if base_k == pi]
+        if radii:
+            observed = max(observed or 0, *radii)
+            if r in radii:
+                found.append(datum)
+    return found, observed
 
 
 def members(
@@ -158,11 +174,7 @@ def members(
     A record qualifies when some factor ``(t_k, base_k)`` has ``base_k``
     equal to ``pi`` and ``s + t_k - 1 = r``.
     """
-    return [
-        datum
-        for datum in ds.data
-        if datum.local.s == s and r in _radii(datum.local, pi)
-    ]
+    return [datum for datum in _matching(ds, pi, r)[0] if datum.local.s == s]
 
 
 def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
@@ -189,32 +201,40 @@ def _modl_key(local: LocalComponent, pi: InertialCuspidal, r: int, _classes: tup
 modl_key.cache_info = _modl_key.cache_info
 
 
-def _terms(
-    datum: AutomorphicDatum, pi: InertialCuspidal, r: int, levels: tuple[int, ...]
-) -> list[tuple[DimensionProfileSymbol, int]]:
-    """The record's weight on the symbol of its mod-l class at each level."""
-    key = modl_key(datum.local, pi, r)
-    return [(DimensionProfileSymbol(key, n), datum.weight) for n in levels]
-
-
-def _observed_radius(ds: Dataset, pi: InertialCuspidal) -> int | None:
-    return max(
-        (radius for datum in ds.data for radius in _radii(datum.local, pi)),
-        default=None,
-    )
+def _spread(weight: GrothSum, levels: Iterable[int], units: dict | None = None) -> GrothSum:
+    """Put a level-free sum over mod-l keys on each level's symbols, and
+    ``units[n]`` on the unit symbol of level ``n``."""
+    terms = weight.items()
+    out = [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in terms]
+    out += [(unit_symbol(n), c) for n, c in (units or {}).items()]
+    return GrothSum(out)
 
 
 @dataclass
 class DimensionTable:
-    """The table ``d_{k,n}`` for ``k = 0..r-1`` over a level tower."""
+    """The table ``d_{k,n}`` for ``k = 0..r-1`` over a level tower.
+
+    A record weighs the same at every level, so the table keeps one
+    level-free sum over mod-l keys per ``k`` (``sums[k]``) and the
+    torsion profile, the only part that carries a level.  ``entry`` and
+    ``values`` spread both onto ``DimensionProfileSymbol(key, n)`` and
+    ``unit_symbol(n)`` when read.
+    """
 
     r: int
     levels: tuple[int, ...]
-    values: dict[tuple[int, int], GrothSum]
+    sums: tuple[GrothSum, ...]
+    torsion: TorsionProfile
     maximal: bool
 
     def entry(self, k: int, n: int) -> GrothSum:
-        return self.values.get((k, n), GrothSum.zero())
+        if not 0 <= k < self.r or n not in self.levels:
+            return GrothSum.zero()
+        return _spread(self.sums[k], (n,), {n: torsion_dimension(self.torsion, k, n)})
+
+    @property
+    def values(self) -> dict[tuple[int, int], GrothSum]:
+        return {(k, n): self.entry(k, n) for k in range(self.r) for n in self.levels}
 
 
 def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
@@ -228,24 +248,20 @@ def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    cells: dict[tuple[int, int], list[tuple[DimensionProfileSymbol, int]]] = {
-        (k, n): [] for k in range(r) for n in ds.levels
-    }
-    for datum in ds.data:
-        if r in _radii(datum.local, pi):
-            for n, term in zip(ds.levels, _terms(datum, pi, r, ds.levels)):
-                for k in range(datum.local.s):
-                    cells[(k, n)].append(term)
-    for k in range(1, r):
-        for n in ds.levels:
-            tau = torsion_dimension(ds.torsion, k, n)
-            if tau:
-                cells[(k, n)].append((unit_symbol(n), tau))
-    observed = _observed_radius(ds, pi)
+    records, observed = _matching(ds, pi, r)
+    rows: dict[int, list[tuple[str, int]]] = {}
+    for datum in records:
+        rows.setdefault(datum.local.s, []).append((modl_key(datum.local, pi, r), datum.weight))
+    # d_k sums the rows s > k: add them top down
+    sums, above = [], GrothSum.zero()
+    for s in range(r, 0, -1):
+        above = above + GrothSum(rows.get(s, ()))
+        sums.append(above)
     return DimensionTable(
         r=r,
         levels=ds.levels,
-        values={cell: GrothSum(terms) for cell, terms in cells.items()},
+        sums=tuple(reversed(sums)),
+        torsion=ds.torsion,
         maximal=(observed is None or observed <= r),
     )
 
@@ -283,34 +299,31 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     because the torsion contribution is the same for all such ``k``),
     then peels top down: the difference ``d_{k-1,n} - d_{k,n}`` is the
     total weight of pairs with ``s = k``.  Any negative residue along
-    the way rejects the table.
+    the way rejects the table.  The level-free sums are peeled once per
+    ``k``; each level checks only its integer unit residue.
     """
-    r = table.r
-    clean: dict[tuple[int, int], GrothSum] = {}
+    r, levels = table.r, table.levels
+    units = {}  # the unit residue tau_table - tau_given of each cell
     for k in range(r):
-        for n in table.levels:
-            value = table.entry(k, n)
-            if k >= 1:
-                tau = torsion_dimension(torsion, k, n)
-                if tau:
-                    value = value - GrothSum.of(unit_symbol(n), tau)
-            if value.has_negative():
+        negative = table.sums[k].has_negative()
+        for n in levels:
+            units[k, n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
+            if negative or units[k, n] < 0:
                 raise InconsistentTableError(
                     f"negative residue at k={k}, n={n} after torsion subtraction"
                 )
-            clean[(k, n)] = value
+    sums = (*table.sums, GrothSum.zero())
     pairs: dict[tuple[int, int], GrothSum] = {}
     for k in range(r, 0, -1):
-        diffs = []
-        for n in table.levels:
-            above = clean[(k, n)] if k < r else GrothSum.zero()
-            diff = clean[(k - 1, n)] - above
-            if diff.has_negative():
+        diff = sums[k - 1] - sums[k]
+        negative = diff.has_negative()
+        unit_diff = {n: units[k - 1, n] - units.get((k, n), 0) for n in levels}
+        for n in levels:
+            if negative or unit_diff[n] < 0:
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-            diffs.append(diff)
-        weight = GrothSum.sum(diffs)
+        weight = _spread(diff, levels, unit_diff)
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
     return ContributionSet(r=r, pairs=pairs)
@@ -320,15 +333,17 @@ def expected_contributions(
     ds: Dataset, pi: InertialCuspidal, r: int
 ) -> ContributionSet:
     """Ground-truth contribution set read directly off the records."""
-    parts: dict[tuple[int, int], list[tuple[DimensionProfileSymbol, int]]] = {}
-    witnesses: dict[tuple[int, int], tuple[str, ...]] = {}
-    for datum in ds.data:
-        if r in _radii(datum.local, pi):
-            shape = (datum.local.s, r - datum.local.s + 1)
-            parts.setdefault(shape, []).extend(_terms(datum, pi, r, ds.levels))
-            witnesses[shape] = witnesses.get(shape, ()) + (datum.id,)
-    pairs = {shape: GrothSum(terms) for shape, terms in parts.items()}
-    return ContributionSet(r=r, pairs=pairs, witnesses=witnesses)
+    parts: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    witnesses: dict[tuple[int, int], list[str]] = {}
+    for datum in _matching(ds, pi, r)[0]:
+        shape = (datum.local.s, r - datum.local.s + 1)
+        parts.setdefault(shape, []).append((modl_key(datum.local, pi, r), datum.weight))
+        witnesses.setdefault(shape, []).append(datum.id)
+    return ContributionSet(
+        r=r,
+        pairs={shape: _spread(GrothSum(terms), ds.levels) for shape, terms in parts.items()},
+        witnesses={shape: tuple(ids) for shape, ids in witnesses.items()},
+    )
 
 
 @dataclass
@@ -359,6 +374,7 @@ def theorem_check(
     Both anchors must share a mod-l class and both datasets the same
     ambient degree and level tower.  Non-maximality of ``r`` on either
     side is reported as a warning; the comparison is still performed.
+    The sides are compared level-free and spread onto the levels after.
     """
     if pi_a.modl_class != pi_b.modl_class:
         raise InconsistentDataError(
@@ -374,16 +390,16 @@ def theorem_check(
     _one_label_per_id(itertools.chain(ds_a.cuspidals(), ds_b.cuspidals(), (pi_a, pi_b)))
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
-        observed = _observed_radius(ds, pi)
+        records, observed = _matching(ds, pi, r)
         if observed is not None and observed != r:
             warnings.append(
                 f"dataset {name}: r={r} is not the maximal radius "
                 f"(observed {observed}); check performed anyway"
             )
-        records = members(ds, pi, r, s)
-        sides.append(GrothSum(t for datum in records for t in _terms(datum, pi, r, ds.levels)))
-    lhs, rhs = sides
-    delta = lhs - rhs
+        sides.append(GrothSum(
+            (modl_key(datum.local, pi, r), datum.weight) for datum in records if datum.local.s == s
+        ))
+    lhs, rhs, delta = (_spread(x, ds_a.levels) for x in (*sides, sides[0] - sides[1]))
     diffs = [
         (symbol, lhs.coefficient(symbol), rhs.coefficient(symbol))
         for symbol, _ in delta.items()

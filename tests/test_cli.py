@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
-from spehline.cli import main
+from spehline.cli import build_parser, main
 from spehline.jsonio import canonical_dumps, dataset_to_dict
 
 from support import PI, PI_TWIN, field_paths
@@ -549,3 +549,35 @@ def test_dataset_container_types(capsys, tmp_path, edit, message):
 )
 def test_dataset_error_order(capsys, tmp_path, edit, code, message):
     assert run_broken_dataset(capsys, tmp_path, edit) == (code, message + "\n")
+
+
+# ------------------------------------------------------------ one parser
+
+
+def call(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr, whether ``main`` returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    a, b, s = TestCongruenceCommand().write_pair(tmp_path)
+    calls = [
+        ["diagram", "--s", "2", "--t"],
+        ["diagram", "--s", "2", "--t", "3", "--json"],
+        ["congruence", a, b, "--r", "4", "--s", str(s)],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    build_parser.cache_clear()
+    parser = build_parser()
+    shared = [call(capsys, argv) for argv in calls]
+    assert build_parser() is parser
+    assert [code for code, _, _ in shared] == [64, 0, 0]
+    assert shared == fresh

@@ -155,6 +155,8 @@ class TestDSequence:
     def test_maximality_flag(self):
         assert d_sequence(dataset(datum("a", 2, 3)), PI, 4).maximal
         assert not d_sequence(dataset(datum("a", 2, 3)), PI, 3).maximal
+        # the largest radius counts, wherever its record sits
+        assert not d_sequence(dataset(datum("b", 2, 4), datum("a", 2, 3)), PI, 4).maximal
 
 
 class TestInferB:
@@ -289,6 +291,17 @@ class TestGenerator:
         got = expected_contributions(ds, PI, 4)
         assert got.shapes() == [(1, 4), (2, 3), (4, 1)]
         assert got.witnesses[(2, 3)] == ("dat1", "dat2")
+
+    def test_witnesses_in_record_order(self):
+        # equality ignores witnesses, so their order is pinned here
+        shapes = [(2, 3), (3, 2), (2, 3), (2, 3), (3, 2)] * 8
+        recs = [datum(f"r{i:02d}", s, t) for i, (s, t) in enumerate(shapes)]
+        recs.insert(3, datum("other", 2, 2))  # radius 3: no witness at 4
+        got = expected_contributions(dataset(*recs), PI, 4)
+        assert list(got.witnesses) == list(got.pairs) == [(2, 3), (3, 2)]
+        for shape in got.witnesses:
+            ids = tuple(f"r{i:02d}" for i, sh in enumerate(shapes) if sh == shape)
+            assert got.witnesses[shape] == ids
 
     def test_unsatisfiable_pairs_raise(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,10 @@ def _profiles(levels: tuple[int, ...], tau: tuple[int, ...] | None) -> dict:
             t0=1, tau=tuple(x + (n == last) for n, x in enumerate(base))
         ),
         "short": TorsionProfile(t0=1, tau=tuple(base[:last])),
+        # an overclaim at the first level is met before the missing last one
+        "overclaimed-first-and-short": TorsionProfile(
+            t0=1, tau=tuple(x + (n == levels[0]) for n, x in enumerate(base[:last]))
+        ),
     }
     if tau is not None:
         out["underclaimed"] = TorsionProfile(t0=1, tau=tuple(max(0, x - 1) for x in base))
