@@ -29,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, constituent_sum
 from .formal import GrothSum
@@ -64,7 +64,7 @@ def unit_symbol(n: int) -> DimensionProfileSymbol:
     return DimensionProfileSymbol(UNIT_KEY, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AutomorphicDatum:
     """One synthetic automorphic record."""
 
@@ -84,14 +84,25 @@ class AutomorphicDatum:
         return self.m * self.d_xi * self.inv_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dataset:
-    """A context, its records, a torsion profile and a level tower."""
+    """A context, its records, a torsion profile and a level tower.
+
+    Construction walks the records once.  The walk checks that ids are
+    distinct, that every record has the context's degree and that one
+    id names one label (:func:`_one_label_per_id`), and it keeps two
+    things: ``labels``, the distinct label objects, anchor first, and
+    the index the separation reads, each base id mapped to its radii
+    ``s + t - 1`` and each radius to its records in dataset order (a
+    record once per radius).  ``dataclasses.replace`` rebuilds both.
+    """
 
     context: GlobalContext
     data: tuple[AutomorphicDatum, ...]
     torsion: TorsionProfile = TorsionProfile()
     levels: tuple[int, ...] = (0,)
+    labels: tuple[InertialCuspidal, ...] = field(init=False, repr=False, compare=False)
+    _radii: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
@@ -102,27 +113,31 @@ class Dataset:
         if any(n < 0 for n in self.levels):
             raise InconsistentDataError("levels must be >= 0")
         ids: set[str] = set()
+        labels = {id(self.context.pi): self.context.pi}
+        by_base: dict[str, dict[int, list[AutomorphicDatum]]] = {}
         for datum in self.data:
             if datum.id in ids:
                 raise InconsistentDataError(f"duplicate datum id {datum.id!r}")
             ids.add(datum.id)
-            if datum.local.degree != self.context.d:
+            s, factors, wildcard = datum.local.s, datum.local.factors, datum.local.wildcard
+            degree = 0 if wildcard is None else wildcard.degree
+            for t, base in factors:
+                degree += s * t * base.g
+                labels.setdefault(id(base), base)
+                found = by_base.setdefault(base.id, {}).setdefault(s + t - 1, [])
+                if not found or found[-1] is not datum:
+                    found.append(datum)
+            if degree != self.context.d:
                 raise InconsistentDataError(
-                    f"datum {datum.id!r} has degree {datum.local.degree}, "
-                    f"expected {self.context.d}"
+                    f"datum {datum.id!r} has degree {degree}, expected {self.context.d}"
                 )
         if self.torsion.t0 is not None and max(self.levels) >= len(self.torsion.tau):
             raise InconsistentDataError(
                 "torsion profile does not cover every level of the tower"
             )
-        _one_label_per_id(self.cuspidals())
-
-    def cuspidals(self) -> Iterator[InertialCuspidal]:
-        """The anchor, then the base of every factor of every record."""
-        yield self.context.pi
-        for datum in self.data:
-            for _, base in datum.local.factors:
-                yield base
+        _one_label_per_id(labels.values())
+        object.__setattr__(self, "labels", tuple(labels.values()))
+        object.__setattr__(self, "_radii", by_base)
 
 
 def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
@@ -156,14 +171,8 @@ def _matching(
 ) -> tuple[list[AutomorphicDatum], int | None]:
     """The records with a ``pi``-factor at radius ``r``, in dataset order,
     and the largest radius of any ``pi``-factor (``None`` when there is none)."""
-    found, observed = [], None
-    for datum in ds.data:
-        radii = [datum.local.s + t_k - 1 for t_k, base_k in datum.local.factors if base_k == pi]
-        if radii:
-            observed = max(observed or 0, *radii)
-            if r in radii:
-                found.append(datum)
-    return found, observed
+    radii = ds._radii.get(pi.id, {})
+    return radii.get(r, []), max(radii, default=None)
 
 
 def members(
@@ -183,22 +192,36 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
     One ``1*<label>`` per traced factor, the label's component reduced
     mod l, sorted and joined by ``;``; ``"0"`` when no factor traces.
     """
-    # labels compare by id, so the classes the string reads key the cache too
-    return _modl_key(local, pi, r, tuple(base.modl_class for _, base in local.factors))
+    # The memo keys on the wildcard-free part: the rows, the factors and,
+    # since labels compare by id, their classes.  Records repeat that part
+    # but each names its own wildcard, so the wildcard text is spliced into
+    # every term on each call instead of keyed; sorting after the splice
+    # keeps the order of the full strings.
+    terms = _traced_terms(
+        local.s, local.factors, pi, r, tuple(base.modl_class for _, base in local.factors)
+    )
+    wild = "" if local.wildcard is None else f" x {local.wildcard}"
+    return ";".join(sorted(head + wild + tail for head, tail in terms)) or "0"
 
 
 @lru_cache(maxsize=16384)
-def _modl_key(local: LocalComponent, pi: InertialCuspidal, r: int, _classes: tuple) -> str:
+def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, _classes: tuple) -> tuple:
+    """Each traced term of ``modl_key`` without its wildcard, cut where the
+    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``."""
+    if not factors:
+        return ()
     p = DiagramPoint(r, 0)
-    reduced = local.reduced()
-    terms = sorted(
-        f"1*{ConstituentLabel(reduced, p, label.xi_index)}"
-        for label in constituent_sum(local, pi, p).labels()
-    )
-    return ";".join(terms) or "0"
+    bare = LocalComponent(s, factors)
+    reduced = bare.reduced()
+    terms = []
+    for label in constituent_sum(bare, pi, p).labels():
+        term = ConstituentLabel(reduced, p, label.xi_index)
+        head = term.product_str()
+        terms.append((f"1*{head}", str(term)[len(head):]))
+    return tuple(terms)
 
 
-modl_key.cache_info = _modl_key.cache_info
+modl_key.cache_info = _traced_terms.cache_info
 
 
 def _spread(weight: GrothSum, levels: Iterable[int], units: dict | None = None) -> GrothSum:
@@ -387,7 +410,7 @@ def theorem_check(
         raise InconsistentDataError("datasets have different level towers")
     if r < 1 or s < 1 or s > r:
         raise InconsistentDataError(f"need 1 <= s <= r, got r={r}, s={s}")
-    _one_label_per_id(itertools.chain(ds_a.cuspidals(), ds_b.cuspidals(), (pi_a, pi_b)))
+    _one_label_per_id(itertools.chain(ds_a.labels, ds_b.labels, (pi_a, pi_b)))
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
         records, observed = _matching(ds, pi, r)

@@ -48,7 +48,7 @@ def m_indicator(s: int, t: int, r: int, i: int) -> int:
     return 1 if r >= 1 and abs(i) <= m and (i - m) % 2 == 0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalComponent:
     """``Speh_s(St_{t_1}(pi_1) x ... x St_{t_u}(pi_u)) x ?``.
 

@@ -28,7 +28,7 @@ from .congruence import AutomorphicDatum, Dataset, Verdict
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
-from .zline import HalfInt, InertialCuspidal, Multisegment, Wildcard
+from .zline import ZERO, HalfInt, InertialCuspidal, Multisegment, Wildcard
 
 SCHEMA_VERSION = 1
 
@@ -254,7 +254,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
             "kappa": str(ds.context.kappa),
             "pi_id": ds.context.pi.id,
         },
-        "cuspidals": cuspidal_registry(ds.cuspidals()),
+        "cuspidals": cuspidal_registry(ds.labels),
         "data": [
             {
                 "id": datum.id,
@@ -301,7 +301,7 @@ def _record(rec: dict, cuspidals: dict, idx: int) -> AutomorphicDatum:
             wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
             if (type(wild), type(wid), type(degree), type(shift)) != (dict, str, int, int):
                 raise TypeError
-            wild = Wildcard(wid, degree, HalfInt(shift))
+            wild = Wildcard(wid, degree, HalfInt(shift) if shift else ZERO)
         pairs = []
         for f in factors:
             t, cid = f["t"], f["base_id"]

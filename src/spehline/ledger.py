@@ -43,7 +43,7 @@ class InvariantViolation(ValueError):
     """A ledger operation was fed data breaking the degree bookkeeping."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalContext:
     """Ambient dimension ``d``, anchor cuspidal ``pi`` and scalar ``kappa``.
 

@@ -27,7 +27,7 @@ class NoTorsionError(ValueError):
     """Asked for a torsion transfer at a stratum above the torsion range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionProfile:
     """Largest torsion stratum ``t0`` plus per-level torsion dimensions.
 

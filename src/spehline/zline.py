@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field, replace
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class HalfInt:
     """A half-integer, stored as twice its value.
 
@@ -78,7 +78,7 @@ class HalfInt:
 ZERO = HalfInt(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InertialCuspidal:
     """Opaque label for an inertial class of cuspidal representations.
 
@@ -152,7 +152,7 @@ class Segment:
         return f"{self.base.id}[{self.start}..{self.end}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wildcard:
     """An unspecified factor with a declared degree.
 

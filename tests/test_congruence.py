@@ -326,3 +326,62 @@ class TestOneRecordFilter:
             assert expected.witnesses.get(shape, ()) == ids
             lhs = theorem_check(ds, PI, ds, PI, r, s).lhs
             assert lhs == expected.pairs.get(shape, GrothSum.zero())
+
+
+def scan(ds: Dataset, pi: InertialCuspidal, r: int):
+    """Every record with a ``pi``-factor at radius ``r`` and the largest
+    ``pi`` radius, by a scan of every factor of every record."""
+    found, observed = [], None
+    for rec in ds.data:
+        radii = [rec.local.s + t - 1 for t, base in rec.local.factors if base == pi]
+        if radii:
+            observed = max(observed or 0, *radii)
+            if r in radii:
+                found.append(rec)
+    return found, observed
+
+
+class TestDatasetIndex:
+    """``members``, maximality and the non-maximal warnings read the index
+    built at construction; each must agree with a scan of the records."""
+
+    OUTSIDE = InertialCuspidal("absent", 1, modl_class="absent~")
+
+    def assert_matches_scan(self, ds: Dataset) -> None:
+        top = max((rec.local.s + t - 1 for rec in ds.data for t, _ in rec.local.factors), default=1)
+        for pi in (*ds.labels, self.OUTSIDE):
+            for r in range(1, top + 2):
+                found, observed = scan(ds, pi, r)
+                assert d_sequence(ds, pi, r).maximal == (observed is None or observed <= r)
+                for s in range(1, r + 1):
+                    assert members(ds, pi, r, s) == [rec for rec in found if rec.local.s == s]
+                    warnings = theorem_check(ds, pi, ds, pi, r, s).warnings
+                    if observed is None or observed == r:
+                        assert warnings == []
+                    else:
+                        assert len(warnings) == 2 and f"(observed {observed})" in warnings[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_with_noise(self, seed):
+        r = 3 + seed % 3
+        ds = generate_dataset(seed, CTX, r=r, noise_data=4)
+        extra = (
+            datum("twice-at-3", 2, 2, extra=((2, PI),)),  # two pi-factors, one radius
+            datum("at-2-and-4", 2, 1, extra=((3, PI),)),  # two pi-factors, two radii
+        )
+        ds = dataclasses.replace(ds, data=ds.data[:2] + extra + ds.data[2:])
+        self.assert_matches_scan(ds)
+        assert members(ds, PI, 3, 2).count(extra[0]) == 1
+        assert extra[1] in members(ds, PI, 2, 2) and extra[1] in members(ds, PI, 4, 2)
+
+    def test_rebuilt_datasets_are_reindexed(self):
+        ds = dataset(datum("a", 2, 3), datum("b", 3, 2, extra=((1, RHO),)), datum("c", 1, 2))
+        twin = substitute_cuspidal(ds, PI, PI_TWIN)
+        assert members(twin, PI, 4, 2) == []
+        assert [rec.id for rec in members(twin, PI_TWIN, 4, 2)] == ["a"]
+        assert [rec.id for rec in members(twin, RHO, 3, 3)] == ["b"]
+        self.assert_matches_scan(twin)
+        taller = dataclasses.replace(ds, levels=(0, 1, 2, 3))
+        assert members(taller, PI, 4, 3) == members(ds, PI, 4, 3) == [ds.data[1]]
+        self.assert_matches_scan(taller)
+        assert dataclasses.replace(ds, data=ds.data[1:]).labels == (PI, RHO)

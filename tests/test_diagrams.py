@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from spehline import (
+    ConstituentLabel,
     DiagramPoint,
     HalfInt,
     LocalComponent,
@@ -20,7 +23,7 @@ from spehline import (
     trace_back,
 )
 
-from support import PI, PI_TWIN, RHO, enumerate_support, hull_vertices
+from support import PI, PI_TWIN, RHO, TAU, enumerate_support, hull_vertices
 
 
 def closed_form(s: int, t: int) -> int:
@@ -280,3 +283,74 @@ class TestConstituentStrings:
         moved = self.C.substituted(PI, dataclasses.replace(PI, modl_class="z"))
         assert moved == self.C
         assert modl_key(self.C, PI, 3) != modl_key(moved, PI, 3)
+
+
+def reference_modl_key(c: LocalComponent, pi, r: int) -> str:
+    """The key built from the whole component: reduce it, take the
+    constituent sum at ``(r, 0)``, then sort and join the unit terms."""
+    p = DiagramPoint(r, 0)
+    reduced = c.reduced()
+    terms = sorted(
+        f"1*{ConstituentLabel(reduced, p, label.xi_index)}"
+        for label in constituent_sum(c, pi, p).labels()
+    )
+    return ";".join(terms) or "0"
+
+
+def random_component(rng: random.Random, n: int, traced: int, wild: str):
+    """A component with ``n`` factors, ``traced`` of them traced by ``PI`` at
+    the returned radius, and a wildcard that is absent, unshifted or shifted."""
+    s, t = rng.randint(1, 3), rng.randint(1, 4)
+    r = s + t - 1
+    factors = [(t, PI)] * traced
+    while len(factors) < n:
+        if rng.random() < 0.3 and r > s:  # a pi-factor that ends before r
+            factors.append((rng.randint(1, r - s), PI))
+        else:
+            factors.append((rng.randint(1, 4), rng.choice([PI_TWIN, RHO, TAU])))
+    rng.shuffle(factors)
+    wildcard = {
+        "absent": None,
+        "unshifted": Wildcard(f"w{rng.randrange(100)}", rng.randint(0, 6)),
+        "shifted": Wildcard(
+            f"w{rng.randrange(100)}", rng.randint(0, 6), HalfInt(rng.choice([-3, 1, 2]))
+        ),
+    }[wild]
+    return LocalComponent(s=s, factors=tuple(factors), wildcard=wildcard), r
+
+
+class TestModlKeyMemo:
+    CASES = [
+        (n, traced, wild)
+        for n, traced, wild in itertools.product(
+            range(4), range(3), ("absent", "unshifted", "shifted")
+        )
+        if traced <= n and (n or wild != "absent")
+    ]
+
+    @pytest.mark.parametrize("n, traced, wild", CASES)
+    def test_matches_the_whole_component_key(self, n, traced, wild):
+        rng = random.Random(f"{n}-{traced}-{wild}")
+        for _ in range(20):
+            c, r = random_component(rng, n, traced, wild)
+            assert len(constituent_sum(c, PI, DiagramPoint(r, 0))) == traced
+            for pi, radius in itertools.product((PI, PI_TWIN, RHO), (r, r + 1, max(1, r - 1))):
+                assert modl_key(c, pi, radius) == reference_modl_key(c, pi, radius)
+
+    def test_wildcard_ids_share_one_entry(self):
+        # a base no other test uses, so the first lookup misses
+        probe = dataclasses.replace(PI, id="memo-probe", modl_class="memo")
+        a, b = (
+            LocalComponent(s=2, factors=((3, probe), (1, RHO)), wildcard=Wildcard(w, 4, HalfInt(1)))
+            for w in ("wa", "wb")
+        )
+        before = modl_key.cache_info()
+        key_a = modl_key(a, probe, 4)
+        middle = modl_key.cache_info()
+        key_b = modl_key(b, probe, 4)
+        after = modl_key.cache_info()
+        assert (middle.misses - before.misses, middle.hits - before.hits) == (1, 0)
+        assert (after.misses - middle.misses, after.hits - middle.hits) == (0, 1)
+        assert key_a != key_b
+        assert key_a.replace("?wa(", "?wb(") == key_b
+        assert key_a == reference_modl_key(a, probe, 4)
