@@ -17,7 +17,7 @@ it exposes the grouped residual for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .formal import GrothSum
@@ -83,6 +83,10 @@ class LedgerTerm:
 
     which reduces to ``stratum*g + degree(infinitesimal)`` on marker-free
     terms.
+
+    The hash is the hash of the six fields, computed on the first
+    ``hash()`` and kept on the instance.  It is never copied: ``replace``
+    builds a new instance, and pickles and copies leave it out.
     """
 
     kind: str
@@ -92,6 +96,9 @@ class LedgerTerm:
     tate: HalfInt = ZERO
     sign: int = 1
 
+    # not a field: equality, repr and replace never see it
+    _hash = None
+
     def __post_init__(self) -> None:
         if self.kind not in (SHRIEK, INTERMEDIATE):
             raise ValueError(f"unknown term kind {self.kind!r}")
@@ -99,6 +106,28 @@ class LedgerTerm:
             raise ValueError(f"stratum must be >= 1, got {self.stratum}")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(
+                (
+                    self.kind,
+                    self.stratum,
+                    self.infinitesimal,
+                    self.xi_power,
+                    self.tate,
+                    self.sign,
+                )
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a hash depends on the process's hash seed, so it must not travel
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     @property
     def shift_cells(self) -> int:
@@ -248,13 +277,19 @@ def expand_shriek(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
 def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
     """Expand every shriek term of the resolution at ``t`` through its filtration.
 
-    Each expanded term keeps the originating shriek's sign and Xi-power
-    on top of its own Tate marker, so the combined sum groups by total
+    Each expanded term keeps the originating shriek's Xi-power on top of
+    its own Tate marker and has sign field 1; the shriek's sign is the
+    term's coefficient in the sum.  So the combined sum groups by total
     stratum and conserves degree term by term.  The sum is exposed as is:
     no Speh-times-Steinberg cancellation is applied.
     """
     return GrothSum(
-        (replace(sub, xi_power=term.xi_power, sign=1), term.sign)
+        (
+            LedgerTerm(
+                sub.kind, sub.stratum, sub.infinitesimal, term.xi_power, sub.tate
+            ),
+            term.sign,
+        )
         for term in resolution_terms(ctx, t, inf)
         if term.kind == SHRIEK
         for sub in filtration_graded(ctx, term.stratum, term.infinitesimal)

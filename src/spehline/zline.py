@@ -192,6 +192,12 @@ class Multisegment:
     the half-Tate character; ``order_tag`` marks multisegments produced
     by the ordered product (the tag stores the degrees of the two
     ordered factors).
+
+    The hash is the hash of the four fields, computed on the first
+    ``hash()`` and kept on the instance.  It is never copied: ``replace``
+    and the helpers that change a field build new instances, and pickles
+    and copies leave it out, so a rebuilt or unpickled multisegment
+    hashes afresh.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -199,9 +205,25 @@ class Multisegment:
     wildcard: Wildcard | None = None
     order_tag: tuple[int, int] | None = None
 
+    # not a field: equality, repr and replace never see it
+    _hash = None
+
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.segments, self.tate, self.wildcard, self.order_tag))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a hash depends on the process's hash seed, so it must not travel
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     @classmethod
     def empty(cls) -> "Multisegment":
@@ -335,13 +357,7 @@ def normalized_product(a: Multisegment, b: Multisegment) -> Multisegment:
     may carry a wildcard.  Degree is additive and the operation is
     associative and commutative up to multiset equality.
     """
-    if a.wildcard is not None and b.wildcard is not None:
-        raise ValueError("cannot combine two wildcard factors in one product")
-    return Multisegment(
-        segments=a.segments + b.segments,
-        tate=a.tate + b.tate,
-        wildcard=a.wildcard if a.wildcard is not None else b.wildcard,
-    )
+    return _union(a, b, None)
 
 
 def ordered_product(a: Multisegment, b: Multisegment) -> Multisegment:
@@ -351,8 +367,20 @@ def ordered_product(a: Multisegment, b: Multisegment) -> Multisegment:
     part in equality and serialization, so an ordered product never
     collides with the unordered one.
     """
-    prod = normalized_product(a, b)
-    return replace(prod, order_tag=(a.degree, b.degree))
+    return _union(a, b, (a.degree, b.degree))
+
+
+def _union(
+    a: Multisegment, b: Multisegment, order_tag: tuple[int, int] | None
+) -> Multisegment:
+    if a.wildcard is not None and b.wildcard is not None:
+        raise ValueError("cannot combine two wildcard factors in one product")
+    return Multisegment(
+        segments=a.segments + b.segments,
+        tate=a.tate + b.tate,
+        wildcard=a.wildcard if a.wildcard is not None else b.wildcard,
+        order_tag=order_tag,
+    )
 
 
 def mod_l_reduce(m: Multisegment | LadderShape) -> Multisegment | LadderShape:

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from spehline import (
     HalfInt,
     InertialCuspidal,
     InvariantViolation,
+    LedgerTerm,
     Multisegment,
     Wildcard,
     adjunction_label,
@@ -26,6 +30,7 @@ from spehline import (
 from spehline.jsonio import ledger_term_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def golden_cases():
@@ -220,3 +225,81 @@ class TestExpansion:
             inf = generic_infinitesimal(ctx, 1)
             for term, _ in expand_resolution(ctx, 1, inf).items():
                 assert term.degree(ctx.g) == ctx.d
+
+    def test_expansion_matches_replace_construction(self):
+        # the expansion as first written, through dataclasses.replace
+        def reference(ctx, t, inf):
+            return GrothSum(
+                (dataclasses.replace(sub, xi_power=term.xi_power, sign=1), term.sign)
+                for term in resolution_terms(ctx, t, inf)
+                if term.kind == "shriek"
+                for sub in filtration_graded(ctx, term.stratum, term.infinitesimal)
+            )
+
+        for ctx in all_contexts(20):
+            for t in range(1, ctx.s_g + 1):
+                inf = generic_infinitesimal(ctx, t)
+                total, ref = expand_resolution(ctx, t, inf), reference(ctx, t, inf)
+                assert list(total.labels()) == list(ref.labels())
+                assert [total.coefficient(x) for x in ref.labels()] == [
+                    ref.coefficient(x) for x in ref.labels()
+                ]
+                groups, ref_groups = group_by_stratum(total), group_by_stratum(ref)
+                assert list(groups) == list(ref_groups)
+                for stratum, part in groups.items():
+                    assert list(part.labels()) == list(ref_groups[stratum].labels())
+                    assert part == ref_groups[stratum]
+
+
+class TestHashOnce:
+    """A ledger term keeps its hash, and no copy, rebuild or pickle inherits it."""
+
+    def test_replaced_term_hashes_like_a_fresh_one(self):
+        ctx = GlobalContext(d=8, pi=InertialCuspidal("pi", 2))
+        term = next(iter(expand_resolution(ctx, 2, generic_infinitesimal(ctx, 2)).labels()))
+        before = repr(term)
+        hash(term)
+        assert repr(term) == before
+        fields = [f.name for f in dataclasses.fields(term)]
+        assert fields == ["kind", "stratum", "infinitesimal", "xi_power", "tate", "sign"]
+        for change in ({"sign": -1}, {"stratum": 3}, {"tate": HalfInt(5)}):
+            got = dataclasses.replace(term, **change)
+            fresh = LedgerTerm(**{name: getattr(term, name) for name in fields} | change)
+            assert got == fresh and got != term
+            assert hash(got) == hash(fresh)
+            assert GrothSum.of(fresh).coefficient(got) == 1
+
+    def test_pickled_terms_hash_afresh_under_another_seed(self, tmp_path):
+        # expand_resolution hashes every term it returns before it is pickled
+        dump = """
+import pickle, sys
+from spehline import GlobalContext, InertialCuspidal, expand_resolution, generic_infinitesimal
+ctx = GlobalContext(d=9, pi=InertialCuspidal("pi", 1))
+total = expand_resolution(ctx, 2, generic_infinitesimal(ctx, 2))
+labels = list(total.labels())
+infs = [term.infinitesimal for term in labels]
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((labels, infs), fh)
+"""
+        load = """
+import pickle, sys
+from spehline import GlobalContext, GrothSum, InertialCuspidal, expand_resolution, generic_infinitesimal
+ctx = GlobalContext(d=9, pi=InertialCuspidal("pi", 1))
+fresh = expand_resolution(ctx, 2, generic_infinitesimal(ctx, 2))
+fresh_infs = GrothSum((term.infinitesimal, 1) for term in fresh.labels())
+with open(sys.argv[1], "rb") as fh:
+    labels, infs = pickle.load(fh)
+assert len(labels) == len(fresh) > 1
+for term in labels:
+    assert fresh.coefficient(term) != 0, term
+for inf in infs:
+    assert fresh_infs.coefficient(inf) != 0, inf
+"""
+        path = tmp_path / "terms.pickle"
+        for seed, code in (("0", dump), ("1", load)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spehline import (
+    GrothSum,
     HalfInt,
     LadderShape,
     LocalComponent,
@@ -20,6 +21,7 @@ from spehline import (
     mod_l_reduce,
     normalized_product,
     ordered_product,
+    reduced_label,
     twist,
 )
 
@@ -196,6 +198,54 @@ class TestNormalizedProduct:
             assert (a == b) is (x.id == y.id)
             if a == b:
                 assert hash(a) == hash(b)
+
+
+class TestHashOnce:
+    """A multisegment keeps its hash, and no copy or rebuild inherits it."""
+
+    def test_rebuilt_multisegment_hashes_like_a_fresh_one(self):
+        a, b = Segment(PI, HalfInt(0), 2), Segment(PI_TWIN, HalfInt(1), 1)
+        m = Multisegment((a, b), HalfInt(1), Wildcard("w", 2))
+        before = repr(m)
+        hash(m)
+        assert repr(m) == before
+        assert [f.name for f in fields(m)] == ["segments", "tate", "wildcard", "order_tag"]
+        red = reduced_label(PI)
+        rebuilt = [
+            (replace(m, tate=HalfInt(3)), Multisegment((a, b), HalfInt(3), m.wildcard)),
+            (m.with_tate(HalfInt(-1)), Multisegment((a, b), HalfInt(-1), m.wildcard)),
+            (
+                m.shifted(HalfInt(2)),
+                Multisegment(
+                    (Segment(PI, HalfInt(2), 2), Segment(PI_TWIN, HalfInt(3), 1)),
+                    HalfInt(1),
+                    Wildcard("w", 2, HalfInt(2)),
+                ),
+            ),
+            (m.without_wildcard(), Multisegment((a, b), HalfInt(1))),
+            (
+                m.reduced(),
+                Multisegment(
+                    (Segment(red, HalfInt(0), 2), Segment(red, HalfInt(1), 1)),
+                    HalfInt(1),
+                    m.wildcard,
+                ),
+            ),
+        ]
+        for got, fresh in rebuilt:
+            assert got == fresh and got != m
+            assert hash(got) == hash(fresh)
+            assert GrothSum.of(fresh).coefficient(got) == 1
+            assert GrothSum.of(got).coefficient(fresh) == 1
+
+    def test_ordered_product_is_the_tagged_normalized_product(self):
+        a = Multisegment((Segment(PI, HalfInt(0), 2),), HalfInt(1), Wildcard("w", 3))
+        b = make_steinberg(RHO, 2).to_multisegment()
+        tagged = ordered_product(b, a)
+        assert tagged == replace(normalized_product(b, a), order_tag=(b.degree, a.degree))
+        assert hash(tagged) == hash(replace(normalized_product(a, b), order_tag=(b.degree, a.degree)))
+        with pytest.raises(ValueError):
+            ordered_product(a, a)
 
 
 # few ids, starts and lengths, so lists repeat segments and share starts
