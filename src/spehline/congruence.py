@@ -16,7 +16,7 @@ Invariant dimensions are not computable from labels, so a matching
 record contributes its weight to its mod-l class, the same at every
 level.  Weights are therefore level-free until read: tables, peels and
 the two sides of the check are sums over mod-l keys, and only torsion
-carries a level, as one integer per ``(k, n)``.  Where a caller reads a
+carries a level, as one integer per level.  Where a caller reads a
 level (``DimensionTable.entry``/``values``, ``ContributionSet.pairs``,
 the ``Verdict`` sides and diffs) a weight is spread onto one formal
 symbol per (mod-l class, level), and torsion onto the reserved unit
@@ -46,9 +46,6 @@ class InconsistentTableError(InconsistentDataError):
     """A dimension table produced a negative residue while peeling."""
 
 
-UNIT_KEY = "1"
-
-
 @dataclass(frozen=True)
 class DimensionProfileSymbol:
     """Formal symbol for the invariant dimension of a mod-l class at a level."""
@@ -61,7 +58,8 @@ class DimensionProfileSymbol:
 
 
 def unit_symbol(n: int) -> DimensionProfileSymbol:
-    return DimensionProfileSymbol(UNIT_KEY, n)
+    """The reserved symbol of level ``n`` that torsion units land on."""
+    return DimensionProfileSymbol("1", n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,11 +166,19 @@ def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
 
 def _matching(
     ds: Dataset, pi: InertialCuspidal, r: int
-) -> tuple[list[AutomorphicDatum], int | None]:
-    """The records with a ``pi``-factor at radius ``r``, in dataset order,
-    and the largest radius of any ``pi``-factor (``None`` when there is none)."""
+) -> tuple[dict[int, list[AutomorphicDatum]], int | None]:
+    """The records with a ``pi``-factor at radius ``r`` in rows by ``s`` (in order of
+    first appearance, each in dataset order), and the largest ``pi`` radius or ``None``."""
     radii = ds._radii.get(pi.id, {})
-    return radii.get(r, []), max(radii, default=None)
+    rows: dict[int, list[AutomorphicDatum]] = {}
+    for datum in radii.get(r, ()):
+        rows.setdefault(datum.local.s, []).append(datum)
+    return rows, max(radii, default=None)
+
+
+def _weight(records: Iterable[AutomorphicDatum], pi: InertialCuspidal, r: int) -> GrothSum:
+    """The level-free weight of ``records``: each record's weight on its mod-l key."""
+    return GrothSum((modl_key(datum.local, pi, r), datum.weight) for datum in records)
 
 
 def members(
@@ -183,7 +189,7 @@ def members(
     A record qualifies when some factor ``(t_k, base_k)`` has ``base_k``
     equal to ``pi`` and ``s + t_k - 1 = r``.
     """
-    return [datum for datum in _matching(ds, pi, r)[0] if datum.local.s == s]
+    return _matching(ds, pi, r)[0].get(s, [])
 
 
 def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
@@ -241,7 +247,8 @@ class DimensionTable:
     level-free sum over mod-l keys per ``k`` (``sums[k]``) and the
     torsion profile, the only part that carries a level.  ``entry`` and
     ``values`` spread both onto ``DimensionProfileSymbol(key, n)`` and
-    ``unit_symbol(n)`` when read.
+    ``unit_symbol(n)`` when read.  ``maximal``: no ``pi``-factor lies
+    beyond ``r``, which holds also when ``r`` lies beyond all of them.
     """
 
     r: int
@@ -271,14 +278,11 @@ def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    records, observed = _matching(ds, pi, r)
-    rows: dict[int, list[tuple[str, int]]] = {}
-    for datum in records:
-        rows.setdefault(datum.local.s, []).append((modl_key(datum.local, pi, r), datum.weight))
+    rows, observed = _matching(ds, pi, r)
     # d_k sums the rows s > k: add them top down
     sums, above = [], GrothSum.zero()
     for s in range(r, 0, -1):
-        above = above + GrothSum(rows.get(s, ()))
+        above = above + _weight(rows.get(s, ()), pi, r)
         sums.append(above)
     return DimensionTable(
         r=r,
@@ -323,15 +327,18 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     then peels top down: the difference ``d_{k-1,n} - d_{k,n}`` is the
     total weight of pairs with ``s = k``.  Any negative residue along
     the way rejects the table.  The level-free sums are peeled once per
-    ``k``; each level checks only its integer unit residue.
+    ``k``.  Torsion leaves one unit residue per level, read at ``k = 1``
+    of the walk: a negative one rejects the table there and a positive
+    one at ``k = 1`` of the peel, so no pair carries torsion.
     """
     r, levels = table.r, table.levels
-    units = {}  # the unit residue tau_table - tau_given of each cell
+    residue: dict[int, int] = {}  # level -> tau_table - tau_given
     for k in range(r):
         negative = table.sums[k].has_negative()
         for n in levels:
-            units[k, n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
-            if negative or units[k, n] < 0:
+            if k == 1:
+                residue[n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
+            if negative or residue.get(n, 0) < 0:
                 raise InconsistentTableError(
                     f"negative residue at k={k}, n={n} after torsion subtraction"
                 )
@@ -340,13 +347,12 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     for k in range(r, 0, -1):
         diff = sums[k - 1] - sums[k]
         negative = diff.has_negative()
-        unit_diff = {n: units[k - 1, n] - units.get((k, n), 0) for n in levels}
         for n in levels:
-            if negative or unit_diff[n] < 0:
+            if negative or (k == 1 and residue.get(n, 0) > 0):
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-        weight = _spread(diff, levels, unit_diff)
+        weight = _spread(diff, levels)
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
     return ContributionSet(r=r, pairs=pairs)
@@ -356,16 +362,11 @@ def expected_contributions(
     ds: Dataset, pi: InertialCuspidal, r: int
 ) -> ContributionSet:
     """Ground-truth contribution set read directly off the records."""
-    parts: dict[tuple[int, int], list[tuple[str, int]]] = {}
-    witnesses: dict[tuple[int, int], list[str]] = {}
-    for datum in _matching(ds, pi, r)[0]:
-        shape = (datum.local.s, r - datum.local.s + 1)
-        parts.setdefault(shape, []).append((modl_key(datum.local, pi, r), datum.weight))
-        witnesses.setdefault(shape, []).append(datum.id)
+    rows = _matching(ds, pi, r)[0].items()
     return ContributionSet(
         r=r,
-        pairs={shape: _spread(GrothSum(terms), ds.levels) for shape, terms in parts.items()},
-        witnesses={shape: tuple(ids) for shape, ids in witnesses.items()},
+        pairs={(s, r - s + 1): _spread(_weight(row, pi, r), ds.levels) for s, row in rows},
+        witnesses={(s, r - s + 1): tuple(datum.id for datum in row) for s, row in rows},
     )
 
 
@@ -395,9 +396,10 @@ def theorem_check(
     """Compare the two formal sums of congruent datasets at ``(r, s)``.
 
     Both anchors must share a mod-l class and both datasets the same
-    ambient degree and level tower.  Non-maximality of ``r`` on either
-    side is reported as a warning; the comparison is still performed.
-    The sides are compared level-free and spread onto the levels after.
+    ambient degree and level tower.  A side warns when the largest
+    radius of its ``pi``-factors is not ``r``, so also when ``r`` lies
+    beyond all of them, where ``DimensionTable.maximal`` holds.  Both
+    sides are still compared level-free, then spread onto the levels.
     """
     if pi_a.modl_class != pi_b.modl_class:
         raise InconsistentDataError(
@@ -413,15 +415,13 @@ def theorem_check(
     _one_label_per_id(itertools.chain(ds_a.labels, ds_b.labels, (pi_a, pi_b)))
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
-        records, observed = _matching(ds, pi, r)
+        rows, observed = _matching(ds, pi, r)
         if observed is not None and observed != r:
             warnings.append(
                 f"dataset {name}: r={r} is not the maximal radius "
                 f"(observed {observed}); check performed anyway"
             )
-        sides.append(GrothSum(
-            (modl_key(datum.local, pi, r), datum.weight) for datum in records if datum.local.s == s
-        ))
+        sides.append(_weight(rows.get(s, ()), pi, r))
     lhs, rhs, delta = (_spread(x, ds_a.levels) for x in (*sides, sides[0] - sides[1]))
     diffs = [
         (symbol, lhs.coefficient(symbol), rhs.coefficient(symbol))

@@ -5,9 +5,9 @@ abelian group: a finite map ``label -> integer coefficient`` with zero
 coefficients dropped.  Addition is commutative, the empty sum is the
 zero element, and equality ignores construction order.
 
-Build a sum in one pass: from ``(label, coeff)`` pairs with
-``GrothSum(pairs)``, from other sums with ``GrothSum.sum(sums)``, never
-with ``+`` in a loop, which copies the whole sum at every step.  No
+Build a sum from ``(label, coeff)`` pairs with ``GrothSum(pairs)``.
+``+`` copies its left operand, so add in a loop only where every
+partial sum is kept, as ``d_sequence`` keeps each row of its table.  No
 operation mutates an operand, so one sum may be shared.
 """
 
@@ -34,14 +34,6 @@ class GrothSum:
         out = cls.__new__(cls)
         out._terms = terms
         return out
-
-    @classmethod
-    def sum(cls, sums: Iterable["GrothSum"]) -> "GrothSum":
-        """The sum of ``sums`` in one pass, without touching any of them."""
-        acc: dict[Any, int] = {}
-        for part in sums:
-            _merge(acc, part._terms.items())
-        return cls._wrap(acc)
 
     @classmethod
     def zero(cls) -> "GrothSum":

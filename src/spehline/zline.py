@@ -192,12 +192,6 @@ class Multisegment:
     the half-Tate character; ``order_tag`` marks multisegments produced
     by the ordered product (the tag stores the degrees of the two
     ordered factors).
-
-    The hash is the hash of the four fields, computed on the first
-    ``hash()`` and kept on the instance.  It is never copied: ``replace``
-    and the helpers that change a field build new instances, and pickles
-    and copies leave it out, so a rebuilt or unpickled multisegment
-    hashes afresh.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -205,25 +199,9 @@ class Multisegment:
     wildcard: Wildcard | None = None
     order_tag: tuple[int, int] | None = None
 
-    # not a field: equality, repr and replace never see it
-    _hash = None
-
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.segments, self.tate, self.wildcard, self.order_tag))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # a hash depends on the process's hash seed, so it must not travel
-        state = dict(vars(self))
-        state.pop("_hash", None)
-        return state
 
     @classmethod
     def empty(cls) -> "Multisegment":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -24,7 +25,8 @@ from spehline import (
     substitute_cuspidal,
     theorem_check,
 )
-from spehline.congruence import unit_symbol
+from spehline.congruence import ContributionSet, DimensionTable, _spread, unit_symbol
+from spehline.torsion import torsion_dimension
 
 from support import PI, PI_TWIN, RHO, single_field_mutations
 
@@ -186,6 +188,102 @@ class TestInferB:
         phantom = TorsionProfile(t0=1, tau=(1, 1))
         with pytest.raises(InconsistentTableError):
             infer_B(table, phantom)
+
+
+def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
+    """``infer_B`` as a matrix of unit residues, one per cell ``(k, n)``."""
+    r, levels = table.r, table.levels
+    units = {}  # the unit residue tau_table - tau_given of each cell
+    for k in range(r):
+        negative = table.sums[k].has_negative()
+        for n in levels:
+            units[k, n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
+            if negative or units[k, n] < 0:
+                raise InconsistentTableError(
+                    f"negative residue at k={k}, n={n} after torsion subtraction"
+                )
+    sums = (*table.sums, GrothSum.zero())
+    pairs: dict[tuple[int, int], GrothSum] = {}
+    for k in range(r, 0, -1):
+        diff = sums[k - 1] - sums[k]
+        negative = diff.has_negative()
+        unit_diff = {n: units[k - 1, n] - units.get((k, n), 0) for n in levels}
+        for n in levels:
+            if negative or unit_diff[n] < 0:
+                raise InconsistentTableError(
+                    f"negative difference between degrees {k - 1} and {k} at n={n}"
+                )
+        weight = _spread(diff, levels, unit_diff)
+        if not weight.is_zero:
+            pairs[(k, r - k + 1)] = weight
+    return ContributionSet(r=r, pairs=pairs)
+
+
+def random_profile(rng: random.Random) -> TorsionProfile:
+    if rng.random() < 0.25:
+        return TorsionProfile()
+    tau = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 5)))
+    return TorsionProfile(rng.randint(1, 3), tau)
+
+
+def claimed_profile(rng: random.Random, table: TorsionProfile) -> TorsionProfile:
+    """A torsion-free, short, overclaimed, underclaimed or equal claim on ``table``."""
+    kind = rng.choice(("free", "short", "over", "under", "equal"))
+    if kind == "free":
+        return TorsionProfile()
+    if kind == "equal":
+        return table
+    tau = list(table.tau) or [rng.randint(0, 3) for _ in range(5)]
+    t0 = table.t0 or rng.randint(1, 3)
+    if kind == "short":
+        tau = tau[: rng.randint(0, len(tau) - 1)] if len(tau) > 1 else []
+    elif kind in ("over", "under"):
+        step = 1 if kind == "over" else -1
+        tau = [max(0, x + step * rng.randint(0, 2)) for x in tau]
+    return TorsionProfile(t0, tuple(tau))
+
+
+def random_table(rng: random.Random) -> DimensionTable:
+    """A table of 1-5 rows on 0-4 levels whose rows may be broken or negative."""
+    r = rng.randint(1, 5)
+    sums, above = [], GrothSum.zero()
+    for _ in range(r):
+        row = GrothSum((rng.choice("abc"), rng.randint(0, 3)) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.15:
+            row = row - GrothSum.of(rng.choice("abc"), rng.randint(1, 2))
+        above = above + row
+        sums.append(above)
+    sums.reverse()
+    if r > 1 and rng.random() < 0.15:
+        i = rng.randrange(r - 1)
+        sums[i], sums[i + 1] = sums[i + 1], sums[i]
+    levels = tuple(sorted(rng.sample(range(5), rng.randint(0, 4))))
+    return DimensionTable(r, levels, tuple(sums), random_profile(rng), maximal=True)
+
+
+def peel_outcome(peel, table: DimensionTable, torsion: TorsionProfile):
+    """The pairs of a peel (``repr``, in order), or its exception class and message."""
+    try:
+        got = peel(table, torsion)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return got.r, [(shape, repr(weight)) for shape, weight in got.pairs.items()]
+
+
+class TestInferBPerCell:
+    """``infer_B`` keeps one unit residue per level; it must peel, and fail,
+    exactly as the matrix of residues per cell ``(k, n)`` does."""
+
+    def test_matches_per_cell_residues(self):
+        rng = random.Random(2014)
+        kinds = set()
+        for _ in range(2000):
+            table = random_table(rng)
+            torsion = claimed_profile(rng, table.torsion)
+            want = peel_outcome(per_cell_infer_B, table, torsion)
+            assert peel_outcome(infer_B, table, torsion) == want, (table, torsion)
+            kinds.add(want[0] if isinstance(want[0], str) else "pairs" if want[1] else "none")
+        assert kinds == {"pairs", "none", "InconsistentTableError", "ValueError"}
 
 
 class TestTheoremCheck:

@@ -19,32 +19,18 @@ def folded(parts: list[GrothSum]) -> GrothSum:
     return functools.reduce(operator.add, parts, GrothSum.zero())
 
 
-@given(sum_lists)
-def test_sum_equals_folded_add(parts):
-    total = GrothSum.sum(parts)
-    assert total == folded(parts)
-    assert total.items() == folded(parts).items()
-
-
-def test_sum_of_nothing_is_zero():
-    assert GrothSum.sum([]) == GrothSum.zero()
-    assert GrothSum.sum(iter(())).is_zero
-
-
 @given(sums, sums, coefficients)
 def test_results_hold_no_zero_coefficient(a, b, k):
-    results = (a + b, a - b, -a, a * k, k * a, GrothSum.sum([a, b, -a]))
+    results = (a + b, a - b, -a, a * k, k * a)
     for result in results:
         assert all(coeff != 0 for _, coeff in result.items())
-    for cancelled in (a - a, a + (-a), GrothSum.sum([a, b, -b, -a]), a * 0):
+    for cancelled in (a - a, a + (-a), a * 0):
         assert cancelled.is_zero and len(cancelled) == 0
 
 
 @given(sum_lists, coefficients)
 def test_operands_are_never_mutated(parts, k):
     before = [part.items() for part in parts]
-    GrothSum.sum(parts)
-    GrothSum.sum(parts + parts)
     folded(parts)
     for part in parts:
         _ = (part + part, part - part, -part, part * k, k * part)
@@ -54,5 +40,4 @@ def test_operands_are_never_mutated(parts, k):
 @given(sums)
 def test_shared_operand_sums_like_a_copy(a):
     # one object added many times, as d_sequence adds one contribution to every k
-    assert GrothSum.sum([a] * 3) == a * 3 == a + a + a
-    assert GrothSum.sum([a] * 3) is not a
+    assert a * 3 == a + a + a
