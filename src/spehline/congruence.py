@@ -329,12 +329,15 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     the way rejects the table.  The level-free sums are peeled once per
     ``k``.  Torsion leaves one unit residue per level, read at ``k = 1``
     of the walk: a negative one rejects the table there and a positive
-    one at ``k = 1`` of the peel, so no pair carries torsion.
+    one at ``k = 1`` of the peel, so no pair carries torsion.  At
+    ``r = 1`` the walk still reaches ``k = 1``, on the zero row
+    ``d_{1,n}`` the peel reads, so every radius checks the claim.
     """
     r, levels = table.r, table.levels
+    sums = (*table.sums, GrothSum.zero())
     residue: dict[int, int] = {}  # level -> tau_table - tau_given
-    for k in range(r):
-        negative = table.sums[k].has_negative()
+    for k, row in enumerate(sums[: max(r, 2)]):
+        negative = row.has_negative()
         for n in levels:
             if k == 1:
                 residue[n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
@@ -342,7 +345,6 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
                 raise InconsistentTableError(
                     f"negative residue at k={k}, n={n} after torsion subtraction"
                 )
-    sums = (*table.sums, GrothSum.zero())
     pairs: dict[tuple[int, int], GrothSum] = {}
     for k in range(r, 0, -1):
         diff = sums[k - 1] - sums[k]

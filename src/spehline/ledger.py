@@ -8,6 +8,11 @@ strata, the filtration of a shriek by intermediates, the adjunction-map
 labels between consecutive resolution terms, and the Grothendieck-sum
 expansion of a shriek through its filtration.
 
+An expansion builds each shared part once: the Steinberg factors
+``St_delta(pi)`` are built on first use and shared by every shriek term
+of one resolution, and each expanded term is one ``LedgerTerm`` built
+straight from its ordered product.
+
 Exactness of the expanded double sum is *not* asserted: cancelling it
 needs decomposition rules for mixed Speh-times-Steinberg products that
 this calculus deliberately leaves opaque.  What the ledger does verify
@@ -17,6 +22,7 @@ it exposes the grouped residual for inspection.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,10 +167,13 @@ def _check_home(ctx: GlobalContext, t: int, inf: Multisegment) -> None:
         )
 
 
+_NO_CELLS = Multisegment.empty()
+
+
 def _speh_cells(ctx: GlobalContext, delta: int, center: HalfInt) -> Multisegment:
     """``Speh_delta(pi{center})`` as a multisegment; empty when delta is 0."""
     if delta == 0:
-        return Multisegment.empty()
+        return _NO_CELLS
     return LadderShape(ctx.pi, s=delta, t=1, center=center).to_multisegment()
 
 
@@ -198,6 +207,23 @@ def resolution_terms(
     return terms
 
 
+def _graded(
+    ctx: GlobalContext, t: int, inf: Multisegment, steinbergs: list[Multisegment]
+) -> Iterator[tuple[int, Multisegment]]:
+    """``(delta, ordered_product(inf, St_delta(pi)))`` for ``delta = 1..s_g - t``,
+    after ``(0, inf)``: the graded parts of the shriek at ``t``.
+
+    ``steinbergs[delta - 1]`` holds ``St_delta(pi)``; a missing one is
+    built and appended, so callers that share the list build each once.
+    """
+    _check_home(ctx, t, inf)
+    yield 0, inf
+    for delta in range(1, ctx.s_g - t + 1):
+        if delta > len(steinbergs):
+            steinbergs.append(make_steinberg(ctx.pi, delta).to_multisegment())
+        yield delta, ordered_product(inf, steinbergs[delta - 1])
+
+
 def filtration_graded(
     ctx: GlobalContext, t: int, inf: Multisegment
 ) -> list[LedgerTerm]:
@@ -207,24 +233,10 @@ def filtration_graded(
     ``t + delta`` of ``inf`` ordered-times ``St_delta(pi)``, Tate twisted
     by ``delta/2``.  ``delta = 0`` is the plain intermediate at ``t``.
     """
-    _check_home(ctx, t, inf)
-    terms = []
-    for delta in range(ctx.s_g - t + 1):
-        if delta == 0:
-            infinitesimal = inf
-        else:
-            infinitesimal = ordered_product(
-                inf, make_steinberg(ctx.pi, delta).to_multisegment()
-            )
-        terms.append(
-            LedgerTerm(
-                kind=INTERMEDIATE,
-                stratum=t + delta,
-                infinitesimal=infinitesimal,
-                tate=HalfInt(delta),
-            )
-        )
-    return terms
+    return [
+        LedgerTerm(INTERMEDIATE, t + delta, part, tate=HalfInt(delta))
+        for delta, part in _graded(ctx, t, inf, [])
+    ]
 
 
 def adjunction_label(
@@ -282,17 +294,28 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     term's coefficient in the sum.  So the combined sum groups by total
     stratum and conserves degree term by term.  The sum is exposed as is:
     no Speh-times-Steinberg cancellation is applied.
+
+    Built once per expansion: each ``St_delta(pi)``, ``delta = 1..s_g - t``,
+    shared by every shriek term, and each expanded term, as one
+    ``LedgerTerm`` straight from its ordered product (the terms of
+    :func:`filtration_graded` are never built).  Each shriek term is
+    checked against its home stratum.
     """
+    steinbergs: list[Multisegment] = []
     return GrothSum(
         (
             LedgerTerm(
-                sub.kind, sub.stratum, sub.infinitesimal, term.xi_power, sub.tate
+                INTERMEDIATE,
+                term.stratum + delta,
+                part,
+                term.xi_power,
+                HalfInt(delta),
             ),
             term.sign,
         )
         for term in resolution_terms(ctx, t, inf)
         if term.kind == SHRIEK
-        for sub in filtration_graded(ctx, term.stratum, term.infinitesimal)
+        for delta, part in _graded(ctx, term.stratum, term.infinitesimal, steinbergs)
     )
 
 

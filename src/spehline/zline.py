@@ -144,7 +144,7 @@ class Segment:
         return self.length * self.base.g
 
     def shifted(self, n: HalfInt) -> "Segment":
-        return replace(self, start=self.start + n)
+        return Segment(self.base, self.start + n, self.length)
 
     def __str__(self) -> str:
         if self.length == 1:
@@ -170,7 +170,7 @@ class Wildcard:
             raise ValueError("wildcard degree must be >= 0")
 
     def shifted(self, n: HalfInt) -> "Wildcard":
-        return replace(self, shift=self.shift + n)
+        return Wildcard(self.id, self.degree, self.shift + n)
 
     def __str__(self) -> str:
         body = f"?{self.id}({self.degree})"
@@ -192,12 +192,18 @@ class Multisegment:
     the half-Tate character; ``order_tag`` marks multisegments produced
     by the ordered product (the tag stores the degrees of the two
     ordered factors).
+
+    The degree is summed on the first read and kept on the instance, so
+    a factor shared by many products is summed once.
     """
 
     segments: tuple[Segment, ...] = ()
     tate: HalfInt = ZERO
     wildcard: Wildcard | None = None
     order_tag: tuple[int, int] | None = None
+
+    # not a field: equality, hash, repr and replace never see it
+    _degree = None
 
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
@@ -209,22 +215,26 @@ class Multisegment:
 
     @property
     def degree(self) -> int:
-        total = sum(seg.degree for seg in self.segments)
-        if self.wildcard is not None:
-            total += self.wildcard.degree
+        total = self._degree
+        if total is None:
+            total = sum(seg.degree for seg in self.segments)
+            if self.wildcard is not None:
+                total += self.wildcard.degree
+            object.__setattr__(self, "_degree", total)
         return total
 
     def shifted(self, n: HalfInt) -> "Multisegment":
         if n.is_zero:
             return self
-        return replace(
-            self,
-            segments=tuple(seg.shifted(n) for seg in self.segments),
-            wildcard=None if self.wildcard is None else self.wildcard.shifted(n),
+        return Multisegment(
+            tuple(seg.shifted(n) for seg in self.segments),
+            self.tate,
+            None if self.wildcard is None else self.wildcard.shifted(n),
+            self.order_tag,
         )
 
     def with_tate(self, n: HalfInt) -> "Multisegment":
-        return replace(self, tate=n)
+        return Multisegment(self.segments, n, self.wildcard, self.order_tag)
 
     def without_wildcard(self) -> "Multisegment":
         return replace(self, wildcard=None)

@@ -193,16 +193,17 @@ class TestInferB:
 def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     """``infer_B`` as a matrix of unit residues, one per cell ``(k, n)``."""
     r, levels = table.r, table.levels
+    sums = (*table.sums, GrothSum.zero())
     units = {}  # the unit residue tau_table - tau_given of each cell
-    for k in range(r):
-        negative = table.sums[k].has_negative()
+    # at r = 1 the walk still reaches k = 1, on the zero row d_{1,n}
+    for k, row in enumerate(sums[: max(r, 2)]):
+        negative = row.has_negative()
         for n in levels:
             units[k, n] = torsion_dimension(table.torsion, k, n) - torsion_dimension(torsion, k, n)
             if negative or units[k, n] < 0:
                 raise InconsistentTableError(
                     f"negative residue at k={k}, n={n} after torsion subtraction"
                 )
-    sums = (*table.sums, GrothSum.zero())
     pairs: dict[tuple[int, int], GrothSum] = {}
     for k in range(r, 0, -1):
         diff = sums[k - 1] - sums[k]
@@ -284,6 +285,26 @@ class TestInferBPerCell:
             assert peel_outcome(infer_B, table, torsion) == want, (table, torsion)
             kinds.add(want[0] if isinstance(want[0], str) else "pairs" if want[1] else "none")
         assert kinds == {"pairs", "none", "InconsistentTableError", "ValueError"}
+
+
+class TestInferBAtRadiusOne:
+    """At ``r = 1`` the claimed torsion is checked at ``k = 1`` as at any radius."""
+
+    def test_one_record(self):
+        ds = dataset(datum("a", 1, 1), torsion=TorsionProfile(t0=1, tau=(5, 5)))
+        table = d_sequence(ds, PI, 1)
+        assert table.r == 1
+        assert infer_B(table, ds.torsion) == expected_contributions(ds, PI, 1)
+        assert infer_B(table, ds.torsion).shapes() == [(1, 1)]
+        # a claim without tau for the tower's levels
+        with pytest.raises(ValueError, match="no torsion dimension recorded for level 0"):
+            infer_B(table, TorsionProfile(t0=1, tau=()))
+        # too little torsion claimed: the positive residue fails the peel at k = 1
+        with pytest.raises(InconsistentTableError, match="degrees 0 and 1 at n=0"):
+            infer_B(table, TorsionProfile())
+        # too much claimed: the walk rejects the negative residue at k = 1
+        with pytest.raises(InconsistentTableError, match="residue at k=1, n=1"):
+            infer_B(table, TorsionProfile(t0=1, tau=(5, 6)))
 
 
 class TestTheoremCheck:

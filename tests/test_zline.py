@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 from dataclasses import fields, replace
 
 import pytest
@@ -15,6 +16,7 @@ from spehline import (
     Multisegment,
     Segment,
     Wildcard,
+    ZERO,
     jacquet_cuts,
     make_speh,
     make_steinberg,
@@ -24,6 +26,7 @@ from spehline import (
     reduced_label,
     twist,
 )
+from spehline.jsonio import canonical_dumps, multisegment_to_dict, wildcard_to_dict
 
 from support import (
     BASES,
@@ -246,6 +249,80 @@ class TestHashOnce:
         assert hash(tagged) == hash(replace(normalized_product(a, b), order_tag=(b.degree, a.degree)))
         with pytest.raises(ValueError):
             ordered_product(a, a)
+
+
+def _replaced_shift(m: Multisegment, n: HalfInt) -> Multisegment:
+    """``Multisegment.shifted`` as first written, through ``dataclasses.replace``."""
+    if n.is_zero:
+        return m
+    return replace(
+        m,
+        segments=tuple(replace(seg, start=seg.start + n) for seg in m.segments),
+        wildcard=None if m.wildcard is None else replace(m.wildcard, shift=m.wildcard.shift + n),
+    )
+
+
+# plain sums, and ordered products whose tag must survive the rebuild
+tagged_or_plain = st.one_of(
+    multisegments, st.builds(ordered_product, multisegments, plain_multisegments)
+)
+
+
+class TestRebuildMatchesReplace:
+    """``shifted`` and ``with_tate`` build what ``dataclasses.replace`` built."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert type(got) is type(ref)
+        assert got == ref and hash(got) == hash(ref) and str(got) == str(ref)
+        if isinstance(got, Multisegment):
+            assert got.degree == ref.degree
+            assert canonical_dumps(multisegment_to_dict(got)) == canonical_dumps(
+                multisegment_to_dict(ref)
+            )
+
+    @settings(max_examples=150, derandomize=True)
+    @given(tagged_or_plain, shifts)
+    def test_multisegment(self, m, n):
+        self.assert_same(m.shifted(n), _replaced_shift(m, n))
+        self.assert_same(m.with_tate(n), replace(m, tate=n))
+        for seg in m.segments:
+            self.assert_same(seg.shifted(n), replace(seg, start=seg.start + n))
+            self.assert_same(ms(seg.shifted(n)), ms(replace(seg, start=seg.start + n)))
+        if m.wildcard is not None:
+            w = m.wildcard
+            self.assert_same(w.shifted(n), replace(w, shift=w.shift + n))
+            assert wildcard_to_dict(w.shifted(n)) == wildcard_to_dict(
+                replace(w, shift=w.shift + n)
+            )
+
+    @settings(max_examples=100, derandomize=True)
+    @given(tagged_or_plain)
+    def test_kept_degree_is_never_stale(self, m):
+        def summed(x):
+            wild = 0 if x.wildcard is None else x.wildcard.degree
+            return sum(seg.length * seg.base.g for seg in x.segments) + wild
+
+        assert m.degree == summed(m)
+        rebuilt = [replace(m, segments=m.segments[1:]), m.without_wildcard(), m.reduced()]
+        rebuilt += [m.shifted(HalfInt(3)), pickle.loads(pickle.dumps(m))]
+        for x in rebuilt:
+            assert x.degree == summed(x)
+
+    def test_zero_shift_wildcard_and_tag(self):
+        left = Multisegment(
+            (Segment(PI, HalfInt(-1), 2),), HalfInt(1), Wildcard("w", 3, HalfInt(-1))
+        )
+        m = ordered_product(left, make_steinberg(RHO, 2).to_multisegment())
+        assert m.order_tag == (5, 4)
+        assert m.shifted(ZERO) is m
+        for n in (HalfInt(1), HalfInt(-4)):
+            got = m.shifted(n)
+            assert got.order_tag == m.order_tag
+            assert got.wildcard == Wildcard("w", 3, HalfInt(-1) + n)
+            self.assert_same(got, _replaced_shift(m, n))
+            self.assert_same(got.with_tate(n), replace(got, tate=n))
+            assert got.with_tate(n).order_tag == m.order_tag
 
 
 # few ids, starts and lengths, so lists repeat segments and share starts
