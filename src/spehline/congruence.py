@@ -29,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, constituent_sum
 from .formal import GrothSum
@@ -93,6 +93,15 @@ class Dataset:
     the index the separation reads, each base id mapped to its radii
     ``s + t - 1`` and each radius to its records in dataset order (a
     record once per radius).  ``dataclasses.replace`` rebuilds both.
+
+    A dataset read from a file can hold its records unbuilt.  The reader
+    makes the walk's checks on the document, then hands over ``labels``,
+    an index of record positions and a builder (:meth:`_unbuilt`).  A
+    radius's records are built the first time :func:`_matching` reads
+    them, and ``data`` the first time it is read, with each record built
+    once.  Equality, ``repr``, hashing, ``replace``, copying and pickling
+    read ``data``, so they build it.  A dataset built from records holds
+    no builder.
     """
 
     context: GlobalContext
@@ -101,15 +110,10 @@ class Dataset:
     levels: tuple[int, ...] = (0,)
     labels: tuple[InertialCuspidal, ...] = field(init=False, repr=False, compare=False)
     _radii: dict = field(init=False, repr=False, compare=False)
+    _build: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
-        if not self.levels:
-            raise InconsistentDataError("dataset needs at least one level")
-        if len(set(self.levels)) != len(self.levels):
-            raise InconsistentDataError("levels must be distinct")
-        if any(n < 0 for n in self.levels):
-            raise InconsistentDataError("levels must be >= 0")
+        self._check_levels()
         ids: set[str] = set()
         labels = {id(self.context.pi): self.context.pi}
         by_base: dict[str, dict[int, list[AutomorphicDatum]]] = {}
@@ -129,13 +133,58 @@ class Dataset:
                 raise InconsistentDataError(
                     f"datum {datum.id!r} has degree {degree}, expected {self.context.d}"
                 )
+        self._finish(labels.values(), by_base, None)
+
+    @classmethod
+    def _unbuilt(cls, context, torsion, levels, labels, radii, build: Callable) -> "Dataset":
+        """A dataset whose records passed the walk's checks unbuilt.
+
+        ``labels`` and ``radii`` are what the walk keeps, with record
+        positions in place of records, and ``build(positions)`` returns
+        the records at ``positions`` (all of them for ``None``), building
+        each on its first request.  The checks around the walk run as in
+        ``__post_init__``.
+        """
+        ds = object.__new__(cls)
+        for name, value in (("context", context), ("torsion", torsion), ("levels", levels)):
+            object.__setattr__(ds, name, value)
+        ds._check_levels()
+        ds._finish(labels, radii, build)
+        return ds
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: ``data`` of an unbuilt dataset
+        if name != "data":
+            raise AttributeError(name)
+        data = tuple(self._build(None))
+        object.__setattr__(self, "data", data)
+        return data
+
+    def __reduce__(self):
+        # a copy or a pickle is built from the records and holds no builder
+        return type(self), (self.context, self.data, self.torsion, self.levels)
+
+    def _check_levels(self) -> None:
+        """Sort the levels and check them: the checks before the walk."""
+        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
+        if not self.levels:
+            raise InconsistentDataError("dataset needs at least one level")
+        if len(set(self.levels)) != len(self.levels):
+            raise InconsistentDataError("levels must be distinct")
+        if any(n < 0 for n in self.levels):
+            raise InconsistentDataError("levels must be >= 0")
+
+    def _finish(self, labels: Iterable[InertialCuspidal], radii: dict, build) -> None:
+        """The checks after the walk, then keep what it found."""
         if self.torsion.t0 is not None and max(self.levels) >= len(self.torsion.tau):
             raise InconsistentDataError(
                 "torsion profile does not cover every level of the tower"
             )
-        _one_label_per_id(labels.values())
-        object.__setattr__(self, "labels", tuple(labels.values()))
-        object.__setattr__(self, "_radii", by_base)
+        labels = tuple(labels)
+        _one_label_per_id(labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_radii", radii)
+        object.__setattr__(self, "_build", build)
 
 
 def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
@@ -170,8 +219,11 @@ def _matching(
     """The records with a ``pi``-factor at radius ``r`` in rows by ``s`` (in order of
     first appearance, each in dataset order), and the largest ``pi`` radius or ``None``."""
     radii = ds._radii.get(pi.id, {})
+    found = radii.get(r, ())
+    if ds._build is not None:
+        found = ds._build(found)
     rows: dict[int, list[AutomorphicDatum]] = {}
-    for datum in radii.get(r, ()):
+    for datum in found:
         rows.setdefault(datum.local.s, []).append(datum)
     return rows, max(radii, default=None)
 

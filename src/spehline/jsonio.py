@@ -11,11 +11,19 @@ through :func:`_need` as it reads it and builds the object in the same
 pass; a violation raises :class:`SchemaError` with the path of the
 field, and the first field read decides which one is reported.
 Well-typed values that break an invariant raise the constructor's
-``ValueError``.  Dataset files carry the traffic, thousands of records
-each, so a record is first read by indexing and exact ``type`` tests; a
-record that pass cannot read goes to the checked reader, the only one
-that produces errors.  The other formats hold a handful of fields and
-have no fast pass.
+``ValueError``.  The other formats hold a handful of fields and have only
+that reader.
+
+Dataset files carry the traffic, thousands of records each, of which a
+query reads the few at one radius.  So a dataset's records are first
+checked, not built: :func:`_index` makes, on the raw document and with
+exact ``type`` tests, every check the checked reader, the constructors
+and the ``Dataset`` walk make, and indexes the records by base id and
+radius.  A file that passes becomes a dataset that builds each record
+when it is first read (see :class:`~spehline.congruence.Dataset`).  A
+file that fails anywhere is read by the checked reader, record by
+record, and the first fault raises; so errors, their paths and which of
+two faults is reported do not depend on the check.
 """
 
 from __future__ import annotations
@@ -285,54 +293,120 @@ def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     )
 
 
-def _record(rec: dict, cuspidals: dict, idx: int) -> AutomorphicDatum:
-    """Record ``data[idx]`` read by indexing and exact type tests, or else,
-    whatever goes wrong, by :func:`_checked_record`."""
+def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict[int, list[int]]] | None:
+    """The ``Dataset`` index of ``records`` over their positions, or ``None``
+    when a record fails a check.
+
+    Builds nothing, but checks each record as :func:`_checked_record`, the
+    constructors and the ``Dataset`` walk do: exact types, the ``>= 1``
+    bounds, a factor or a wildcard, known cuspidal ids, distinct ids and
+    the context's degree.
+    """
+    ids: set[str] = set()
+    by_base: dict[str, dict[int, list[int]]] = {}
     try:
-        loc = rec["local"]
-        factors, wild = loc["factors"], loc.get("wildcard")
-        ident, s, m, d_xi, inv_dim, satake = fields = (
-            rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
-        )
-        types = (type(rec), type(loc), type(factors), *map(type, fields))
-        if types != (dict, dict, list, str, int, int, int, int, str):
-            raise TypeError
-        if wild is not None:
-            wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
-            if (type(wild), type(wid), type(degree), type(shift)) != (dict, str, int, int):
-                raise TypeError
-            wild = Wildcard(wid, degree, HalfInt(shift) if shift else ZERO)
-        pairs = []
-        for f in factors:
-            t, cid = f["t"], f["base_id"]
-            if (type(f), type(t), type(cid)) != (dict, int, str):
-                raise TypeError
-            pairs.append((t, cuspidals[cid]))
-        local = LocalComponent(s, tuple(pairs), wild)
-        return AutomorphicDatum(ident, local, m, d_xi, inv_dim, satake)
-    except Exception:
-        return _checked_record(rec, cuspidals, f"data[{idx}]")
+        for idx, rec in enumerate(records):
+            loc = rec["local"]
+            factors, wild = loc["factors"], loc.get("wildcard")
+            ident, s, m, d_xi, inv_dim, satake = (
+                rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
+            )
+            if not (
+                type(rec) is type(loc) is dict and type(factors) is list
+                and type(ident) is type(satake) is str
+                and type(s) is type(m) is type(d_xi) is type(inv_dim) is int
+                and s > 0 and m > 0 and d_xi > 0 and inv_dim > 0
+            ) or ident in ids:
+                return None
+            ids.add(ident)
+            if wild is None:
+                if not factors:
+                    return None
+                degree = 0
+            else:
+                wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
+                if not (
+                    type(wild) is dict and type(wid) is str
+                    and type(degree) is type(shift) is int and degree >= 0
+                ):
+                    return None
+            for f in factors:
+                t, cid = f["t"], f["base_id"]
+                if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
+                    return None
+                degree += s * t * cuspidals[cid].g
+                found = by_base.setdefault(cid, {}).setdefault(s + t - 1, [])
+                if not found or found[-1] != idx:
+                    found.append(idx)
+            if degree != d:
+                return None
+    except (KeyError, TypeError, AttributeError):
+        return None
+    return by_base
+
+
+def _built(rec: dict, cuspidals: dict) -> AutomorphicDatum:
+    """A record that passed :func:`_index`, built with no check repeated."""
+    loc = rec["local"]
+    wild = loc.get("wildcard")
+    if wild is not None:
+        shift = wild.get("shift_twice", 0)
+        wild = Wildcard(wild["id"], wild["degree"], HalfInt(shift) if shift else ZERO)
+    factors = tuple((f["t"], cuspidals[f["base_id"]]) for f in loc["factors"])
+    local = LocalComponent(loc["s"], factors, wild)
+    return AutomorphicDatum(rec["id"], local, rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"])
+
+
+def _builder(records: list, cuspidals: dict):
+    """``build(positions)``: the records at ``positions`` (all of them for
+    ``None``), each built on its first request and kept."""
+    built: list[AutomorphicDatum | None] = [None] * len(records)
+
+    def build(positions) -> list[AutomorphicDatum]:
+        out = []
+        for idx in range(len(records)) if positions is None else positions:
+            datum = built[idx]
+            if datum is None:
+                datum = built[idx] = _built(records[idx], cuspidals)
+            out.append(datum)
+        return out
+
+    return build
 
 
 def dataset_from_dict(obj: dict) -> Dataset:
+    """Read a dataset document.
+
+    When every record passes :func:`_index`, the dataset keeps the
+    document's records and builds each from them when it is first read,
+    so the document must not change afterwards.  Otherwise every record
+    is built as it is read, and the first fault raises.
+    """
     _version(obj)
     context = _need(obj, "context", dict, "")
     d = _need(context, "d", int, "context")
     kappa = _need(context, "kappa", str, "context")
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
-    records = enumerate(_need(obj, "data", list, ""))
-    data = tuple(_record(rec, cuspidals, idx) for idx, rec in records)
+    records = _need(obj, "data", list, "")
+    index = _index(records, cuspidals, d)
+    if index is None:
+        data = tuple(
+            _checked_record(rec, cuspidals, f"data[{idx}]") for idx, rec in enumerate(records)
+        )
     torsion = _need(obj, "torsion", dict, "")
-    return Dataset(
-        context=GlobalContext(d=d, pi=pi, kappa=_fraction(kappa)),
-        data=data,
-        torsion=TorsionProfile(
-            t0=_need(torsion, "t0", (int, _NULL), "torsion"),
-            tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
-        ),
-        levels=_ints(_need(obj, "levels", list, ""), "levels"),
+    context = GlobalContext(d=d, pi=pi, kappa=_fraction(kappa))
+    torsion = TorsionProfile(
+        t0=_need(torsion, "t0", (int, _NULL), "torsion"),
+        tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
     )
+    levels = _ints(_need(obj, "levels", list, ""), "levels")
+    if index is None:
+        return Dataset(context=context, data=data, torsion=torsion, levels=levels)
+    # the walk's labels: the anchor, then the registry's labels in order of first use
+    labels = {pi.id: pi, **{cid: cuspidals[cid] for cid in index}}.values()
+    build = _builder(records, cuspidals)
+    return Dataset._unbuilt(context, torsion, levels, labels, index, build)
 
 
 # ---------------------------------------------------------------------- verdict

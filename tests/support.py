@@ -199,3 +199,42 @@ def single_field_mutations(
             data = ds.data[:idx] + (mutated,) + ds.data[idx + 1 :]
             out.append((f"{datum.id}.{name}", dataclasses.replace(ds, data=data)))
     return out
+
+
+# ------------------------------------------------------- a dataset file by hand
+
+
+def small_dataset_doc() -> dict:
+    """A seven-record dataset document at degree 12 over three labels.
+
+    It holds a record with a shifted wildcard, one with a ``null`` and one
+    with no ``wildcard`` key, a record with anchor factors at two radii and
+    one with two anchor factors at one radius, labels on GL_1 and GL_2,
+    torsion and three levels.
+    """
+    def rec(ident, s, factors, wildcard=(), m=1):
+        local = {"s": s, "factors": [{"t": t, "base_id": b} for t, b in factors]}
+        if wildcard != ():
+            local["wildcard"] = wildcard
+        return {"id": ident, "local": local, "m": m, "d_xi": 2, "inv_dim": 3, "satake": f"h{ident}"}
+
+    return {
+        "schema_version": 1,
+        "context": {"d": 12, "kappa": "3/2", "pi_id": "pi"},
+        "cuspidals": {
+            "pi": {"g": 1, "e_pi": 1, "modl_class": "a"},
+            "nz0": {"g": 1, "e_pi": 1, "modl_class": "nz0~"},
+            "rho": {"g": 2, "e_pi": 1, "modl_class": "b"},
+        },
+        "data": [
+            rec("a0", 2, [(3, "pi")], {"id": "w0", "degree": 6, "shift_twice": 0}),
+            rec("a1", 1, [(4, "pi"), (2, "rho")], {"id": "w1", "degree": 4, "shift_twice": 3}, m=2),
+            rec("a2", 3, [(2, "pi"), (1, "nz0")], {"id": "w2", "degree": 3}),
+            rec("a3", 2, [(1, "pi"), (2, "pi")], {"id": "w3", "degree": 6, "shift_twice": -1}),
+            rec("a4", 1, [(12, "nz0")], None, m=4),
+            rec("a5", 2, [(3, "rho")]),
+            rec("a6", 1, [(2, "pi"), (2, "pi")], {"id": "w6", "degree": 8, "shift_twice": 2}),
+        ],
+        "torsion": {"t0": 2, "tau": [0, 1, 2]},
+        "levels": [2, 0, 1],
+    }

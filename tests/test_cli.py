@@ -339,6 +339,38 @@ class TestMalformedInput:
         assert code == 66 and "not valid JSON" in err
 
 
+class TestCheckedInPair:
+    """``fixtures/congruence_{a,b}.json``: twin files with anchor records at
+    radii 2 to 5.  CI runs the installed script on the same three cases."""
+
+    def run_pair(self, capsys, tmp_path, edit=None) -> tuple[int, str, str]:
+        a, b = FIXTURES / "congruence_a.json", FIXTURES / "congruence_b.json"
+        if edit is not None:
+            doc = json.loads(b.read_text(encoding="utf-8"))
+            edit(doc)
+            b = tmp_path / "b.json"
+            b.write_text(json.dumps(doc), encoding="utf-8")
+        return run(capsys, "congruence", str(a), str(b), "--r", "5", "--s", "5")
+
+    def test_twins_exit_0(self, capsys, tmp_path):
+        code, out, err = self.run_pair(capsys, tmp_path)
+        assert (code, err) == (0, "") and json.loads(out)["lhs"]
+
+    def test_bumped_m_exit_1(self, capsys, tmp_path):
+        def bump(doc):
+            doc["data"][19]["m"] += 1
+
+        code, out, _ = self.run_pair(capsys, tmp_path, bump)
+        assert code == 1 and json.loads(out)["diffs"]
+
+    def test_bad_type_in_last_record_exit_66(self, capsys, tmp_path):
+        def spoil(doc):
+            doc["data"][-1]["m"] = "1"
+
+        code, _, err = self.run_pair(capsys, tmp_path, spoil)
+        assert code == 66 and "data[23].m: expected an integer" in err
+
+
 # One valid document per input format, the argv that reads it, and fuzz
 # tests that break one field of it, or two or three at once.
 CTX = GlobalContext(d=12, pi=PI)

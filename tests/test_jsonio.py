@@ -1,21 +1,35 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import dataclasses
 import hashlib
+import itertools
 import json
+import pickle
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from spehline import (
+    AutomorphicDatum,
     GlobalContext,
     HalfInt,
     Multisegment,
     Segment,
+    TorsionProfile,
     generate_dataset,
+    jsonio,
 )
-from spehline.congruence import Dataset
+from spehline.congruence import (
+    Dataset,
+    expected_contributions,
+    members,
+    substitute_cuspidal,
+    theorem_check,
+)
 from spehline.jsonio import (
     SchemaError,
     canonical_dumps,
@@ -24,7 +38,7 @@ from spehline.jsonio import (
     multisegment_to_dict,
 )
 
-from support import PI, field_paths
+from support import PI, PI_TWIN, field_paths, small_dataset_doc
 
 
 class TestMultisegmentForm:
@@ -104,22 +118,41 @@ def _outcome(doc) -> str:
     return "ok " + hashlib.sha256(canonical_dumps(dataset_to_dict(ds)).encode()).hexdigest()[:16]
 
 
-def mutation_lines() -> list[str]:
+def _value_at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _mutate(doc, path, value) -> None:
+    """Delete the field at ``path`` of ``doc`` or set it to ``value``, in place."""
+    *parents, key = path
+    owner = _value_at(doc, parents)
+    if value is DELETE:
+        del owner[key]
+    else:
+        owner[key] = value
+
+
+def _shown(value) -> str:
+    return "delete" if value is DELETE else json.dumps(value)
+
+
+def single_mutations():
+    """``(path, value, doc)`` for each row of the mutation table."""
     base = dataset_to_dict(generate_dataset(3, GlobalContext(d=12, pi=PI), r=4))
-    lines = []
-    for *parents, key in field_paths(base):
+    for path in field_paths(base):
         for value in REPLACEMENTS:
             doc = copy.deepcopy(base)
-            owner = doc
-            for step in parents:
-                owner = owner[step]
-            if value is DELETE:
-                del owner[key]
-            else:
-                owner[key] = value
-            shown = "delete" if value is DELETE else json.dumps(value)
-            lines.append(f"{_path_str((*parents, key))}\t{shown}\t{_outcome(doc)}\n")
-    return lines
+            _mutate(doc, path, value)
+            yield path, value, doc
+
+
+def mutation_lines() -> list[str]:
+    return [
+        f"{_path_str(path)}\t{_shown(value)}\t{_outcome(doc)}\n"
+        for path, value, doc in single_mutations()
+    ]
 
 
 def test_every_single_field_mutation_matches_table():
@@ -130,5 +163,300 @@ def test_every_single_field_mutation_matches_table():
     assert not mismatches, mismatches[:5]
 
 
+# ------------------------------------------------------- double-fault table
+# Pairs of faults in one file, and what ``dataset_from_dict`` makes of them.
+# Each pair puts a fault the record walk finds (a duplicate id, a wrong
+# degree, a mod-l class on two ``g``) early in ``data`` next to a fault
+# that is read before that walk: a record's schema or constructor fault at
+# a later index, or a fault of ``kappa``, ``torsion``, ``levels`` or the
+# registry.  Every fault also stands alone.  An unreferenced registry entry
+# whose class clashes is accepted.  The fixture was written by the reader
+# that built every record before it walked them;
+# ``PYTHONPATH=src python tests/test_jsonio.py double`` prints the table.
+
+DOUBLE_FAULT_TABLE = Path(__file__).parent / "fixtures" / "dataset_double_faults.tsv"
+WALK_FAULTS = (
+    (("data", 1, "id"), "a0"),
+    (("data", 5, "id"), "a0"),
+    (("data", 0, "local", "wildcard", "degree"), 7),
+    (("data", 0, "local", "s"), 3),
+    (("data", 2, "local", "factors", 1, "base_id"), "rho"),
+    (("cuspidals", "rho", "modl_class"), "a"),
+    (("cuspidals", "nz0", "modl_class"), "b"),
+    (("cuspidals", "ghost"), {"g": 2, "e_pi": 1, "modl_class": "a"}),
+)
+READ_FAULTS = (
+    (("data", 4, "m"), "x"),
+    (("data", 4, "local", "factors", 0, "t"), True),
+    (("data", 5, "satake"), DELETE),
+    (("data", 4, "local", "wildcard"), []),
+    (("data", 1, "local", "wildcard", "shift_twice"), "x"),
+    (("data", 4, "local", "factors", 0, "base_id"), "ghost"),
+    (("data", 4, "m"), 0),
+    (("data", 4, "local", "s"), 0),
+    (("data", 5, "local", "factors"), []),
+    (("data", 3, "local", "factors", 1, "t"), 0),
+    (("data", 1, "local", "wildcard", "degree"), -1),
+    (("data", 5), "x"),
+    (("context", "kappa"), "1/0"),
+    (("context", "kappa"), "0"),
+    (("context", "d"), 0),
+    (("cuspidals", "rho", "g"), 0),
+    (("torsion", "t0"), "x"),
+    (("torsion", "tau"), [0, -1, 2]),
+    (("torsion", "t0"), None),
+    (("torsion", "tau"), [0, 1]),
+    (("levels",), []),
+    (("levels",), [0, 0]),
+    (("levels",), [0, "x"]),
+    (("levels",), [-1, 0]),
+)
+
+
+def double_fault_lines() -> list[str]:
+    none = ((), None)
+    cases = [(f, none) for f in WALK_FAULTS + READ_FAULTS]
+    cases += [(early, late) for early in WALK_FAULTS for late in READ_FAULTS]
+    cases += [(a, b) for a, b in itertools.combinations(WALK_FAULTS, 2)]
+    lines = []
+    for faults in cases:
+        doc = small_dataset_doc()
+        shown = []
+        for path, value in faults:
+            if path:
+                _mutate(doc, path, value)
+            shown.append(f"{_path_str(path)}={_shown(value)}" if path else "-")
+        lines.append("\t".join(shown) + f"\t{_outcome(doc)}\n")
+    return lines
+
+
+def test_every_double_fault_matches_table():
+    expected = DOUBLE_FAULT_TABLE.read_text(encoding="utf-8").splitlines(keepends=True)
+    got = double_fault_lines()
+    assert len(got) == len(expected)
+    mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
+    assert not mismatches, mismatches[:5]
+
+
+# ------------------------------------------------------ the check pass is sound
+# ``dataset_from_dict`` checks every record on the document before it builds
+# any (``jsonio._index``).  With that check switched off, every file is read
+# record by record, as a file that fails it is.  A file the check accepts
+# must read the same both ways, and every file both readers accept must pass
+# the check, or a valid file would lose the lazy read.
+
+
+@contextlib.contextmanager
+def _check_off(monkeypatch):
+    """Inside, ``dataset_from_dict`` reads every file as one that fails the check."""
+    with monkeypatch.context() as patch:
+        patch.setattr(jsonio, "_index", lambda *args: None)
+        yield
+
+
+def _read(doc):
+    """``(unbuilt, canonical form)`` of the dataset read from ``doc``, or the
+    class, path and message of the error it raises."""
+    try:
+        ds = dataset_from_dict(doc)
+    except Exception as exc:  # the class is part of the outcome
+        return type(exc).__name__, getattr(exc, "path", None), str(exc)
+    return ds._build is not None, canonical_dumps(dataset_to_dict(ds))
+
+
+def _assert_same_read(doc, monkeypatch) -> bool:
+    """The two reads of ``doc`` agree; returns whether it was accepted."""
+    lazy = _read(doc)
+    with _check_off(monkeypatch):
+        eager = _read(doc)
+    if eager[0] is False:  # accepted record by record: the check passes, the forms match
+        assert lazy == (True, eager[1]), doc
+        return True
+    assert lazy == eager, doc
+    return False
+
+
+def test_single_mutations_read_the_same_with_and_without_the_check(monkeypatch):
+    accepted = sum(_assert_same_read(doc, monkeypatch) for _, _, doc in single_mutations())
+    assert accepted == 86  # the "ok" rows of the table
+
+
+def _multi_record_docs() -> list[dict]:
+    """Files with shifted, ``null`` and missing wildcards, anchor factors at
+    several radii and twice at one, torsion and unsorted levels."""
+    docs = [small_dataset_doc(), small_dataset_doc()]
+    docs[1]["data"].insert(0, docs[1]["data"].pop(5))  # the first record has no anchor
+    for seed, (d, r) in enumerate([(12, 4), (24, 5), (9, 3)]):
+        ctx = GlobalContext(d=d, pi=PI)
+        ds = generate_dataset(seed, ctx, r=r, noise_data=4, torsion=TorsionProfile(1, (0, 2, 1)))
+        docs.append(dataset_to_dict(ds))
+    return docs
+
+
+VALUES = (*REPLACEMENTS, 1, 2, 3, 4, 6, 12, "a0", "pi", "rho", "nz0", "pi2", "w1", "3/2")
+
+
+def _random_mutant(rng: random.Random, base: dict) -> dict:
+    """``base`` with one to three random edits: a field deleted or set to a
+    value from ``VALUES`` or from another field, or records swapped, copied
+    or dropped."""
+    doc = copy.deepcopy(base)
+    for _ in range(rng.randint(1, 3)):
+        data = doc.get("data")
+        op = rng.random()
+        if op < 0.15 and isinstance(data, list) and len(data) > 1:
+            i, j = rng.sample(range(len(data)), 2)
+            if rng.random() < 0.5:
+                data[i], data[j] = data[j], data[i]
+            elif rng.random() < 0.5:
+                data[i] = copy.deepcopy(data[j])
+            else:
+                del data[i]
+            continue
+        paths = list(field_paths(doc))
+        if not paths:
+            break
+        if op < 0.4:
+            value = copy.deepcopy(_value_at(doc, rng.choice(paths)))
+        else:
+            value = rng.choice(VALUES)
+        _mutate(doc, rng.choice(paths), value)
+    return doc
+
+
+def _edge_docs() -> list[dict]:
+    """Faults that only one check of the check pass tells apart: each would
+    otherwise be found later or not at all, or be reported differently."""
+    docs = [small_dataset_doc() for _ in range(4)]
+    # a bad length, or a bad wildcard degree, that keeps the record's degree
+    docs[0]["data"][3]["local"]["factors"] = [{"t": 0, "base_id": "pi"}, {"t": 3, "base_id": "pi"}]
+    docs[1]["data"][4]["local"].update(
+        factors=[{"t": 13, "base_id": "nz0"}], wildcard={"id": "w", "degree": -1}
+    )
+    # no factor and no wildcard, in a file of degree 0
+    docs[2]["context"]["d"] = 0
+    docs[2]["data"] = [docs[2]["data"][5]]
+    docs[2]["data"][0]["local"]["factors"] = []
+    # a clash reported in the order the labels are first used
+    docs[3]["data"].insert(0, docs[3]["data"].pop(5))
+    docs[3]["cuspidals"]["rho"]["modl_class"] = "a"
+    return docs
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_edge_faults_read_the_same_with_and_without_the_check(which, monkeypatch):
+    assert not _assert_same_read(_edge_docs()[which], monkeypatch)
+
+
+def test_random_mutations_read_the_same_with_and_without_the_check(monkeypatch):
+    rng = random.Random(20261018)
+    bases = _multi_record_docs()
+    accepted = 0
+    for _ in range(1500):
+        accepted += _assert_same_read(_random_mutant(rng, rng.choice(bases)), monkeypatch)
+    assert accepted >= 150
+
+
+def _read_eagerly(doc, monkeypatch) -> Dataset:
+    with _check_off(monkeypatch):
+        ds = dataset_from_dict(doc)
+    assert ds._build is None
+    return ds
+
+
+class TestUnbuiltDataset:
+    """A dataset read with its records unbuilt behaves as one read eagerly."""
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_reads_match(self, which, monkeypatch):
+        doc = _multi_record_docs()[which]
+        lazy, eager = dataset_from_dict(doc), _read_eagerly(doc, monkeypatch)
+        assert lazy._build is not None
+        assert lazy.labels == eager.labels
+        anchors = [label for label in eager.labels if label.id in eager._radii]
+        for pi, r in itertools.product(anchors, range(1, 8)):
+            assert expected_contributions(lazy, pi, r) == expected_contributions(eager, pi, r)
+            for s in range(1, r + 1):
+                assert members(lazy, pi, r, s) == members(eager, pi, r, s)
+        assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+        for twin in (pickle.loads(pickle.dumps(dataset_from_dict(doc))), copy.deepcopy(lazy)):
+            assert twin == eager and twin.labels == eager.labels and twin._build is None
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_substitute_and_replace_match(self, which, monkeypatch):
+        doc = _multi_record_docs()[which]
+        eager = _read_eagerly(doc, monkeypatch)
+
+        def same(make):
+            lazy = dataset_from_dict(doc)
+            a, b = make(lazy), make(eager)
+            assert a == b
+            assert canonical_dumps(dataset_to_dict(a)) == canonical_dumps(dataset_to_dict(b))
+
+        same(lambda ds: substitute_cuspidal(ds, PI, PI_TWIN))
+        same(lambda ds: dataclasses.replace(ds))
+        same(lambda ds: dataclasses.replace(ds, levels=(2, 0)))
+        same(lambda ds: dataclasses.replace(ds, data=ds.data[1:]))
+
+        # after a query has built one radius
+        lazy = dataset_from_dict(doc)
+        built = members(lazy, PI, 4, 2) + members(lazy, PI, 3, 1)
+        assert all(any(datum is x for x in lazy.data) for datum in built)
+        assert substitute_cuspidal(lazy, PI, PI_TWIN) == substitute_cuspidal(eager, PI, PI_TWIN)
+
+
+# --------------------------------------------------------------- growth guard
+
+
+def _sweep_doc(pi) -> dict:
+    """Anchor records at radii 2 to 5 of one file, with noise records; for
+    ``PI`` and ``PI_TWIN`` the two files are congruent twins."""
+    ctx = GlobalContext(d=12, pi=pi)
+    data = []
+    for r in (2, 3, 4, 5):
+        part = generate_dataset(r, ctx, r=r, noise_data=3)
+        data += [dataclasses.replace(datum, id=f"r{r}.{datum.id}") for datum in part.data]
+    return dataset_to_dict(Dataset(ctx, tuple(data), levels=(0, 1, 2)))
+
+
+def _ids_at(doc: dict, r: int) -> set[str]:
+    """Ids of the records of ``doc`` with an anchor factor at radius ``r``."""
+    anchor = doc["context"]["pi_id"]
+    return {
+        rec["id"]
+        for rec in doc["data"]
+        for f in rec["local"]["factors"]
+        if f["base_id"] == anchor and rec["local"]["s"] + f["t"] - 1 == r
+    }
+
+
+@pytest.mark.parametrize("r,s", [(2, 1), (3, 3), (4, 3), (5, 5)])
+def test_query_builds_only_its_radius(r, s, monkeypatch):
+    doc_a, doc_b = _sweep_doc(PI), _sweep_doc(PI_TWIN)
+    built: list[AutomorphicDatum] = []
+    post_init = AutomorphicDatum.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(AutomorphicDatum, "__post_init__", counted)
+    ds_a, ds_b = dataset_from_dict(doc_a), dataset_from_dict(doc_b)
+    assert built == []
+    verdict = theorem_check(ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, r, s)
+    assert verdict.equal and verdict.lhs
+    at_r = _ids_at(doc_a, r)
+    assert 0 < len(at_r) < len(doc_a["data"]) // 2
+    assert sorted(datum.id for datum in built) == sorted([*at_r, *_ids_at(doc_b, r)])
+
+    built.clear()
+    data = ds_a.data
+    assert sorted(datum.id for datum in built) == sorted(
+        rec["id"] for rec in doc_a["data"] if rec["id"] not in at_r
+    )
+    built.clear()
+    assert ds_a.data is data and members(ds_a, PI, r, s) and built == []
+
+
 if __name__ == "__main__":
-    sys.stdout.writelines(mutation_lines())
+    sys.stdout.writelines(double_fault_lines() if sys.argv[1:] == ["double"] else mutation_lines())
