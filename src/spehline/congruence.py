@@ -20,7 +20,8 @@ carries a level, as one integer per level.  Where a caller reads a
 level (``DimensionTable.entry``/``values``, ``ContributionSet.pairs``,
 the ``Verdict`` sides and diffs) a weight is spread onto one formal
 symbol per (mod-l class, level), and torsion onto the reserved unit
-symbol of each level.
+symbol of each level.  A symbol is a tuple ``(key, level)``, and a
+spread sum is built as one dict in one pass, not merged term by term.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, constituent_sum
 from .formal import GrothSum
@@ -46,9 +47,14 @@ class InconsistentTableError(InconsistentDataError):
     """A dimension table produced a negative residue while peeling."""
 
 
-@dataclass(frozen=True)
-class DimensionProfileSymbol:
-    """Formal symbol for the invariant dimension of a mod-l class at a level."""
+class DimensionProfileSymbol(NamedTuple):
+    """Formal symbol for the invariant dimension of a mod-l class at a level.
+
+    A tuple ``(key, level)``, so it is hashed and compared in C.  It is
+    immutable, and as a tuple it equals the plain tuple ``(key, level)``,
+    iterates as its two fields and orders as a tuple.  Formal sums order
+    their terms by ``str``, not by the tuple order.
+    """
 
     key: str
     level: int
@@ -284,11 +290,18 @@ modl_key.cache_info = _traced_terms.cache_info
 
 def _spread(weight: GrothSum, levels: Iterable[int], units: dict | None = None) -> GrothSum:
     """Put a level-free sum over mod-l keys on each level's symbols, and
-    ``units[n]`` on the unit symbol of level ``n``."""
-    terms = weight.items()
-    out = [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in terms]
-    out += [(unit_symbol(n), c) for n, c in (units or {}).items()]
-    return GrothSum(out)
+    ``units[n]`` on the unit symbol of level ``n`` where it is not 0.
+
+    The sum is built as one dict: its labels ``(key, n)`` are distinct,
+    and the coefficients of ``weight`` are nonzero already.  No mod-l key
+    is the unit key ``"1"``, so a unit never lands on a weight's symbol.
+    """
+    terms = weight._terms.items()
+    out = {DimensionProfileSymbol(key, n): c for n in levels for key, c in terms}
+    for n, c in (units or {}).items():
+        if c:
+            out[unit_symbol(n)] = c
+    return GrothSum._wrap(out)
 
 
 @dataclass
@@ -299,7 +312,8 @@ class DimensionTable:
     level-free sum over mod-l keys per ``k`` (``sums[k]``) and the
     torsion profile, the only part that carries a level.  ``entry`` and
     ``values`` spread both onto ``DimensionProfileSymbol(key, n)`` and
-    ``unit_symbol(n)`` when read.  ``maximal``: no ``pi``-factor lies
+    ``unit_symbol(n)`` when read, each cell's sum built as one dict of
+    tuple-backed symbols in one pass.  ``maximal``: no ``pi``-factor lies
     beyond ``r``, which holds also when ``r`` lies beyond all of them.
     """
 

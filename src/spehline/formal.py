@@ -9,6 +9,11 @@ Build a sum from ``(label, coeff)`` pairs with ``GrothSum(pairs)``.
 ``+`` copies its left operand, so add in a loop only where every
 partial sum is kept, as ``d_sequence`` keeps each row of its table.  No
 operation mutates an operand, so one sum may be shared.
+
+The trusted constructor ``GrothSum._wrap`` takes a dict of nonzero
+integer coefficients as it is.  Outside this module it has one caller,
+``congruence._spread``, which relabels the terms of a normal sum: its
+labels are distinct by construction and its coefficients nonzero.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from spehline import (
     AutomorphicDatum,
     Dataset,
+    DimensionProfileSymbol,
     GlobalContext,
     GrothSum,
     InconsistentDataError,
@@ -214,7 +217,11 @@ def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> Contribu
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-        weight = _spread(diff, levels, unit_diff)
+        # built through the merging constructor, not the trusted build of _spread
+        weight = GrothSum(
+            [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in diff.items()]
+            + [(unit_symbol(n), unit_diff[n]) for n in levels]
+        )
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
     return ContributionSet(r=r, pairs=pairs)
@@ -285,6 +292,49 @@ class TestInferBPerCell:
             assert peel_outcome(infer_B, table, torsion) == want, (table, torsion)
             kinds.add(want[0] if isinstance(want[0], str) else "pairs" if want[1] else "none")
         assert kinds == {"pairs", "none", "InconsistentTableError", "ValueError"}
+
+
+class TestSpread:
+    """``_spread`` builds its dict directly; it must equal the sum merged from
+    the explicit pairs, term for term and in ``repr``."""
+
+    def test_matches_merged_pairs(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            weight = GrothSum(
+                (rng.choice(("a", "b", "c", "1*x", "0")), rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 5))
+            )
+            levels = rng.choice(((0,), (3,), (0, 1), (0, 1, 2), (1, 4, 7)))
+            units = rng.choice((None, {}, {n: rng.randint(-2, 2) for n in levels}))
+            got = _spread(weight, levels, units)
+            want = GrothSum(
+                [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in weight.items()]
+                + [(unit_symbol(n), c) for n, c in (units or {}).items()]
+            )
+            assert got == want
+            assert all(got.coefficient(label) != 0 for label in got.labels())
+            assert repr(got) == repr(want)
+
+
+class TestDimensionProfileSymbol:
+    """The symbol's contract, whatever represents it."""
+
+    def test_contract(self):
+        symbol = DimensionProfileSymbol("k", 3)
+        assert str(symbol) == "dim<k @n=3>"
+        assert repr(symbol) == "DimensionProfileSymbol(key='k', level=3)"
+        assert (symbol.key, symbol.level) == ("k", 3)
+        with pytest.raises(AttributeError):
+            symbol.key = "j"
+        with pytest.raises(AttributeError):
+            symbol.level = 4
+        for copied in (pickle.loads(pickle.dumps(symbol)), copy.deepcopy(symbol)):
+            assert copied == symbol and hash(copied) == hash(symbol)
+            assert type(copied) is DimensionProfileSymbol
+        assert unit_symbol(2) == DimensionProfileSymbol("1", 2)
+        # documented: a symbol is the tuple (key, level)
+        assert symbol == ("k", 3) and hash(symbol) == hash(("k", 3))
 
 
 class TestInferBAtRadiusOne:
