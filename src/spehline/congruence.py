@@ -96,18 +96,17 @@ class Dataset:
     distinct, that every record has the context's degree and that one
     id names one label (:func:`_one_label_per_id`), and it keeps two
     things: ``labels``, the distinct label objects, anchor first, and
-    the index the separation reads, each base id mapped to its radii
-    ``s + t - 1`` and each radius to its records in dataset order (a
-    record once per radius).  ``dataclasses.replace`` rebuilds both.
+    the index the separation reads, of one form: each base id maps
+    ``(s + t - 1, s)`` to the positions of its records in dataset order
+    (a record once per key), and ``_build(positions)`` returns those
+    records.  ``dataclasses.replace`` rebuilds both.
 
     A dataset read from a file can hold its records unbuilt.  The reader
     makes the walk's checks on the document, then hands over ``labels``,
-    an index of record positions and a builder (:meth:`_unbuilt`).  A
-    radius's records are built the first time :func:`_matching` reads
-    them, and ``data`` the first time it is read, with each record built
-    once.  Equality, ``repr``, hashing, ``replace``, copying and pickling
-    read ``data``, so they build it.  A dataset built from records holds
-    no builder.
+    the index and a builder (:meth:`_unbuilt`): a row's records are built
+    when a query reads it, and ``data`` when it is read, each record once.
+    Equality, ``repr``, hashing, ``replace``, copying and pickling read
+    ``data``, so they build it.
     """
 
     context: GlobalContext
@@ -115,15 +114,15 @@ class Dataset:
     torsion: TorsionProfile = TorsionProfile()
     levels: tuple[int, ...] = (0,)
     labels: tuple[InertialCuspidal, ...] = field(init=False, repr=False, compare=False)
-    _radii: dict = field(init=False, repr=False, compare=False)
-    _build: Callable | None = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _build: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._check_levels()
         ids: set[str] = set()
         labels = {id(self.context.pi): self.context.pi}
-        by_base: dict[str, dict[int, list[AutomorphicDatum]]] = {}
-        for datum in self.data:
+        index: dict[str, dict[tuple[int, int], list[int]]] = {}
+        for idx, datum in enumerate(self.data):
             if datum.id in ids:
                 raise InconsistentDataError(f"duplicate datum id {datum.id!r}")
             ids.add(datum.id)
@@ -132,30 +131,30 @@ class Dataset:
             for t, base in factors:
                 degree += s * t * base.g
                 labels.setdefault(id(base), base)
-                found = by_base.setdefault(base.id, {}).setdefault(s + t - 1, [])
-                if not found or found[-1] is not datum:
-                    found.append(datum)
+                found = index.setdefault(base.id, {}).setdefault((s + t - 1, s), [])
+                if not found or found[-1] != idx:
+                    found.append(idx)
             if degree != self.context.d:
                 raise InconsistentDataError(
                     f"datum {datum.id!r} has degree {degree}, expected {self.context.d}"
                 )
-        self._finish(labels.values(), by_base, None)
+        data = self.data
+        self._finish(labels.values(), index, lambda positions: [data[idx] for idx in positions])
 
     @classmethod
-    def _unbuilt(cls, context, torsion, levels, labels, radii, build: Callable) -> "Dataset":
+    def _unbuilt(cls, context, torsion, levels, labels, index, build: Callable) -> "Dataset":
         """A dataset whose records passed the walk's checks unbuilt.
 
-        ``labels`` and ``radii`` are what the walk keeps, with record
-        positions in place of records, and ``build(positions)`` returns
-        the records at ``positions`` (all of them for ``None``), building
-        each on its first request.  The checks around the walk run as in
-        ``__post_init__``.
+        ``labels`` and ``index`` are what the walk keeps, and
+        ``build(positions)`` returns the records at ``positions`` (all of
+        them for ``None``), building each on its first request.  The
+        checks around the walk run as in ``__post_init__``.
         """
         ds = object.__new__(cls)
         for name, value in (("context", context), ("torsion", torsion), ("levels", levels)):
             object.__setattr__(ds, name, value)
         ds._check_levels()
-        ds._finish(labels, radii, build)
+        ds._finish(labels, index, build)
         return ds
 
     def __getattr__(self, name: str):
@@ -180,7 +179,7 @@ class Dataset:
         if any(n < 0 for n in self.levels):
             raise InconsistentDataError("levels must be >= 0")
 
-    def _finish(self, labels: Iterable[InertialCuspidal], radii: dict, build) -> None:
+    def _finish(self, labels: Iterable[InertialCuspidal], index: dict, build: Callable) -> None:
         """The checks after the walk, then keep what it found."""
         if self.torsion.t0 is not None and max(self.levels) >= len(self.torsion.tau):
             raise InconsistentDataError(
@@ -189,7 +188,7 @@ class Dataset:
         labels = tuple(labels)
         _one_label_per_id(labels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_radii", radii)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_build", build)
 
 
@@ -219,19 +218,18 @@ def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
             )
 
 
-def _matching(
-    ds: Dataset, pi: InertialCuspidal, r: int
-) -> tuple[dict[int, list[AutomorphicDatum]], int | None]:
-    """The records with a ``pi``-factor at radius ``r`` in rows by ``s`` (in order of
-    first appearance, each in dataset order), and the largest ``pi`` radius or ``None``."""
-    radii = ds._radii.get(pi.id, {})
-    found = radii.get(r, ())
-    if ds._build is not None:
-        found = ds._build(found)
-    rows: dict[int, list[AutomorphicDatum]] = {}
-    for datum in found:
-        rows.setdefault(datum.local.s, []).append(datum)
-    return rows, max(radii, default=None)
+def _matching(ds: Dataset, pi: InertialCuspidal, r: int) -> tuple[dict, int | None]:
+    """The rows at radius ``r`` of the records with a ``pi``-factor there, as
+    positions by ``s`` for ``ds._build`` (in order of first appearance, each
+    in dataset order), and the largest ``pi`` radius or ``None``."""
+    index = ds._index.get(pi.id, {})
+    rows = {s: found for (radius, s), found in index.items() if radius == r}
+    return rows, max((radius for radius, _ in index), default=None)
+
+
+def _maximal(observed: int | None, r: int) -> bool:
+    """The rule for "maximal": no ``pi``-factor, or ``r`` is the largest ``pi`` radius."""
+    return observed is None or observed == r
 
 
 def _weight(records: Iterable[AutomorphicDatum], pi: InertialCuspidal, r: int) -> GrothSum:
@@ -247,7 +245,7 @@ def members(
     A record qualifies when some factor ``(t_k, base_k)`` has ``base_k``
     equal to ``pi`` and ``s + t_k - 1 = r``.
     """
-    return _matching(ds, pi, r)[0].get(s, [])
+    return ds._build(_matching(ds, pi, r)[0].get(s, ()))
 
 
 def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
@@ -259,19 +257,22 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
     # The memo keys on the wildcard-free part: the rows, the factors and,
     # since labels compare by id, their classes.  Records repeat that part
     # but each names its own wildcard, so the wildcard text is spliced into
-    # every term on each call instead of keyed; sorting after the splice
-    # keeps the order of the full strings.
+    # every term on each call instead of keyed.  The terms arrive sorted,
+    # in factor order: terms k < k' agree up to factor k, where term k
+    # writes ``R_<id>`` and term k' a ladder shape, which begins ``Speh_``,
+    # ``St_`` or a reduced id ``rl(``; ``R`` < ``S`` < ``r``, whatever the
+    # classes and the wildcard spliced in after the factors.
     terms = _traced_terms(
         local.s, local.factors, pi, r, tuple(base.modl_class for _, base in local.factors)
     )
     wild = "" if local.wildcard is None else f" x {local.wildcard}"
-    return ";".join(sorted(head + wild + tail for head, tail in terms)) or "0"
+    return ";".join(head + wild + tail for head, tail in terms) or "0"
 
 
 @lru_cache(maxsize=16384)
 def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, _classes: tuple) -> tuple:
     """Each traced term of ``modl_key`` without its wildcard, cut where the
-    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``."""
+    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``, in factor order."""
     if not factors:
         return ()
     p = DiagramPoint(r, 0)
@@ -313,8 +314,9 @@ class DimensionTable:
     torsion profile, the only part that carries a level.  ``entry`` and
     ``values`` spread both onto ``DimensionProfileSymbol(key, n)`` and
     ``unit_symbol(n)`` when read, each cell's sum built as one dict of
-    tuple-backed symbols in one pass.  ``maximal``: no ``pi``-factor lies
-    beyond ``r``, which holds also when ``r`` lies beyond all of them.
+    tuple-backed symbols in one pass.  ``maximal`` (:func:`_maximal`): no
+    ``pi``-factor exists or ``r`` is the largest radius of one, so not
+    when ``r`` lies beyond all of them; ``theorem_check`` warns otherwise.
     """
 
     r: int
@@ -348,14 +350,14 @@ def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
     # d_k sums the rows s > k: add them top down
     sums, above = [], GrothSum.zero()
     for s in range(r, 0, -1):
-        above = above + _weight(rows.get(s, ()), pi, r)
+        above = above + _weight(ds._build(rows.get(s, ())), pi, r)
         sums.append(above)
     return DimensionTable(
         r=r,
         levels=ds.levels,
         sums=tuple(reversed(sums)),
         torsion=ds.torsion,
-        maximal=(observed is None or observed <= r),
+        maximal=_maximal(observed, r),
     )
 
 
@@ -430,7 +432,7 @@ def expected_contributions(
     ds: Dataset, pi: InertialCuspidal, r: int
 ) -> ContributionSet:
     """Ground-truth contribution set read directly off the records."""
-    rows = _matching(ds, pi, r)[0].items()
+    rows = [(s, ds._build(row)) for s, row in _matching(ds, pi, r)[0].items()]
     return ContributionSet(
         r=r,
         pairs={(s, r - s + 1): _spread(_weight(row, pi, r), ds.levels) for s, row in rows},
@@ -464,10 +466,10 @@ def theorem_check(
     """Compare the two formal sums of congruent datasets at ``(r, s)``.
 
     Both anchors must share a mod-l class and both datasets the same
-    ambient degree and level tower.  A side warns when the largest
-    radius of its ``pi``-factors is not ``r``, so also when ``r`` lies
-    beyond all of them, where ``DimensionTable.maximal`` holds.  Both
-    sides are still compared level-free, then spread onto the levels.
+    ambient degree and level tower.  A side warns when ``r`` is not
+    maximal (:func:`_maximal`): the largest radius of its ``pi``-factors
+    is not ``r``.  Only the rows ``s`` are built, and both sides are
+    compared level-free, then spread onto the levels.
     """
     if pi_a.modl_class != pi_b.modl_class:
         raise InconsistentDataError(
@@ -484,12 +486,12 @@ def theorem_check(
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):
         rows, observed = _matching(ds, pi, r)
-        if observed is not None and observed != r:
+        if not _maximal(observed, r):
             warnings.append(
                 f"dataset {name}: r={r} is not the maximal radius "
                 f"(observed {observed}); check performed anyway"
             )
-        sides.append(_weight(rows.get(s, ()), pi, r))
+        sides.append(_weight(ds._build(rows.get(s, ())), pi, r))
     lhs, rhs, delta = (_spread(x, ds_a.levels) for x in (*sides, sides[0] - sides[1]))
     diffs = [
         (symbol, lhs.coefficient(symbol), rhs.coefficient(symbol))

@@ -15,15 +15,16 @@ Well-typed values that break an invariant raise the constructor's
 that reader.
 
 Dataset files carry the traffic, thousands of records each, of which a
-query reads the few at one radius.  So a dataset's records are first
-checked, not built: :func:`_index` makes, on the raw document and with
-exact ``type`` tests, every check the checked reader, the constructors
-and the ``Dataset`` walk make, and indexes the records by base id and
-radius.  A file that passes becomes a dataset that builds each record
-when it is first read (see :class:`~spehline.congruence.Dataset`).  A
-file that fails anywhere is read by the checked reader, record by
-record, and the first fault raises; so errors, their paths and which of
-two faults is reported do not depend on the check.
+query reads the few in one row.  One checked reader builds every
+record, and :func:`_index` only decides when: it makes, on the raw
+document and with exact ``type`` tests, every check the checked reader,
+the constructors and the ``Dataset`` walk make, and indexes the record
+positions by base id and ``(radius, s)``.  A file that passes becomes a
+dataset that builds each record through the checked reader when it is
+first read (see :class:`~spehline.congruence.Dataset`).  A file that
+fails anywhere is read by the checked reader, record by record, and the
+first fault raises; so errors, their paths and which of two faults is
+reported do not depend on the check.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .congruence import AutomorphicDatum, Dataset, Verdict
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
-from .zline import ZERO, HalfInt, InertialCuspidal, Multisegment, Wildcard
+from .zline import HalfInt, InertialCuspidal, Multisegment, Wildcard
 
 SCHEMA_VERSION = 1
 
@@ -293,9 +294,9 @@ def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     )
 
 
-def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict[int, list[int]]] | None:
-    """The ``Dataset`` index of ``records`` over their positions, or ``None``
-    when a record fails a check.
+def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict] | None:
+    """The ``Dataset`` index of ``records``, base id to ``(radius, s)`` to
+    positions, or ``None`` when a record fails a check.
 
     Builds nothing, but checks each record as :func:`_checked_record`, the
     constructors and the ``Dataset`` walk do: exact types, the ``>= 1``
@@ -303,7 +304,7 @@ def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict[int, list[i
     the context's degree.
     """
     ids: set[str] = set()
-    by_base: dict[str, dict[int, list[int]]] = {}
+    by_base: dict[str, dict[tuple[int, int], list[int]]] = {}
     try:
         for idx, rec in enumerate(records):
             loc = rec["local"]
@@ -335,7 +336,7 @@ def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict[int, list[i
                 if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
                     return None
                 degree += s * t * cuspidals[cid].g
-                found = by_base.setdefault(cid, {}).setdefault(s + t - 1, [])
+                found = by_base.setdefault(cid, {}).setdefault((s + t - 1, s), [])
                 if not found or found[-1] != idx:
                     found.append(idx)
             if degree != d:
@@ -345,21 +346,10 @@ def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict[int, list[i
     return by_base
 
 
-def _built(rec: dict, cuspidals: dict) -> AutomorphicDatum:
-    """A record that passed :func:`_index`, built with no check repeated."""
-    loc = rec["local"]
-    wild = loc.get("wildcard")
-    if wild is not None:
-        shift = wild.get("shift_twice", 0)
-        wild = Wildcard(wild["id"], wild["degree"], HalfInt(shift) if shift else ZERO)
-    factors = tuple((f["t"], cuspidals[f["base_id"]]) for f in loc["factors"])
-    local = LocalComponent(loc["s"], factors, wild)
-    return AutomorphicDatum(rec["id"], local, rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"])
-
-
 def _builder(records: list, cuspidals: dict):
     """``build(positions)``: the records at ``positions`` (all of them for
-    ``None``), each built on its first request and kept."""
+    ``None``), each built by :func:`_checked_record` on its first request
+    and kept."""
     built: list[AutomorphicDatum | None] = [None] * len(records)
 
     def build(positions) -> list[AutomorphicDatum]:
@@ -367,7 +357,7 @@ def _builder(records: list, cuspidals: dict):
         for idx in range(len(records)) if positions is None else positions:
             datum = built[idx]
             if datum is None:
-                datum = built[idx] = _built(records[idx], cuspidals)
+                datum = built[idx] = _checked_record(records[idx], cuspidals, f"data[{idx}]")
             out.append(datum)
         return out
 

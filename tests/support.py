@@ -201,6 +201,17 @@ def single_field_mutations(
     return out
 
 
+def unbuilt(ds: Dataset) -> bool:
+    """Whether the ``data`` slot of ``ds`` is unset, which holds for a dataset
+    read from a file until its ``data`` is read; reading the slot itself,
+    not the attribute, builds nothing."""
+    try:
+        Dataset.data.__get__(ds, Dataset)
+    except AttributeError:
+        return True
+    return False
+
+
 # ------------------------------------------------------- a dataset file by hand
 
 

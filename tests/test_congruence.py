@@ -29,9 +29,10 @@ from spehline import (
     theorem_check,
 )
 from spehline.congruence import ContributionSet, DimensionTable, _spread, unit_symbol
+from spehline.jsonio import dataset_from_dict, dataset_to_dict
 from spehline.torsion import torsion_dimension
 
-from support import PI, PI_TWIN, RHO, single_field_mutations
+from support import PI, PI_TWIN, RHO, single_field_mutations, unbuilt
 
 CTX = GlobalContext(d=12, pi=PI)
 
@@ -162,6 +163,17 @@ class TestDSequence:
         assert not d_sequence(dataset(datum("a", 2, 3)), PI, 3).maximal
         # the largest radius counts, wherever its record sits
         assert not d_sequence(dataset(datum("b", 2, 4), datum("a", 2, 3)), PI, 4).maximal
+
+    def test_radius_beyond_every_factor_is_not_maximal(self):
+        ds = dataset(datum("a", 2, 3))  # radius 4 only
+        assert not d_sequence(ds, PI, 5).maximal
+        twin = substitute_cuspidal(ds, PI, PI_TWIN)
+        assert theorem_check(ds, PI, twin, PI_TWIN, 5, 2).warnings == [
+            f"dataset {side}: r=5 is not the maximal radius (observed 4); check performed anyway"
+            for side in "AB"
+        ]
+        # no pi-factor at all: every radius is maximal
+        assert d_sequence(ds, RHO, 5).maximal
 
 
 class TestInferB:
@@ -512,23 +524,28 @@ def scan(ds: Dataset, pi: InertialCuspidal, r: int):
 
 class TestDatasetIndex:
     """``members``, maximality and the non-maximal warnings read the index
-    built at construction; each must agree with a scan of the records."""
+    built at construction, or by the file reader; each must agree with a
+    scan of the records, and the table's maximality with the warnings."""
 
     OUTSIDE = InertialCuspidal("absent", 1, modl_class="absent~")
 
     def assert_matches_scan(self, ds: Dataset) -> None:
         top = max((rec.local.s + t - 1 for rec in ds.data for t, _ in rec.local.factors), default=1)
-        for pi in (*ds.labels, self.OUTSIDE):
-            for r in range(1, top + 2):
-                found, observed = scan(ds, pi, r)
-                assert d_sequence(ds, pi, r).maximal == (observed is None or observed <= r)
-                for s in range(1, r + 1):
-                    assert members(ds, pi, r, s) == [rec for rec in found if rec.local.s == s]
-                    warnings = theorem_check(ds, pi, ds, pi, r, s).warnings
-                    if observed is None or observed == r:
-                        assert warnings == []
-                    else:
-                        assert len(warnings) == 2 and f"(observed {observed})" in warnings[0]
+        read = dataset_from_dict(dataset_to_dict(ds))
+        assert unbuilt(read)
+        for form in (ds, read):
+            for pi in (*ds.labels, self.OUTSIDE):
+                for r in range(1, top + 2):
+                    found, observed = scan(ds, pi, r)
+                    maximal = d_sequence(form, pi, r).maximal
+                    assert maximal == (observed is None or observed == r)
+                    for s in range(1, r + 1):
+                        assert members(form, pi, r, s) == [rec for rec in found if rec.local.s == s]
+                        warnings = theorem_check(form, pi, form, pi, r, s).warnings
+                        if maximal:  # the one rule: the table and the warnings agree
+                            assert warnings == []
+                        else:
+                            assert len(warnings) == 2 and f"(observed {observed})" in warnings[0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_with_noise(self, seed):

@@ -12,6 +12,7 @@ from spehline import (
     ConstituentLabel,
     DiagramPoint,
     HalfInt,
+    InertialCuspidal,
     LocalComponent,
     Wildcard,
     constituent,
@@ -354,3 +355,38 @@ class TestModlKeyMemo:
         assert key_a != key_b
         assert key_a.replace("?wa(", "?wb(") == key_b
         assert key_a == reference_modl_key(a, probe, 4)
+
+
+class TestModlKeyOrder:
+    """``modl_key`` joins the traced terms in factor order without sorting
+    them; that order must be the sorted one, whatever the classes and the
+    wildcard hold."""
+
+    PIECES = ("R", "S", "r", ";", " x ", "R_rl(", "rl(", "Speh_", "St_", "(", ")", "?", "a", "1*")
+
+    def text(self, rng: random.Random) -> str:
+        return "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 4)))
+
+    def test_matches_the_sorted_join(self):
+        rng = random.Random(20261019)
+        several = 0
+        for case in range(2000):
+            bases = [
+                InertialCuspidal(f"o{case}.{j}", rng.randint(1, 2), modl_class=self.text(rng))
+                for j in range(3)
+            ]
+            anchor, s = bases[0], rng.randint(1, 3)
+            factors = tuple(
+                (rng.randint(1, 4), bases[0] if rng.random() < 0.6 else rng.choice(bases))
+                for _ in range(rng.randint(1, 5))
+            )
+            wildcard = rng.choice([
+                None,
+                Wildcard(self.text(rng), rng.randint(0, 6)),
+                Wildcard(self.text(rng), rng.randint(0, 6), HalfInt(rng.choice([-3, 1, 2]))),
+            ])
+            c = LocalComponent(s=s, factors=factors, wildcard=wildcard)
+            r = rng.randint(1, s + 4)
+            several += len(constituent_sum(c, anchor, DiagramPoint(r, 0))) > 1
+            assert modl_key(c, anchor, r) == reference_modl_key(c, anchor, r), c
+        assert several >= 300

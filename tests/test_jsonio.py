@@ -38,7 +38,7 @@ from spehline.jsonio import (
     multisegment_to_dict,
 )
 
-from support import PI, PI_TWIN, field_paths, small_dataset_doc
+from support import PI, PI_TWIN, field_paths, small_dataset_doc, unbuilt
 
 
 class TestMultisegmentForm:
@@ -261,7 +261,7 @@ def _read(doc):
         ds = dataset_from_dict(doc)
     except Exception as exc:  # the class is part of the outcome
         return type(exc).__name__, getattr(exc, "path", None), str(exc)
-    return ds._build is not None, canonical_dumps(dataset_to_dict(ds))
+    return unbuilt(ds), canonical_dumps(dataset_to_dict(ds))
 
 
 def _assert_same_read(doc, monkeypatch) -> bool:
@@ -360,7 +360,7 @@ def test_random_mutations_read_the_same_with_and_without_the_check(monkeypatch):
 def _read_eagerly(doc, monkeypatch) -> Dataset:
     with _check_off(monkeypatch):
         ds = dataset_from_dict(doc)
-    assert ds._build is None
+    assert not unbuilt(ds)
     return ds
 
 
@@ -371,16 +371,16 @@ class TestUnbuiltDataset:
     def test_reads_match(self, which, monkeypatch):
         doc = _multi_record_docs()[which]
         lazy, eager = dataset_from_dict(doc), _read_eagerly(doc, monkeypatch)
-        assert lazy._build is not None
+        assert unbuilt(lazy)
         assert lazy.labels == eager.labels
-        anchors = [label for label in eager.labels if label.id in eager._radii]
+        anchors = [label for label in eager.labels if label.id in eager._index]
         for pi, r in itertools.product(anchors, range(1, 8)):
             assert expected_contributions(lazy, pi, r) == expected_contributions(eager, pi, r)
             for s in range(1, r + 1):
                 assert members(lazy, pi, r, s) == members(eager, pi, r, s)
         assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
         for twin in (pickle.loads(pickle.dumps(dataset_from_dict(doc))), copy.deepcopy(lazy)):
-            assert twin == eager and twin.labels == eager.labels and twin._build is None
+            assert twin == eager and twin.labels == eager.labels and not unbuilt(twin)
 
     @pytest.mark.parametrize("which", range(5))
     def test_substitute_and_replace_match(self, which, monkeypatch):
@@ -419,19 +419,20 @@ def _sweep_doc(pi) -> dict:
     return dataset_to_dict(Dataset(ctx, tuple(data), levels=(0, 1, 2)))
 
 
-def _ids_at(doc: dict, r: int) -> set[str]:
-    """Ids of the records of ``doc`` with an anchor factor at radius ``r``."""
+def _ids_at(doc: dict, r: int, s: int) -> set[str]:
+    """Ids of the records of ``doc`` with ``s`` rows and an anchor factor at
+    radius ``r``."""
     anchor = doc["context"]["pi_id"]
     return {
         rec["id"]
         for rec in doc["data"]
         for f in rec["local"]["factors"]
-        if f["base_id"] == anchor and rec["local"]["s"] + f["t"] - 1 == r
+        if f["base_id"] == anchor and rec["local"]["s"] == s and s + f["t"] - 1 == r
     }
 
 
 @pytest.mark.parametrize("r,s", [(2, 1), (3, 3), (4, 3), (5, 5)])
-def test_query_builds_only_its_radius(r, s, monkeypatch):
+def test_query_builds_only_its_rows(r, s, monkeypatch):
     doc_a, doc_b = _sweep_doc(PI), _sweep_doc(PI_TWIN)
     built: list[AutomorphicDatum] = []
     post_init = AutomorphicDatum.__post_init__
@@ -445,14 +446,14 @@ def test_query_builds_only_its_radius(r, s, monkeypatch):
     assert built == []
     verdict = theorem_check(ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, r, s)
     assert verdict.equal and verdict.lhs
-    at_r = _ids_at(doc_a, r)
-    assert 0 < len(at_r) < len(doc_a["data"]) // 2
-    assert sorted(datum.id for datum in built) == sorted([*at_r, *_ids_at(doc_b, r)])
+    rows = _ids_at(doc_a, r, s)
+    assert 0 < len(rows) < len(doc_a["data"]) // 4
+    assert sorted(datum.id for datum in built) == sorted([*rows, *_ids_at(doc_b, r, s)])
 
     built.clear()
     data = ds_a.data
     assert sorted(datum.id for datum in built) == sorted(
-        rec["id"] for rec in doc_a["data"] if rec["id"] not in at_r
+        rec["id"] for rec in doc_a["data"] if rec["id"] not in rows
     )
     built.clear()
     assert ds_a.data is data and members(ds_a, PI, r, s) and built == []
