@@ -20,8 +20,14 @@ carries a level, as one integer per level.  Where a caller reads a
 level (``DimensionTable.entry``/``values``, ``ContributionSet.pairs``,
 the ``Verdict`` sides and diffs) a weight is spread onto one formal
 symbol per (mod-l class, level), and torsion onto the reserved unit
-symbol of each level.  A symbol is a tuple ``(key, level)``, and a
-spread sum is built as one dict in one pass, not merged term by term.
+symbol of each level.  A symbol is a tuple ``(key, level)``, built by
+``tuple.__new__``, and a spread sum is built as one dict in one pass,
+not merged term by term.
+
+A record's mod-l class is the string ``modl_key``.  Its memo keeps the
+wildcard-free text of each traced term; a miss formats one
+``ConstituentLabel`` per factor of ``diagrams.traced_factors``, the one
+statement of which factors trace, and builds no formal sum.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, constituent_sum
+from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, traced_factors
+# not called here; kept as a module attribute, which perfbench/spans.py wraps by name
+from .diagrams import constituent_sum
 from .formal import GrothSum
 from .ledger import GlobalContext
 from .torsion import TorsionProfile, torsion_dimension
@@ -65,7 +73,7 @@ class DimensionProfileSymbol(NamedTuple):
 
 def unit_symbol(n: int) -> DimensionProfileSymbol:
     """The reserved symbol of level ``n`` that torsion units land on."""
-    return DimensionProfileSymbol("1", n)
+    return tuple.__new__(DimensionProfileSymbol, ("1", n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,32 +265,44 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
     # The memo keys on the wildcard-free part: the rows, the factors and,
     # since labels compare by id, their classes.  Records repeat that part
     # but each names its own wildcard, so the wildcard text is spliced into
-    # every term on each call instead of keyed.  The terms arrive sorted,
-    # in factor order: terms k < k' agree up to factor k, where term k
-    # writes ``R_<id>`` and term k' a ladder shape, which begins ``Speh_``,
-    # ``St_`` or a reduced id ``rl(``; ``R`` < ``S`` < ``r``, whatever the
-    # classes and the wildcard spliced in after the factors.
+    # every term on each call instead of keyed.  A miss formats the labels
+    # of the factors ``diagrams.traced_factors`` yields, with no formal sum
+    # (see ``_traced_terms``); a hit only hashes the key and joins strings.
+    # The terms arrive sorted, in factor order: terms k < k' agree up to
+    # factor k, where term k writes ``R_<id>`` and term k' a ladder shape,
+    # which begins ``Speh_``, ``St_`` or a reduced id ``rl(``; ``R`` < ``S``
+    # < ``r``, whatever the classes and the wildcard spliced in after the
+    # factors.
     terms = _traced_terms(
-        local.s, local.factors, pi, r, tuple(base.modl_class for _, base in local.factors)
+        local.s, local.factors, pi, r, tuple([base.modl_class for _, base in local.factors])
     )
-    wild = "" if local.wildcard is None else f" x {local.wildcard}"
-    return ";".join(head + wild + tail for head, tail in terms) or "0"
+    if not terms:
+        return "0"
+    if local.wildcard is None:
+        return ";".join([head + tail for head, tail in terms])
+    wild = f" x {local.wildcard}"
+    return ";".join([head + wild + tail for head, tail in terms])
 
 
 @lru_cache(maxsize=16384)
 def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, _classes: tuple) -> tuple:
     """Each traced term of ``modl_key`` without its wildcard, cut where the
-    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``, in factor order."""
+    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``, in factor order.
+
+    A miss builds the reduced component once and one ``ConstituentLabel``
+    per factor of ``diagrams.traced_factors``, formats it once and cuts it
+    at the label's own marker, the last ``" ["``; it builds no formal sum.
+    """
     if not factors:
         return ()
     p = DiagramPoint(r, 0)
     bare = LocalComponent(s, factors)
     reduced = bare.reduced()
     terms = []
-    for label in constituent_sum(bare, pi, p).labels():
-        term = ConstituentLabel(reduced, p, label.xi_index)
-        head = term.product_str()
-        terms.append((f"1*{head}", str(term)[len(head):]))
+    for k in traced_factors(bare, pi, p):
+        label = str(ConstituentLabel(reduced, p, k))
+        cut = label.rindex(" [")
+        terms.append(("1*" + label[:cut], label[cut:]))
     return tuple(terms)
 
 
@@ -298,7 +318,8 @@ def _spread(weight: GrothSum, levels: Iterable[int], units: dict | None = None) 
     is the unit key ``"1"``, so a unit never lands on a weight's symbol.
     """
     terms = weight._terms.items()
-    out = {DimensionProfileSymbol(key, n): c for n in levels for key, c in terms}
+    new = tuple.__new__  # the namedtuple's own __new__ runs in Python
+    out = {new(DimensionProfileSymbol, (key, n)): c for n in levels for key, c in terms}
     for n, c in (units or {}).items():
         if c:
             out[unit_symbol(n)] = c

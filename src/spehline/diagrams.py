@@ -15,7 +15,8 @@ opaque ``R`` symbol at the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 from .formal import GrothSum
 from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
@@ -88,12 +89,12 @@ class LocalComponent:
         factors = tuple(
             (t, new if base == old else base) for t, base in self.factors
         )
-        return replace(self, factors=factors)
+        return LocalComponent(self.s, factors, self.wildcard)
 
     def reduced(self) -> "LocalComponent":
         """Every base replaced by the label of its mod-l class."""
         factors = tuple((t, reduced_label(base)) for t, base in self.factors)
-        return replace(self, factors=factors)
+        return LocalComponent(self.s, factors, self.wildcard)
 
     def __str__(self) -> str:
         return _product_str(self)
@@ -198,10 +199,10 @@ class ConstituentLabel:
     def substituted(
         self, old: InertialCuspidal, new: InertialCuspidal
     ) -> "ConstituentLabel":
-        return replace(self, component=self.component.substituted(old, new))
+        return ConstituentLabel(self.component.substituted(old, new), self.point, self.xi_index)
 
     def reduced(self) -> "ConstituentLabel":
-        return replace(self, component=self.component.reduced())
+        return ConstituentLabel(self.component.reduced(), self.point, self.xi_index)
 
     def product_str(self) -> str:
         return _product_str(self.component, self.point, self.xi_index)
@@ -216,16 +217,26 @@ def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
     return ConstituentLabel(c, p, k)
 
 
+def traced_factors(
+    c: LocalComponent, pi: InertialCuspidal, p: DiagramPoint
+) -> Iterator[int]:
+    """The 1-based index ``k`` of each factor that traces ``pi`` at ``p``, in
+    factor order: ``base_k`` is equal to ``pi`` and the indicator of
+    ``(s, t_k)`` is nonzero at ``p``.
+
+    The one statement of the rule: ``constituent_sum`` sums these factors,
+    and ``congruence.modl_key`` formats their labels without the sum.
+    """
+    for k, (t_k, base_k) in enumerate(c.factors, start=1):
+        if base_k == pi and m_indicator(c.s, t_k, p.r, p.i):
+            yield k
+
+
 def constituent_sum(
     c: LocalComponent, pi: InertialCuspidal, p: DiagramPoint
 ) -> GrothSum:
     """Sum of the constituents at ``p`` over factors whose base is equal to ``pi``.
 
-    One unit term per factor index ``k`` with ``base_k`` equal to ``pi``
-    whose indicator is nonzero at ``p``.
+    One unit term per factor index ``k`` of :func:`traced_factors`.
     """
-    return GrothSum(
-        (ConstituentLabel(c, p, k), 1)
-        for k, (t_k, base_k) in enumerate(c.factors, start=1)
-        if base_k == pi and m_indicator(c.s, t_k, p.r, p.i)
-    )
+    return GrothSum((ConstituentLabel(c, p, k), 1) for k in traced_factors(c, pi, p))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -237,11 +237,11 @@ class Multisegment:
         return Multisegment(self.segments, n, self.wildcard, self.order_tag)
 
     def without_wildcard(self) -> "Multisegment":
-        return replace(self, wildcard=None)
+        return Multisegment(self.segments, self.tate, None, self.order_tag)
 
     def reduced(self) -> "Multisegment":
-        segs = tuple(replace(s, base=reduced_label(s.base)) for s in self.segments)
-        return replace(self, segments=segs)
+        segs = tuple(Segment(reduced_label(s.base), s.start, s.length) for s in self.segments)
+        return Multisegment(segs, self.tate, self.wildcard, self.order_tag)
 
     def __str__(self) -> str:
         parts = [str(seg) for seg in self.segments]
@@ -289,10 +289,10 @@ class LadderShape:
         return Multisegment(rows)
 
     def shifted(self, n: HalfInt) -> "LadderShape":
-        return replace(self, center=self.center + n)
+        return LadderShape(self.base, self.s, self.t, self.center + n)
 
     def reduced(self) -> "LadderShape":
-        return replace(self, base=reduced_label(self.base))
+        return LadderShape(reduced_label(self.base), self.s, self.t, self.center)
 
     def __str__(self) -> str:
         if self.s == 1:

@@ -327,6 +327,33 @@ class TestSpread:
             assert got == want
             assert all(got.coefficient(label) != 0 for label in got.labels())
             assert repr(got) == repr(want)
+            assert all(type(label) is DimensionProfileSymbol for label in got.labels())
+
+    def test_every_read_symbol_is_exactly_the_symbol_type(self):
+        # the spread builds symbols through tuple.__new__: the class must be
+        # the symbol's own, on every path that hands a level-indexed sum out
+        def symbols(*sums):
+            return [label for total in sums for label in total.labels()]
+
+        for seed in range(6):
+            torsion = TorsionProfile(t0=1, tau=(1, 2, 3)) if seed % 2 else TorsionProfile()
+            ds = generate_dataset(seed, CTX, r=4, torsion=torsion, levels=(0, 2))
+            other = substitute_cuspidal(ds, PI, PI_TWIN)
+            table = d_sequence(ds, PI, 4)
+            verdicts = [
+                theorem_check(ds, PI, side, PI_TWIN, 4, s)
+                for side in (other, dataclasses.replace(other, data=other.data[1:]))
+                for s in range(1, 5)
+            ]
+            found = symbols(
+                *table.values.values(),
+                *infer_B(table, ds.torsion).pairs.values(),
+                *expected_contributions(ds, PI, 4).pairs.values(),
+                *(side for v in verdicts for side in (v.lhs, v.rhs)),
+            ) + [symbol for v in verdicts for symbol, _, _ in v.diffs]
+            assert found and any(not v.equal for v in verdicts)
+            assert all(type(symbol) is DimensionProfileSymbol for symbol in found)
+        assert type(unit_symbol(3)) is DimensionProfileSymbol
 
 
 class TestDimensionProfileSymbol:

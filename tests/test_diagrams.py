@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from spehline import (
     ConstituentLabel,
     DiagramPoint,
+    GrothSum,
     HalfInt,
     InertialCuspidal,
     LocalComponent,
@@ -20,11 +21,14 @@ from spehline import (
     diagram,
     m_indicator,
     modl_key,
+    reduced_label,
     superpose,
     trace_back,
 )
+from spehline.congruence import _traced_terms
+from spehline.jsonio import _local_to_dict, canonical_dumps, cuspidal_to_dict
 
-from support import PI, PI_TWIN, RHO, TAU, enumerate_support, hull_vertices
+from support import BASES, PI, PI_TWIN, RHO, TAU, enumerate_support, hull_vertices
 
 
 def closed_form(s: int, t: int) -> int:
@@ -298,24 +302,33 @@ def reference_modl_key(c: LocalComponent, pi, r: int) -> str:
     return ";".join(terms) or "0"
 
 
-def random_component(rng: random.Random, n: int, traced: int, wild: str):
-    """A component with ``n`` factors, ``traced`` of them traced by ``PI`` at
-    the returned radius, and a wildcard that is absent, unshifted or shifted."""
+# the text a traced term's own format writes around and between its factors
+MARKERS = (" [", "]", "xi_", "Xi^", " x ", ";")
+
+
+def marker_text(rng: random.Random) -> str:
+    return "".join(rng.choice(MARKERS + ("a", "(", ")")) for _ in range(rng.randint(1, 4)))
+
+
+def random_component(rng: random.Random, n: int, traced: int, wild: str, bases=BASES, wild_id=None):
+    """A component with ``n`` factors, ``traced`` of them traced by
+    ``bases[0]`` at the returned radius, the others on ``bases[1:]``, and a
+    wildcard that is absent, unshifted or shifted, named by ``wild_id(rng)``."""
+    anchor, others = bases[0], list(bases[1:])
+    name = wild_id or (lambda rng: f"w{rng.randrange(100)}")
     s, t = rng.randint(1, 3), rng.randint(1, 4)
     r = s + t - 1
-    factors = [(t, PI)] * traced
+    factors = [(t, anchor)] * traced
     while len(factors) < n:
-        if rng.random() < 0.3 and r > s:  # a pi-factor that ends before r
-            factors.append((rng.randint(1, r - s), PI))
+        if rng.random() < 0.3 and r > s:  # an anchor factor that ends before r
+            factors.append((rng.randint(1, r - s), anchor))
         else:
-            factors.append((rng.randint(1, 4), rng.choice([PI_TWIN, RHO, TAU])))
+            factors.append((rng.randint(1, 4), rng.choice(others)))
     rng.shuffle(factors)
     wildcard = {
         "absent": None,
-        "unshifted": Wildcard(f"w{rng.randrange(100)}", rng.randint(0, 6)),
-        "shifted": Wildcard(
-            f"w{rng.randrange(100)}", rng.randint(0, 6), HalfInt(rng.choice([-3, 1, 2]))
-        ),
+        "unshifted": Wildcard(name(rng), rng.randint(0, 6)),
+        "shifted": Wildcard(name(rng), rng.randint(0, 6), HalfInt(rng.choice([-3, 1, 2]))),
     }[wild]
     return LocalComponent(s=s, factors=tuple(factors), wildcard=wildcard), r
 
@@ -324,7 +337,7 @@ class TestModlKeyMemo:
     CASES = [
         (n, traced, wild)
         for n, traced, wild in itertools.product(
-            range(4), range(3), ("absent", "unshifted", "shifted")
+            range(4), range(4), ("absent", "unshifted", "shifted")
         )
         if traced <= n and (n or wild != "absent")
     ]
@@ -337,6 +350,23 @@ class TestModlKeyMemo:
             assert len(constituent_sum(c, PI, DiagramPoint(r, 0))) == traced
             for pi, radius in itertools.product((PI, PI_TWIN, RHO), (r, r + 1, max(1, r - 1))):
                 assert modl_key(c, pi, radius) == reference_modl_key(c, pi, radius)
+
+    @pytest.mark.parametrize("n, traced, wild", [case for case in CASES if case[1] >= 2])
+    def test_marker_text_in_classes_and_wildcards(self, n, traced, wild):
+        # a term is cut at the last " [": classes and wildcard ids that
+        # write the term's own markers must not move the cut
+        rng = random.Random(f"markers-{n}-{traced}-{wild}")
+        for case in range(40):
+            # the first two bases share a class, as PI and PI_TWIN do
+            classes = [marker_text(rng)] * 2 + [marker_text(rng) for _ in BASES[2:]]
+            bases = [
+                InertialCuspidal(f"mk{case}.{j}", base.g, modl_class=cls)
+                for j, (base, cls) in enumerate(zip(BASES, classes))
+            ]
+            c, r = random_component(rng, n, traced, wild, bases, marker_text)
+            assert len(constituent_sum(c, bases[0], DiagramPoint(r, 0))) == traced
+            for pi in bases[:3]:
+                assert modl_key(c, pi, r) == reference_modl_key(c, pi, r)
 
     def test_wildcard_ids_share_one_entry(self):
         # a base no other test uses, so the first lookup misses
@@ -357,12 +387,97 @@ class TestModlKeyMemo:
         assert key_a == reference_modl_key(a, probe, 4)
 
 
+class TestModlKeyMisses:
+    """A miss formats the traced labels without building a formal sum, and
+    the memo behind ``modl_key`` empties with ``_traced_terms.cache_clear``."""
+
+    def test_a_cold_call_builds_no_sum(self, monkeypatch):
+        built = []
+        init = GrothSum.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        probe = dataclasses.replace(PI, id="cold-probe", modl_class="cold")
+        c = LocalComponent(s=2, factors=((3, probe), (1, RHO), (3, probe)), wildcard=Wildcard("w", 2))
+        monkeypatch.setattr(GrothSum, "__init__", counted)
+        before = modl_key.cache_info()
+        key = modl_key(c, probe, 4)
+        assert modl_key.cache_info().misses == before.misses + 1
+        assert built == []
+        monkeypatch.undo()
+        assert key == reference_modl_key(c, probe, 4)
+        assert key.count("[xi_") == 2
+
+    def test_cache_clear_empties_the_memo(self):
+        c = LocalComponent(s=1, factors=((2, PI),))
+        modl_key(c, PI, 2)
+        hit = modl_key.cache_info()
+        modl_key(c, PI, 2)
+        assert modl_key.cache_info().hits == hit.hits + 1
+        _traced_terms.cache_clear()
+        assert modl_key.cache_info().currsize == 0
+        modl_key(c, PI, 2)
+        after = modl_key.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (0, 1, 1)
+
+
+def constituent_to_json(x) -> str:
+    """Canonical JSON of a component or a label, with the fields of every
+    base: labels compare by id alone."""
+    c = x.component if isinstance(x, ConstituentLabel) else x
+    doc = {
+        "component": _local_to_dict(c),
+        "bases": [cuspidal_to_dict(base) for _, base in c.factors],
+    }
+    if isinstance(x, ConstituentLabel):
+        doc.update(point=[x.point.r, x.point.i], xi_index=x.xi_index)
+    return canonical_dumps(doc)
+
+
+# the support labels, and each again with another class, equal to it by id
+LABELS = BASES + [dataclasses.replace(b, modl_class="z") for b in BASES]
+components = st.builds(
+    LocalComponent,
+    s=st.integers(1, 3),
+    factors=st.lists(st.tuples(st.integers(1, 4), st.sampled_from(LABELS)), min_size=1, max_size=4).map(tuple),
+    wildcard=st.none() | st.builds(Wildcard, st.sampled_from(["w1", "w2"]), st.integers(0, 4)),
+)
+
+
+class TestRebuildMatchesReplace:
+    """``substituted`` and ``reduced`` of components and labels build what
+    ``dataclasses.replace`` built."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert type(got) is type(ref)
+        assert got == ref and hash(got) == hash(ref) and str(got) == str(ref)
+        assert constituent_to_json(got) == constituent_to_json(ref)
+
+    @settings(max_examples=150, derandomize=True)
+    @given(components, st.sampled_from(LABELS), st.sampled_from(LABELS), st.integers(1, 4), st.integers(-2, 2))
+    def test_component_and_label(self, c, old, new, r, i):
+        def substituted(x):
+            return tuple((t, new if base == old else base) for t, base in x.factors)
+
+        ref_sub = dataclasses.replace(c, factors=substituted(c))
+        ref_red = dataclasses.replace(c, factors=tuple((t, reduced_label(b)) for t, b in c.factors))
+        self.assert_same(c.substituted(old, new), ref_sub)
+        self.assert_same(c.reduced(), ref_red)
+        for k in range(1, len(c.factors) + 1):
+            label = ConstituentLabel(c, DiagramPoint(r, i), k)
+            self.assert_same(label.substituted(old, new), dataclasses.replace(label, component=ref_sub))
+            self.assert_same(label.reduced(), dataclasses.replace(label, component=ref_red))
+
+
 class TestModlKeyOrder:
     """``modl_key`` joins the traced terms in factor order without sorting
     them; that order must be the sorted one, whatever the classes and the
     wildcard hold."""
 
-    PIECES = ("R", "S", "r", ";", " x ", "R_rl(", "rl(", "Speh_", "St_", "(", ")", "?", "a", "1*")
+    PIECES = ("R", "S", "r", "R_rl(", "rl(", "Speh_", "St_", "(", ")", "?", "a", "1*") + MARKERS
 
     def text(self, rng: random.Random) -> str:
         return "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 4)))
@@ -370,7 +485,7 @@ class TestModlKeyOrder:
     def test_matches_the_sorted_join(self):
         rng = random.Random(20261019)
         several = 0
-        for case in range(2000):
+        for case in range(2400):
             bases = [
                 InertialCuspidal(f"o{case}.{j}", rng.randint(1, 2), modl_class=self.text(rng))
                 for j in range(3)

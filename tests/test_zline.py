@@ -26,7 +26,12 @@ from spehline import (
     reduced_label,
     twist,
 )
-from spehline.jsonio import canonical_dumps, multisegment_to_dict, wildcard_to_dict
+from spehline.jsonio import (
+    canonical_dumps,
+    cuspidal_to_dict,
+    multisegment_to_dict,
+    wildcard_to_dict,
+)
 
 from support import (
     BASES,
@@ -269,13 +274,21 @@ tagged_or_plain = st.one_of(
 
 
 class TestRebuildMatchesReplace:
-    """``shifted`` and ``with_tate`` build what ``dataclasses.replace`` built."""
+    """``shifted``, ``with_tate``, ``without_wildcard`` and ``reduced`` build
+    what ``dataclasses.replace`` built."""
 
     @staticmethod
     def assert_same(got, ref):
         assert type(got) is type(ref)
         assert got == ref and hash(got) == hash(ref) and str(got) == str(ref)
+        if isinstance(got, LadderShape):
+            # labels compare by id: the fields of the base must match too
+            assert cuspidal_to_dict(got.base) == cuspidal_to_dict(ref.base)
+            got, ref = got.to_multisegment(), ref.to_multisegment()
         if isinstance(got, Multisegment):
+            assert [cuspidal_to_dict(seg.base) for seg in got.segments] == [
+                cuspidal_to_dict(seg.base) for seg in ref.segments
+            ]
             assert got.degree == ref.degree
             assert canonical_dumps(multisegment_to_dict(got)) == canonical_dumps(
                 multisegment_to_dict(ref)
@@ -295,6 +308,23 @@ class TestRebuildMatchesReplace:
             assert wildcard_to_dict(w.shifted(n)) == wildcard_to_dict(
                 replace(w, shift=w.shift + n)
             )
+
+    @settings(max_examples=150, derandomize=True)
+    @given(tagged_or_plain)
+    def test_multisegment_reduced_and_without_wildcard(self, m):
+        reduced = m.reduced()
+        ref = replace(m, segments=tuple(replace(seg, base=reduced_label(seg.base)) for seg in m.segments))
+        self.assert_same(reduced, ref)
+        for got, want in zip(reduced.segments, ref.segments, strict=True):
+            self.assert_same(got, want)
+        self.assert_same(m.without_wildcard(), replace(m, wildcard=None))
+
+    @settings(max_examples=150, derandomize=True)
+    @given(ladders, shifts, st.sampled_from(LABELS))
+    def test_ladder(self, ladder, n, base):
+        ladder = replace(ladder, base=base)
+        self.assert_same(ladder.shifted(n), replace(ladder, center=ladder.center + n))
+        self.assert_same(ladder.reduced(), replace(ladder, base=reduced_label(ladder.base)))
 
     @settings(max_examples=100, derandomize=True)
     @given(tagged_or_plain)
