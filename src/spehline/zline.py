@@ -10,10 +10,12 @@ Ladders are the staggered-row shapes of ``Speh_s(St_t(pi))``.
 Twists are ``HalfInt`` values, stored absolutely on every segment.
 Constructors check the ranges of their parts but do not convert them:
 callers pass each part in its final type (``jsonio`` builds them from
-checked JSON).  Because the product of two multisegments models
-*normalized* induction, the written twists of the factors already are
-absolute positions, and the product reduces to a plain multiset union;
-this makes the product exactly associative and degree additive.
+checked JSON), and ``HalfInt`` operators take half-integers only, a
+whole number ``n`` being ``HalfInt(2 * n)``.  Because the product of
+two multisegments models *normalized* induction, the written twists of
+the factors already are absolute positions, and the product reduces to
+a plain multiset union; this makes the product exactly associative and
+degree additive.
 """
 
 from __future__ import annotations
@@ -28,43 +30,23 @@ class HalfInt:
     """A half-integer, stored as twice its value.
 
     Closed under addition, subtraction and negation; totally ordered.
-    Plain ``int`` operands are coerced, so ``HalfInt(1) + 2`` is 5/2.
+    Operands are half-integers: a whole number ``n`` is ``HalfInt(2 * n)``.
     """
 
     twice: int
-
-    @staticmethod
-    def of(value: "HalfInt | int") -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        raise TypeError(f"cannot coerce {value!r} to a half-integer")
 
     @property
     def is_zero(self) -> bool:
         return self.twice == 0
 
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
+    def __add__(self, other: "HalfInt") -> "HalfInt":
+        return HalfInt(self.twice + other.twice)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
+    def __sub__(self, other: "HalfInt") -> "HalfInt":
+        return HalfInt(self.twice - other.twice)
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            return NotImplemented
-        return HalfInt(self.twice * k)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -137,7 +119,7 @@ class Segment:
 
     @property
     def end(self) -> HalfInt:
-        return self.start + (self.length - 1)
+        return HalfInt(self.start.twice + 2 * (self.length - 1))
 
     @property
     def degree(self) -> int:
@@ -308,8 +290,6 @@ class LadderShape:
 
 def make_steinberg(pi: InertialCuspidal, t: int) -> LadderShape:
     """The generalized Steinberg shape ``St_t(pi)``: one row of length t."""
-    if t < 1:
-        raise ValueError(f"St_t needs t >= 1, got {t}")
     return LadderShape(base=pi, s=1, t=t, center=ZERO)
 
 
@@ -319,8 +299,6 @@ def make_speh(pi_or_ladder: InertialCuspidal | LadderShape, s: int) -> LadderSha
     ``Speh_s(St_t(pi))`` stacks s copies of the row of ``St_t(pi)`` at
     the staggered centers ``(1-s)/2, ..., (s-1)/2``.
     """
-    if s < 1:
-        raise ValueError(f"Speh_s needs s >= 1, got {s}")
     if isinstance(pi_or_ladder, InertialCuspidal):
         return LadderShape(base=pi_or_ladder, s=s, t=1, center=ZERO)
     if isinstance(pi_or_ladder, LadderShape):

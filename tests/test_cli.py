@@ -93,6 +93,23 @@ class TestDiagramCommand:
         assert code == 0
         assert out.startswith("<svg") and out.count("<rect") == 8
 
+    @pytest.mark.parametrize(
+        "flag, check",
+        [
+            ("--ascii", lambda out: out == "(empty diagram)\n"),
+            ("--json", lambda out: '"points":[]' in out),
+            ("--svg", lambda out: out.startswith("<svg") and "<rect" not in out),
+        ],
+    )
+    def test_component_without_factors(self, capsys, tmp_path, flag, check):
+        # a lone wildcard carries no point of the diagram
+        doc = copy.deepcopy(TRIPLE)
+        doc.update(factors=[], wildcard={"id": "w", "degree": 4})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "diagram", "--component", str(path), flag)
+        assert code == 0 and check(out)
+
     def test_component_render_counts_factors(self, capsys):
         code, out, _ = run(
             capsys, "diagram", "--component", str(FIXTURES / "triple_component.json")
@@ -266,6 +283,15 @@ class TestCongruenceCommand:
         assert code == 2
         assert f"cuspidal id {shared!r} names two labels" in err
 
+    def test_ambient_degrees_differ_exit_2(self, capsys, tmp_path):
+        a, _, s = self.write_pair(tmp_path)
+        other = generate_dataset(21, GlobalContext(d=14, pi=PI_TWIN), r=4)
+        b = tmp_path / "b14.json"
+        b.write_text(canonical_dumps(dataset_to_dict(other)))
+        code, out, err = run(capsys, "congruence", a, str(b), "--r", "4", "--s", str(s))
+        assert (code, out) == (2, "")
+        assert err == "inconsistent input: datasets have different ambient degrees\n"
+
     def test_report_file(self, capsys, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         report = tmp_path / "report.json"
@@ -341,20 +367,43 @@ class TestMalformedInput:
 
 class TestCheckedInPair:
     """``fixtures/congruence_{a,b}.json``: twin files with anchor records at
-    radii 2 to 5.  CI runs the installed script on the same three cases."""
+    radii 2 to 5.  CI runs the installed script on the same cases."""
 
-    def run_pair(self, capsys, tmp_path, edit=None) -> tuple[int, str, str]:
+    def run_pair(self, capsys, tmp_path, edit=None, r=5, s=5) -> tuple[int, str, str]:
         a, b = FIXTURES / "congruence_a.json", FIXTURES / "congruence_b.json"
         if edit is not None:
             doc = json.loads(b.read_text(encoding="utf-8"))
             edit(doc)
             b = tmp_path / "b.json"
             b.write_text(json.dumps(doc), encoding="utf-8")
-        return run(capsys, "congruence", str(a), str(b), "--r", "5", "--s", "5")
+        return run(capsys, "congruence", str(a), str(b), "--r", str(r), "--s", str(s))
 
     def test_twins_exit_0(self, capsys, tmp_path):
         code, out, err = self.run_pair(capsys, tmp_path)
         assert (code, err) == (0, "") and json.loads(out)["lhs"]
+
+    def test_radius_beyond_anchors_warns_exit_0(self, capsys, tmp_path):
+        code, out, err = self.run_pair(capsys, tmp_path, r=6, s=2)
+        assert code == 0 and json.loads(out)["warnings"]
+        assert err == "".join(
+            f"warning: dataset {side}: r=6 is not the maximal radius (observed 5); "
+            "check performed anyway\n"
+            for side in "AB"
+        )
+
+    @pytest.mark.parametrize("r, s", [(5, 6), (5, 0), (0, 0)])
+    def test_rows_outside_radius_exit_2(self, capsys, tmp_path, r, s):
+        code, out, err = self.run_pair(capsys, tmp_path, r=r, s=s)
+        assert (code, out) == (2, "")
+        assert err == f"inconsistent input: need 1 <= s <= r, got r={r}, s={s}\n"
+
+    def test_level_towers_differ_exit_2(self, capsys, tmp_path):
+        def extend(doc):
+            doc["levels"].append(3)
+
+        code, out, err = self.run_pair(capsys, tmp_path, extend)
+        assert (code, out) == (2, "")
+        assert err == "inconsistent input: datasets have different level towers\n"
 
     def test_bumped_m_exit_1(self, capsys, tmp_path):
         def bump(doc):

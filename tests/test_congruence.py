@@ -141,6 +141,13 @@ class TestDSequence:
             assert table.entry(2, n) == w0
             assert table.entry(3, n).is_zero
 
+    def test_entry_outside_table_is_zero(self):
+        rec = datum("a", 3, 2, m=2, d_xi=3, inv_dim=1)  # r = 4
+        table = d_sequence(dataset(rec, torsion=TorsionProfile(t0=2, tau=(5, 7))), PI, 4)
+        assert not table.entry(0, 0).is_zero and not table.entry(3, 1).is_zero
+        for k, n in ((4, 0), (9, 1), (-1, 0), (0, 2), (1, -1)):
+            assert table.entry(k, n) == GrothSum.zero()
+
     def test_torsion_hits_positive_degrees_only(self):
         prof = TorsionProfile(t0=2, tau=(5, 7))
         table = d_sequence(dataset(torsion=prof), PI, 3)

@@ -62,8 +62,8 @@ class TestHalfInt:
         assert a + b == HalfInt(2)
         assert a - b == HalfInt(4)
         assert -a == HalfInt(-3)
-        assert a + 1 == HalfInt(5)
-        assert 2 * a == HalfInt(6)
+        with pytest.raises(AttributeError):  # an int is not coerced
+            a + 1
 
     def test_order_total(self):
         values = [HalfInt(k) for k in (-3, 0, 1, 4)]
@@ -97,6 +97,14 @@ class TestShapes:
     def test_steinberg_rejects_zero(self):
         with pytest.raises(ValueError):
             make_steinberg(PI, 0)
+
+    def test_shape_checks_ladder_range(self):
+        # make_steinberg and make_speh leave the range check to LadderShape
+        with pytest.raises(ValueError, match="ladder needs t >= 1, got 0"):
+            make_steinberg(PI, 0)
+        for source in (PI, make_steinberg(PI, 3)):
+            with pytest.raises(ValueError, match="ladder needs s >= 1, got 0"):
+                make_speh(source, 0)
 
     def test_speh_of_cuspidal_matches_steinberg(self):
         assert make_speh(PI, 1) == make_steinberg(PI, 1)
