@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .congruence import theorem_check
+from .congruence import _rows_within_radius, theorem_check
 from .diagrams import (
     DiagramPoint,
     LocalComponent,
@@ -173,6 +173,7 @@ def cmd_ledger(args, parser: _Parser) -> int:
 
 
 def cmd_congruence(args, parser: _Parser) -> int:
+    _rows_within_radius(args.r, args.s)  # flags no file can satisfy: before any read
     obj_a = _load_json(args.dataset_a)
     obj_b = _load_json(args.dataset_b)
     ds_a = dataset_from_dict(obj_a)

@@ -226,6 +226,12 @@ def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
             )
 
 
+def _rows_within_radius(r: int, s: int) -> None:
+    """Refuse rows ``s`` outside ``1..r``: no dataset can satisfy them."""
+    if r < 1 or s < 1 or s > r:
+        raise InconsistentDataError(f"need 1 <= s <= r, got r={r}, s={s}")
+
+
 def _matching(ds: Dataset, pi: InertialCuspidal, r: int) -> tuple[dict, int | None]:
     """The rows at radius ``r`` of the records with a ``pi``-factor there, as
     positions by ``s`` for ``ds._build`` (in order of first appearance, each
@@ -501,8 +507,7 @@ def theorem_check(
         raise InconsistentDataError("datasets have different ambient degrees")
     if ds_a.levels != ds_b.levels:
         raise InconsistentDataError("datasets have different level towers")
-    if r < 1 or s < 1 or s > r:
-        raise InconsistentDataError(f"need 1 <= s <= r, got r={r}, s={s}")
+    _rows_within_radius(r, s)
     _one_label_per_id(itertools.chain(ds_a.labels, ds_b.labels, (pi_a, pi_b)))
     warnings, sides = [], []
     for name, ds, pi in (("A", ds_a, pi_a), ("B", ds_b, pi_b)):

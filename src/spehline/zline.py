@@ -177,6 +177,12 @@ class Multisegment:
 
     The degree is summed on the first read and kept on the instance, so
     a factor shared by many products is summed once.
+
+    The trusted constructor ``Multisegment._sorted`` takes a segment
+    tuple as it is, with no sort and no other marker.  It has one caller,
+    ``jacquet_cuts``, whose docstring proves that each side it builds is
+    already in ``_segment_key`` order; every other multisegment is built
+    through ``Multisegment(...)``, which sorts.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -190,6 +196,18 @@ class Multisegment:
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
+
+    @classmethod
+    def _sorted(cls, segments: tuple[Segment, ...]) -> "Multisegment":
+        """Trusted constructor: ``segments`` is already in ``_segment_key`` order."""
+        out = object.__new__(cls)
+        # the fields in declaration order, as __init__ writes them
+        fields = out.__dict__
+        fields["segments"] = segments
+        fields["tate"] = ZERO
+        fields["wildcard"] = None
+        fields["order_tag"] = None
+        return out
 
     @classmethod
     def empty(cls) -> "Multisegment":
@@ -367,24 +385,38 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
     ``t - c_j`` on the right, both sides inheriting absolute twists.
     There are C(s+t, s) cuts, pairwise distinct, and each conserves the
     total degree.  Each row's ``2t`` pieces are built once, so the cuts
-    share their (immutable) segment objects; each side's segments are
-    in ``_segment_key`` order, as in every ``Multisegment``.
+    share their (immutable) segment objects.
+
+    Both sides are built in ``_segment_key`` order (one base, so by start,
+    then length), without a sort of segments:
+
+    - left: the rows with ``c_j > 0`` are a prefix, since ``c`` is weakly
+      decreasing, and their starts rise with ``j``;
+    - right: row j starts ``j + c_j`` twists after ``row_start(0)`` and has
+      length ``t - c_j``; at one start a larger ``j`` has a smaller ``c_j``,
+      so sorting the pairs ``(j + c_j, j)``, encoded as the distinct ints
+      ``(j + c_j) * s + j``, orders the rows by start, then length.
     """
     s, t, base = ladder.s, ladder.t, ladder.base
-    # lefts[j][c] keeps c cells of row j (c >= 1), rights[j][c] the other t - c
+    # lefts[j][c] keeps c cells of row j (c >= 1); rights[j][c] holds the
+    # other t - c cells with their order key (c < t)
     lefts: list[list[Segment | None]] = []
-    rights: list[list[Segment | None]] = []
+    rights: list[list[tuple[int, Segment] | None]] = []
     for j in range(s):
         start = ladder.row_start(j)
         lefts.append([None] + [Segment(base, start, c) for c in range(1, t + 1)])
         rights.append(
-            [Segment(base, HalfInt(start.twice + 2 * c), t - c) for c in range(t)]
+            [
+                ((j + c) * s + j, Segment(base, HalfInt(start.twice + 2 * c), t - c))
+                for c in range(t)
+            ]
             + [None]
         )
+    build = Multisegment._sorted
     cuts: list[tuple[Multisegment, Multisegment]] = []
     for nondecreasing in itertools.combinations_with_replacement(range(t + 1), s):
-        vector = tuple(reversed(nondecreasing))
-        left = [row[c] for row, c in zip(lefts, vector) if c > 0]
-        right = [row[c] for row, c in zip(rights, vector) if c < t]
-        cuts.append((Multisegment(tuple(left)), Multisegment(tuple(right))))
+        vector = nondecreasing[::-1]
+        left = tuple([row[c] for row, c in zip(lefts, vector) if c])
+        right = sorted([row[c] for row, c in zip(rights, vector) if c < t])
+        cuts.append((build(left), build(tuple([seg for _, seg in right]))))
     return cuts

@@ -397,6 +397,18 @@ class TestCheckedInPair:
         assert (code, out) == (2, "")
         assert err == f"inconsistent input: need 1 <= s <= r, got r={r}, s={s}\n"
 
+    @pytest.mark.parametrize("r, s", [(5, 6), (5, 0), (0, 0)])
+    def test_rows_refused_before_files_are_read(self, capsys, tmp_path, r, s):
+        def spoil(doc):
+            doc["data"][23]["m"] = "1"
+
+        # the spoiled file alone exits 66, so its schema error must never show
+        code, out, err = self.run_pair(capsys, tmp_path, spoil, r=r, s=s)
+        assert (code, out) == (2, "")
+        assert err == f"inconsistent input: need 1 <= s <= r, got r={r}, s={s}\n"
+        code, _, err = run(capsys, "congruence", "/nonexistent", "x", "--r", str(r), "--s", str(s))
+        assert code == 2 and err.startswith("inconsistent input: need 1 <= s <= r")
+
     def test_level_towers_differ_exit_2(self, capsys, tmp_path):
         def extend(doc):
             doc["levels"].append(3)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import pickle
+import random
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spehline import (
     GrothSum,
     HalfInt,
+    InertialCuspidal,
     LadderShape,
     LocalComponent,
     Multisegment,
@@ -32,6 +37,7 @@ from spehline.jsonio import (
     multisegment_to_dict,
     wildcard_to_dict,
 )
+from spehline.zline import _segment_key
 
 from support import (
     BASES,
@@ -383,6 +389,23 @@ class TestSegmentOrder:
             assert Multisegment(perm).segments == expected
 
 
+def sorted_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]:
+    """Every cut of ``ladder`` in enumeration order, each side built and sorted
+    by ``Multisegment(...)``."""
+    s, t, base = ladder.s, ladder.t, ladder.base
+    # row j runs from center + (1-s)/2 + j - (t-1)/2, in doubled units
+    starts = [ladder.center.twice + 1 - s + 2 * j - (t - 1) for j in range(s)]
+    cuts = []
+    for ascending in itertools.combinations_with_replacement(range(t + 1), s):
+        vector = ascending[::-1]
+        left = [Segment(base, HalfInt(x), c) for x, c in zip(starts, vector) if c > 0]
+        right = [
+            Segment(base, HalfInt(x + 2 * c), t - c) for x, c in zip(starts, vector) if c < t
+        ]
+        cuts.append((Multisegment(tuple(left)), Multisegment(tuple(right))))
+    return cuts
+
+
 class TestJacquetCuts:
     def test_single_row_has_t_plus_one_cuts(self):
         cuts = jacquet_cuts(make_steinberg(PI, 2))
@@ -418,24 +441,76 @@ class TestJacquetCuts:
         for base, s, t, center in itertools.product(
             (PI, RHO), range(1, 7), range(1, 7), (HalfInt(-3), HalfInt(0), HalfInt(5))
         ):
-            # row j runs from center + (1-s)/2 + j - (t-1)/2, in doubled units
-            starts = [center.twice + 1 - s + 2 * j - (t - 1) for j in range(s)]
-            expected = []
-            for ascending in itertools.combinations_with_replacement(range(t + 1), s):
-                vector = tuple(reversed(ascending))
-                left = [
-                    Segment(base, HalfInt(x), c) for x, c in zip(starts, vector) if c > 0
-                ]
-                right = [
-                    Segment(base, HalfInt(x + 2 * c), t - c)
-                    for x, c in zip(starts, vector)
-                    if c < t
-                ]
-                expected.append((ms(*left), ms(*right)))
-            cuts = jacquet_cuts(LadderShape(base, s, t, center))
+            ladder = LadderShape(base, s, t, center)
+            cuts = jacquet_cuts(ladder)
             assert type(cuts) is list
             # multisegments compare by their sorted .segments tuples
-            assert cuts == expected
+            assert cuts == sorted_cuts(ladder)
+
+
+class TestCutsMatchTheSortingConstructor:
+    """``jacquet_cuts`` builds its sides in order through ``Multisegment._sorted``;
+    each must be the multisegment the sorting constructor gives."""
+
+    def test_every_ladder_up_to_eight(self):
+        rng = random.Random(8)
+        bases = (InertialCuspidal("p", 1), InertialCuspidal("q", 2))
+        for s, t in itertools.product(range(1, 9), range(1, 9)):
+            ladder = LadderShape(rng.choice(bases), s, t, HalfInt(rng.randint(-9, 9)))
+            got, want = jacquet_cuts(ladder), sorted_cuts(ladder)
+            assert got == want
+            assert [hash(cut) for cut in got] == [hash(cut) for cut in want]
+            for got_cut, want_cut in zip(got, want, strict=True):
+                for side, ref in zip(got_cut, want_cut):
+                    assert side.segments == tuple(sorted(side.segments, key=_segment_key))
+                    assert side.__dict__ == ref.__dict__
+                    assert side.degree == ref.degree
+            # the text forms are functions of the fields: compare them on a sample
+            for k in sorted(rng.sample(range(len(got)), min(len(got), 12))):
+                for side, ref in zip(got[k], want[k]):
+                    assert (str(side), repr(side)) == (str(ref), repr(ref))
+                    assert canonical_dumps(multisegment_to_dict(side)) == canonical_dumps(
+                        multisegment_to_dict(ref)
+                    )
+
+
+class TestTrustedConstructor:
+    """``Multisegment._sorted`` builds what ``Multisegment(...)`` builds from
+    presorted segments, and only ``zline`` calls it."""
+
+    SEGS = (Segment(PI, HalfInt(-1), 2), Segment(PI, HalfInt(1), 1), Segment(RHO, HalfInt(0), 3))
+
+    def test_equals_the_sorting_constructor(self):
+        trusted, fresh = Multisegment._sorted(self.SEGS), Multisegment(self.SEGS)
+        assert type(trusted) is Multisegment
+        assert trusted == fresh and hash(trusted) == hash(fresh)
+        assert trusted.__dict__ == fresh.__dict__
+        assert list(trusted.__dict__) == list(fresh.__dict__)
+        assert repr(trusted) == repr(fresh)
+        assert Multisegment._sorted(()) == Multisegment.empty()
+
+    def test_copies_and_rebuilds(self):
+        trusted = Multisegment._sorted(self.SEGS)
+        for copied in (copy.copy(trusted), pickle.loads(pickle.dumps(trusted))):
+            assert copied == trusted and copied.__dict__ == trusted.__dict__
+        tagged = replace(trusted, tate=HalfInt(1))
+        assert tagged == Multisegment(self.SEGS, HalfInt(1))
+        assert replace(trusted) == trusted
+
+    def test_degree_kept_on_first_read(self):
+        trusted = Multisegment._sorted(self.SEGS)
+        assert "_degree" not in trusted.__dict__
+        assert trusted.degree == 2 + 1 + 3 * RHO.g
+        assert trusted.__dict__["_degree"] == trusted.degree
+
+    def test_named_only_in_zline(self):
+        package = Path(__file__).parent.parent / "src" / "spehline"
+        callers = sorted(
+            path.name
+            for path in package.glob("*.py")
+            if re.search(r"\b_sorted\b", path.read_text(encoding="utf-8"))
+        )
+        assert callers == ["zline.py"]
 
 
 class TestModLReduce:
