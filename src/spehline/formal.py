@@ -8,12 +8,20 @@ zero element, and equality ignores construction order.
 Build a sum from ``(label, coeff)`` pairs with ``GrothSum(pairs)``.
 ``+`` copies its left operand, so add in a loop only where every
 partial sum is kept, as ``d_sequence`` keeps each row of its table.  No
-operation mutates an operand, so one sum may be shared.
+operation mutates an operand, so one sum may be shared.  A sum is not
+hashable, like the dataclasses that hold one.
 
 The trusted constructor ``GrothSum._wrap`` takes a dict of nonzero
-integer coefficients as it is.  Outside this module it has one caller,
-``congruence._spread``, which relabels the terms of a normal sum: its
-labels are distinct by construction and its coefficients nonzero.
+integer coefficients as it is.  Outside this module its callers build
+dicts whose labels are distinct by construction and whose coefficients
+are nonzero:
+
+- ``congruence._spread`` relabels the terms of a normal sum;
+- ``ledger.expand_resolution`` names each term by its two markers
+  ``(xi, tate)``, the ``delta`` of its shriek and of its graded part, so
+  no two terms coincide, and each coefficient is a sign; a length check
+  against ``(n + 1)(n + 2)/2`` guards the count;
+- ``ledger.group_by_stratum`` splits the terms of a normal sum.
 """
 
 from __future__ import annotations
@@ -94,9 +102,6 @@ class GrothSum:
         if not isinstance(other, GrothSum):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"GrothSum({self})"

@@ -8,10 +8,14 @@ strata, the filtration of a shriek by intermediates, the adjunction-map
 labels between consecutive resolution terms, and the Grothendieck-sum
 expansion of a shriek through its filtration.
 
-An expansion builds each shared part once: the Steinberg factors
-``St_delta(pi)`` are built on first use and shared by every shriek term
-of one resolution, and each expanded term is one ``LedgerTerm`` built
-straight from its ordered product.
+A resolution builds each shared part once.  Every row of every
+``Speh_delta(pi{t/2})``, ``delta = 0..n`` with ``n = s_g - t``, is one
+of ``2n - 1`` one-cell segments, so the cells are built once and each
+``Speh_delta`` is a step-2 slice of them.  An expansion shares the
+Steinberg factors ``St_delta(pi)``, built on first use, among every
+shriek term of one resolution, builds each expanded term as one
+``LedgerTerm`` straight from its ordered product, and gathers the terms
+into one dict that becomes the sum as it is.
 
 Exactness of the expanded double sum is *not* asserted: cancelling it
 needs decomposition rules for mixed Speh-times-Steinberg products that
@@ -30,7 +34,6 @@ from .formal import GrothSum
 from .zline import (
     HalfInt,
     InertialCuspidal,
-    LadderShape,
     Multisegment,
     Segment,
     Wildcard,
@@ -90,9 +93,11 @@ class LedgerTerm:
     which reduces to ``stratum*g + degree(infinitesimal)`` on marker-free
     terms.
 
-    The hash is the hash of the six fields, computed on the first
-    ``hash()`` and kept on the instance.  It is never copied: ``replace``
-    builds a new instance, and pickles and copies leave it out.
+    The hash is the hash of the six fields, the two markers read by
+    ``.twice``, computed on the first ``hash()`` and kept on the
+    instance; the infinitesimal keeps its own hash, read in C (see
+    ``Multisegment``).  It is never copied: ``replace`` builds a new
+    instance, and pickles and copies leave it out.
     """
 
     kind: str
@@ -121,8 +126,8 @@ class LedgerTerm:
                     self.kind,
                     self.stratum,
                     self.infinitesimal,
-                    self.xi_power,
-                    self.tate,
+                    self.xi_power.twice,
+                    self.tate.twice,
                     self.sign,
                 )
             )
@@ -170,11 +175,28 @@ def _check_home(ctx: GlobalContext, t: int, inf: Multisegment) -> None:
 _NO_CELLS = Multisegment.empty()
 
 
-def _speh_cells(ctx: GlobalContext, delta: int, center: HalfInt) -> Multisegment:
-    """``Speh_delta(pi{center})`` as a multisegment; empty when delta is 0."""
+def _speh_cells(ctx: GlobalContext, n: int, center: HalfInt) -> list[Segment]:
+    """The cells of ``Speh_delta(pi{center})`` for every ``delta <= n``.
+
+    Row ``j`` of ``Speh_delta(pi{center})`` is the one-cell segment at
+    twice-position ``center.twice + 1 - delta + 2j``, ``j = 0..delta-1``.
+    Over ``delta <= n`` these are the ``2n - 1`` positions from
+    ``center.twice + 1 - n`` up, built here once each, in order.
+    """
+    first = center.twice + 1 - n
+    return [Segment(ctx.pi, HalfInt(first + k), 1) for k in range(2 * n - 1)]
+
+
+def _speh(cells: list[Segment], delta: int) -> Multisegment:
+    """``Speh_delta`` from the cells of :func:`_speh_cells`; empty when delta is 0.
+
+    With ``len(cells) = 2n - 1``, row ``j`` of ``Speh_delta`` is
+    ``cells[n - delta + 2j]``: the step-2 slice ``cells[n-delta : n+delta-1 : 2]``.
+    """
     if delta == 0:
         return _NO_CELLS
-    return LadderShape(ctx.pi, s=delta, t=1, center=center).to_multisegment()
+    n = (len(cells) + 1) // 2
+    return Multisegment(tuple(cells[n - delta : n + delta - 1 : 2]))
 
 
 def resolution_terms(
@@ -185,14 +207,16 @@ def resolution_terms(
     For ``delta = 0..s_g - t`` the term at stratum ``t + delta`` is the
     shriek of ``inf{-delta/2} x Speh_delta(pi{t/2})`` with Xi-power
     ``delta/2`` and sign ``(-1)^delta``; the augmentation intermediate
-    at ``t`` closes the list.
+    at ``t`` closes the list.  Every ``Speh_delta`` is sliced from one
+    set of ``2n - 1`` cells, ``n = s_g - t``.
     """
     _check_home(ctx, t, inf)
+    n = ctx.s_g - t
+    cells = _speh_cells(ctx, n, HalfInt(t))
     terms = []
-    for delta in range(ctx.s_g - t + 1):
+    for delta in range(n + 1):
         infinitesimal = normalized_product(
-            twist(inf, HalfInt(-delta)),
-            _speh_cells(ctx, delta, HalfInt(t)),
+            twist(inf, HalfInt(-delta)), _speh(cells, delta)
         )
         terms.append(
             LedgerTerm(
@@ -263,7 +287,7 @@ def adjunction_label(
     terms = resolution_terms(ctx, t, inf)
     source, target = terms[delta], terms[delta - 1]
     core = normalized_product(
-        _speh_cells(ctx, delta - 1, HalfInt(-1)),
+        _speh(_speh_cells(ctx, delta - 1, HalfInt(-1)), delta - 1),
         Multisegment((Segment(ctx.pi, HalfInt(delta - 1), 1),)),
     )
     induced = normalized_product(
@@ -296,32 +320,45 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     no Speh-times-Steinberg cancellation is applied.
 
     Built once per expansion: each ``St_delta(pi)``, ``delta = 1..s_g - t``,
-    shared by every shriek term, and each expanded term, as one
-    ``LedgerTerm`` straight from its ordered product (the terms of
+    shared by every shriek term; each marker ``HalfInt(delta)``, read off
+    the shrieks' Xi-powers; and each expanded term, as one ``LedgerTerm``
+    straight from its ordered product (the terms of
     :func:`filtration_graded` are never built).  Each shriek term is
     checked against its home stratum.
+
+    The sum is one dict, taken as it is.  A term is named by its markers
+    ``(xi, tate)``: the ``delta`` of its shriek, ``0..n`` with
+    ``n = s_g - t``, and the ``delta`` of its graded part,
+    ``0..n - xi``.  So the ``(n + 1)(n + 2)/2`` terms are distinct, no
+    two ever merge, and each coefficient is a sign.  The length check
+    guards that count.
     """
+    shrieks = [term for term in resolution_terms(ctx, t, inf) if term.kind == SHRIEK]
+    # the shriek at delta carries Xi-power HalfInt(delta): the graded markers
+    markers = [term.xi_power for term in shrieks]
     steinbergs: list[Multisegment] = []
-    return GrothSum(
-        (
-            LedgerTerm(
-                INTERMEDIATE,
-                term.stratum + delta,
-                part,
-                term.xi_power,
-                HalfInt(delta),
-            ),
-            term.sign,
-        )
-        for term in resolution_terms(ctx, t, inf)
-        if term.kind == SHRIEK
+    terms = {
+        LedgerTerm(
+            INTERMEDIATE, term.stratum + delta, part, term.xi_power, markers[delta]
+        ): term.sign
+        for term in shrieks
         for delta, part in _graded(ctx, term.stratum, term.infinitesimal, steinbergs)
-    )
+    }
+    n = ctx.s_g - t
+    if len(terms) != (n + 1) * (n + 2) // 2:
+        raise InvariantViolation(
+            f"expansion at t={t} has {len(terms)} distinct terms, "
+            f"expected {(n + 1) * (n + 2) // 2}"
+        )
+    return GrothSum._wrap(terms)
 
 
 def group_by_stratum(total: GrothSum) -> dict[int, GrothSum]:
-    """Split a sum of ledger terms by their stratum, for inspection."""
-    groups: dict[int, list[tuple[LedgerTerm, int]]] = {}
+    """Split a sum of ledger terms by their stratum, for inspection.
+
+    Each group is part of a normal sum, so it is taken as it is.
+    """
+    groups: dict[int, dict[LedgerTerm, int]] = {}
     for term in total.labels():
-        groups.setdefault(term.stratum, []).append((term, total.coefficient(term)))
-    return {stratum: GrothSum(pairs) for stratum, pairs in groups.items()}
+        groups.setdefault(term.stratum, {})[term] = total.coefficient(term)
+    return {stratum: GrothSum._wrap(terms) for stratum, terms in groups.items()}

@@ -18,6 +18,7 @@ from .ledger import (
     GlobalContext,
     InvariantViolation,
     LedgerTerm,
+    _speh,
     _speh_cells,
 )
 from .zline import HalfInt, Multisegment, normalized_product, twist
@@ -88,7 +89,7 @@ def torsion_transfer_label(
     delta = profile.t0 - t
     infinitesimal = normalized_product(
         twist(inf, HalfInt(delta)),
-        _speh_cells(ctx, delta, HalfInt(t)),
+        _speh(_speh_cells(ctx, delta, HalfInt(t)), delta),
     )
     return LedgerTerm(
         kind=INTERMEDIATE,

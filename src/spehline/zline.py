@@ -163,6 +163,8 @@ class Wildcard:
 
 # (base id, start, length), read in C
 _segment_key = operator.attrgetter("base.id", "start.twice", "length")
+# (id, degree, shift), read in C
+_wildcard_key = operator.attrgetter("id", "degree", "shift.twice")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,13 @@ class Multisegment:
     ordered factors).
 
     The degree is summed on the first read and kept on the instance, so
-    a factor shared by many products is summed once.
+    a factor shared by many products is summed once.  The hash is kept
+    the same way, on the first ``hash()``: it hashes the ``_segment_key``
+    tuples and the markers' plain values, all read in C, so no segment,
+    label or half-integer is hashed through Python.  It is never copied:
+    the rebuilding methods and ``replace`` build new instances, and
+    pickles and copies leave it out, since a hash depends on the
+    process's hash seed.
 
     The trusted constructor ``Multisegment._sorted`` takes a segment
     tuple as it is, with no sort and no other marker.  It has one caller,
@@ -190,12 +198,34 @@ class Multisegment:
     wildcard: Wildcard | None = None
     order_tag: tuple[int, int] | None = None
 
-    # not a field: equality, hash, repr and replace never see it
+    # not fields: equality, hash, repr and replace never see them
     _degree = None
+    _hash = None
 
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            wildcard = self.wildcard
+            h = hash(
+                (
+                    tuple(map(_segment_key, self.segments)),
+                    self.tate.twice,
+                    None if wildcard is None else _wildcard_key(wildcard),
+                    self.order_tag,
+                )
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a hash depends on the process's hash seed, so it must not travel
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     @classmethod
     def _sorted(cls, segments: tuple[Segment, ...]) -> "Multisegment":

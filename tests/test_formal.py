@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import operator
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,3 +42,10 @@ def test_operands_are_never_mutated(parts, k):
 def test_shared_operand_sums_like_a_copy(a):
     # one object added many times, as d_sequence adds one contribution to every k
     assert a * 3 == a + a + a
+
+
+@pytest.mark.parametrize("total", [GrothSum(), GrothSum.of("a", 2)], ids=["zero", "one-term"])
+def test_sums_are_unhashable(total):
+    # no code keys a dict or a set by a sum, as none does by the dataclasses holding one
+    with pytest.raises(TypeError):
+        hash(total)

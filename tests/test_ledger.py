@@ -17,6 +17,7 @@ from spehline import (
     InvariantViolation,
     LedgerTerm,
     Multisegment,
+    Segment,
     Wildcard,
     adjunction_label,
     expand_resolution,
@@ -303,3 +304,17 @@ for inf in infs:
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert done.returncode == 0, done.stderr
+
+    def test_first_hash_hashes_no_part_through_python(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"hashed a {type(self).__name__}")
+
+        ctx = GlobalContext(d=12, pi=InertialCuspidal("pi", 2))
+        inf = Multisegment((Segment(ctx.pi, HalfInt(1), 2),), HalfInt(1), Wildcard("w", 4))
+        term = LedgerTerm("shriek", 2, inf, HalfInt(3), HalfInt(-1))
+        assert "_hash" not in vars(inf) and "_hash" not in vars(term)
+        for cls in (Segment, InertialCuspidal, HalfInt, Wildcard):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        h = hash(term)
+        monkeypatch.undo()
+        assert h == hash(LedgerTerm("shriek", 2, inf, HalfInt(3), HalfInt(-1)))

@@ -6,7 +6,9 @@ the ``resolution --json``/``filtration --json`` CLI listings, for
 ``n = s_g - t`` in {6, 12, 18} and ``g`` in {1, 2, 3}, plus one
 infinitesimal that carries segments, a shifted wildcard and a Tate marker.
 The digests were written by the expansion that built every graded part
-from scratch, so they pin the outputs of any faster construction.
+from scratch, so they pin the outputs of any faster construction.  The
+shared Speh cells and the one-dict sum are checked against the ladders
+and the merging constructor they replace.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ import pytest
 
 from spehline import (
     GlobalContext,
+    GrothSum,
     HalfInt,
     InertialCuspidal,
+    InvariantViolation,
+    LadderShape,
+    LedgerTerm,
     Multisegment,
     Segment,
     Wildcard,
@@ -32,8 +38,10 @@ from spehline import (
     generic_infinitesimal,
     resolution_terms,
 )
+from spehline import ledger
 from spehline.cli import main
 from spehline.jsonio import canonical_dumps, ledger_term_to_dict
+from spehline.ledger import INTERMEDIATE, SHRIEK, _speh, _speh_cells
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZES = [(n, g) for n in (6, 12, 18) for g in (1, 2, 3)]
@@ -162,3 +170,94 @@ class TestGrowthGuard:
         assert len(total) == (n + 1) * (n + 2) // 2
         assert sum(_is_steinberg(m, ctx.pi) for m in built) == n
         assert len(built) <= (n + 1) * (n + 2) // 2 + 3 * n
+
+
+class TestSpehTable:
+    """Every ``Speh_delta`` is a slice of one list of shared cells, each built once."""
+
+    CENTERS = [HalfInt(c) for c in (-7, -2, 0, 1, 4, 11)]
+
+    @pytest.mark.parametrize("pi", [InertialCuspidal("p", 1), InertialCuspidal("q", 3, e_pi=2)])
+    def test_slices_are_the_ladders(self, pi):
+        ctx = GlobalContext(d=60, pi=pi)
+        for center in self.CENTERS:
+            for n in range(21):
+                cells = _speh_cells(ctx, n, center)
+                assert len(cells) == max(2 * n - 1, 0)
+                assert _speh(cells, 0) == Multisegment.empty()
+                for delta in range(1, n + 1):
+                    got = _speh(cells, delta)
+                    want = LadderShape(pi, delta, 1, center).to_multisegment()
+                    assert got == want and got.__dict__ == want.__dict__
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 18])
+    def test_resolution_builds_each_speh_cell_once(self, n, monkeypatch):
+        # n(n+1)/2 cells when every Speh_delta was built afresh
+        case = _case(n, 2)
+        ctx = _context(case)
+        inf = generic_infinitesimal(ctx, case["t"])
+        built: list[Segment] = []
+        post_init = Segment.__post_init__
+
+        def counted(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(Segment, "__post_init__", counted)
+        terms = resolution_terms(ctx, case["t"], inf)
+        monkeypatch.undo()
+        assert len(terms) == n + 2
+        assert len(built) <= 2 * n - 1
+
+
+def _merged_expansion(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
+    """The expansion's terms, summed through the merging constructor."""
+    steinbergs: list[Multisegment] = []
+    return GrothSum(
+        (
+            LedgerTerm(INTERMEDIATE, term.stratum + delta, part, term.xi_power, HalfInt(delta)),
+            term.sign,
+        )
+        for term in resolution_terms(ctx, t, inf)
+        if term.kind == SHRIEK
+        for delta, part in ledger._graded(ctx, term.stratum, term.infinitesimal, steinbergs)
+    )
+
+
+def _small_jobs():
+    """Every ``g`` in 1..3, ``s_g <= 12`` and ``t``, generic; then the marked job."""
+    for g in (1, 2, 3):
+        pi = InertialCuspidal(f"p{g}", g=g, e_pi=1 + g % 2)
+        for d in range(g, 13 * g):
+            ctx = GlobalContext(d=d, pi=pi)
+            for t in range(1, ctx.s_g + 1):
+                yield ctx, t, generic_infinitesimal(ctx, t)
+    yield _marked()
+
+
+class TestOneDictExpansion:
+    """``expand_resolution`` builds its sum as one dict, taken as it is."""
+
+    def test_equals_the_merged_sum_in_order(self):
+        for ctx, t, inf in _small_jobs():
+            total, merged = expand_resolution(ctx, t, inf), _merged_expansion(ctx, t, inf)
+            n = ctx.s_g - t
+            assert len(total) == (n + 1) * (n + 2) // 2
+            assert total == merged
+            assert list(total.labels()) == list(merged.labels())
+            assert [total.coefficient(x) for x in total.labels()] == [
+                merged.coefficient(x) for x in merged.labels()
+            ]
+
+    def test_a_repeated_term_trips_the_length_guard(self, monkeypatch):
+        graded = ledger._graded
+
+        def repeating(*args):
+            # the last graded part of every shriek but the top one repeats its first
+            parts = list(graded(*args))
+            return parts[:-1] + parts[:1] if len(parts) > 1 else parts
+
+        ctx = GlobalContext(d=12, pi=InertialCuspidal("p", 2))
+        monkeypatch.setattr(ledger, "_graded", repeating)
+        with pytest.raises(InvariantViolation, match="distinct terms"):
+            expand_resolution(ctx, 2, generic_infinitesimal(ctx, 2))

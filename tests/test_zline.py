@@ -513,6 +513,51 @@ class TestTrustedConstructor:
         assert callers == ["zline.py"]
 
 
+
+class TestKeptHash:
+    """A multisegment keeps its hash like its degree, and nothing copies it."""
+
+    SEGS = TestTrustedConstructor.SEGS
+
+    def test_kept_on_first_hash_and_never_copied(self):
+        m = Multisegment(self.SEGS, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4))
+        assert "_hash" not in m.__dict__
+        h = hash(m)
+        assert m.__dict__["_hash"] == h == hash(m)
+        for copied in (copy.copy(m), pickle.loads(pickle.dumps(m)), replace(m)):
+            assert copied == m
+            assert "_hash" not in copied.__dict__
+            assert hash(copied) == h
+
+    def test_equal_builds_hash_equal(self):
+        m = Multisegment(self.SEGS)
+        # pickled before and after its first hash
+        unhashed = pickle.loads(pickle.dumps(m))
+        hash(m)
+        builds = [
+            Multisegment(self.SEGS[::-1]),
+            Multisegment._sorted(self.SEGS),
+            Multisegment(tuple(seg.shifted(HalfInt(-2)) for seg in self.SEGS)).shifted(HalfInt(2)),
+            Multisegment(self.SEGS, HalfInt(3)).with_tate(ZERO),
+            unhashed,
+            pickle.loads(pickle.dumps(m)),
+        ]
+        for built in builds:
+            assert built == m and hash(built) == hash(m)
+            assert GrothSum.of(m).coefficient(built) == 1
+
+    def test_hashes_no_part_through_python(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"hashed a {type(self).__name__}")
+
+        m = Multisegment(self.SEGS, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4))
+        for cls in (Segment, InertialCuspidal, HalfInt, Wildcard):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        h = hash(m)
+        monkeypatch.undo()
+        assert h == hash(Multisegment(self.SEGS, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4)))
+
+
 class TestModLReduce:
     def test_idempotent(self):
         m = make_speh(make_steinberg(PI, 2), 2).to_multisegment()
