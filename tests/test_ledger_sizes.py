@@ -6,7 +6,13 @@ the ``resolution --json``/``filtration --json`` CLI listings, for
 ``n = s_g - t`` in {6, 12, 18} and ``g`` in {1, 2, 3}, plus one
 infinitesimal that carries segments, a shifted wildcard and a Tate marker.
 The digests were written by the expansion that built every graded part
-from scratch, so they pin the outputs of any faster construction.  The
+from scratch, so they pin the outputs of any faster construction.
+
+Each size also pins the outputs that print segments in their stored
+order: the text listings of ``resolution`` and ``filtration``, every
+adjunction label with its stripped core, and every torsion transfer
+label of the profile with ``t0 = s_g``.  These were written by the
+multisegments that sorted every segment tuple they were given.  The
 shared Speh cells and the one-dict sum are checked against the ladders
 and the merging constructor they replace.
 """
@@ -31,16 +37,20 @@ from spehline import (
     LedgerTerm,
     Multisegment,
     Segment,
+    TorsionProfile,
     Wildcard,
+    adjunction_label,
     expand_resolution,
     expand_shriek,
     filtration_graded,
     generic_infinitesimal,
     resolution_terms,
+    strip_adjunction_core,
+    torsion_transfer_label,
 )
 from spehline import ledger
 from spehline.cli import main
-from spehline.jsonio import canonical_dumps, ledger_term_to_dict
+from spehline.jsonio import canonical_dumps, ledger_term_to_dict, multisegment_to_dict
 from spehline.ledger import INTERMEDIATE, SHRIEK, _speh, _speh_cells
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,17 +91,51 @@ def _terms_digest(terms) -> str:
     return _sha(canonical_dumps([ledger_term_to_dict(term) for term in terms]))
 
 
-def _cli_digest(command: str, case: dict) -> str:
+def _cli_digest(command: str, case: dict, json_mode: bool = True) -> str:
     out = io.StringIO()
     argv = [
-        command, "--json", "--d", str(case["d"]), "--g", str(case["g"]),
+        command, "--d", str(case["d"]), "--g", str(case["g"]),
         "--t", str(case["t"]), "--e-pi", str(case["e_pi"]), "--pi-id", case["pi_id"],
     ]
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(argv + ["--json"] if json_mode else argv) == 0
     text = out.getvalue()
-    assert len(json.loads(text)["terms"]) == case["n"] + (2 if command == "resolution" else 1)
+    count = case["n"] + (2 if command == "resolution" else 1)
+    if json_mode:
+        assert len(json.loads(text)["terms"]) == count
+    else:
+        assert text.count("\n") == count
     return _sha(text)
+
+
+def _multisegment_shown(m: Multisegment) -> list:
+    return [str(m), multisegment_to_dict(m)]
+
+
+def _adjunction_digest(ctx: GlobalContext, t: int) -> str:
+    """Every arrow of the resolution at ``t``: its ends, label and stripped core."""
+    arrows = []
+    for delta in range(1, ctx.s_g - t + 1):
+        source, target, induced = adjunction_label(ctx, t, delta)
+        arrows.append(
+            [
+                ledger_term_to_dict(source),
+                ledger_term_to_dict(target),
+                _multisegment_shown(induced),
+                _multisegment_shown(strip_adjunction_core(induced, t)),
+            ]
+        )
+    return _sha(canonical_dumps(arrows))
+
+
+def _torsion_digest(ctx: GlobalContext) -> str:
+    """The transfer label of every ``t`` in ``1..t0`` for ``t0 = s_g``."""
+    profile = TorsionProfile(t0=ctx.s_g)
+    labels = []
+    for t in range(1, ctx.s_g + 1):
+        label = torsion_transfer_label(ctx, profile, t, generic_infinitesimal(ctx, t))
+        labels.append([str(label), ledger_term_to_dict(label)])
+    return _sha(canonical_dumps(labels))
 
 
 def size_digests(case: dict) -> dict:
@@ -101,6 +145,10 @@ def size_digests(case: dict) -> dict:
         "expansion": _sum_digest(expand_resolution(ctx, case["t"], inf)),
         "resolution_json": _cli_digest("resolution", case),
         "filtration_json": _cli_digest("filtration", case),
+        "resolution_text": _cli_digest("resolution", case, json_mode=False),
+        "filtration_text": _cli_digest("filtration", case, json_mode=False),
+        "adjunction": _adjunction_digest(ctx, case["t"]),
+        "torsion": _torsion_digest(ctx),
     }
 
 
