@@ -174,16 +174,20 @@ def cuspidal_registry(bases: Iterable[InertialCuspidal]) -> dict:
 
 
 def registry_from_dict(obj: dict) -> dict[str, InertialCuspidal]:
-    """Read the ``cuspidals`` object of a component or dataset file."""
+    """Read the ``cuspidals`` object of a component or dataset file.
+
+    An empty ``modl_class`` is refused: a label built with one takes its
+    own id as its class, so it would join any entry whose class names it.
+    """
     registry = {}
     for cid, rec in obj.items():
         path = f"cuspidals[{cid}]"
-        registry[cid] = InertialCuspidal(
-            id=cid,
-            g=_need(rec, "g", int, path),
-            e_pi=_need(rec, "e_pi", int, path),
-            modl_class=_need(rec, "modl_class", str, path),
-        )
+        g = _need(rec, "g", int, path)
+        e_pi = _need(rec, "e_pi", int, path)
+        modl_class = _need(rec, "modl_class", str, path)
+        if not modl_class:
+            raise ValueError(f"{path}.modl_class: empty mod-l class")
+        registry[cid] = InertialCuspidal(id=cid, g=g, e_pi=e_pi, modl_class=modl_class)
     return registry
 
 

@@ -15,7 +15,11 @@ of ``2n - 1`` one-cell segments, so the cells are built once and each
 Steinberg factors ``St_delta(pi)``, built on first use, among every
 shriek term of one resolution, builds each expanded term as one
 ``LedgerTerm`` straight from its ordered product, and gathers the terms
-into one dict that becomes the sum as it is.
+into one dict that becomes the sum as it is.  Those terms are built by
+the trusted ``LedgerTerm._expanded``, which skips the checks of
+``__post_init__``: ``expand_resolution``, its one caller, proves that
+they hold.  The multisegments beneath keep their segment order without
+a sort wherever it is known (see ``Multisegment``).
 
 Exactness of the expanded double sum is *not* asserted: cancelling it
 needs decomposition rules for mixed Speh-times-Steinberg products that
@@ -139,6 +143,26 @@ class LedgerTerm:
         state = dict(vars(self))
         state.pop("_hash", None)
         return state
+
+    @classmethod
+    def _expanded(
+        cls, stratum: int, infinitesimal: Multisegment, xi_power: HalfInt, tate: HalfInt
+    ) -> "LedgerTerm":
+        """Trusted constructor of an intermediate term with sign 1.
+
+        Its one caller, :func:`expand_resolution`, passes strata of at
+        least 1, so it makes none of the checks of ``__post_init__``.
+        """
+        out = object.__new__(cls)
+        # the fields in declaration order, as __init__ writes them
+        fields = out.__dict__
+        fields["kind"] = INTERMEDIATE
+        fields["stratum"] = stratum
+        fields["infinitesimal"] = infinitesimal
+        fields["xi_power"] = xi_power
+        fields["tate"] = tate
+        fields["sign"] = 1
+        return out
 
     @property
     def shift_cells(self) -> int:
@@ -326,6 +350,12 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     :func:`filtration_graded` are never built).  Each shriek term is
     checked against its home stratum.
 
+    Each term is built by the trusted ``LedgerTerm._expanded``, which
+    skips the checks of ``__post_init__`` because they hold here: the
+    kind is ``INTERMEDIATE`` and the sign 1 by construction, and the
+    stratum is the shriek's stratum plus ``delta >= 0``, where the shriek's
+    stratum is at least ``t`` and ``_check_home`` holds ``t >= 1``.
+
     The sum is one dict, taken as it is.  A term is named by its markers
     ``(xi, tate)``: the ``delta`` of its shriek, ``0..n`` with
     ``n = s_g - t``, and the ``delta`` of its graded part,
@@ -337,10 +367,9 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     # the shriek at delta carries Xi-power HalfInt(delta): the graded markers
     markers = [term.xi_power for term in shrieks]
     steinbergs: list[Multisegment] = []
+    build = LedgerTerm._expanded
     terms = {
-        LedgerTerm(
-            INTERMEDIATE, term.stratum + delta, part, term.xi_power, markers[delta]
-        ): term.sign
+        build(term.stratum + delta, part, term.xi_power, markers[delta]): term.sign
         for term in shrieks
         for delta, part in _graded(ctx, term.stratum, term.infinitesimal, steinbergs)
     }

@@ -16,6 +16,14 @@ two multisegments models *normalized* induction, the written twists of
 the factors already are absolute positions, and the product reduces to
 a plain multiset union; this makes the product exactly associative and
 degree additive.
+
+A multisegment keeps its segments in ``_segment_key`` order.
+``Multisegment(...)`` sorts what it is given; a rebuild whose order is
+already known skips the sort through the trusted ``Multisegment._sorted``.
+Its callers are ``shifted``, ``with_tate``, ``without_wildcard``,
+``LadderShape.to_multisegment``, both products (through ``_union``) and
+``jacquet_cuts``; the ``Multisegment`` docstring gives the reason the
+order holds for each.
 """
 
 from __future__ import annotations
@@ -187,10 +195,22 @@ class Multisegment:
     process's hash seed.
 
     The trusted constructor ``Multisegment._sorted`` takes a segment
-    tuple as it is, with no sort and no other marker.  It has one caller,
-    ``jacquet_cuts``, whose docstring proves that each side it builds is
-    already in ``_segment_key`` order; every other multisegment is built
-    through ``Multisegment(...)``, which sorts.
+    tuple as it is, with no sort, and the three markers.  Its callers,
+    each of which knows the order of what it passes:
+
+    - ``shifted``: one shift of every start keeps the ``_segment_key``
+      order;
+    - ``with_tate`` and ``without_wildcard``: the segments are kept;
+    - ``LadderShape.to_multisegment``: one base, one length, and the row
+      starts rise with the row;
+    - ``_union``, behind both products: it joins two sorted tuples and
+      sorts only when their runs interleave;
+    - ``jacquet_cuts``, whose docstring proves that each side it builds
+      is already in ``_segment_key`` order.
+
+    Every other multisegment is built through ``Multisegment(...)``,
+    which sorts; so does ``reduced``, since relabelling the bases can
+    reorder segments.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -228,15 +248,21 @@ class Multisegment:
         return state
 
     @classmethod
-    def _sorted(cls, segments: tuple[Segment, ...]) -> "Multisegment":
+    def _sorted(
+        cls,
+        segments: tuple[Segment, ...],
+        tate: HalfInt = ZERO,
+        wildcard: Wildcard | None = None,
+        order_tag: tuple[int, int] | None = None,
+    ) -> "Multisegment":
         """Trusted constructor: ``segments`` is already in ``_segment_key`` order."""
         out = object.__new__(cls)
         # the fields in declaration order, as __init__ writes them
         fields = out.__dict__
         fields["segments"] = segments
-        fields["tate"] = ZERO
-        fields["wildcard"] = None
-        fields["order_tag"] = None
+        fields["tate"] = tate
+        fields["wildcard"] = wildcard
+        fields["order_tag"] = order_tag
         return out
 
     @classmethod
@@ -256,18 +282,18 @@ class Multisegment:
     def shifted(self, n: HalfInt) -> "Multisegment":
         if n.is_zero:
             return self
-        return Multisegment(
-            tuple(seg.shifted(n) for seg in self.segments),
+        return Multisegment._sorted(
+            tuple([seg.shifted(n) for seg in self.segments]),
             self.tate,
             None if self.wildcard is None else self.wildcard.shifted(n),
             self.order_tag,
         )
 
     def with_tate(self, n: HalfInt) -> "Multisegment":
-        return Multisegment(self.segments, n, self.wildcard, self.order_tag)
+        return Multisegment._sorted(self.segments, n, self.wildcard, self.order_tag)
 
     def without_wildcard(self) -> "Multisegment":
-        return Multisegment(self.segments, self.tate, None, self.order_tag)
+        return Multisegment._sorted(self.segments, self.tate, None, self.order_tag)
 
     def reduced(self) -> "Multisegment":
         segs = tuple(Segment(reduced_label(s.base), s.start, s.length) for s in self.segments)
@@ -314,9 +340,9 @@ class LadderShape:
 
     def to_multisegment(self) -> Multisegment:
         rows = tuple(
-            Segment(self.base, self.row_start(j), self.t) for j in range(self.s)
+            [Segment(self.base, self.row_start(j), self.t) for j in range(self.s)]
         )
-        return Multisegment(rows)
+        return Multisegment._sorted(rows)
 
     def shifted(self, n: HalfInt) -> "LadderShape":
         return LadderShape(self.base, self.s, self.t, self.center + n)
@@ -387,13 +413,28 @@ def ordered_product(a: Multisegment, b: Multisegment) -> Multisegment:
 def _union(
     a: Multisegment, b: Multisegment, order_tag: tuple[int, int] | None
 ) -> Multisegment:
+    """The product of ``a`` and ``b``, its segments in ``_segment_key`` order.
+
+    Both tuples are sorted, so when all of ``a`` comes before all of ``b``
+    (or after it) the tuples are joined as they are; otherwise one stable
+    sort merges the two runs.  A key tie keeps ``a``'s segment first, as
+    a stable sort of ``a + b`` does, which is why ``b`` goes first only
+    when it ends strictly before ``a`` starts.
+    """
     if a.wildcard is not None and b.wildcard is not None:
         raise ValueError("cannot combine two wildcard factors in one product")
-    return Multisegment(
-        segments=a.segments + b.segments,
-        tate=a.tate + b.tate,
-        wildcard=a.wildcard if a.wildcard is not None else b.wildcard,
-        order_tag=order_tag,
+    left, right = a.segments, b.segments
+    if not left or not right or _segment_key(left[-1]) <= _segment_key(right[0]):
+        segments = left + right
+    elif _segment_key(right[-1]) < _segment_key(left[0]):
+        segments = right + left
+    else:
+        segments = tuple(sorted(left + right, key=_segment_key))
+    return Multisegment._sorted(
+        segments,
+        a.tate + b.tate,
+        a.wildcard if a.wildcard is not None else b.wildcard,
+        order_tag,
     )
 
 

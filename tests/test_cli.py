@@ -273,6 +273,17 @@ class TestCongruenceCommand:
         assert code == 2
         assert "mod-l class 'a' holds 'pi' on GL_1 and 'rho' on GL_2" in err
 
+    def test_empty_class_exit_2(self, capsys, tmp_path):
+        # read as the label's own id, "" would put x in y's class "x"
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(a).read_text())
+        obj["cuspidals"]["x"] = {"g": 1, "e_pi": 1, "modl_class": ""}
+        obj["cuspidals"]["y"] = {"g": 1, "e_pi": 1, "modl_class": "x"}
+        Path(a).write_text(canonical_dumps(obj))
+        code, out, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        assert (code, out) == (2, "")
+        assert err == "inconsistent input: cuspidals[x].modl_class: empty mod-l class\n"
+
     def test_files_disagree_on_an_id_exit_2(self, capsys, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())
@@ -326,12 +337,17 @@ class TestMalformedInput:
             (lambda c: c["factors"][1].update(base_id="ghost"), 66, "factors[1].base_id"),
             (lambda c: c.update(s=0), 2, "s >= 1"),
             (lambda c: c["cuspidals"]["pi"].update(g=0), 2, "g must be"),
+            (
+                lambda c: c["cuspidals"]["pi"].update(modl_class=""),
+                2,
+                "inconsistent input: cuspidals[pi].modl_class: empty mod-l class",
+            ),
             (lambda c: c.update(wildcard={"id": "w", "degree": -1}), 2, "degree"),
             (lambda c: c.pop("schema_version"), 66, "schema_version: missing field"),
             (lambda c: c.update(schema_version=7), 66, "schema_version: unsupported version 7"),
         ],
         ids=[
-            "no-cuspidals", "unknown-base", "s-zero", "g-zero", "wildcard-degree",
+            "no-cuspidals", "unknown-base", "s-zero", "g-zero", "empty-class", "wildcard-degree",
             "no-version", "version-7",
         ],
     )

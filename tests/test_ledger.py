@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from spehline import (
     Multisegment,
     Segment,
     Wildcard,
+    ZERO,
     adjunction_label,
     expand_resolution,
     expand_shriek,
@@ -29,6 +33,7 @@ from spehline import (
     strip_adjunction_core,
 )
 from spehline.jsonio import ledger_term_to_dict
+from spehline.ledger import INTERMEDIATE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -318,3 +323,54 @@ for inf in infs:
         h = hash(term)
         monkeypatch.undo()
         assert h == hash(LedgerTerm("shriek", 2, inf, HalfInt(3), HalfInt(-1)))
+
+
+class TestTrustedExpandedTerm:
+    """``LedgerTerm._expanded`` builds what ``LedgerTerm(...)`` builds for an
+    intermediate term of sign 1, and only ``ledger`` calls it."""
+
+    def terms(self):
+        ctx = GlobalContext(d=14, pi=InertialCuspidal("pi", 2, e_pi=2))
+        inf = Multisegment((Segment(ctx.pi, HalfInt(1), 2),), HalfInt(1), Wildcard("w", 4))
+        for part, xi, tate in (
+            (inf, HalfInt(3), HalfInt(-1)),
+            (generic_infinitesimal(ctx, 2), ZERO, ZERO),
+        ):
+            trusted = LedgerTerm._expanded(4, part, xi, tate)
+            yield trusted, LedgerTerm(INTERMEDIATE, 4, part, xi, tate, 1)
+
+    def test_equals_the_checked_constructor(self):
+        for trusted, checked in self.terms():
+            assert type(trusted) is LedgerTerm
+            assert trusted.__dict__ == checked.__dict__
+            assert list(trusted.__dict__) == list(checked.__dict__)
+            assert repr(trusted) == repr(checked) and str(trusted) == str(checked)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert GrothSum.of(checked).coefficient(trusted) == 1
+
+    def test_copies_and_pickles_drop_the_kept_hash(self):
+        for trusted, checked in self.terms():
+            h = hash(trusted)
+            assert trusted.__dict__["_hash"] == h
+            for copied in (copy.copy(trusted), pickle.loads(pickle.dumps(trusted))):
+                assert "_hash" not in copied.__dict__
+                assert copied == checked and copied.__dict__ == checked.__dict__
+                assert hash(copied) == h
+
+    def test_expansion_terms_pass_the_checks(self):
+        for ctx in all_contexts(12):
+            for t in range(1, ctx.s_g + 1):
+                for term in expand_resolution(ctx, t, generic_infinitesimal(ctx, t)).labels():
+                    fields = {f.name: getattr(term, f.name) for f in dataclasses.fields(term)}
+                    assert LedgerTerm(**fields).__dict__ == {
+                        key: value for key, value in term.__dict__.items() if key != "_hash"
+                    }
+
+    def test_named_only_in_ledger(self):
+        package = SRC / "spehline"
+        callers = sorted(
+            path.name
+            for path in package.glob("*.py")
+            if re.search(r"\b_expanded\b", path.read_text(encoding="utf-8"))
+        )
+        assert callers == ["ledger.py"]

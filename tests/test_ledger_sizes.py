@@ -198,7 +198,12 @@ def _is_steinberg(m: Multisegment, pi: InertialCuspidal) -> bool:
 
 
 class TestGrowthGuard:
-    """One expansion builds each Steinberg factor once, and few multisegments."""
+    """One expansion builds each Steinberg factor once, and few multisegments.
+
+    A multisegment is built either through ``Multisegment(...)``, which
+    runs ``__post_init__``, or through the trusted ``Multisegment._sorted``,
+    which does not; the count takes both.
+    """
 
     @pytest.mark.parametrize("n", [6, 12, 18])
     def test_expansion_builds(self, n, monkeypatch):
@@ -207,12 +212,18 @@ class TestGrowthGuard:
         inf = generic_infinitesimal(ctx, case["t"])
         built: list[Multisegment] = []
         post_init = Multisegment.__post_init__
+        trusted = Multisegment._sorted
 
         def counted(self):
             post_init(self)
             built.append(self)
 
+        def counted_trusted(cls, *args):
+            built.append(trusted(*args))
+            return built[-1]
+
         monkeypatch.setattr(Multisegment, "__post_init__", counted)
+        monkeypatch.setattr(Multisegment, "_sorted", classmethod(counted_trusted))
         total = expand_resolution(ctx, case["t"], inf)
         monkeypatch.undo()
         assert len(total) == (n + 1) * (n + 2) // 2

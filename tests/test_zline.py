@@ -287,18 +287,73 @@ tagged_or_plain = st.one_of(
 )
 
 
+@st.composite
+def product_operands(draw):
+    """Two multisegments on one to three labels, at most one wildcard.
+
+    The labels include same-id variants, so segments of equal key but
+    different labels meet; ``b`` is moved far below or above ``a`` or
+    left in place, so ``a`` before ``b``, ``b`` before ``a`` and
+    interleaved runs all occur.
+    """
+    bases = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3))
+    offset = draw(st.sampled_from([-24, 0, 24]))
+
+    def side(shift: int) -> Multisegment:
+        segs = draw(
+            st.lists(
+                st.builds(
+                    Segment,
+                    base=st.sampled_from(bases),
+                    start=st.builds(HalfInt, st.integers(-3 + shift, 3 + shift)),
+                    length=st.integers(1, 3),
+                ),
+                max_size=4,
+            )
+        )
+        tate = draw(st.builds(HalfInt, st.integers(-3, 3)))
+        return Multisegment(tuple(segs), tate)
+
+    a, b = side(0), side(offset)
+    wild = draw(st.sampled_from(["a", "b", None]))
+    w = Wildcard("w", draw(st.integers(0, 4)), draw(st.builds(HalfInt, st.integers(-2, 2))))
+    if wild == "a":
+        a = replace(a, wildcard=w)
+    elif wild == "b":
+        b = replace(b, wildcard=w)
+    return a, b
+
+
+def _sorting_product(a: Multisegment, b: Multisegment, order_tag) -> Multisegment:
+    """The product through the sorting constructor."""
+    wildcard = a.wildcard if a.wildcard is not None else b.wildcard
+    return Multisegment(a.segments + b.segments, a.tate + b.tate, wildcard, order_tag)
+
+
 class TestRebuildMatchesReplace:
     """``shifted``, ``with_tate``, ``without_wildcard`` and ``reduced`` build
-    what ``dataclasses.replace`` built."""
+    what ``dataclasses.replace`` built, and the products and
+    ``to_multisegment``, which build through the trusted ``_sorted``, what
+    the sorting constructor builds."""
 
     @staticmethod
-    def assert_same(got, ref):
+    def assert_same_fields(got, ref):
+        # the fields, and whatever is kept, with equal values in equal order
+        if hasattr(got, "__dict__"):
+            assert got.__dict__ == ref.__dict__
+            assert list(got.__dict__) == list(ref.__dict__)
+
+    @classmethod
+    def assert_same(cls, got, ref):
         assert type(got) is type(ref)
+        cls.assert_same_fields(got, ref)
         assert got == ref and hash(got) == hash(ref) and str(got) == str(ref)
+        cls.assert_same_fields(got, ref)
         if isinstance(got, LadderShape):
             # labels compare by id: the fields of the base must match too
             assert cuspidal_to_dict(got.base) == cuspidal_to_dict(ref.base)
             got, ref = got.to_multisegment(), ref.to_multisegment()
+            cls.assert_same_fields(got, ref)
         if isinstance(got, Multisegment):
             assert [cuspidal_to_dict(seg.base) for seg in got.segments] == [
                 cuspidal_to_dict(seg.base) for seg in ref.segments
@@ -339,6 +394,43 @@ class TestRebuildMatchesReplace:
         ladder = replace(ladder, base=base)
         self.assert_same(ladder.shifted(n), replace(ladder, center=ladder.center + n))
         self.assert_same(ladder.reduced(), replace(ladder, base=reduced_label(ladder.base)))
+
+    @settings(max_examples=150, derandomize=True)
+    @given(ladders, st.sampled_from(LABELS))
+    def test_ladder_to_multisegment(self, ladder, base):
+        ladder = replace(ladder, base=base)
+        rows = [Segment(base, ladder.row_start(j), ladder.t) for j in range(ladder.s)]
+        random.Random(ladder.s * 8 + ladder.t).shuffle(rows)
+        self.assert_same(ladder.to_multisegment(), Multisegment(tuple(rows)))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(product_operands())
+    def test_products(self, operands):
+        a, b = operands
+        self.assert_same(normalized_product(a, b), _sorting_product(a, b, None))
+        self.assert_same(
+            ordered_product(a, b), _sorting_product(a, b, (a.degree, b.degree))
+        )
+
+    def test_products_in_each_order(self):
+        # one base: a before b, b before a, interleaved, and key ties that
+        # join the runs at their ends or start b's run
+        variant = replace(PI, g=PI.g + 1)
+        a = ms(Segment(PI, HalfInt(0), 1), Segment(PI, HalfInt(4), 2))
+        cases = {
+            "a before b": ms(Segment(PI, HalfInt(6), 1)),
+            "b before a": ms(Segment(PI, HalfInt(-6), 3), Segment(PI, HalfInt(-2), 1)),
+            "interleaved": ms(Segment(PI, HalfInt(-2), 1), Segment(PI, HalfInt(2), 1)),
+            "tie at a's end": ms(Segment(variant, HalfInt(4), 2), Segment(PI, HalfInt(6), 1)),
+            "tie at a's start": ms(Segment(PI, HalfInt(-2), 1), Segment(variant, HalfInt(0), 1)),
+        }
+        for b in cases.values():
+            for got, want in (
+                (normalized_product(a, b), _sorting_product(a, b, None)),
+                (normalized_product(b, a), _sorting_product(b, a, None)),
+                (ordered_product(a, b), _sorting_product(a, b, (a.degree, b.degree))),
+            ):
+                self.assert_same(got, want)
 
     @settings(max_examples=100, derandomize=True)
     @given(tagged_or_plain)
