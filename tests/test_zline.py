@@ -413,7 +413,7 @@ class TestRebuildMatchesReplace:
         )
 
     def test_products_in_each_order(self):
-        # one base: a before b, b before a, interleaved, and key ties that
+        # one id: a before b, b before a, interleaved, and key ties that
         # join the runs at their ends or start b's run
         variant = replace(PI, g=PI.g + 1)
         a = ms(Segment(PI, HalfInt(0), 1), Segment(PI, HalfInt(4), 2))
