@@ -11,19 +11,31 @@ sharing the row count ``s``; its diagram is the superposition of the
 per-factor diagrams.  A constituent is the triple (component, point,
 traced factor ``k``): the component with its k-th factor replaced by an
 opaque ``R`` symbol at the point.
+
+A point is a ``DiagramPoint``, a named tuple ``(r, i)``: it is hashed,
+compared and ordered in C, and a diagram's points are built in C, so
+``sorted(diagram)`` lists them by ``r``, then ``i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .formal import GrothSum
 from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
 
 
-@dataclass(frozen=True)
-class DiagramPoint:
+class DiagramPoint(NamedTuple):
+    """A lattice point ``(r, i)`` of a support diagram.
+
+    A tuple ``(r, i)``, so it is hashed and compared in C.  Its hash is
+    ``hash((r, i))``, as it was when points were frozen dataclasses, so
+    the hashes of the labels that hold a point are unchanged.  It is
+    immutable, and as a tuple it equals the plain tuple ``(r, i)``,
+    iterates as its two fields and orders by ``r``, then ``i``.
+    """
+
     r: int
     i: int
 
@@ -124,11 +136,12 @@ def _scan(s: int, ts: list[int]) -> Diagram:
     right vertex, ``i`` from ``-m`` to ``m`` in steps of 2.
     """
     ann: Diagram = {}
+    new = tuple.__new__  # builds each point in C, past the Python __new__
     for k, t_k in enumerate(ts, start=1):
         for r in range(max(1, t_k - s + 1), s + t_k):
             m = _half_width(s, t_k, r)
             for i in range(-m, m + 1, 2):
-                p = DiagramPoint(r, i)
+                p = new(DiagramPoint, (r, i))
                 ann[p] = ann.get(p, ()) + (k,)
     return ann
 

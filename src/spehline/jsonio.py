@@ -221,7 +221,7 @@ def ledger_listing_to_dict(
 
 
 def diagram_to_dict(diag: Diagram) -> dict:
-    points = sorted(diag, key=lambda p: (p.r, p.i))
+    points = sorted(diag)  # points are (r, i) tuples
     return {
         "schema_version": SCHEMA_VERSION,
         "points": [{"r": p.r, "i": p.i, "factors": list(diag[p])} for p in points],

@@ -8,7 +8,7 @@ superposed diagrams show the number of contributing factors.
 
 from __future__ import annotations
 
-from .diagrams import Diagram, DiagramPoint
+from .diagrams import Diagram
 
 CELL = 22  # svg grid pitch in px
 
@@ -26,11 +26,11 @@ def ascii_diagram(diag: Diagram, show_counts: bool = False) -> str:
     for i in range(i_max, -i_max - 1, -1):
         row = []
         for r in range(1, r_max + 1):
-            p = DiagramPoint(r, i)
-            if p in diag:
-                row.append(str(len(diag[p])) if show_counts else "#")
-            else:
+            factors = diag.get((r, i))  # a point equals its plain tuple
+            if factors is None:
                 row.append(".")
+            else:
+                row.append(str(len(factors)) if show_counts else "#")
         lines.append(f"i={i:>3} | " + " ".join(row))
     lines.append("      +-" + "-" * (2 * r_max - 1))
     labels = " ".join(str(r)[-1] for r in range(1, r_max + 1))
@@ -56,7 +56,7 @@ def svg_diagram(diag: Diagram) -> str:
         f'<line x1="{CELL // 2}" y1="{y_of(0)}" x2="{width - CELL // 2}" '
         f'y2="{y_of(0)}" stroke="#999" stroke-width="1"/>',
     ]
-    for p in sorted(diag, key=lambda q: (q.r, q.i)):
+    for p in sorted(diag):  # points are (r, i) tuples
         size = CELL - 8
         x = x_of(p.r) - size // 2
         y = y_of(p.i) - size // 2

@@ -430,9 +430,16 @@ def _union(
         segments = right + left
     else:
         segments = tuple(sorted(left + right, key=_segment_key))
+    # a zero marker, as on every ledger product, adds nothing: keep the other
+    if not b.tate.twice:
+        tate = a.tate
+    elif not a.tate.twice:
+        tate = b.tate
+    else:
+        tate = a.tate + b.tate
     return Multisegment._sorted(
         segments,
-        a.tate + b.tate,
+        tate,
         a.wildcard if a.wildcard is not None else b.wildcard,
         order_tag,
     )
@@ -467,10 +474,17 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
       length ``t - c_j``; at one start a larger ``j`` has a smaller ``c_j``,
       so sorting the pairs ``(j + c_j, j)``, encoded as the distinct ints
       ``(j + c_j) * s + j``, orders the rows by start, then length.
+
+    Each side is built in C-level passes: the row pieces are picked by
+    ``map`` and the missing ones dropped by ``filter(None, ...)``.  A
+    missing piece is ``None``, and every other piece is true: a left piece
+    is a ``Segment``, which defines neither ``__bool__`` nor ``__len__``,
+    and a right piece is a ``(key, segment)`` pair.  So the filter drops
+    exactly the rows with no cells on that side.
     """
     s, t, base = ladder.s, ladder.t, ladder.base
     # lefts[j][c] keeps c cells of row j (c >= 1); rights[j][c] holds the
-    # other t - c cells with their order key (c < t)
+    # other t - c cells with their order key (c < t); None marks no piece
     lefts: list[list[Segment | None]] = []
     rights: list[list[tuple[int, Segment] | None]] = []
     for j in range(s):
@@ -484,10 +498,13 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
             + [None]
         )
     build = Multisegment._sorted
+    piece = list.__getitem__
+    segment = operator.itemgetter(1)
     cuts: list[tuple[Multisegment, Multisegment]] = []
-    for nondecreasing in itertools.combinations_with_replacement(range(t + 1), s):
-        vector = nondecreasing[::-1]
-        left = tuple([row[c] for row, c in zip(lefts, vector) if c])
-        right = sorted([row[c] for row, c in zip(rights, vector) if c < t])
-        cuts.append((build(left), build(tuple([seg for _, seg in right]))))
+    # c is each ascending combination read backwards
+    for ascending in itertools.combinations_with_replacement(range(t + 1), s):
+        left = tuple(filter(None, map(piece, lefts, reversed(ascending))))
+        keyed = sorted(filter(None, map(piece, rights, reversed(ascending))))
+        right = tuple(map(segment, keyed))
+        cuts.append((build(left), build(right)))
     return cuts

@@ -172,6 +172,57 @@ class TestSuperpose:
             assert set(small_diag[p]) <= set(big_diag[p])
 
 
+@dataclasses.dataclass(frozen=True)
+class DataclassPoint:
+    """The frozen dataclass a point once was: its hash is ``hash((r, i))``."""
+
+    r: int
+    i: int
+
+
+class TestDiagramPoint:
+    """A point is the tuple ``(r, i)``, hashed as the frozen dataclass was."""
+
+    POINTS = [(r, i) for r in range(-2, 9) for i in range(-7, 8)]
+
+    def test_hash_is_the_tuple_hash_and_the_old_hash(self):
+        for r, i in self.POINTS:
+            assert hash(DiagramPoint(r, i)) == hash((r, i)) == hash(DataclassPoint(r, i))
+
+    def test_repr_str_and_fields(self):
+        p = DiagramPoint(4, -2)
+        assert repr(p) == "DiagramPoint(r=4, i=-2)"
+        assert str(p) == "(4,-2)"
+        assert (p.r, p.i) == tuple(p) == (4, -2)
+        assert repr(ConstituentLabel(triple_component(), p, 1)).count("DiagramPoint(r=4, i=-2)") == 1
+
+    def test_immutable(self):
+        p = DiagramPoint(4, 0)
+        for name in ("r", "i", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 1)
+        assert p == (4, 0)
+
+    def test_equals_the_plain_tuple(self):
+        p = DiagramPoint(3, 1)
+        assert p == (3, 1) and (3, 1) == p and p != (1, 3)
+        assert {(3, 1): "x"}[p] == "x"
+        assert "plain tuple ``(r, i)``" in DiagramPoint.__doc__
+
+    def test_diagram_points_are_points(self):
+        diag = superpose(triple_component())
+        assert all(type(p) is DiagramPoint for p in diag)
+        assert diag[(4, 0)] == diag[DiagramPoint(4, 0)] == (1, 2, 3)
+
+    def test_sorted_in_the_old_key_order(self):
+        for c in (triple_component(), LocalComponent(s=5, factors=((6, PI), (2, RHO), (1, PI)))):
+            diag = superpose(c)
+            assert sorted(diag) == sorted(diag, key=lambda p: (p.r, p.i))
+        shuffled = [DiagramPoint(r, i) for r, i in self.POINTS]
+        random.Random(24).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(shuffled, key=lambda p: (p.r, p.i))
+
+
 class TestTraceBack:
     def test_triple_component_origins(self):
         c = triple_component()

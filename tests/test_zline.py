@@ -566,6 +566,16 @@ class TestCutsMatchTheSortingConstructor:
                     )
 
 
+class TestCutPiecesAreTrue:
+    """``jacquet_cuts`` drops missing row pieces with ``filter(None, ...)``:
+    that drops exactly the ``None`` markers only while no piece is false."""
+
+    def test_segment_defines_no_truth(self):
+        for name in ("__bool__", "__len__"):
+            assert not hasattr(Segment, name), name
+        assert all(Segment(PI, HalfInt(j), 1 + j % 3) for j in range(-3, 4))
+
+
 class TestTrustedConstructor:
     """``Multisegment._sorted`` builds what ``Multisegment(...)`` builds from
     presorted segments, and only ``zline`` calls it."""
