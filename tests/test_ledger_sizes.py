@@ -15,6 +15,11 @@ label of the profile with ``t0 = s_g``.  These were written by the
 multisegments that sorted every segment tuple they were given.  The
 shared Speh cells and the one-dict sum are checked against the ladders
 and the merging constructor they replace.
+
+The same digests pin the smallest sizes, ``n`` in {0, 1} for each ``g``,
+where the resolution's Speh tower is ``Speh_0`` alone or one cell; these
+were written by the ledger that built each Speh factor from its own
+cell table.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from spehline.ledger import INTERMEDIATE, SHRIEK, _speh, _speh_cells
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZES = [(n, g) for n in (6, 12, 18) for g in (1, 2, 3)]
+SMALL_SIZES = [(n, g) for n in (0, 1) for g in (1, 2, 3)]
 
 
 def _case(n: int, g: int) -> dict:
@@ -68,6 +74,11 @@ def _case(n: int, g: int) -> dict:
         "e_pi": 1 + g % 2,
         "pi_id": f"p{g}",
     }
+
+
+def _small_case(n: int, g: int) -> dict:
+    """A job of size ``n`` in {0, 1} at ``t = 2``; ``d`` leaves a remainder for ``g = 3``."""
+    return {"n": n, "g": g, "t": 2, "d": g * (2 + n) + g // 3, "e_pi": 1 + g % 2, "pi_id": f"p{g}"}
 
 
 def _context(case: dict) -> GlobalContext:
@@ -181,6 +192,14 @@ class TestPinnedDigests:
     def test_size(self, n, g):
         case = _case(n, g)
         pinned = next(c for c in _fixture()["sizes"] if (c["n"], c["g"]) == (n, g))
+        assert {key: pinned[key] for key in case} == case
+        digests = size_digests(case)
+        assert digests == {key: pinned[key] for key in digests}
+
+    @pytest.mark.parametrize("n,g", SMALL_SIZES)
+    def test_small_size(self, n, g):
+        case = _small_case(n, g)
+        pinned = next(c for c in _fixture()["small"] if (c["n"], c["g"]) == (n, g))
         assert {key: pinned[key] for key in case} == case
         digests = size_digests(case)
         assert digests == {key: pinned[key] for key in digests}
