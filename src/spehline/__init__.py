@@ -63,11 +63,10 @@ from .zline import (
     jacquet_cuts,
     make_speh,
     make_steinberg,
-    mod_l_reduce,
     normalized_product,
     ordered_product,
     reduced_label,
-    twist,
+    speh_tower,
 )
 
 __version__ = "0.1.0"

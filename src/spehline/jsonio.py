@@ -137,17 +137,16 @@ def wildcard_to_dict(w: Wildcard) -> dict:
     return {"id": w.id, "degree": w.degree, "shift_twice": w.shift.twice}
 
 
-def wildcard_from_dict(obj: dict, path: str = "wildcard") -> Wildcard:
-    return Wildcard(
-        id=_need(obj, "id", str, path),
-        degree=_need(obj, "degree", int, path),
-        shift=HalfInt(_need(obj, "shift_twice", int, path, default=0)),
-    )
-
-
 def _optional_wildcard(obj: dict, path: str) -> Wildcard | None:
     wildcard = _need(obj, "wildcard", (dict, _NULL), path, default=None)
-    return None if wildcard is None else wildcard_from_dict(wildcard, _at(path, "wildcard"))
+    if wildcard is None:
+        return None
+    path = _at(path, "wildcard")
+    return Wildcard(
+        id=_need(wildcard, "id", str, path),
+        degree=_need(wildcard, "degree", int, path),
+        shift=HalfInt(_need(wildcard, "shift_twice", int, path, default=0)),
+    )
 
 
 def multisegment_to_dict(m: Multisegment) -> dict:

@@ -8,14 +8,15 @@ strata, the filtration of a shriek by intermediates, the adjunction-map
 labels between consecutive resolution terms, and the Grothendieck-sum
 expansion of a shriek through its filtration.
 
-A resolution builds each shared part once.  Every row of every
-``Speh_delta(pi{t/2})``, ``delta = 0..n`` with ``n = s_g - t``, is one
-of ``2n - 1`` one-cell segments, so the cells are built once and each
-``Speh_delta`` is a step-2 slice of them.  An expansion shares the
-Steinberg factors ``St_delta(pi)``, built on first use, among every
-shriek term of one resolution, builds each expanded term as one
-``LedgerTerm`` straight from its ordered product, and gathers the terms
-into one dict that becomes the sum as it is.  Those terms are built by
+A resolution builds each shared part once.  Its factors
+``Speh_delta(pi{t/2})``, ``delta = 0..n`` with ``n = s_g - t``, are read
+off one ``zline.speh_tower``, which builds their ``2n - 1`` one-cell
+rows once; the adjunction labels and ``torsion`` read their Speh
+factors off towers too.  An expansion shares the Steinberg factors
+``St_delta(pi)``, built on first use, among every shriek term of one
+resolution, builds each expanded term as one ``LedgerTerm`` straight
+from its ordered product, and gathers the terms into one dict that
+becomes the sum as it is.  Those terms are built by
 the trusted ``LedgerTerm._expanded``, which skips the checks of
 ``__post_init__``: ``expand_resolution``, its one caller, proves that
 they hold.  The multisegments beneath keep their segment order without
@@ -39,13 +40,12 @@ from .zline import (
     HalfInt,
     InertialCuspidal,
     Multisegment,
-    Segment,
     Wildcard,
     ZERO,
     make_steinberg,
     normalized_product,
     ordered_product,
-    twist,
+    speh_tower,
 )
 
 SHRIEK = "shriek"
@@ -99,7 +99,7 @@ class LedgerTerm:
 
     The hash is the hash of the six fields, the two markers read by
     ``.twice``, computed on the first ``hash()`` and kept on the
-    instance; the infinitesimal keeps its own hash, read in C (see
+    instance; the infinitesimal's hash is computed in C (see
     ``Multisegment``).  It is never copied: ``replace`` builds a new
     instance, and pickles and copies leave it out.
     """
@@ -196,33 +196,6 @@ def _check_home(ctx: GlobalContext, t: int, inf: Multisegment) -> None:
         )
 
 
-_NO_CELLS = Multisegment.empty()
-
-
-def _speh_cells(ctx: GlobalContext, n: int, center: HalfInt) -> list[Segment]:
-    """The cells of ``Speh_delta(pi{center})`` for every ``delta <= n``.
-
-    Row ``j`` of ``Speh_delta(pi{center})`` is the one-cell segment at
-    twice-position ``center.twice + 1 - delta + 2j``, ``j = 0..delta-1``.
-    Over ``delta <= n`` these are the ``2n - 1`` positions from
-    ``center.twice + 1 - n`` up, built here once each, in order.
-    """
-    first = center.twice + 1 - n
-    return [Segment(ctx.pi, HalfInt(first + k), 1) for k in range(2 * n - 1)]
-
-
-def _speh(cells: list[Segment], delta: int) -> Multisegment:
-    """``Speh_delta`` from the cells of :func:`_speh_cells`; empty when delta is 0.
-
-    With ``len(cells) = 2n - 1``, row ``j`` of ``Speh_delta`` is
-    ``cells[n - delta + 2j]``: the step-2 slice ``cells[n-delta : n+delta-1 : 2]``.
-    """
-    if delta == 0:
-        return _NO_CELLS
-    n = (len(cells) + 1) // 2
-    return Multisegment(tuple(cells[n - delta : n + delta - 1 : 2]))
-
-
 def resolution_terms(
     ctx: GlobalContext, t: int, inf: Multisegment
 ) -> list[LedgerTerm]:
@@ -231,17 +204,13 @@ def resolution_terms(
     For ``delta = 0..s_g - t`` the term at stratum ``t + delta`` is the
     shriek of ``inf{-delta/2} x Speh_delta(pi{t/2})`` with Xi-power
     ``delta/2`` and sign ``(-1)^delta``; the augmentation intermediate
-    at ``t`` closes the list.  Every ``Speh_delta`` is sliced from one
-    set of ``2n - 1`` cells, ``n = s_g - t``.
+    at ``t`` closes the list.  Every ``Speh_delta`` is read off one
+    ``speh_tower`` of length ``n = s_g - t``.
     """
     _check_home(ctx, t, inf)
-    n = ctx.s_g - t
-    cells = _speh_cells(ctx, n, HalfInt(t))
     terms = []
-    for delta in range(n + 1):
-        infinitesimal = normalized_product(
-            twist(inf, HalfInt(-delta)), _speh(cells, delta)
-        )
+    for delta, speh in enumerate(speh_tower(ctx.pi, ctx.s_g - t, HalfInt(t))):
+        infinitesimal = normalized_product(inf.shifted(HalfInt(-delta)), speh)
         terms.append(
             LedgerTerm(
                 kind=SHRIEK,
@@ -298,9 +267,12 @@ def adjunction_label(
 
         inf{(1-delta)/2} x (Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2}){t/2}
 
-    carrying Xi-power ``delta/2`` in its Tate marker.  Stripping the
-    infinitesimal factor (see :func:`strip_adjunction_core`) leaves a
-    label independent of the chosen ``t``.
+    carrying Xi-power ``delta/2`` in its Tate marker.  The core
+    ``Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2}`` has exactly the rows
+    of ``Speh_delta(pi)``, the cells at ``(1-delta)/2, ..., (delta-1)/2``,
+    so the label is built as ``inf{(1-delta)/2} x Speh_delta(pi{t/2})``.
+    Stripping the infinitesimal factor (see :func:`strip_adjunction_core`)
+    leaves a label independent of the chosen ``t``.
     """
     if inf is None:
         inf = generic_infinitesimal(ctx, t)
@@ -310,12 +282,8 @@ def adjunction_label(
         )
     terms = resolution_terms(ctx, t, inf)
     source, target = terms[delta], terms[delta - 1]
-    core = normalized_product(
-        _speh(_speh_cells(ctx, delta - 1, HalfInt(-1)), delta - 1),
-        Multisegment((Segment(ctx.pi, HalfInt(delta - 1), 1),)),
-    )
     induced = normalized_product(
-        twist(inf, HalfInt(1 - delta)), twist(core, HalfInt(t))
+        inf.shifted(HalfInt(1 - delta)), speh_tower(ctx.pi, delta, HalfInt(t))[delta]
     ).with_tate(HalfInt(delta))
     return source, target, induced
 

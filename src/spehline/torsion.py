@@ -13,15 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ledger import (
-    INTERMEDIATE,
-    GlobalContext,
-    InvariantViolation,
-    LedgerTerm,
-    _speh,
-    _speh_cells,
-)
-from .zline import HalfInt, Multisegment, normalized_product, twist
+from .ledger import INTERMEDIATE, GlobalContext, InvariantViolation, LedgerTerm
+from .zline import HalfInt, Multisegment, normalized_product, speh_tower
 
 
 class NoTorsionError(ValueError):
@@ -74,7 +67,8 @@ def torsion_transfer_label(
     ``inf{(t0-t)/2} x Speh_{t0-t}(pi){t/2}`` and Xi-power ``(t-t0)/2``.
     The appended Speh factor uses the positive count ``t0 - t``; the
     printed Xi-power keeps its non-positive sign, and the degree check
-    reads the appended cells off its absolute value.
+    reads the appended cells off its absolute value.  The Speh factor is
+    the top of a ``zline.speh_tower``, as in the resolution.
     """
     if profile.t0 is None or t > profile.t0:
         raise NoTorsionError(f"stratum {t} carries no torsion in this profile")
@@ -88,8 +82,7 @@ def torsion_transfer_label(
         )
     delta = profile.t0 - t
     infinitesimal = normalized_product(
-        twist(inf, HalfInt(delta)),
-        _speh(_speh_cells(ctx, delta, HalfInt(t)), delta),
+        inf.shifted(HalfInt(delta)), speh_tower(ctx.pi, delta, HalfInt(t))[delta]
     )
     return LedgerTerm(
         kind=INTERMEDIATE,

@@ -21,9 +21,9 @@ A multisegment keeps its segments in ``_segment_key`` order.
 ``Multisegment(...)`` sorts what it is given; a rebuild whose order is
 already known skips the sort through the trusted ``Multisegment._sorted``.
 Its callers are ``shifted``, ``with_tate``, ``without_wildcard``,
-``LadderShape.to_multisegment``, both products (through ``_union``) and
-``jacquet_cuts``; the ``Multisegment`` docstring gives the reason the
-order holds for each.
+``LadderShape.to_multisegment``, ``speh_tower``, both products (through
+``_union``) and ``jacquet_cuts``; the ``Multisegment`` docstring gives
+the reason the order holds for each.
 """
 
 from __future__ import annotations
@@ -186,13 +186,12 @@ class Multisegment:
     ordered factors).
 
     The degree is summed on the first read and kept on the instance, so
-    a factor shared by many products is summed once.  The hash is kept
-    the same way, on the first ``hash()``: it hashes the ``_segment_key``
-    tuples and the markers' plain values, all read in C, so no segment,
-    label or half-integer is hashed through Python.  It is never copied:
-    the rebuilding methods and ``replace`` build new instances, and
-    pickles and copies leave it out, since a hash depends on the
-    process's hash seed.
+    a factor shared by many products is summed once.  The hash is
+    computed on every call, in C: it hashes the ``_segment_key`` tuples
+    and the markers' plain values, so no segment, label or half-integer
+    is hashed through Python.  It is not kept: the ledger, the one part
+    of the program that hashes multisegments in bulk, hashes each once,
+    through the ``LedgerTerm`` that holds it, and the term keeps its own.
 
     The trusted constructor ``Multisegment._sorted`` takes a segment
     tuple as it is, with no sort, and the three markers.  Its callers,
@@ -203,6 +202,7 @@ class Multisegment:
     - ``with_tate`` and ``without_wildcard``: the segments are kept;
     - ``LadderShape.to_multisegment``: one base, one length, and the row
       starts rise with the row;
+    - ``speh_tower``: one base, one length, and the starts rise by 2;
     - ``_union``, behind both products: it joins two sorted tuples and
       sorts only when their runs interleave;
     - ``jacquet_cuts``, whose docstring proves that each side it builds
@@ -218,34 +218,23 @@ class Multisegment:
     wildcard: Wildcard | None = None
     order_tag: tuple[int, int] | None = None
 
-    # not fields: equality, hash, repr and replace never see them
+    # not a field: equality, hash, repr and replace never see it
     _degree = None
-    _hash = None
 
     def __post_init__(self) -> None:
         segs = tuple(sorted(self.segments, key=_segment_key))
         object.__setattr__(self, "segments", segs)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            wildcard = self.wildcard
-            h = hash(
-                (
-                    tuple(map(_segment_key, self.segments)),
-                    self.tate.twice,
-                    None if wildcard is None else _wildcard_key(wildcard),
-                    self.order_tag,
-                )
+        wildcard = self.wildcard
+        return hash(
+            (
+                tuple(map(_segment_key, self.segments)),
+                self.tate.twice,
+                None if wildcard is None else _wildcard_key(wildcard),
+                self.order_tag,
             )
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # a hash depends on the process's hash seed, so it must not travel
-        state = dict(vars(self))
-        state.pop("_hash", None)
-        return state
+        )
 
     @classmethod
     def _sorted(
@@ -264,10 +253,6 @@ class Multisegment:
         fields["wildcard"] = wildcard
         fields["order_tag"] = order_tag
         return out
-
-    @classmethod
-    def empty(cls) -> "Multisegment":
-        return cls()
 
     @property
     def degree(self) -> int:
@@ -296,6 +281,11 @@ class Multisegment:
         return Multisegment._sorted(self.segments, self.tate, None, self.order_tag)
 
     def reduced(self) -> "Multisegment":
+        """Every base replaced by the label of its mod-l class.
+
+        Idempotent, commutes with ``shifted`` and with the normalized
+        product, and fixes wildcards.
+        """
         segs = tuple(Segment(reduced_label(s.base), s.start, s.length) for s in self.segments)
         return Multisegment(segs, self.tate, self.wildcard, self.order_tag)
 
@@ -384,9 +374,27 @@ def make_speh(pi_or_ladder: InertialCuspidal | LadderShape, s: int) -> LadderSha
     raise TypeError(f"cannot build a Speh shape from {pi_or_ladder!r}")
 
 
-def twist(m: Multisegment | LadderShape, n: HalfInt) -> Multisegment | LadderShape:
-    """Shift every position of ``m`` by the half-integer ``n``."""
-    return m.shifted(n)
+# Speh_0 of every base and centre, one instance: a tower builds only its rows
+_SPEH_0 = Multisegment()
+
+
+def speh_tower(base: InertialCuspidal, n: int, center: HalfInt) -> list[Multisegment]:
+    """``[Speh_0, ..., Speh_n]`` of ``base{center}``, as multisegments.
+
+    Row ``j`` of ``Speh_delta(base{center})`` is the one-cell segment at
+    twice-position ``center.twice + 1 - delta + 2j``, ``j = 0..delta-1``,
+    as in ``LadderShape(base, delta, 1, center)``.  Over ``delta <= n``
+    these are the ``2n - 1`` positions from ``center.twice + 1 - n`` up,
+    built here once each, in order; ``Speh_delta`` is the step-2 slice
+    ``cells[n-delta : n+delta-1 : 2]``, and ``Speh_0`` is one shared
+    empty multisegment.
+    """
+    first = center.twice + 1 - n
+    cells = [Segment(base, HalfInt(first + k), 1) for k in range(2 * n - 1)]
+    build = Multisegment._sorted
+    return [_SPEH_0] + [
+        build(tuple(cells[n - delta : n + delta - 1 : 2])) for delta in range(1, n + 1)
+    ]
 
 
 def normalized_product(a: Multisegment, b: Multisegment) -> Multisegment:
@@ -443,15 +451,6 @@ def _union(
         a.wildcard if a.wildcard is not None else b.wildcard,
         order_tag,
     )
-
-
-def mod_l_reduce(m: Multisegment | LadderShape) -> Multisegment | LadderShape:
-    """Replace every cuspidal base by the label of its mod-l class.
-
-    Idempotent, commutes with twisting and with the normalized product,
-    and fixes wildcards.
-    """
-    return m.reduced()
 
 
 def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]:

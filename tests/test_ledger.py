@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import json
@@ -121,7 +122,7 @@ class TestResolution:
     def test_rejects_stratum_out_of_range(self):
         ctx = GlobalContext(d=4, pi=InertialCuspidal("pi", 1))
         with pytest.raises(InvariantViolation):
-            resolution_terms(ctx, 5, Multisegment.empty())
+            resolution_terms(ctx, 5, Multisegment())
 
 
 class TestFiltration:
@@ -374,3 +375,13 @@ class TestTrustedExpandedTerm:
             if re.search(r"\b_expanded\b", path.read_text(encoding="utf-8"))
         )
         assert callers == ["ledger.py"]
+
+
+def test_no_module_imports_a_ledger_private():
+    for path in sorted((SRC / "spehline").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ledger":
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, private)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ledger":
+                assert not node.attr.startswith("_"), (path.name, node.attr)

@@ -13,8 +13,9 @@ order: the text listings of ``resolution`` and ``filtration``, every
 adjunction label with its stripped core, and every torsion transfer
 label of the profile with ``t0 = s_g``.  These were written by the
 multisegments that sorted every segment tuple they were given.  The
-shared Speh cells and the one-dict sum are checked against the ladders
-and the merging constructor they replace.
+Speh towers and the one-dict sum are checked against the ladders and
+the merging constructor they replace, and the adjunction labels against
+the two-factor construction the tower replaced.
 
 The same digests pin the smallest sizes, ``n`` in {0, 1} for each ``g``,
 where the resolution's Speh tower is ``Speh_0`` alone or one cell; these
@@ -44,19 +45,22 @@ from spehline import (
     Segment,
     TorsionProfile,
     Wildcard,
+    ZERO,
     adjunction_label,
     expand_resolution,
     expand_shriek,
     filtration_graded,
     generic_infinitesimal,
+    normalized_product,
     resolution_terms,
+    speh_tower,
     strip_adjunction_core,
     torsion_transfer_label,
 )
 from spehline import ledger
 from spehline.cli import main
 from spehline.jsonio import canonical_dumps, ledger_term_to_dict, multisegment_to_dict
-from spehline.ledger import INTERMEDIATE, SHRIEK, _speh, _speh_cells
+from spehline.ledger import INTERMEDIATE, SHRIEK
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZES = [(n, g) for n in (6, 12, 18) for g in (1, 2, 3)]
@@ -251,22 +255,47 @@ class TestGrowthGuard:
 
 
 class TestSpehTable:
-    """Every ``Speh_delta`` is a slice of one list of shared cells, each built once."""
+    """Every ``Speh_delta`` of a ``speh_tower`` is a slice of one list of
+    shared cells, each built once."""
 
     CENTERS = [HalfInt(c) for c in (-7, -2, 0, 1, 4, 11)]
+    BASES = [InertialCuspidal("p", 1), InertialCuspidal("q", 3, e_pi=2)]
 
-    @pytest.mark.parametrize("pi", [InertialCuspidal("p", 1), InertialCuspidal("q", 3, e_pi=2)])
+    @pytest.mark.parametrize("pi", BASES)
     def test_slices_are_the_ladders(self, pi):
-        ctx = GlobalContext(d=60, pi=pi)
         for center in self.CENTERS:
             for n in range(21):
-                cells = _speh_cells(ctx, n, center)
+                tower = speh_tower(pi, n, center)
+                assert len(tower) == n + 1
+                cells = {id(seg) for speh in tower for seg in speh.segments}
                 assert len(cells) == max(2 * n - 1, 0)
-                assert _speh(cells, 0) == Multisegment.empty()
+                assert tower[0] == Multisegment()
                 for delta in range(1, n + 1):
-                    got = _speh(cells, delta)
+                    got = tower[delta]
                     want = LadderShape(pi, delta, 1, center).to_multisegment()
                     assert got == want and got.__dict__ == want.__dict__
+
+    def test_speh_0_is_shared(self):
+        # the growth guard's bound counts no Speh_0 build
+        towers = [speh_tower(pi, n, c) for pi in self.BASES for n in (0, 3) for c in self.CENTERS]
+        assert len({id(tower[0]) for tower in towers}) == 1
+
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_adjunction_core_is_the_tower_top(self, g):
+        # Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2} has the rows of Speh_delta(pi),
+        # at every centre
+        pi = InertialCuspidal(f"p{g}", g)
+        for center in self.CENTERS + [ZERO]:
+            for delta in range(1, 21):
+                lower = (
+                    LadderShape(pi, delta - 1, 1, center + HalfInt(-1)).to_multisegment()
+                    if delta > 1
+                    else Multisegment()
+                )
+                top = LadderShape(pi, 1, 1, center + HalfInt(delta - 1)).to_multisegment()
+                core = normalized_product(lower, top)
+                got = speh_tower(pi, delta, center)[delta]
+                assert got == core and got.__dict__ == core.__dict__
 
     @pytest.mark.parametrize("n", [1, 6, 12, 18])
     def test_resolution_builds_each_speh_cell_once(self, n, monkeypatch):
@@ -275,17 +304,88 @@ class TestSpehTable:
         ctx = _context(case)
         inf = generic_infinitesimal(ctx, case["t"])
         built: list[Segment] = []
+        towers: list[tuple] = []
         post_init = Segment.__post_init__
 
         def counted(self):
             post_init(self)
             built.append(self)
 
+        def tower(*args):
+            towers.append(args)
+            return speh_tower(*args)
+
         monkeypatch.setattr(Segment, "__post_init__", counted)
+        monkeypatch.setattr(ledger, "speh_tower", tower)
         terms = resolution_terms(ctx, case["t"], inf)
         monkeypatch.undo()
         assert len(terms) == n + 2
+        assert towers == [(ctx.pi, n, HalfInt(case["t"]))]
         assert len(built) <= 2 * n - 1
+
+
+def _two_factor_label(ctx: GlobalContext, t: int, delta: int, inf: Multisegment) -> Multisegment:
+    """``inf{(1-delta)/2} x (Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2}){t/2}``,
+    Xi-power ``delta/2``: the adjunction label built factor by factor."""
+    lower = (
+        LadderShape(ctx.pi, delta - 1, 1, HalfInt(-1)).to_multisegment()
+        if delta > 1
+        else Multisegment()
+    )
+    core = normalized_product(lower, Multisegment((Segment(ctx.pi, HalfInt(delta - 1), 1),)))
+    return normalized_product(
+        inf.shifted(HalfInt(1 - delta)), core.shifted(HalfInt(t))
+    ).with_tate(HalfInt(delta))
+
+
+class TestAdjunctionLabels:
+    """Every adjunction label is the two-factor label of the paper's formula."""
+
+    def test_every_arrow_is_the_two_factor_label(self):
+        for ctx, t, inf in _small_jobs():
+            for delta in range(1, ctx.s_g - t + 1):
+                _, _, induced = adjunction_label(ctx, t, delta, inf)
+                want = _two_factor_label(ctx, t, delta, inf)
+                assert induced == want and induced.__dict__ == want.__dict__
+                assert _multisegment_shown(induced) == _multisegment_shown(want)
+                assert strip_adjunction_core(induced, t) == strip_adjunction_core(want, t)
+
+
+class TestNoSortingBuild:
+    """The resolution, the filtration, the expansion and the adjunction and
+    torsion labels build every multisegment through ``Multisegment._sorted``:
+    none runs the sorting ``Multisegment.__post_init__``."""
+
+    def test_post_init_never_runs(self, monkeypatch):
+        jobs = list(_small_jobs())
+        for case in (_case(n, g) for n, g in SIZES):
+            ctx = _context(case)
+            jobs.append((ctx, case["t"], generic_infinitesimal(ctx, case["t"])))
+        calls: dict[str, int] = {}
+        post_init = Multisegment.__post_init__
+        name = "?"
+
+        def counted(self):
+            post_init(self)
+            calls[name] = calls.get(name, 0) + 1
+
+        monkeypatch.setattr(Multisegment, "__post_init__", counted)
+        for ctx, t, inf in jobs:
+            profile = TorsionProfile(t0=ctx.s_g)
+            runs = {
+                "resolution_terms": lambda: resolution_terms(ctx, t, inf),
+                "filtration_graded": lambda: filtration_graded(ctx, t, inf),
+                "expand_resolution": lambda: expand_resolution(ctx, t, inf),
+                "torsion_transfer_label": lambda: torsion_transfer_label(ctx, profile, t, inf),
+                "adjunction_label": lambda: [
+                    adjunction_label(ctx, t, delta, inf) for delta in range(1, ctx.s_g - t + 1)
+                ],
+            }
+            for name, run in runs.items():
+                calls.setdefault(name, 0)
+                run()
+        monkeypatch.undo()
+        assert calls == dict.fromkeys(runs, 0)
 
 
 def _merged_expansion(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
