@@ -36,9 +36,8 @@ from .ledger import (
     GlobalContext,
     InvariantViolation,
     LedgerTerm,
-    adjunction_label,
+    adjunction_labels,
     expand_resolution,
-    expand_shriek,
     filtration_graded,
     generic_infinitesimal,
     group_by_stratum,

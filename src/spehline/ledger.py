@@ -6,21 +6,22 @@ half power of the Xi marker, a half Tate twist and a sign.  The module
 builds the resolution of an intermediate extension by shrieks at deeper
 strata, the filtration of a shriek by intermediates, the adjunction-map
 labels between consecutive resolution terms, and the Grothendieck-sum
-expansion of a shriek through its filtration.
+expansion of the resolution through the filtrations of its shrieks.
 
-A resolution builds each shared part once.  Its factors
-``Speh_delta(pi{t/2})``, ``delta = 0..n`` with ``n = s_g - t``, are read
-off one ``zline.speh_tower``, which builds their ``2n - 1`` one-cell
-rows once; the adjunction labels and ``torsion`` read their Speh
-factors off towers too.  An expansion shares the Steinberg factors
-``St_delta(pi)``, built on first use, among every shriek term of one
-resolution, builds each expanded term as one ``LedgerTerm`` straight
-from its ordered product, and gathers the terms into one dict that
-becomes the sum as it is.  Those terms are built by
-the trusted ``LedgerTerm._expanded``, which skips the checks of
-``__post_init__``: ``expand_resolution``, its one caller, proves that
-they hold.  The multisegments beneath keep their segment order without
-a sort wherever it is known (see ``Multisegment``).
+A resolution and its arrows form one complex, built in one pass: one
+set of shifts ``inf{-delta/2}`` and one ``zline.speh_tower`` of factors
+``Speh_delta(pi{t/2})``, ``delta = 0..n`` with ``n = s_g - t``, whose
+``2n - 1`` one-cell rows are built once, give every term and every
+arrow label; ``torsion`` reads its Speh factors off a tower too.
+
+An expansion shares the Steinberg factors ``St_delta(pi)``, built on
+first use, among every shriek term of one resolution, builds each
+expanded term as one ``LedgerTerm`` straight from its ordered product,
+and gathers the terms into one dict that becomes the sum as it is.
+Those terms are built by the trusted ``LedgerTerm._expanded``, which
+skips the checks of ``__post_init__``: ``expand_resolution``, its one
+caller, proves that they hold.  The multisegments beneath keep their
+segment order without a sort wherever it is known (see ``Multisegment``).
 
 Exactness of the expanded double sum is *not* asserted: cancelling it
 needs decomposition rules for mixed Speh-times-Steinberg products that
@@ -196,6 +197,29 @@ def _check_home(ctx: GlobalContext, t: int, inf: Multisegment) -> None:
         )
 
 
+def _resolution(
+    ctx: GlobalContext, t: int, inf: Multisegment
+) -> tuple[list[LedgerTerm], list[Multisegment], list[Multisegment]]:
+    """The terms of :func:`resolution_terms`, with the shifts ``inf{-delta/2}``
+    and the tower ``Speh_delta(pi{t/2})``, ``delta = 0..s_g - t``, that build
+    them: the shriek at ``delta`` has infinitesimal ``shifts[delta] x tower[delta]``."""
+    _check_home(ctx, t, inf)
+    tower = speh_tower(ctx.pi, ctx.s_g - t, HalfInt(t))
+    shifts = [inf.shifted(HalfInt(-delta)) for delta in range(len(tower))]
+    terms = [
+        LedgerTerm(
+            kind=SHRIEK,
+            stratum=t + delta,
+            infinitesimal=normalized_product(shifted, speh),
+            xi_power=HalfInt(delta),
+            sign=-1 if delta % 2 else 1,
+        )
+        for delta, (shifted, speh) in enumerate(zip(shifts, tower))
+    ]
+    terms.append(LedgerTerm(kind=INTERMEDIATE, stratum=t, infinitesimal=inf))
+    return terms, shifts, tower
+
+
 def resolution_terms(
     ctx: GlobalContext, t: int, inf: Multisegment
 ) -> list[LedgerTerm]:
@@ -207,21 +231,7 @@ def resolution_terms(
     at ``t`` closes the list.  Every ``Speh_delta`` is read off one
     ``speh_tower`` of length ``n = s_g - t``.
     """
-    _check_home(ctx, t, inf)
-    terms = []
-    for delta, speh in enumerate(speh_tower(ctx.pi, ctx.s_g - t, HalfInt(t))):
-        infinitesimal = normalized_product(inf.shifted(HalfInt(-delta)), speh)
-        terms.append(
-            LedgerTerm(
-                kind=SHRIEK,
-                stratum=t + delta,
-                infinitesimal=infinitesimal,
-                xi_power=HalfInt(delta),
-                sign=-1 if delta % 2 else 1,
-            )
-        )
-    terms.append(LedgerTerm(kind=INTERMEDIATE, stratum=t, infinitesimal=inf))
-    return terms
+    return _resolution(ctx, t, inf)[0]
 
 
 def _graded(
@@ -256,13 +266,14 @@ def filtration_graded(
     ]
 
 
-def adjunction_label(
-    ctx: GlobalContext, t: int, delta: int, inf: Multisegment | None = None
-) -> tuple[LedgerTerm, LedgerTerm, Multisegment]:
-    """The ``delta``-th arrow of the resolution at ``t`` and its label.
+def adjunction_labels(
+    ctx: GlobalContext, t: int, inf: Multisegment
+) -> list[tuple[LedgerTerm, LedgerTerm, Multisegment]]:
+    """Every arrow of the resolution at ``t``, with its label.
 
-    Returns ``(source, target, induced)`` where source and target are
-    the resolution terms at strata ``t + delta`` and ``t + delta - 1``
+    Entry ``delta - 1`` is the ``delta``-th arrow, ``delta = 1..s_g - t``,
+    as ``(source, target, induced)``: source and target are the
+    resolution's own terms at strata ``t + delta`` and ``t + delta - 1``,
     and ``induced`` is the multisegment
 
         inf{(1-delta)/2} x (Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2}){t/2}
@@ -270,22 +281,20 @@ def adjunction_label(
     carrying Xi-power ``delta/2`` in its Tate marker.  The core
     ``Speh_{delta-1}(pi{-1/2}) x pi{(delta-1)/2}`` has exactly the rows
     of ``Speh_delta(pi)``, the cells at ``(1-delta)/2, ..., (delta-1)/2``,
-    so the label is built as ``inf{(1-delta)/2} x Speh_delta(pi{t/2})``.
-    Stripping the infinitesimal factor (see :func:`strip_adjunction_core`)
-    leaves a label independent of the chosen ``t``.
+    so the label is the target's shift times the source's Speh factor,
+    both taken from the one pass that builds the resolution.  Stripping
+    the infinitesimal factor (see :func:`strip_adjunction_core`) leaves
+    a label independent of the chosen ``t``.
     """
-    if inf is None:
-        inf = generic_infinitesimal(ctx, t)
-    if not 1 <= delta <= ctx.s_g - t:
-        raise InvariantViolation(
-            f"arrow index delta={delta} outside 1..{ctx.s_g - t}"
+    terms, shifts, tower = _resolution(ctx, t, inf)
+    return [
+        (
+            terms[delta],
+            terms[delta - 1],
+            normalized_product(shifts[delta - 1], tower[delta]).with_tate(HalfInt(delta)),
         )
-    terms = resolution_terms(ctx, t, inf)
-    source, target = terms[delta], terms[delta - 1]
-    induced = normalized_product(
-        inf.shifted(HalfInt(1 - delta)), speh_tower(ctx.pi, delta, HalfInt(t))[delta]
-    ).with_tate(HalfInt(delta))
-    return source, target, induced
+        for delta in range(1, len(tower))
+    ]
 
 
 def strip_adjunction_core(induced: Multisegment, t: int) -> Multisegment:
@@ -295,11 +304,6 @@ def strip_adjunction_core(induced: Multisegment, t: int) -> Multisegment:
     the cores of the ``delta``-th arrows for different ``t`` coincide.
     """
     return induced.without_wildcard().shifted(HalfInt(-t))
-
-
-def expand_shriek(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
-    """Rewrite the shriek class at ``t`` as the sum of its graded parts."""
-    return GrothSum((term, 1) for term in filtration_graded(ctx, t, inf))
 
 
 def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:

@@ -10,7 +10,7 @@ Ladders are the staggered-row shapes of ``Speh_s(St_t(pi))``.
 Twists are ``HalfInt`` values, stored absolutely on every segment.
 Constructors check the ranges of their parts but do not convert them:
 callers pass each part in its final type (``jsonio`` builds them from
-checked JSON), and ``HalfInt`` operators take half-integers only, a
+checked JSON), and ``HalfInt`` addition takes half-integers only, a
 whole number ``n`` being ``HalfInt(2 * n)``.  Because the product of
 two multisegments models *normalized* induction, the written twists of
 the factors already are absolute positions, and the product reduces to
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 class HalfInt:
     """A half-integer, stored as twice its value.
 
-    Closed under addition, subtraction and negation; totally ordered.
+    Closed under addition only; totally ordered.
     Operands are half-integers: a whole number ``n`` is ``HalfInt(2 * n)``.
     """
 
@@ -49,12 +49,6 @@ class HalfInt:
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -20,7 +20,7 @@ from spehline import (
     InertialCuspidal,
     LocalComponent,
     TorsionProfile,
-    adjunction_label,
+    adjunction_labels,
     constituent,
     d_sequence,
     diagram,
@@ -175,7 +175,9 @@ def test_ledger_golden_and_invariants():
             ctx = GlobalContext(d=12, pi=InertialCuspidal("pi", g))
             for delta in range(1, ctx.s_g):
                 cores = {
-                    strip_adjunction_core(adjunction_label(ctx, t, delta)[2], t)
+                    strip_adjunction_core(
+                        adjunction_labels(ctx, t, generic_infinitesimal(ctx, t))[delta - 1][2], t
+                    )
                     for t in range(1, ctx.s_g - delta + 1)
                 }
                 assert len(cores) == 1

@@ -24,9 +24,8 @@ from spehline import (
     Segment,
     Wildcard,
     ZERO,
-    adjunction_label,
+    adjunction_labels,
     expand_resolution,
-    expand_shriek,
     filtration_graded,
     generic_infinitesimal,
     group_by_stratum,
@@ -154,7 +153,7 @@ class TestFiltration:
 class TestAdjunction:
     def test_first_arrow_label(self):
         ctx = GlobalContext(d=4, pi=InertialCuspidal("pi", 1))
-        _, _, induced = adjunction_label(ctx, 2, 1)
+        _, _, induced = adjunction_labels(ctx, 2, generic_infinitesimal(ctx, 2))[0]
         # reduces to inf x pi{t/2} with a half Xi power
         assert induced.tate == HalfInt(1)
         assert [s.start.twice for s in induced.segments] == [2]
@@ -164,8 +163,9 @@ class TestAdjunction:
         ctx = GlobalContext(d=9, pi=InertialCuspidal("pi", 1))
         inf = generic_infinitesimal(ctx, 3)
         terms = resolution_terms(ctx, 3, inf)
-        for delta in range(1, ctx.s_g - 3 + 1):
-            source, target, _ = adjunction_label(ctx, 3, delta, inf)
+        arrows = adjunction_labels(ctx, 3, inf)
+        assert len(arrows) == ctx.s_g - 3
+        for delta, (source, target, _) in enumerate(arrows, start=1):
             assert source == terms[delta]
             assert target == terms[delta - 1]
             assert source.degree(ctx.g) == target.degree(ctx.g) == ctx.d
@@ -176,30 +176,28 @@ class TestAdjunction:
             for delta in range(1, ctx.s_g):
                 cores = set()
                 for t in range(1, ctx.s_g - delta + 1):
-                    _, _, induced = adjunction_label(ctx, t, delta)
+                    arrows = adjunction_labels(ctx, t, generic_infinitesimal(ctx, t))
+                    _, _, induced = arrows[delta - 1]
                     cores.add(strip_adjunction_core(induced, t))
                 assert len(cores) == 1
 
-    def test_rejects_delta_out_of_range(self):
+    def test_consecutive_arrows_share_their_term(self):
+        # one complex: the source of each arrow is the next arrow's target
+        ctx = GlobalContext(d=12, pi=InertialCuspidal("pi", 2))
+        arrows = adjunction_labels(ctx, 1, generic_infinitesimal(ctx, 1))
+        for (source, _, _), (_, target, _) in zip(arrows, arrows[1:]):
+            assert source is target
+
+    def test_no_arrow_at_the_top_stratum(self):
+        # n = s_g - t = 0: the resolution is one shriek and has no arrow
         ctx = GlobalContext(d=4, pi=InertialCuspidal("pi", 1))
-        with pytest.raises(InvariantViolation):
-            adjunction_label(ctx, 2, 3)
+        assert adjunction_labels(ctx, 4, generic_infinitesimal(ctx, 4)) == []
 
 
 class TestExpansion:
     def test_top_stratum_single_term(self):
         ctx = GlobalContext(d=6, pi=InertialCuspidal("pi", 2))
-        total = expand_shriek(ctx, ctx.s_g, generic_infinitesimal(ctx, ctx.s_g))
-        assert len(total) == 1
-
-    def test_expand_shriek_matches_filtration(self):
-        ctx = GlobalContext(d=8, pi=InertialCuspidal("pi", 2))
-        inf = generic_infinitesimal(ctx, 2)
-        total = expand_shriek(ctx, 2, inf)
-        assert total == sum(
-            (GrothSum.of(t) for t in filtration_graded(ctx, 2, inf)),
-            GrothSum.zero(),
-        )
+        assert len(filtration_graded(ctx, ctx.s_g, generic_infinitesimal(ctx, ctx.s_g))) == 1
 
     def test_resolution_expansion_groups_by_stratum(self):
         ctx = GlobalContext(d=10, pi=InertialCuspidal("pi", 2))

@@ -46,9 +46,8 @@ from spehline import (
     TorsionProfile,
     Wildcard,
     ZERO,
-    adjunction_label,
+    adjunction_labels,
     expand_resolution,
-    expand_shriek,
     filtration_graded,
     generic_infinitesimal,
     normalized_product,
@@ -130,8 +129,7 @@ def _multisegment_shown(m: Multisegment) -> list:
 def _adjunction_digest(ctx: GlobalContext, t: int) -> str:
     """Every arrow of the resolution at ``t``: its ends, label and stripped core."""
     arrows = []
-    for delta in range(1, ctx.s_g - t + 1):
-        source, target, induced = adjunction_label(ctx, t, delta)
+    for source, target, induced in adjunction_labels(ctx, t, generic_infinitesimal(ctx, t)):
         arrows.append(
             [
                 ledger_term_to_dict(source),
@@ -180,7 +178,7 @@ def marked_digests() -> dict:
     ctx, t, inf = _marked()
     return {
         "expansion": _sum_digest(expand_resolution(ctx, t, inf)),
-        "shriek": _sum_digest(expand_shriek(ctx, t, inf)),
+        "shriek": _sum_digest(GrothSum((term, 1) for term in filtration_graded(ctx, t, inf))),
         "resolution": _terms_digest(resolution_terms(ctx, t, inf)),
         "filtration": _terms_digest(filtration_graded(ctx, t, inf)),
     }
@@ -220,38 +218,60 @@ def _is_steinberg(m: Multisegment, pi: InertialCuspidal) -> bool:
     return seg.base == pi and seg.start.twice == 1 - seg.length and m.tate.is_zero
 
 
-class TestGrowthGuard:
-    """One expansion builds each Steinberg factor once, and few multisegments.
+@contextlib.contextmanager
+def _counting_builds(monkeypatch):
+    """Collect every multisegment built inside the block.
 
     A multisegment is built either through ``Multisegment(...)``, which
     runs ``__post_init__``, or through the trusted ``Multisegment._sorted``,
     which does not; the count takes both.
     """
+    built: list[Multisegment] = []
+    post_init = Multisegment.__post_init__
+    trusted = Multisegment._sorted
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    def counted_trusted(cls, *args):
+        built.append(trusted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Multisegment, "__post_init__", counted)
+    monkeypatch.setattr(Multisegment, "_sorted", classmethod(counted_trusted))
+    try:
+        yield built
+    finally:
+        monkeypatch.undo()
+
+
+class TestGrowthGuard:
+    """One expansion builds each Steinberg factor once, and few multisegments;
+    every arrow of a resolution is built in a number of builds linear in ``n``."""
 
     @pytest.mark.parametrize("n", [6, 12, 18])
     def test_expansion_builds(self, n, monkeypatch):
         case = _case(n, 2)
         ctx = _context(case)
         inf = generic_infinitesimal(ctx, case["t"])
-        built: list[Multisegment] = []
-        post_init = Multisegment.__post_init__
-        trusted = Multisegment._sorted
-
-        def counted(self):
-            post_init(self)
-            built.append(self)
-
-        def counted_trusted(cls, *args):
-            built.append(trusted(*args))
-            return built[-1]
-
-        monkeypatch.setattr(Multisegment, "__post_init__", counted)
-        monkeypatch.setattr(Multisegment, "_sorted", classmethod(counted_trusted))
-        total = expand_resolution(ctx, case["t"], inf)
-        monkeypatch.undo()
+        with _counting_builds(monkeypatch) as built:
+            total = expand_resolution(ctx, case["t"], inf)
         assert len(total) == (n + 1) * (n + 2) // 2
         assert sum(_is_steinberg(m, ctx.pi) for m in built) == n
         assert len(built) <= (n + 1) * (n + 2) // 2 + 3 * n
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_adjunction_labels_build_linearly(self, g, monkeypatch):
+        # rebuilding the resolution for each arrow took 5,224 builds at g = 2, n = 38
+        pi = InertialCuspidal(f"p{g}", g=g, e_pi=1 + g % 2)
+        for n in range(41):
+            ctx = GlobalContext(d=g * (2 + n) + g // 3, pi=pi)
+            inf = generic_infinitesimal(ctx, 2)
+            with _counting_builds(monkeypatch) as built:
+                arrows = adjunction_labels(ctx, 2, inf)
+            assert len(arrows) == n
+            assert len(built) <= 8 * (n + 1)
 
 
 class TestSpehTable:
@@ -343,8 +363,9 @@ class TestAdjunctionLabels:
 
     def test_every_arrow_is_the_two_factor_label(self):
         for ctx, t, inf in _small_jobs():
-            for delta in range(1, ctx.s_g - t + 1):
-                _, _, induced = adjunction_label(ctx, t, delta, inf)
+            arrows = adjunction_labels(ctx, t, inf)
+            assert len(arrows) == ctx.s_g - t
+            for delta, (_, _, induced) in enumerate(arrows, start=1):
                 want = _two_factor_label(ctx, t, delta, inf)
                 assert induced == want and induced.__dict__ == want.__dict__
                 assert _multisegment_shown(induced) == _multisegment_shown(want)
@@ -377,9 +398,7 @@ class TestNoSortingBuild:
                 "filtration_graded": lambda: filtration_graded(ctx, t, inf),
                 "expand_resolution": lambda: expand_resolution(ctx, t, inf),
                 "torsion_transfer_label": lambda: torsion_transfer_label(ctx, profile, t, inf),
-                "adjunction_label": lambda: [
-                    adjunction_label(ctx, t, delta, inf) for delta in range(1, ctx.s_g - t + 1)
-                ],
+                "adjunction_labels": lambda: adjunction_labels(ctx, t, inf),
             }
             for name, run in runs.items():
                 run()

@@ -63,6 +63,8 @@ def test_quick_tour(tmp_path, monkeypatch, capsys):
     verdict = sl.theorem_check(ns["ds"], ns["pi"], ns["twin"], ns["pi2"], r=4, s=2)
     assert verdict.equal is True
     assert "degree 12" in capsys.readouterr().out
+    terms = sl.resolution_terms(ns["ctx"], 2, ns["inf"])
+    assert [(source, target) for source, target, _ in ns["arrows"]] == list(zip(terms[1:-1], terms))
 
 
 def test_single_square_line(capsys):

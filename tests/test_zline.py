@@ -64,8 +64,6 @@ class TestHalfInt:
     def test_arithmetic(self):
         a, b = HalfInt(3), HalfInt(-1)
         assert a + b == HalfInt(2)
-        assert a - b == HalfInt(4)
-        assert -a == HalfInt(-3)
         with pytest.raises(AttributeError):  # an int is not coerced
             a + 1
 
@@ -135,10 +133,10 @@ class TestShapes:
     @given(ladders)
     def test_ladder_reflection_symmetry(self, shape):
         # centered ladders are stable under negating all twists
-        centered = shape.shifted(-shape.center)
+        centered = shape.shifted(HalfInt(-shape.center.twice))
         segs = centered.to_multisegment().segments
         reflected = Multisegment(
-            tuple(Segment(s.base, -s.end, s.length) for s in segs)
+            tuple(Segment(s.base, HalfInt(-s.end.twice), s.length) for s in segs)
         )
         assert reflected == centered.to_multisegment()
 
@@ -158,7 +156,7 @@ class TestTwist:
 
     @given(multisegments, shifts)
     def test_involutive(self, m, n):
-        assert m.shifted(n).shifted(-n) == m
+        assert m.shifted(n).shifted(HalfInt(-n.twice)) == m
 
 
 class TestNormalizedProduct:
