@@ -30,6 +30,7 @@ reported do not depend on the check.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -65,8 +66,25 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# the largest decimal exponent, either way, of a fraction literal: Python's
+# own limit on the digits of an integer string
+_MAX_EXPONENT = 4300
+# the exponent digits at the end of a literal such as "1.5e-7"
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``; a zero denominator is rejected like any other bad literal."""
+    """``Fraction(text)``; a zero denominator is rejected like any other bad literal.
+
+    So is a decimal exponent beyond ``_MAX_EXPONENT`` either way, which
+    ``Fraction`` would expand into an integer of that many digits: at
+    ``1e999999999`` that takes minutes.
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text[:40]!r} beyond +-{_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

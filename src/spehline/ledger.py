@@ -20,8 +20,11 @@ expanded term as one ``LedgerTerm`` straight from its ordered product,
 and gathers the terms into one dict that becomes the sum as it is.
 Those terms are built by the trusted ``LedgerTerm._expanded``, which
 skips the checks of ``__post_init__``: ``expand_resolution``, its one
-caller, proves that they hold.  The multisegments beneath keep their
-segment order without a sort wherever it is known (see ``Multisegment``).
+caller, proves that they hold.  Each is handed its hash, made from the
+segment-hash sums of its two factors, each summed once per expansion
+(see ``zline.multiset_hash``), so no expanded term walks its segments.
+The multisegments beneath keep their segment order without a sort
+wherever it is known (see ``Multisegment``).
 
 Exactness of the expanded double sum is *not* asserted: cancelling it
 needs decomposition rules for mixed Speh-times-Steinberg products that
@@ -43,7 +46,9 @@ from .zline import (
     Multisegment,
     Wildcard,
     ZERO,
+    key_hash_sum,
     make_steinberg,
+    multiset_hash,
     normalized_product,
     ordered_product,
     speh_tower,
@@ -98,11 +103,13 @@ class LedgerTerm:
     which reduces to ``stratum*g + degree(infinitesimal)`` on marker-free
     terms.
 
-    The hash is the hash of the six fields, the two markers read by
-    ``.twice``, computed on the first ``hash()`` and kept on the
-    instance; the infinitesimal's hash is computed in C (see
-    ``Multisegment``).  It is never copied: ``replace`` builds a new
-    instance, and pickles and copies leave it out.
+    The hash is the hash of the six fields, the infinitesimal read by
+    its hash and the two markers by ``.twice``.  It is computed on the
+    first ``hash()`` and kept on the instance, except that an expanded
+    term gets it at construction (see ``_expanded``); the infinitesimal's
+    hash is computed in C (see ``Multisegment``).  It is never copied:
+    ``replace`` builds a new instance, and pickles and copies leave it
+    out.
     """
 
     kind: str
@@ -130,7 +137,7 @@ class LedgerTerm:
                 (
                     self.kind,
                     self.stratum,
-                    self.infinitesimal,
+                    hash(self.infinitesimal),
                     self.xi_power.twice,
                     self.tate.twice,
                     self.sign,
@@ -147,12 +154,25 @@ class LedgerTerm:
 
     @classmethod
     def _expanded(
-        cls, stratum: int, infinitesimal: Multisegment, xi_power: HalfInt, tate: HalfInt
+        cls,
+        stratum: int,
+        infinitesimal: Multisegment,
+        xi_power: HalfInt,
+        tate: HalfInt,
+        infinitesimal_hash: int,
     ) -> "LedgerTerm":
-        """Trusted constructor of an intermediate term with sign 1.
+        """Trusted constructor of an intermediate term with sign 1, its hash kept.
 
         Its one caller, :func:`expand_resolution`, passes strata of at
         least 1, so it makes none of the checks of ``__post_init__``.
+
+        ``infinitesimal_hash`` is ``hash(infinitesimal)``, which the caller
+        has from the infinitesimal's factors: ``Multisegment.__hash__`` is
+        ``multiset_hash(m, key_hash_sum(m.segments))``, and the segments of
+        an ordered product are the multiset union of its factors' segments,
+        so their ``key_hash_sum`` is the factors' sums added.  The kept hash
+        is then the tuple ``__hash__`` would hash, the same six values in
+        the same order: the term hashes as one built by ``LedgerTerm(...)``.
         """
         out = object.__new__(cls)
         # the fields in declaration order, as __init__ writes them
@@ -163,6 +183,9 @@ class LedgerTerm:
         fields["xi_power"] = xi_power
         fields["tate"] = tate
         fields["sign"] = 1
+        fields["_hash"] = hash(
+            (INTERMEDIATE, stratum, infinitesimal_hash, xi_power.twice, tate.twice, 1)
+        )
         return out
 
     @property
@@ -316,17 +339,22 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     no Speh-times-Steinberg cancellation is applied.
 
     Built once per expansion: each ``St_delta(pi)``, ``delta = 1..s_g - t``,
-    shared by every shriek term; each marker ``HalfInt(delta)``, read off
-    the shrieks' Xi-powers; and each expanded term, as one ``LedgerTerm``
-    straight from its ordered product (the terms of
-    :func:`filtration_graded` are never built).  Each shriek term is
-    checked against its home stratum.
+    shared by every shriek term, with the ``key_hash_sum`` of its one
+    segment; the ``key_hash_sum`` of each shriek's infinitesimal; each
+    marker ``HalfInt(delta)``, read off the shrieks' Xi-powers; and each
+    expanded term, as one ``LedgerTerm`` straight from its ordered product
+    (the terms of :func:`filtration_graded` are never built).  Each shriek
+    term is checked against its home stratum.
 
     Each term is built by the trusted ``LedgerTerm._expanded``, which
     skips the checks of ``__post_init__`` because they hold here: the
     kind is ``INTERMEDIATE`` and the sign 1 by construction, and the
     stratum is the shriek's stratum plus ``delta >= 0``, where the shriek's
-    stratum is at least ``t`` and ``_check_home`` holds ``t >= 1``.
+    stratum is at least ``t`` and ``_check_home`` holds ``t >= 1``.  It
+    is handed the hash of its infinitesimal, ``multiset_hash`` of the
+    product with its two factors' sums added (the shriek's alone at
+    ``delta = 0``), so no term walks its segments to be hashed and the
+    Python work per term does not grow with ``n``.
 
     The sum is one dict, taken as it is.  A term is named by its markers
     ``(xi, tate)``: the ``delta`` of its shriek, ``0..n`` with
@@ -338,14 +366,23 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     shrieks = [term for term in resolution_terms(ctx, t, inf) if term.kind == SHRIEK]
     # the shriek at delta carries Xi-power HalfInt(delta): the graded markers
     markers = [term.xi_power for term in shrieks]
-    steinbergs: list[Multisegment] = []
+    n = ctx.s_g - t
+    steinbergs = [make_steinberg(ctx.pi, delta).to_multisegment() for delta in range(1, n + 1)]
+    # the key-hash sum of the graded factor at delta: none at 0, then St_delta(pi)
+    factor_sums = [0] + [key_hash_sum(st.segments) for st in steinbergs]
+    home_sums = [key_hash_sum(term.infinitesimal.segments) for term in shrieks]
     build = LedgerTerm._expanded
     terms = {
-        build(term.stratum + delta, part, term.xi_power, markers[delta]): term.sign
-        for term in shrieks
+        build(
+            term.stratum + delta,
+            part,
+            term.xi_power,
+            markers[delta],
+            multiset_hash(part, home_sum + factor_sums[delta]),
+        ): term.sign
+        for term, home_sum in zip(shrieks, home_sums)
         for delta, part in _graded(ctx, term.stratum, term.infinitesimal, steinbergs)
     }
-    n = ctx.s_g - t
     if len(terms) != (n + 1) * (n + 2) // 2:
         raise InvariantViolation(
             f"expansion at t={t} has {len(terms)} distinct terms, "

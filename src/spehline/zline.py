@@ -23,13 +23,18 @@ already known skips the sort through the trusted ``Multisegment._sorted``.
 Its callers are ``shifted``, ``with_tate``, ``without_wildcard``,
 ``LadderShape.to_multisegment``, ``speh_tower``, both products (through
 ``_union``) and ``jacquet_cuts``; the ``Multisegment`` docstring gives
-the reason the order holds for each.
+the reason the order holds for each.  Each segment keeps its order key
+as plain data, so sorts and hashes read one tuple per segment.  A
+multisegment hashes as a multiset, through the sum of its segments' key
+hashes (``multiset_hash``), so a product's hash follows from its
+factors' sums.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 
@@ -109,6 +114,15 @@ class Segment:
     """An interval of ``length`` consecutive twists of ``base``.
 
     Covers ``base{start}, base{start+1}, ..., base{start+length-1}``.
+
+    Every constructor call also keeps the order key
+    ``(base.id, start.twice, length)`` as ``_key``, which ``_segment_key``
+    reads, so a sort or a hash of many segments reads one plain tuple per
+    segment.  ``_key`` is not a field: equality, hash, repr and
+    ``dataclasses.fields`` never see it.  It is plain data, the same under
+    every hash seed, so copies and pickles carry it; ``replace``,
+    ``shifted`` and ``Multisegment.reduced`` call the constructor, which
+    writes it afresh.
     """
 
     base: InertialCuspidal
@@ -118,6 +132,7 @@ class Segment:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"segment length must be >= 1, got {self.length}")
+        object.__setattr__(self, "_key", (self.base.id, self.start.twice, self.length))
 
     @property
     def end(self) -> HalfInt:
@@ -163,10 +178,37 @@ class Wildcard:
         return body
 
 
-# (base id, start, length), read in C
-_segment_key = operator.attrgetter("base.id", "start.twice", "length")
+# (base id, start, length), kept on the segment and read in C
+_segment_key = operator.attrgetter("_key")
 # (id, degree, shift), read in C
 _wildcard_key = operator.attrgetter("id", "degree", "shift.twice")
+
+
+def key_hash_sum(segments: tuple[Segment, ...]) -> int:
+    """The sum of the hashes of the segments' ``_segment_key`` tuples, in C.
+
+    The sum of a multiset union is the sum of its parts' sums.
+    """
+    return sum(map(hash, map(_segment_key, segments)))
+
+
+def multiset_hash(m: "Multisegment", key_sum: int) -> int:
+    """The hash of ``m``, given ``key_sum``, the ``key_hash_sum`` of its segments.
+
+    The one formula of a multisegment's hash: the hash of the segment sum
+    and the markers' plain values.  ``Multisegment.__hash__`` calls it
+    with the sum of ``m``'s own segments; a caller that knows the sums of
+    a product's factors passes the two added.
+    """
+    wildcard = m.wildcard
+    return hash(
+        (
+            key_sum,
+            m.tate.twice,
+            None if wildcard is None else _wildcard_key(wildcard),
+            m.order_tag,
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -180,12 +222,15 @@ class Multisegment:
     ordered factors).
 
     The degree is summed on the first read and kept on the instance, so
-    a factor shared by many products is summed once.  The hash is
-    computed on every call, in C: it hashes the ``_segment_key`` tuples
-    and the markers' plain values, so no segment, label or half-integer
-    is hashed through Python.  It is not kept: the ledger, the one part
-    of the program that hashes multisegments in bulk, hashes each once,
-    through the ``LedgerTerm`` that holds it, and the term keeps its own.
+    a factor shared by many products is summed once.  The hash is a
+    multiset hash (see ``multiset_hash``): it hashes the sum of the
+    hashes of the ``_segment_key`` tuples, with the markers' plain
+    values, so no segment, label or half-integer is hashed through
+    Python, and the hash of a product follows from its factors' sums
+    without a walk of its segments.  It is not kept: the ledger, the one
+    part of the program that hashes multisegments in bulk, adds the sums
+    of each product's factors and hands the result to the ``LedgerTerm``
+    that holds the product, which keeps its own.
 
     The trusted constructor ``Multisegment._sorted`` takes a segment
     tuple as it is, with no sort, and the three markers.  Its callers,
@@ -197,8 +242,9 @@ class Multisegment:
     - ``LadderShape.to_multisegment``: one base, one length, and the row
       starts rise with the row;
     - ``speh_tower``: one base, one length, and the starts rise by 2;
-    - ``_union``, behind both products: it joins two sorted tuples and
-      sorts only when their runs interleave;
+    - ``_union``, behind both products: it joins two sorted tuples,
+      inserts a one-segment factor into the other's tuple, and sorts only
+      when two longer runs interleave;
     - ``jacquet_cuts``, whose docstring proves that each side it builds
       is already in ``_segment_key`` order.
 
@@ -220,15 +266,7 @@ class Multisegment:
         object.__setattr__(self, "segments", segs)
 
     def __hash__(self) -> int:
-        wildcard = self.wildcard
-        return hash(
-            (
-                tuple(map(_segment_key, self.segments)),
-                self.tate.twice,
-                None if wildcard is None else _wildcard_key(wildcard),
-                self.order_tag,
-            )
-        )
+        return multiset_hash(self, key_hash_sum(self.segments))
 
     @classmethod
     def _sorted(
@@ -418,18 +456,29 @@ def _union(
     """The product of ``a`` and ``b``, its segments in ``_segment_key`` order.
 
     Both tuples are sorted, so when all of ``a`` comes before all of ``b``
-    (or after it) the tuples are joined as they are; otherwise one stable
-    sort merges the two runs.  A key tie keeps ``a``'s segment first, as
-    a stable sort of ``a + b`` does, which is why ``b`` goes first only
-    when it ends strictly before ``a`` starts.
+    (or after it) the tuples are joined as they are.  Otherwise a factor
+    of one segment is inserted into the other's tuple at the place a
+    binary search of the keys finds, and two longer runs are merged by
+    one stable sort.  Every branch orders as a stable sort of ``a + b``
+    does: a key tie keeps ``a``'s segment first.  So ``b`` goes first
+    only when it ends strictly before ``a`` starts, a lone ``b`` goes
+    after every key of ``a`` equal to its own (``bisect_right``) and a
+    lone ``a`` before every key of ``b`` equal to its own
+    (``bisect_left``).
     """
     if a.wildcard is not None and b.wildcard is not None:
         raise ValueError("cannot combine two wildcard factors in one product")
     left, right = a.segments, b.segments
-    if not left or not right or _segment_key(left[-1]) <= _segment_key(right[0]):
+    if not left or not right or left[-1]._key <= right[0]._key:
         segments = left + right
-    elif _segment_key(right[-1]) < _segment_key(left[0]):
+    elif right[-1]._key < left[0]._key:
         segments = right + left
+    elif len(right) == 1:
+        at = bisect_right(left, right[0]._key, key=_segment_key)
+        segments = left[:at] + right + left[at:]
+    elif len(left) == 1:
+        at = bisect_left(right, left[0]._key, key=_segment_key)
+        segments = right[:at] + left + right[at:]
     else:
         segments = tuple(sorted(left + right, key=_segment_key))
     # a zero marker, as on every ledger product, adds nothing: keep the other

@@ -4,7 +4,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,11 +17,12 @@ from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import build_parser, main
-from spehline.jsonio import canonical_dumps, dataset_to_dict
+from spehline.jsonio import _fraction, canonical_dumps, dataset_to_dict
 
 from support import PI, PI_TWIN, field_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 GOLDEN_RESOLUTION_4_1_2 = """\
 shriek h=2 sign=+1 xi=0 tate=0 deg=4 :: ?Pi[2](2)
@@ -535,6 +540,56 @@ def test_kappa_zero_denominator(capsys, tmp_path, kind, edit, extra):
     argv = [str(path) if arg == "{}" else arg for arg in argv] + extra
     code, err = run_exit(capsys, *argv)
     assert code == 2 and err.startswith("inconsistent input:") and "1/0" in err
+
+
+@pytest.mark.parametrize(
+    "kind, edit, extra",
+    [
+        ("dataset", lambda doc: doc["context"].update(kappa="1e-999999999"), []),
+        ("config", lambda doc: doc.update(kappa="1e999999999"), []),
+        ("config", lambda doc: None, ["--kappa", "1e999999999"]),
+    ],
+    ids=["dataset", "config", "flag"],
+)
+def test_kappa_huge_exponent_refused_at_once(tmp_path, kind, edit, extra):
+    # Fraction would expand the exponent into an integer of a billion digits,
+    # so the command runs in its own process, under a timeout
+    doc, argv = copy.deepcopy(DOCUMENTS[kind][0]), DOCUMENTS[kind][1]
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if arg == "{}" else arg for arg in argv] + extra
+    done = subprocess.run(
+        [sys.executable, "-m", "spehline.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("inconsistent input:") and "4300" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, scale, power",
+    [
+        ("1e4300", 1, 4300),
+        ("1e-4300", 1, -4300),
+        ("1e0_004_300", 1, 4300),
+        ("1.5E+3", 15, 2),
+        ("1e4301", None, None),
+        ("-2.5e-4301", None, None),
+        ("1e4_301", None, None),
+        ("1e" + "9" * 5000, None, None),
+        ("1e0000000000000004301", None, None),
+    ],
+    ids=lambda value: value[:24] if isinstance(value, str) else None,
+)
+def test_kappa_exponent_bound(text, scale, power):
+    # up to 4300 either way, as Python's limit on the digits of an integer string
+    if scale is None:
+        with pytest.raises(ValueError, match="beyond"):
+            _fraction(text)
+    else:
+        assert _fraction(text) == scale * Fraction(10) ** power
 
 
 @pytest.mark.parametrize(

@@ -309,6 +309,46 @@ for inf in infs:
             )
             assert done.returncode == 0, done.stderr
 
+    def test_kept_hashes_round_trip_under_either_seed(self, tmp_path):
+        # terms pickled under one hash seed drop their kept hash, keep every
+        # segment's key, and hash under the other seed as that process's own
+        # expansion keeps them
+        code = """
+import pickle, sys
+from spehline import GlobalContext, InertialCuspidal, expand_resolution, generic_infinitesimal
+
+def expansions():
+    for g in (1, 2, 3):
+        ctx = GlobalContext(d=10 * g + g // 2, pi=InertialCuspidal(f"p{g}", g=g, e_pi=2))
+        for t in range(1, ctx.s_g + 1):
+            yield expand_resolution(ctx, t, generic_infinitesimal(ctx, t))
+
+mode, path = sys.argv[1:]
+if mode == "dump":
+    with open(path, "wb") as fh:
+        pickle.dump([list(total.labels()) for total in expansions()], fh)
+    sys.exit()
+with open(path, "rb") as fh:
+    loaded = pickle.load(fh)
+for total, terms in zip(expansions(), loaded, strict=True):
+    assert list(total.labels()) == terms
+    for mine, theirs in zip(total.labels(), terms):
+        assert "_hash" not in vars(theirs)
+        for seg in theirs.infinitesimal.segments:
+            assert seg._key == (seg.base.id, seg.start.twice, seg.length)
+        assert hash(theirs) == vars(mine)["_hash"]
+        assert total.coefficient(theirs) == total.coefficient(mine)
+"""
+        path = tmp_path / "terms.pickle"
+        for dump_seed, load_seed in (("0", "1"), ("1", "0")):
+            for seed, mode in ((dump_seed, "dump"), (load_seed, "load")):
+                env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+                done = subprocess.run(
+                    [sys.executable, "-c", code, mode, str(path)],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert done.returncode == 0, done.stderr
+
     def test_first_hash_hashes_no_part_through_python(self, monkeypatch):
         def refuse(self):
             raise AssertionError(f"hashed a {type(self).__name__}")
@@ -335,12 +375,14 @@ class TestTrustedExpandedTerm:
             (inf, HalfInt(3), HalfInt(-1)),
             (generic_infinitesimal(ctx, 2), ZERO, ZERO),
         ):
-            trusted = LedgerTerm._expanded(4, part, xi, tate)
+            trusted = LedgerTerm._expanded(4, part, xi, tate, hash(part))
             yield trusted, LedgerTerm(INTERMEDIATE, 4, part, xi, tate, 1)
 
     def test_equals_the_checked_constructor(self):
         for trusted, checked in self.terms():
             assert type(trusted) is LedgerTerm
+            # the trusted term keeps its hash from the start; the checked one on its first hash
+            hash(checked)
             assert trusted.__dict__ == checked.__dict__
             assert list(trusted.__dict__) == list(checked.__dict__)
             assert repr(trusted) == repr(checked) and str(trusted) == str(checked)

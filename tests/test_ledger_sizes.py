@@ -26,9 +26,11 @@ cell table.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,7 @@ from spehline import (
     expand_resolution,
     filtration_graded,
     generic_infinitesimal,
+    group_by_stratum,
     normalized_product,
     resolution_terms,
     speh_tower,
@@ -378,10 +381,7 @@ class TestNoSortingBuild:
     none runs the sorting ``Multisegment.__post_init__``."""
 
     def test_post_init_never_runs(self, monkeypatch):
-        jobs = list(_small_jobs())
-        for case in (_case(n, g) for n, g in SIZES):
-            ctx = _context(case)
-            jobs.append((ctx, case["t"], generic_infinitesimal(ctx, case["t"])))
+        jobs = list(_pinned_jobs())
         # sorting builds, by the function that ran them
         calls: dict[str, int] = {}
         post_init = Multisegment.__post_init__
@@ -457,3 +457,74 @@ class TestOneDictExpansion:
         monkeypatch.setattr(ledger, "_graded", repeating)
         with pytest.raises(InvariantViolation, match="distinct terms"):
             expand_resolution(ctx, 2, generic_infinitesimal(ctx, 2))
+
+
+def _pinned_jobs():
+    """``_small_jobs``, then the pinned sizes."""
+    yield from _small_jobs()
+    for case in (_case(n, g) for n, g in SIZES):
+        ctx = _context(case)
+        yield ctx, case["t"], generic_infinitesimal(ctx, case["t"])
+
+
+class TestOneHash:
+    """An expanded term keeps, from its construction, the hash a fresh term
+    computes, and no expansion hashes a multisegment by walking it."""
+
+    def test_kept_hash_is_the_fresh_hash(self):
+        for ctx, t, inf in _pinned_jobs():
+            for term in expand_resolution(ctx, t, inf).labels():
+                kept = term.__dict__["_hash"]
+                fresh = copy.copy(term)
+                assert "_hash" not in fresh.__dict__
+                checked = LedgerTerm(**{f.name: getattr(term, f.name) for f in fields(term)})
+                assert kept == hash(fresh) == hash(checked)
+
+    def test_no_multisegment_hash(self, monkeypatch):
+        # a term hash that hashes the infinitesimal runs it once per term
+        calls = []
+        multisegment_hash = Multisegment.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return multisegment_hash(self)
+
+        jobs = list(_pinned_jobs())
+        monkeypatch.setattr(Multisegment, "__hash__", counted)
+        terms = 0
+        for ctx, t, inf in jobs:
+            total = expand_resolution(ctx, t, inf)
+            groups = group_by_stratum(total)
+            terms += sum(len(part) for part in groups.values())
+        monkeypatch.undo()
+        assert terms == 9_208 and calls == []
+
+    def test_distinct_infinitesimals_do_not_collide(self, monkeypatch):
+        # a hash of the term's position alone (kind, stratum, markers, sign)
+        # compared every pair of terms at one position: 72,334 calls here.  The
+        # factor hash makes 234 and the tuple-of-keys hash before it 216, all
+        # between starts at twice-positions -1 and -2, since hash(-1) == hash(-2)
+        ctx = GlobalContext(d=40, pi=InertialCuspidal("p2", g=2))
+        t, slack = 2, 40 - 2 * 2
+        infs = [Multisegment(wildcard=Wildcard(f"w{k}", slack)) for k in range(10)]
+        infs += [
+            Multisegment((Segment(ctx.pi, HalfInt(k), 1),), wildcard=Wildcard("w", slack))
+            for k in range(10)
+        ]
+        expansions = [expand_resolution(ctx, t, inf) for inf in infs]
+        calls = []
+        term_eq = LedgerTerm.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return term_eq(self, other)
+
+        monkeypatch.setattr(LedgerTerm, "__eq__", counted)
+        total = GrothSum()
+        for expansion in expansions:
+            total = total + expansion
+        monkeypatch.undo()
+        terms = sum(len(expansion) for expansion in expansions)
+        assert terms == 20 * 19 * 20 // 2 == len(total)
+        assert len(calls) <= terms
+

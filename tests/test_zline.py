@@ -35,7 +35,7 @@ from spehline.jsonio import (
     multisegment_to_dict,
     wildcard_to_dict,
 )
-from spehline.zline import _segment_key
+from spehline.zline import _segment_key, key_hash_sum, multiset_hash
 
 from support import (
     BASES,
@@ -651,6 +651,111 @@ class TestKeptHash:
         h = hash(m)
         monkeypatch.undo()
         assert h == hash(Multisegment(self.SEGS, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4)))
+
+
+class TestFactorSumHash:
+    """A product hashes as ``multiset_hash`` of its factors' key-hash sums
+    added, on every branch of ``_union``, and a lone inserted segment lands
+    where the stable sort of ``a + b`` puts it."""
+
+    @staticmethod
+    def branch(a: Multisegment, b: Multisegment) -> str:
+        # the branch _union takes, by its own tests
+        left, right = a.segments, b.segments
+        if not left or not right or _segment_key(left[-1]) <= _segment_key(right[0]):
+            return "join"
+        if _segment_key(right[-1]) < _segment_key(left[0]):
+            return "swap"
+        if len(left) == 1 or len(right) == 1:
+            lone, other = (right, left) if len(right) == 1 else (left, right)
+            ties = any(_segment_key(seg) == _segment_key(lone[0]) for seg in other)
+            return "lone insertion, tie" if ties else "lone insertion"
+        return "sort"
+
+    def test_every_branch(self):
+        # two ids and one same-id variant, few starts: ties, runs and overlaps
+        rng = random.Random(28)
+        bases = [PI, PI_TWIN, replace(PI, g=PI.g + 1)]
+        seen: dict[str, int] = {}
+
+        def side(offset: int) -> Multisegment:
+            segs = [
+                Segment(rng.choice(bases), HalfInt(rng.randint(-3, 3) + offset), rng.randint(1, 2))
+                for _ in range(rng.choice([0, 1, 1, 2, 3, 4]))
+            ]
+            wildcard = Wildcard("w", 2, HalfInt(rng.randint(-1, 1))) if rng.random() < 0.3 else None
+            return Multisegment(tuple(segs), HalfInt(rng.randint(-2, 2)), wildcard)
+
+        for _ in range(2000):
+            a, b = side(0), side(rng.choice([-12, 0, 0, 12]))
+            if a.wildcard is not None and b.wildcard is not None:
+                b = b.without_wildcard()
+            name = self.branch(a, b)
+            seen[name] = seen.get(name, 0) + 1
+            stable = sorted(a.segments + b.segments, key=_segment_key)
+            for product in (normalized_product(a, b), ordered_product(a, b)):
+                # the same segment objects, in the stable sort's order
+                assert [id(seg) for seg in product.segments] == [id(seg) for seg in stable]
+                assert hash(product) == multiset_hash(
+                    product, key_hash_sum(a.segments) + key_hash_sum(b.segments)
+                )
+                resorted = Multisegment(
+                    tuple(stable), product.tate, product.wildcard, product.order_tag
+                )
+                assert product == resorted and hash(product) == hash(resorted)
+        assert set(seen) == {"join", "swap", "lone insertion", "lone insertion, tie", "sort"}, seen
+        assert min(seen.values()) >= 20, seen
+
+    def test_order_free_and_marker_sensitive(self):
+        segs = TestTrustedConstructor.SEGS
+        m = Multisegment(segs, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4))
+        assert key_hash_sum(segs) == key_hash_sum(segs[::-1]) == sum(
+            hash(_segment_key(seg)) for seg in segs
+        )
+        assert hash(m) == multiset_hash(m, key_hash_sum(segs))
+        assert key_hash_sum(()) == 0 and hash(Multisegment()) == multiset_hash(Multisegment(), 0)
+        for other in (m.with_tate(ZERO), m.without_wildcard(), replace(m, order_tag=None)):
+            assert hash(other) != hash(m)
+
+
+class TestSegmentKey:
+    """``Segment._key`` is ``(base.id, start.twice, length)`` on every copy and
+    rebuild, and no comparison, hash, repr or field list sees it."""
+
+    SEG = Segment(PI_TWIN, HalfInt(-3), 2)
+
+    @staticmethod
+    def key_of(seg: Segment) -> tuple:
+        return (seg.base.id, seg.start.twice, seg.length)
+
+    def test_right_after_every_build(self):
+        seg = self.SEG
+        twin = InertialCuspidal("pi2", 4, e_pi=1, modl_class="q")
+        builds = [
+            seg,
+            Segment(PI_TWIN, HalfInt(-3), 2),
+            replace(seg, start=HalfInt(5)),
+            replace(seg, base=twin, length=3),
+            copy.copy(seg),
+            copy.deepcopy(seg),
+            pickle.loads(pickle.dumps(seg)),
+            seg.shifted(HalfInt(7)),
+            ms(seg, Segment(RHO, HalfInt(0), 1)).reduced().segments[0],
+            ms(seg).shifted(HalfInt(-1)).segments[0],
+        ]
+        for built in builds:
+            assert built._key == self.key_of(built) == _segment_key(built)
+        assert builds[-2]._key == ("rl(a)", -3, 2)
+
+    def test_invisible(self):
+        seg = self.SEG
+        assert [f.name for f in fields(seg)] == ["base", "start", "length"]
+        assert repr(seg) == f"Segment(base={PI_TWIN!r}, start=HalfInt(-3), length=2)"
+        assert "_key" not in repr(seg)
+        forged = copy.copy(seg)
+        object.__setattr__(forged, "_key", ("other", 0, 1))
+        assert forged == seg and hash(forged) == hash(seg)
+        assert hash(seg) == hash((PI_TWIN, HalfInt(-3), 2))
 
 
 class TestModLReduce:
