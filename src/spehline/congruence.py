@@ -100,21 +100,20 @@ class AutomorphicDatum:
 class Dataset:
     """A context, its records, a torsion profile and a level tower.
 
-    Construction walks the records once.  The walk checks that ids are
-    distinct, that every record has the context's degree and that one
-    id names one label (:func:`_one_label_per_id`), and it keeps two
-    things: ``labels``, the distinct label objects, anchor first, and
-    the index the separation reads, of one form: each base id maps
-    ``(s + t - 1, s)`` to the positions of its records in dataset order
-    (a record once per key), and ``_build(positions)`` returns those
-    records.  ``dataclasses.replace`` rebuilds both.
+    Construction walks the records once (:func:`_walk`), and checks
+    that one id names one label (:func:`_one_label_per_id`).  It keeps
+    ``labels``, the distinct label objects, anchor first, and the index
+    the separation reads, where each base id maps ``(s + t - 1, s)`` to
+    the positions of its records in dataset order (a record once per
+    key); ``_build(positions)`` returns those records.
+    ``dataclasses.replace`` rebuilds both.
 
     A dataset read from a file can hold its records unbuilt.  The reader
-    makes the walk's checks on the document, then hands over ``labels``,
-    the index and a builder (:meth:`_unbuilt`): a row's records are built
-    when a query reads it, and ``data`` when it is read, each record once.
-    Equality, ``repr``, hashing, ``replace``, copying and pickling read
-    ``data``, so they build it.
+    walks the document's rows and hands over the walk's result and a
+    builder (:meth:`_unbuilt`): a row's records are built when a query
+    reads it, and ``data`` when it is read, each record once.  Equality,
+    ``repr``, hashing, ``replace``, copying and pickling read ``data``,
+    so they build it.
     """
 
     context: GlobalContext
@@ -127,33 +126,20 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self._check_levels()
-        ids: set[str] = set()
-        labels = {id(self.context.pi): self.context.pi}
-        index: dict[str, dict[tuple[int, int], list[int]]] = {}
-        for idx, datum in enumerate(self.data):
-            if datum.id in ids:
-                raise InconsistentDataError(f"duplicate datum id {datum.id!r}")
-            ids.add(datum.id)
-            s, factors, wildcard = datum.local.s, datum.local.factors, datum.local.wildcard
-            degree = 0 if wildcard is None else wildcard.degree
-            for t, base in factors:
-                degree += s * t * base.g
-                labels.setdefault(id(base), base)
-                found = index.setdefault(base.id, {}).setdefault((s + t - 1, s), [])
-                if not found or found[-1] != idx:
-                    found.append(idx)
-            if degree != self.context.d:
-                raise InconsistentDataError(
-                    f"datum {datum.id!r} has degree {degree}, expected {self.context.d}"
-                )
+        rows = (
+            (x.id, local.s, local.factors, 0 if local.wildcard is None else local.wildcard.degree)
+            for x in self.data
+            for local in [x.local]
+        )
         data = self.data
-        self._finish(labels.values(), index, lambda positions: [data[idx] for idx in positions])
+        walk = _walk(self.context.d, self.context.pi, rows)
+        self._finish(*walk, lambda positions: [data[idx] for idx in positions])
 
     @classmethod
-    def _unbuilt(cls, context, torsion, levels, labels, index, build: Callable) -> "Dataset":
-        """A dataset whose records passed the walk's checks unbuilt.
+    def _unbuilt(cls, context, torsion, levels, walk: tuple, build: Callable) -> "Dataset":
+        """A dataset whose records passed the walk unbuilt.
 
-        ``labels`` and ``index`` are what the walk keeps, and
+        ``walk`` is what :func:`_walk` returned on their rows, and
         ``build(positions)`` returns the records at ``positions`` (all of
         them for ``None``), building each on its first request.  The
         checks around the walk run as in ``__post_init__``.
@@ -162,7 +148,7 @@ class Dataset:
         for name, value in (("context", context), ("torsion", torsion), ("levels", levels)):
             object.__setattr__(ds, name, value)
         ds._check_levels()
-        ds._finish(labels, index, build)
+        ds._finish(*walk, build)
         return ds
 
     def __getattr__(self, name: str):
@@ -198,6 +184,34 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_build", build)
+
+
+def _walk(d: int, pi: InertialCuspidal, rows: Iterable[tuple]) -> tuple[Iterable, dict]:
+    """The labels and the index of a dataset's records, from one row per
+    record in dataset order: ``(id, s, factors, wildcard degree)``, with
+    ``factors`` as ``(t, base)`` pairs.
+
+    The labels are the anchor ``pi``, then each distinct base object in
+    order of first use, so :func:`_one_label_per_id` sees two objects
+    that share an id.  Raises :class:`InconsistentDataError` at a
+    repeated id or a record whose degree is not ``d``.
+    """
+    ids: set[str] = set()
+    labels = {id(pi): pi}
+    index: dict[str, dict[tuple[int, int], list[int]]] = {}
+    for idx, (ident, s, factors, degree) in enumerate(rows):
+        if ident in ids:
+            raise InconsistentDataError(f"duplicate datum id {ident!r}")
+        ids.add(ident)
+        for t, base in factors:
+            degree += s * t * base.g
+            labels.setdefault(id(base), base)
+            found = index.setdefault(base.id, {}).setdefault((s + t - 1, s), [])
+            if not found or found[-1] != idx:
+                found.append(idx)
+        if degree != d:
+            raise InconsistentDataError(f"datum {ident!r} has degree {degree}, expected {d}")
+    return labels.values(), index
 
 
 def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:

@@ -205,18 +205,6 @@ class ConstituentLabel:
     def tate(self) -> HalfInt:
         return HalfInt(self.point.i)
 
-    @property
-    def degree(self) -> int:
-        return self.component.degree
-
-    def substituted(
-        self, old: InertialCuspidal, new: InertialCuspidal
-    ) -> "ConstituentLabel":
-        return ConstituentLabel(self.component.substituted(old, new), self.point, self.xi_index)
-
-    def reduced(self) -> "ConstituentLabel":
-        return ConstituentLabel(self.component.reduced(), self.point, self.xi_index)
-
     def product_str(self) -> str:
         return _product_str(self.component, self.point, self.xi_index)
 

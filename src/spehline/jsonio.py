@@ -16,10 +16,10 @@ that reader.
 
 Dataset files carry the traffic, thousands of records each, of which a
 query reads the few in one row.  One checked reader builds every
-record, and :func:`_index` only decides when: it makes, on the raw
-document and with exact ``type`` tests, every check the checked reader,
-the constructors and the ``Dataset`` walk make, and indexes the record
-positions by base id and ``(radius, s)``.  A file that passes becomes a
+record, and a check pass only decides when: :func:`_rows` makes each
+record's checks of the checked reader and the constructors on the raw
+document, and yields its row to the ``Dataset`` walk, which checks ids
+and degrees and indexes the records.  A file that passes becomes a
 dataset that builds each record through the checked reader when it is
 first read (see :class:`~spehline.congruence.Dataset`).  A file that
 fails anywhere is read by the checked reader, record by record, and the
@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .congruence import AutomorphicDatum, Dataset, Verdict
+from .congruence import AutomorphicDatum, Dataset, InconsistentDataError, Verdict, _walk
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
@@ -66,9 +66,10 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# the largest decimal exponent, either way, of a fraction literal: Python's
-# own limit on the digits of an integer string
-_MAX_EXPONENT = 4300
+# the most digits of a fraction's numerator or denominator, Python's limit on
+# the digits of an int string; no decimal exponent beyond it is expanded
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
 # the exponent digits at the end of a literal such as "1.5e-7"
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
@@ -76,19 +77,25 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 def _fraction(text: str) -> Fraction:
     """``Fraction(text)``; a zero denominator is rejected like any other bad literal.
 
-    So is a decimal exponent beyond ``_MAX_EXPONENT`` either way, which
-    ``Fraction`` would expand into an integer of that many digits: at
-    ``1e999999999`` that takes minutes.
+    So is a numerator or denominator of more than ``_MAX_DIGITS`` digits,
+    which ``str`` could not write back.  A decimal exponent beyond that
+    either way is refused before ``Fraction`` expands it into an integer
+    of that many digits: at ``1e999999999`` that takes minutes.
     """
     exponent = _EXPONENT.search(text)
     if exponent:
         digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {text[:40]!r} beyond +-{_MAX_EXPONENT}")
+        if len(digits) > len(str(_MAX_DIGITS)) or int(digits or "0") > _MAX_DIGITS:
+            raise ValueError(f"exponent of {text[:40]!r} beyond +-{_MAX_DIGITS}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        raise ValueError(
+            f"numerator or denominator of {text[:40]!r} beyond {_MAX_DIGITS} digits"
+        )
+    return value
 
 
 def _at(path: str, key: str) -> str:
@@ -315,56 +322,44 @@ def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     )
 
 
-def _index(records: list, cuspidals: dict, d: int) -> dict[str, dict] | None:
-    """The ``Dataset`` index of ``records``, base id to ``(radius, s)`` to
-    positions, or ``None`` when a record fails a check.
-
-    Builds nothing, but checks each record as :func:`_checked_record`, the
-    constructors and the ``Dataset`` walk do: exact types, the ``>= 1``
-    bounds, a factor or a wildcard, known cuspidal ids, distinct ids and
-    the context's degree.
+def _rows(records: list, cuspidals: dict):
+    """The walk's row of each record, once the record passes the checks of
+    :func:`_checked_record` and the constructors: exact types, the ``>= 1``
+    bounds, a factor or a wildcard, a wildcard degree ``>= 0`` and known
+    cuspidal ids.  Builds nothing; a failed check raises ``TypeError``, a
+    missing field ``KeyError``, ``TypeError`` or ``AttributeError``.
     """
-    ids: set[str] = set()
-    by_base: dict[str, dict[tuple[int, int], list[int]]] = {}
-    try:
-        for idx, rec in enumerate(records):
-            loc = rec["local"]
-            factors, wild = loc["factors"], loc.get("wildcard")
-            ident, s, m, d_xi, inv_dim, satake = (
-                rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
-            )
+    for rec in records:
+        loc = rec["local"]
+        factors, wild = loc["factors"], loc.get("wildcard")
+        ident, s, m, d_xi, inv_dim, satake = (
+            rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
+        )
+        if not (
+            type(rec) is type(loc) is dict and type(factors) is list
+            and type(ident) is type(satake) is str
+            and type(s) is type(m) is type(d_xi) is type(inv_dim) is int
+            and s > 0 and m > 0 and d_xi > 0 and inv_dim > 0
+        ):
+            raise TypeError
+        if wild is None:
+            if not factors:
+                raise TypeError
+            degree = 0
+        else:
+            wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
             if not (
-                type(rec) is type(loc) is dict and type(factors) is list
-                and type(ident) is type(satake) is str
-                and type(s) is type(m) is type(d_xi) is type(inv_dim) is int
-                and s > 0 and m > 0 and d_xi > 0 and inv_dim > 0
-            ) or ident in ids:
-                return None
-            ids.add(ident)
-            if wild is None:
-                if not factors:
-                    return None
-                degree = 0
-            else:
-                wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
-                if not (
-                    type(wild) is dict and type(wid) is str
-                    and type(degree) is type(shift) is int and degree >= 0
-                ):
-                    return None
-            for f in factors:
-                t, cid = f["t"], f["base_id"]
-                if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
-                    return None
-                degree += s * t * cuspidals[cid].g
-                found = by_base.setdefault(cid, {}).setdefault((s + t - 1, s), [])
-                if not found or found[-1] != idx:
-                    found.append(idx)
-            if degree != d:
-                return None
-    except (KeyError, TypeError, AttributeError):
-        return None
-    return by_base
+                type(wild) is dict and type(wid) is str
+                and type(degree) is type(shift) is int and degree >= 0
+            ):
+                raise TypeError
+        pairs = []
+        for f in factors:
+            t, cid = f["t"], f["base_id"]
+            if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
+                raise TypeError
+            pairs.append((t, cuspidals[cid]))
+        yield ident, s, pairs, degree
 
 
 def _builder(records: list, cuspidals: dict):
@@ -388,10 +383,10 @@ def _builder(records: list, cuspidals: dict):
 def dataset_from_dict(obj: dict) -> Dataset:
     """Read a dataset document.
 
-    When every record passes :func:`_index`, the dataset keeps the
-    document's records and builds each from them when it is first read,
-    so the document must not change afterwards.  Otherwise every record
-    is built as it is read, and the first fault raises.
+    When every record passes :func:`_rows` and the walk, the dataset
+    keeps the document's records and builds each from them when it is
+    first read, so the document must not change afterwards.  Otherwise
+    every record is built as it is read, and the first fault raises.
     """
     _version(obj)
     context = _need(obj, "context", dict, "")
@@ -400,8 +395,10 @@ def dataset_from_dict(obj: dict) -> Dataset:
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
     records = _need(obj, "data", list, "")
-    index = _index(records, cuspidals, d)
-    if index is None:
+    try:
+        walk = _walk(d, pi, _rows(records, cuspidals))
+    except (KeyError, TypeError, AttributeError, InconsistentDataError):
+        walk = None
         data = tuple(
             _checked_record(rec, cuspidals, f"data[{idx}]") for idx, rec in enumerate(records)
         )
@@ -412,12 +409,9 @@ def dataset_from_dict(obj: dict) -> Dataset:
         tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
     )
     levels = _ints(_need(obj, "levels", list, ""), "levels")
-    if index is None:
+    if walk is None:
         return Dataset(context=context, data=data, torsion=torsion, levels=levels)
-    # the walk's labels: the anchor, then the registry's labels in order of first use
-    labels = {pi.id: pi, **{cid: cuspidals[cid] for cid in index}}.values()
-    build = _builder(records, cuspidals)
-    return Dataset._unbuilt(context, torsion, levels, labels, index, build)
+    return Dataset._unbuilt(context, torsion, levels, walk, _builder(records, cuspidals))
 
 
 # ---------------------------------------------------------------------- verdict

@@ -366,9 +366,6 @@ class LadderShape:
         )
         return Multisegment._sorted(rows)
 
-    def shifted(self, n: HalfInt) -> "LadderShape":
-        return LadderShape(self.base, self.s, self.t, self.center + n)
-
     def reduced(self) -> "LadderShape":
         return LadderShape(reduced_label(self.base), self.s, self.t, self.center)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import build_parser, main
-from spehline.jsonio import _fraction, canonical_dumps, dataset_to_dict
+from spehline.jsonio import _fraction, canonical_dumps, dataset_from_dict, dataset_to_dict
 
 from support import PI, PI_TWIN, field_paths
 
@@ -571,10 +571,14 @@ def test_kappa_huge_exponent_refused_at_once(tmp_path, kind, edit, extra):
 @pytest.mark.parametrize(
     "text, scale, power",
     [
-        ("1e4300", 1, 4300),
-        ("1e-4300", 1, -4300),
-        ("1e0_004_300", 1, 4300),
+        ("1e4299", 1, 4299),
+        ("1e-4299", 1, -4299),
+        ("1e0_004_299", 1, 4299),
         ("1.5E+3", 15, 2),
+        ("1e4300", None, None),
+        ("1e-4300", None, None),
+        ("1e0_004_300", None, None),
+        ("12e4299", None, None),
         ("1e4301", None, None),
         ("-2.5e-4301", None, None),
         ("1e4_301", None, None),
@@ -584,12 +588,38 @@ def test_kappa_huge_exponent_refused_at_once(tmp_path, kind, edit, extra):
     ids=lambda value: value[:24] if isinstance(value, str) else None,
 )
 def test_kappa_exponent_bound(text, scale, power):
-    # up to 4300 either way, as Python's limit on the digits of an integer string
+    # numerator and denominator of at most 4300 digits, Python's limit on the
+    # digits of an integer string, so the exponent lies below 4300 either way
     if scale is None:
         with pytest.raises(ValueError, match="beyond"):
             _fraction(text)
     else:
         assert _fraction(text) == scale * Fraction(10) ** power
+
+
+@pytest.mark.parametrize("text", ["1e4300", "12e4299", "1e-4300"])
+@pytest.mark.parametrize("kind", ["dataset", "config", "flag"])
+def test_kappa_beyond_the_digit_limit(capsys, tmp_path, kind, text):
+    # a numerator or denominator of 4301 digits could not be written back
+    doc, argv = copy.deepcopy(DOCUMENTS["config" if kind == "flag" else kind])
+    if kind == "dataset":
+        doc["context"]["kappa"] = text
+    elif kind == "config":
+        doc["kappa"] = text
+    else:
+        argv += ["--kappa", text]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_exit(capsys, *[str(path) if arg == "{}" else arg for arg in argv])
+    assert code == 2 and err.startswith("inconsistent input:") and "4300 digits" in err
+
+
+def test_kappa_at_the_digit_limit_round_trips():
+    doc = json.loads((FIXTURES / "congruence_a.json").read_text(encoding="utf-8"))
+    doc["context"]["kappa"] = "1e4299"
+    written = dataset_to_dict(dataset_from_dict(doc))
+    assert written["context"]["kappa"] == str(10**4299)
+    assert dataset_from_dict(written).context.kappa == 10**4299
 
 
 @pytest.mark.parametrize(

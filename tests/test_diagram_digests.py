@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from spehline import constituent, modl_key, superpose
+from spehline import ConstituentLabel, constituent, modl_key, superpose
 from spehline.cli import main
 from spehline.jsonio import component_from_dict
 
@@ -110,7 +110,8 @@ def label_digests(doc: dict) -> dict:
     for p, ks in superpose(c).items():
         for k in ks:
             label = constituent(c, p, k)
-            labels.append([str(label), repr(label), str(label.reduced()), repr(label.reduced())])
+            reduced = ConstituentLabel(label.component.reduced(), label.point, label.xi_index)
+            labels.append([str(label), repr(label), str(reduced), repr(reduced)])
     return {"modl_key": _sha(json.dumps(keys)), "labels": _sha(json.dumps(labels))}
 
 

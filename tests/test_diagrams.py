@@ -271,7 +271,10 @@ class TestConstituent:
         p = DiagramPoint(4, 0)
         for k in (1, 2, 3):
             swapped_first = constituent(c.substituted(PI, PI_TWIN), p, k)
-            swapped_after = constituent(c, p, k).substituted(PI, PI_TWIN)
+            label = constituent(c, p, k)
+            swapped_after = ConstituentLabel(
+                label.component.substituted(PI, PI_TWIN), label.point, label.xi_index
+            )
             assert swapped_first == swapped_after
 
     def test_degree_matches_component(self):
@@ -280,7 +283,7 @@ class TestConstituent:
         )
         p = DiagramPoint(3, 0)
         label = constituent(c, p, 1)
-        assert label.degree == c.degree
+        assert label.component.degree == c.degree
 
     def test_constituent_sum_filters_by_class(self):
         c = LocalComponent(s=2, factors=((2, PI), (2, RHO)))
@@ -314,12 +317,13 @@ class TestConstituentStrings:
         )
 
     def test_reduced_str(self):
-        label = constituent(self.C, DiagramPoint(2, 1), 3).reduced()
+        traced = constituent(self.C, DiagramPoint(2, 1), 3)
+        label = ConstituentLabel(traced.component.reduced(), traced.point, traced.xi_index)
         assert str(label) == (
             "Speh_2(St_2(rl(a))) x Speh_2(rl(b)) x R_rl(a)(2,2)(2,1) x ?q(3){1/2}"
             " [xi_3, Xi^1/2]"
         )
-        assert label.degree == self.C.degree
+        assert label.component.degree == self.C.degree
 
     def test_modl_key(self):
         assert modl_key(self.C, PI, 3) == (
@@ -498,8 +502,8 @@ components = st.builds(
 
 
 class TestRebuildMatchesReplace:
-    """``substituted`` and ``reduced`` of components and labels build what
-    ``dataclasses.replace`` built."""
+    """``substituted`` and ``reduced`` of components, and labels built on
+    them, build what ``dataclasses.replace`` built."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -519,8 +523,10 @@ class TestRebuildMatchesReplace:
         self.assert_same(c.reduced(), ref_red)
         for k in range(1, len(c.factors) + 1):
             label = ConstituentLabel(c, DiagramPoint(r, i), k)
-            self.assert_same(label.substituted(old, new), dataclasses.replace(label, component=ref_sub))
-            self.assert_same(label.reduced(), dataclasses.replace(label, component=ref_red))
+            sub = ConstituentLabel(label.component.substituted(old, new), label.point, k)
+            red = ConstituentLabel(label.component.reduced(), label.point, k)
+            self.assert_same(sub, dataclasses.replace(label, component=ref_sub))
+            self.assert_same(red, dataclasses.replace(label, component=ref_red))
 
 
 class TestModlKeyOrder:

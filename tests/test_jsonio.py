@@ -10,6 +10,7 @@ import pickle
 import random
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -20,11 +21,13 @@ from spehline import (
     Multisegment,
     Segment,
     TorsionProfile,
+    congruence,
     generate_dataset,
     jsonio,
 )
 from spehline.congruence import (
     Dataset,
+    InconsistentDataError,
     expected_contributions,
     members,
     substitute_cuspidal,
@@ -240,17 +243,17 @@ def test_every_double_fault_matches_table():
 
 # ------------------------------------------------------ the check pass is sound
 # ``dataset_from_dict`` checks every record on the document before it builds
-# any (``jsonio._index``).  With that check switched off, every file is read
-# record by record, as a file that fails it is.  A file the check accepts
-# must read the same both ways, and every file both readers accept must pass
-# the check, or a valid file would lose the lazy read.
+# any (``jsonio._rows``, then the walk).  With that check switched off, every
+# file is read record by record, as a file that fails it is.  A file the
+# check accepts must read the same both ways, and every file both readers
+# accept must pass the check, or a valid file would lose the lazy read.
 
 
 @contextlib.contextmanager
 def _check_off(monkeypatch):
     """Inside, ``dataset_from_dict`` reads every file as one that fails the check."""
     with monkeypatch.context() as patch:
-        patch.setattr(jsonio, "_index", lambda *args: None)
+        patch.setattr(jsonio, "_rows", lambda *args: None)
         yield
 
 
@@ -327,12 +330,15 @@ def _random_mutant(rng: random.Random, base: dict) -> dict:
 def _edge_docs() -> list[dict]:
     """Faults that only one check of the check pass tells apart: each would
     otherwise be found later or not at all, or be reported differently."""
-    docs = [small_dataset_doc() for _ in range(4)]
-    # a bad length, or a bad wildcard degree, that keeps the record's degree
+    docs = [small_dataset_doc() for _ in range(6)]
+    # a bad length, a bad or float wildcard degree, or no rows, that keeps the
+    # record's degree
     docs[0]["data"][3]["local"]["factors"] = [{"t": 0, "base_id": "pi"}, {"t": 3, "base_id": "pi"}]
     docs[1]["data"][4]["local"].update(
         factors=[{"t": 13, "base_id": "nz0"}], wildcard={"id": "w", "degree": -1}
     )
+    docs[4]["data"][4]["local"].update(s=0, wildcard={"id": "w", "degree": 12})
+    docs[5]["data"][0]["local"]["wildcard"]["degree"] = 6.0
     # no factor and no wildcard, in a file of degree 0
     docs[2]["context"]["d"] = 0
     docs[2]["data"] = [docs[2]["data"][5]]
@@ -343,9 +349,32 @@ def _edge_docs() -> list[dict]:
     return docs
 
 
-@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("which", range(6))
 def test_edge_faults_read_the_same_with_and_without_the_check(which, monkeypatch):
     assert not _assert_same_read(_edge_docs()[which], monkeypatch)
+
+
+@pytest.mark.parametrize("where", ["record", "local", "wildcard", "factor", "integer id"])
+def test_a_document_json_cannot_give_reads_the_same(where, monkeypatch):
+    # a caller's document may hold another mapping than a dict, or a
+    # registry id that is not a string: the checked reader refuses both, so
+    # the check must not pass them
+    doc = small_dataset_doc()
+    rec = doc["data"][0]
+    if where == "record":
+        doc["data"][0] = MappingProxyType(rec)
+    elif where == "local":
+        rec["local"] = MappingProxyType(rec["local"])
+    elif where == "wildcard":
+        rec["local"]["wildcard"] = MappingProxyType(rec["local"]["wildcard"])
+    elif where == "factor":
+        rec["local"]["factors"][0] = MappingProxyType(rec["local"]["factors"][0])
+    else:
+        doc["cuspidals"][7] = doc["cuspidals"].pop("nz0")
+        for factor in itertools.chain(*(r["local"]["factors"] for r in doc["data"])):
+            if factor["base_id"] == "nz0":
+                factor["base_id"] = 7
+    assert not _assert_same_read(doc, monkeypatch)
 
 
 def test_random_mutations_read_the_same_with_and_without_the_check(monkeypatch):
@@ -355,6 +384,48 @@ def test_random_mutations_read_the_same_with_and_without_the_check(monkeypatch):
     for _ in range(1500):
         accepted += _assert_same_read(_random_mutant(rng, rng.choice(bases)), monkeypatch)
     assert accepted >= 150
+
+
+class TestOneWalk:
+    """``congruence._walk`` is the one walk of a dataset's records: built
+    from records or read from a valid file, a dataset is walked once, and
+    the file is not read record by record."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"walk": 0, "checked": 0}
+        walk, checked = congruence._walk, jsonio._checked_record
+
+        def counted_walk(*args):
+            counts["walk"] += 1
+            return walk(*args)
+
+        def counted_checked(*args):
+            counts["checked"] += 1
+            return checked(*args)
+
+        for module in (congruence, jsonio):
+            monkeypatch.setattr(module, "_walk", counted_walk)
+        monkeypatch.setattr(jsonio, "_checked_record", counted_checked)
+        return counts
+
+    def test_both_forms_walk_once_and_alike(self, counts):
+        lazy = dataset_from_dict(small_dataset_doc())
+        assert counts == {"walk": 1, "checked": 0} and unbuilt(lazy)
+        built = Dataset(lazy.context, lazy.data, lazy.torsion, lazy.levels)
+        assert counts == {"walk": 2, "checked": 7}
+        assert built.labels == lazy.labels and built._index == lazy._index
+
+    def test_generated_dataset_walks_once(self, counts):
+        generate_dataset(5, GlobalContext(d=12, pi=PI), r=4)
+        assert counts == {"walk": 1, "checked": 0}
+
+    def test_a_walk_fault_reads_record_by_record(self, counts):
+        doc = small_dataset_doc()
+        doc["data"][1]["id"] = doc["data"][0]["id"]
+        with pytest.raises(InconsistentDataError, match="duplicate datum id"):
+            dataset_from_dict(doc)
+        assert counts == {"walk": 2, "checked": 7}
 
 
 def _read_eagerly(doc, monkeypatch) -> Dataset:

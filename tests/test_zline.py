@@ -133,7 +133,9 @@ class TestShapes:
     @given(ladders)
     def test_ladder_reflection_symmetry(self, shape):
         # centered ladders are stable under negating all twists
-        centered = shape.shifted(HalfInt(-shape.center.twice))
+        centered = LadderShape(
+            shape.base, shape.s, shape.t, shape.center + HalfInt(-shape.center.twice)
+        )
         segs = centered.to_multisegment().segments
         reflected = Multisegment(
             tuple(Segment(s.base, HalfInt(-s.end.twice), s.length) for s in segs)
@@ -388,7 +390,8 @@ class TestRebuildMatchesReplace:
     @given(ladders, shifts, st.sampled_from(LABELS))
     def test_ladder(self, ladder, n, base):
         ladder = replace(ladder, base=base)
-        self.assert_same(ladder.shifted(n), replace(ladder, center=ladder.center + n))
+        shifted = LadderShape(ladder.base, ladder.s, ladder.t, ladder.center + n)
+        self.assert_same(shifted, replace(ladder, center=ladder.center + n))
         self.assert_same(ladder.reduced(), replace(ladder, base=reduced_label(ladder.base)))
 
     @settings(max_examples=150, derandomize=True)
