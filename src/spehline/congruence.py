@@ -193,11 +193,13 @@ def _walk(d: int, pi: InertialCuspidal, rows: Iterable[tuple]) -> tuple[Iterable
 
     The labels are the anchor ``pi``, then each distinct base object in
     order of first use, so :func:`_one_label_per_id` sees two objects
-    that share an id.  Raises :class:`InconsistentDataError` at a
+    that share an id; a factor whose base is the first object of its id
+    costs one identity check.  Raises :class:`InconsistentDataError` at a
     repeated id or a record whose degree is not ``d``.
     """
     ids: set[str] = set()
     labels = {id(pi): pi}
+    first = {pi.id: pi}  # the first label object of each base id
     index: dict[str, dict[tuple[int, int], list[int]]] = {}
     for idx, (ident, s, factors, degree) in enumerate(rows):
         if ident in ids:
@@ -205,10 +207,20 @@ def _walk(d: int, pi: InertialCuspidal, rows: Iterable[tuple]) -> tuple[Iterable
         ids.add(ident)
         for t, base in factors:
             degree += s * t * base.g
-            labels.setdefault(id(base), base)
-            found = index.setdefault(base.id, {}).setdefault((s + t - 1, s), [])
-            if not found or found[-1] != idx:
-                found.append(idx)
+            bid = base.id
+            if first.get(bid) is not base:  # a new id, or another object for one
+                first.setdefault(bid, base)
+                labels.setdefault(id(base), base)
+            key = (s + t - 1, s)
+            rows_of = index.get(bid)
+            if rows_of is None:
+                index[bid] = {key: [idx]}
+            else:
+                found = rows_of.get(key)
+                if found is None:
+                    rows_of[key] = [idx]
+                elif found[-1] != idx:
+                    found.append(idx)
         if degree != d:
             raise InconsistentDataError(f"datum {ident!r} has degree {degree}, expected {d}")
     return labels.values(), index

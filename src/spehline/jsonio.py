@@ -15,16 +15,17 @@ Well-typed values that break an invariant raise the constructor's
 that reader.
 
 Dataset files carry the traffic, thousands of records each, of which a
-query reads the few in one row.  One checked reader builds every
-record, and a check pass only decides when: :func:`_rows` makes each
-record's checks of the checked reader and the constructors on the raw
-document, and yields its row to the ``Dataset`` walk, which checks ids
-and degrees and indexes the records.  A file that passes becomes a
-dataset that builds each record through the checked reader when it is
-first read (see :class:`~spehline.congruence.Dataset`).  A file that
-fails anywhere is read by the checked reader, record by record, and the
-first fault raises; so errors, their paths and which of two faults is
-reported do not depend on the check.
+query reads the few in one row.  Each record is checked once, on the raw
+document: :func:`_rows` makes every check of the checked reader and the
+constructors, and yields the record's row to the ``Dataset`` walk, which
+checks ids and degrees and indexes the records.  A file that passes
+becomes a dataset that builds each record from its raw fields when it is
+first read (:func:`_record`, see :class:`~spehline.congruence.Dataset`),
+so the document must not change after it is read.  A file that fails
+was checked up to the faulty record, and every record before it passed
+every check: they are built directly, and the checked reader reads the
+rest, record by record, so the first fault raises.  Errors, their paths
+and which of two faults is reported do not depend on the check.
 """
 
 from __future__ import annotations
@@ -312,6 +313,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
+    """The record at ``path``, each field checked as it is read: the reader
+    that finds and reports the first fault of a file that fails the check."""
     return AutomorphicDatum(
         id=_need(rec, "id", str, path),
         local=_local_from_dict(_need(rec, "local", dict, path), cuspidals, f"{path}.local"),
@@ -322,50 +325,81 @@ def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     )
 
 
-def _rows(records: list, cuspidals: dict):
+def _rows(records: list, cuspidals: dict, stop: list):
     """The walk's row of each record, once the record passes the checks of
     :func:`_checked_record` and the constructors: exact types, the ``>= 1``
     bounds, a factor or a wildcard, a wildcard degree ``>= 0`` and known
     cuspidal ids.  Builds nothing; a failed check raises ``TypeError``, a
     missing field ``KeyError``, ``TypeError`` or ``AttributeError``.
+
+    On leaving, at the end, at a failed check or when closed, it appends to
+    ``stop`` the position of the last record it took.  When a check here
+    or in the walk fails, that is the faulty record, and every record
+    before it passed every check.
     """
-    for rec in records:
-        loc = rec["local"]
-        factors, wild = loc["factors"], loc.get("wildcard")
-        ident, s, m, d_xi, inv_dim, satake = (
-            rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
-        )
-        if not (
-            type(rec) is type(loc) is dict and type(factors) is list
-            and type(ident) is type(satake) is str
-            and type(s) is type(m) is type(d_xi) is type(inv_dim) is int
-            and s > 0 and m > 0 and d_xi > 0 and inv_dim > 0
-        ):
-            raise TypeError
-        if wild is None:
-            if not factors:
-                raise TypeError
-            degree = 0
-        else:
-            wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
+    idx = 0
+    try:
+        for idx, rec in enumerate(records):
+            loc = rec["local"]
+            factors, wild = loc["factors"], loc.get("wildcard")
+            ident, s, m, d_xi, inv_dim, satake = (
+                rec["id"], loc["s"], rec["m"], rec["d_xi"], rec["inv_dim"], rec["satake"]
+            )
             if not (
-                type(wild) is dict and type(wid) is str
-                and type(degree) is type(shift) is int and degree >= 0
+                type(rec) is type(loc) is dict and type(factors) is list
+                and type(ident) is type(satake) is str
+                and type(s) is type(m) is type(d_xi) is type(inv_dim) is int
+                and s > 0 and m > 0 and d_xi > 0 and inv_dim > 0
             ):
                 raise TypeError
-        pairs = []
-        for f in factors:
-            t, cid = f["t"], f["base_id"]
-            if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
-                raise TypeError
-            pairs.append((t, cuspidals[cid]))
-        yield ident, s, pairs, degree
+            if wild is None:
+                if not factors:
+                    raise TypeError
+                degree = 0
+            else:
+                wid, degree, shift = wild["id"], wild["degree"], wild.get("shift_twice", 0)
+                if not (
+                    type(wild) is dict and type(wid) is str
+                    and type(degree) is type(shift) is int and degree >= 0
+                ):
+                    raise TypeError
+            pairs = []
+            for f in factors:
+                t, cid = f["t"], f["base_id"]
+                if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
+                    raise TypeError
+                pairs.append((t, cuspidals[cid]))
+            yield ident, s, pairs, degree
+    finally:
+        stop.append(idx)
+
+
+def _record(rec: dict, cuspidals: dict) -> AutomorphicDatum:
+    """The record :func:`_checked_record` builds from ``rec``, built from the
+    raw fields by the same constructor calls, for a record that passed
+    :func:`_rows`: it has every field, at its exact type."""
+    loc = rec["local"]
+    wild = loc.get("wildcard")
+    if wild is not None:
+        wild = Wildcard(wild["id"], wild["degree"], HalfInt(wild.get("shift_twice", 0)))
+    factors = tuple([(f["t"], cuspidals[f["base_id"]]) for f in loc["factors"]])
+    return AutomorphicDatum(
+        rec["id"],
+        LocalComponent(loc["s"], factors, wild),
+        rec["m"],
+        rec["d_xi"],
+        rec["inv_dim"],
+        rec["satake"],
+    )
 
 
 def _builder(records: list, cuspidals: dict):
     """``build(positions)``: the records at ``positions`` (all of them for
-    ``None``), each built by :func:`_checked_record` on its first request
-    and kept."""
+    ``None``), each built by :func:`_record` on its first request and kept.
+
+    Every record passed :func:`_rows` and the walk, so none is checked a
+    second time; the document must not change after it is read.
+    """
     built: list[AutomorphicDatum | None] = [None] * len(records)
 
     def build(positions) -> list[AutomorphicDatum]:
@@ -373,7 +407,7 @@ def _builder(records: list, cuspidals: dict):
         for idx in range(len(records)) if positions is None else positions:
             datum = built[idx]
             if datum is None:
-                datum = built[idx] = _checked_record(records[idx], cuspidals, f"data[{idx}]")
+                datum = built[idx] = _record(records[idx], cuspidals)
             out.append(datum)
         return out
 
@@ -385,8 +419,11 @@ def dataset_from_dict(obj: dict) -> Dataset:
 
     When every record passes :func:`_rows` and the walk, the dataset
     keeps the document's records and builds each from them when it is
-    first read, so the document must not change afterwards.  Otherwise
-    every record is built as it is read, and the first fault raises.
+    first read (:func:`_builder`), so the document must not change
+    afterwards.  Otherwise the check stopped at a faulty record: the
+    records before it passed every check and are built directly, and the
+    checked reader reads the rest, record by record, so the first fault
+    raises as if it had read them all.
     """
     _version(obj)
     context = _need(obj, "context", dict, "")
@@ -395,13 +432,20 @@ def dataset_from_dict(obj: dict) -> Dataset:
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
     records = _need(obj, "data", list, "")
+    stop = [0]
+    rows = _rows(records, cuspidals, stop)
     try:
-        walk = _walk(d, pi, _rows(records, cuspidals))
+        walk = _walk(d, pi, rows)
     except (KeyError, TypeError, AttributeError, InconsistentDataError):
         walk = None
-        data = tuple(
-            _checked_record(rec, cuspidals, f"data[{idx}]") for idx, rec in enumerate(records)
-        )
+        rows.close()  # paused at a record the walk refused: its position goes to ``stop``
+        start = stop[-1]
+        # checked first: a fault raises before the records ahead of it are built
+        rest = [
+            _checked_record(records[idx], cuspidals, f"data[{idx}]")
+            for idx in range(start, len(records))
+        ]
+        data = tuple([_record(rec, cuspidals) for rec in records[:start]] + rest)
     torsion = _need(obj, "torsion", dict, "")
     context = GlobalContext(d=d, pi=pi, kappa=_fraction(kappa))
     torsion = TorsionProfile(

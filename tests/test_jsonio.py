@@ -249,22 +249,29 @@ def test_every_double_fault_matches_table():
 # accept must pass the check, or a valid file would lose the lazy read.
 
 
+def _refuse_first(*args):
+    """Rows whose check refuses the first record."""
+    raise TypeError
+    yield
+
+
 @contextlib.contextmanager
 def _check_off(monkeypatch):
-    """Inside, ``dataset_from_dict`` reads every file as one that fails the check."""
+    """Inside, ``dataset_from_dict`` reads every file as one that fails the
+    check at its first record: every record by the checked reader."""
     with monkeypatch.context() as patch:
-        patch.setattr(jsonio, "_rows", lambda *args: None)
+        patch.setattr(jsonio, "_rows", _refuse_first)
         yield
 
 
 def _read(doc):
-    """``(unbuilt, canonical form)`` of the dataset read from ``doc``, or the
-    class, path and message of the error it raises."""
+    """``(unbuilt, canonical form, dataset)`` of the dataset read from ``doc``,
+    or the class, path and message of the error it raises."""
     try:
         ds = dataset_from_dict(doc)
     except Exception as exc:  # the class is part of the outcome
         return type(exc).__name__, getattr(exc, "path", None), str(exc)
-    return unbuilt(ds), canonical_dumps(dataset_to_dict(ds))
+    return unbuilt(ds), canonical_dumps(dataset_to_dict(ds)), ds
 
 
 def _assert_same_read(doc, monkeypatch) -> bool:
@@ -273,7 +280,13 @@ def _assert_same_read(doc, monkeypatch) -> bool:
     with _check_off(monkeypatch):
         eager = _read(doc)
     if eager[0] is False:  # accepted record by record: the check passes, the forms match
-        assert lazy == (True, eager[1]), doc
+        assert lazy[:2] == (True, eager[1]), doc
+        # the records built from the raw document equal the checked ones and
+        # hold the dataset's own label objects
+        ds = lazy[2]
+        assert ds.data == eager[2].data, doc
+        labels = {id(label) for label in ds.labels}
+        assert all(id(base) in labels for x in ds.data for _, base in x.local.factors), doc
         return True
     assert lazy == eager, doc
     return False
@@ -412,8 +425,9 @@ class TestOneWalk:
     def test_both_forms_walk_once_and_alike(self, counts):
         lazy = dataset_from_dict(small_dataset_doc())
         assert counts == {"walk": 1, "checked": 0} and unbuilt(lazy)
+        assert [x.id for x in members(lazy, lazy.context.pi, 4, 2)] == ["a0"]
         built = Dataset(lazy.context, lazy.data, lazy.torsion, lazy.levels)
-        assert counts == {"walk": 2, "checked": 7}
+        assert counts == {"walk": 2, "checked": 0}  # a checked record is not checked again
         assert built.labels == lazy.labels and built._index == lazy._index
 
     def test_generated_dataset_walks_once(self, counts):
@@ -421,11 +435,19 @@ class TestOneWalk:
         assert counts == {"walk": 1, "checked": 0}
 
     def test_a_walk_fault_reads_record_by_record(self, counts):
+        # from the record the walk stopped at: the records before it passed
         doc = small_dataset_doc()
         doc["data"][1]["id"] = doc["data"][0]["id"]
         with pytest.raises(InconsistentDataError, match="duplicate datum id"):
             dataset_from_dict(doc)
-        assert counts == {"walk": 2, "checked": 7}
+        assert counts == {"walk": 2, "checked": 6}
+
+    def test_a_fault_in_the_last_record_reads_it_alone(self, counts):
+        doc = small_dataset_doc()
+        doc["data"][-1]["m"] = "2"
+        with pytest.raises(SchemaError, match=r"^data\[6\]\.m: expected an integer$"):
+            dataset_from_dict(doc)
+        assert counts == {"walk": 1, "checked": 1}
 
 
 def _read_eagerly(doc, monkeypatch) -> Dataset:
