@@ -136,18 +136,24 @@ class Dataset:
         self._finish(*walk, lambda positions: [data[idx] for idx in positions])
 
     @classmethod
-    def _unbuilt(cls, context, torsion, levels, walk: tuple, build: Callable) -> "Dataset":
+    def _unbuilt(
+        cls, context, torsion, levels, walk: tuple | InconsistentDataError, build: Callable
+    ) -> "Dataset":
         """A dataset whose records passed the walk unbuilt.
 
         ``walk`` is what :func:`_walk` returned on their rows, and
         ``build(positions)`` returns the records at ``positions`` (all of
         them for ``None``), building each on its first request.  The
-        checks around the walk run as in ``__post_init__``.
+        checks around the walk run as in ``__post_init__``.  When the walk
+        raised instead, ``walk`` is its :class:`InconsistentDataError`,
+        raised here, where ``__post_init__`` would walk the records.
         """
         ds = object.__new__(cls)
         for name, value in (("context", context), ("torsion", torsion), ("levels", levels)):
             object.__setattr__(ds, name, value)
         ds._check_levels()
+        if isinstance(walk, InconsistentDataError):
+            raise walk
         ds._finish(*walk, build)
         return ds
 

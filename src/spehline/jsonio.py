@@ -23,9 +23,11 @@ becomes a dataset that builds each record from its raw fields when it is
 first read (:func:`_record`, see :class:`~spehline.congruence.Dataset`),
 so the document must not change after it is read.  A file that fails
 was checked up to the faulty record, and every record before it passed
-every check: they are built directly, and the checked reader reads the
-rest, record by record, so the first fault raises.  Errors, their paths
-and which of two faults is reported do not depend on the check.
+every check, and the checked reader reads the rest, record by record, so
+the first fault raises.  If none does, the records before it are built
+directly, or, when the walk refused that record, the walk's error is
+raised where the dataset would walk them.  Errors, their paths and which
+of two faults is reported do not depend on the check.
 """
 
 from __future__ import annotations
@@ -423,7 +425,11 @@ def dataset_from_dict(obj: dict) -> Dataset:
     afterwards.  Otherwise the check stopped at a faulty record: the
     records before it passed every check and are built directly, and the
     checked reader reads the rest, record by record, so the first fault
-    raises as if it had read them all.
+    raises as if it had read them all.  A fault the walk found (a repeated
+    id or a record of the wrong degree) is kept, and the records are not
+    walked again: ``Dataset._unbuilt`` raises it where ``Dataset(...)``
+    would walk them, after the checked records, the torsion, the levels,
+    the context and the level checks.
     """
     _version(obj)
     context = _need(obj, "context", dict, "")
@@ -434,10 +440,12 @@ def dataset_from_dict(obj: dict) -> Dataset:
     records = _need(obj, "data", list, "")
     stop = [0]
     rows = _rows(records, cuspidals, stop)
+    data = None
     try:
         walk = _walk(d, pi, rows)
-    except (KeyError, TypeError, AttributeError, InconsistentDataError):
-        walk = None
+    except (KeyError, TypeError, AttributeError, InconsistentDataError) as fault:
+        # a fault of the walk is raised where the dataset would walk again
+        walk = fault if isinstance(fault, InconsistentDataError) else None
         rows.close()  # paused at a record the walk refused: its position goes to ``stop``
         start = stop[-1]
         # checked first: a fault raises before the records ahead of it are built
@@ -445,7 +453,8 @@ def dataset_from_dict(obj: dict) -> Dataset:
             _checked_record(records[idx], cuspidals, f"data[{idx}]")
             for idx in range(start, len(records))
         ]
-        data = tuple([_record(rec, cuspidals) for rec in records[:start]] + rest)
+        if walk is None:
+            data = tuple([_record(rec, cuspidals) for rec in records[:start]] + rest)
     torsion = _need(obj, "torsion", dict, "")
     context = GlobalContext(d=d, pi=pi, kappa=_fraction(kappa))
     torsion = TorsionProfile(
@@ -453,7 +462,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
         tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
     )
     levels = _ints(_need(obj, "levels", list, ""), "levels")
-    if walk is None:
+    if data is not None:
         return Dataset(context=context, data=data, torsion=torsion, levels=levels)
     return Dataset._unbuilt(context, torsion, levels, walk, _builder(records, cuspidals))
 

@@ -245,8 +245,10 @@ class Multisegment:
     - ``_union``, behind both products: it joins two sorted tuples,
       inserts a one-segment factor into the other's tuple, and sorts only
       when two longer runs interleave;
-    - ``jacquet_cuts``, whose docstring proves that each side it builds
-      is already in ``_segment_key`` order.
+    - ``jacquet_cuts``: it builds the rows but the first once per setting
+      of theirs, then puts the first row's piece in front of the left side
+      and into the right side where a sort would; its docstring proves
+      that each side it builds is in ``_segment_key`` order.
 
     Every other multisegment is built through ``Multisegment(...)``,
     which sorts; so does ``reduced``, since relabelling the bases can
@@ -504,22 +506,38 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
     total degree.  Each row's ``2t`` pieces are built once, so the cuts
     share their (immutable) segment objects.
 
-    Both sides are built in ``_segment_key`` order (one base, so by start,
-    then length), without a sort of segments:
+    The cuts come in the order of ``combinations_with_replacement(range(t
+    + 1), s)``, each ascending combination read backwards as ``c``; so
+    ``c_0``, its last entry, varies fastest, from ``c_1`` (0 when ``s =
+    1``) to ``t``, while rows ``1..s-1`` stay fixed.  Those rows are the
+    *suffix*, built once per setting of ``c_1..c_{s-1}``, that is once per
+    ascending combination of ``s - 1`` entries, in C-level passes: the row
+    pieces are picked by ``map`` and the missing ones dropped by
+    ``filter(None, ...)``.  A missing piece is ``None``, and every other
+    piece is true: a left piece is a ``Segment``, which defines neither
+    ``__bool__`` nor ``__len__``, and a right piece is a ``(key, segment)``
+    pair.  So the filter drops exactly the rows with no cells on that side.
 
-    - left: the rows with ``c_j > 0`` are a prefix, since ``c`` is weakly
-      decreasing, and their starts rise with ``j``;
-    - right: row j starts ``j + c_j`` twists after ``row_start(0)`` and has
-      length ``t - c_j``; at one start a larger ``j`` has a smaller ``c_j``,
-      so sorting the pairs ``(j + c_j, j)``, encoded as the distinct ints
-      ``(j + c_j) * s + j``, orders the rows by start, then length.
+    Each cut then places row 0's two pieces into its suffix, and both
+    sides are in ``_segment_key`` order (one base, so by start, then
+    length) without a sort of segments:
 
-    Each side is built in C-level passes: the row pieces are picked by
-    ``map`` and the missing ones dropped by ``filter(None, ...)``.  A
-    missing piece is ``None``, and every other piece is true: a left piece
-    is a ``Segment``, which defines neither ``__bool__`` nor ``__len__``,
-    and a right piece is a ``(key, segment)`` pair.  So the filter drops
-    exactly the rows with no cells on that side.
+    - left: row j's piece starts at ``row_start(j)``, which rises with
+      ``j``, and the rows with ``c_j > 0`` are a prefix, since ``c`` is
+      weakly decreasing.  The suffix's left tuple is in order, and row 0's
+      piece, which starts lowest, goes in front of it.  When ``c_0 = 0``,
+      every ``c_j`` is 0: row 0 has no left piece and the suffix's left
+      tuple is empty.
+    - right: row j's piece starts ``j + c_j`` twists after ``row_start(0)``
+      and has length ``t - c_j``; at one start a larger ``j`` has a smaller
+      ``c_j``, so ordering the rows by the pairs ``(j + c_j, j)``, encoded
+      as the distinct ints ``(j + c_j) * s + j``, orders them by start,
+      then length.  The suffix's ``(key, segment)`` pairs are sorted once,
+      and row 0's piece, when ``c_0 < t``, goes in at the ``bisect_left``
+      of ``(c_0 * s,)`` among them.  Row 0's key ``c_0 * s`` is a multiple
+      of ``s`` and row j's is not, so no key equals it: a pair compares
+      below it exactly when its key is smaller, no segment is compared, and
+      the place found is where a sort of all the rows puts row 0.
     """
     s, t, base = ladder.s, ladder.t, ladder.base
     # lefts[j][c] keeps c cells of row j (c >= 1); rights[j][c] holds the
@@ -536,14 +554,23 @@ def jacquet_cuts(ladder: LadderShape) -> list[tuple[Multisegment, Multisegment]]
             ]
             + [None]
         )
+    # row 0's pieces at each c_0, as tuples to join: no left piece at 0,
+    # no right piece at t; marks[c] holds row 0's key at c, to bisect pairs by
+    heads = [()] + [(seg,) for seg in lefts[0][1:]]
+    tails = [(seg,) for _, seg in rights[0][:t]]
+    marks = [(c * s,) for c in range(t)]
+    suffix_lefts, suffix_rights = lefts[1:], rights[1:]
     build = Multisegment._sorted
     piece = list.__getitem__
     segment = operator.itemgetter(1)
     cuts: list[tuple[Multisegment, Multisegment]] = []
-    # c is each ascending combination read backwards
-    for ascending in itertools.combinations_with_replacement(range(t + 1), s):
-        left = tuple(filter(None, map(piece, lefts, reversed(ascending))))
-        keyed = sorted(filter(None, map(piece, rights, reversed(ascending))))
+    # c_{s-1}, ..., c_1 is each ascending combination of s - 1 entries
+    for ascending in itertools.combinations_with_replacement(range(t + 1), s - 1):
+        left = tuple(filter(None, map(piece, suffix_lefts, reversed(ascending))))
+        keyed = sorted(filter(None, map(piece, suffix_rights, reversed(ascending))))
         right = tuple(map(segment, keyed))
-        cuts.append((build(left), build(right)))
+        for c0 in range(ascending[-1] if ascending else 0, t):
+            at = bisect_left(keyed, marks[c0])
+            cuts.append((build(heads[c0] + left), build(right[:at] + tails[c0] + right[at:])))
+        cuts.append((build(heads[t] + left), build(right)))
     return cuts

@@ -440,7 +440,7 @@ class TestOneWalk:
         doc["data"][1]["id"] = doc["data"][0]["id"]
         with pytest.raises(InconsistentDataError, match="duplicate datum id"):
             dataset_from_dict(doc)
-        assert counts == {"walk": 2, "checked": 6}
+        assert counts == {"walk": 1, "checked": 6}  # the walk's error is kept, not found again
 
     def test_a_fault_in_the_last_record_reads_it_alone(self, counts):
         doc = small_dataset_doc()

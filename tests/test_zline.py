@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -543,31 +544,90 @@ class TestCutsMatchTheSortingConstructor:
     """``jacquet_cuts`` builds its sides in order through ``Multisegment._sorted``;
     each must be the multisegment the sorting constructor gives."""
 
+    BASES = (InertialCuspidal("p", 1), InertialCuspidal("q", 2))
+
+    @staticmethod
+    def check(ladder: LadderShape, rng: random.Random) -> None:
+        got, want = jacquet_cuts(ladder), sorted_cuts(ladder)
+        assert got == want
+        assert [hash(cut) for cut in got] == [hash(cut) for cut in want]
+        for got_cut, want_cut in zip(got, want, strict=True):
+            for side, ref in zip(got_cut, want_cut):
+                assert side.segments == tuple(sorted(side.segments, key=_segment_key))
+                assert side.__dict__ == ref.__dict__
+                assert side.degree == ref.degree
+        # the text forms are functions of the fields: compare them on a sample
+        for k in sorted(rng.sample(range(len(got)), min(len(got), 12))):
+            for side, ref in zip(got[k], want[k]):
+                assert (str(side), repr(side)) == (str(ref), repr(ref))
+                assert canonical_dumps(multisegment_to_dict(side)) == canonical_dumps(
+                    multisegment_to_dict(ref)
+                )
+
     def test_every_ladder_up_to_eight(self):
         rng = random.Random(8)
-        bases = (InertialCuspidal("p", 1), InertialCuspidal("q", 2))
         for s, t in itertools.product(range(1, 9), range(1, 9)):
-            ladder = LadderShape(rng.choice(bases), s, t, HalfInt(rng.randint(-9, 9)))
-            got, want = jacquet_cuts(ladder), sorted_cuts(ladder)
-            assert got == want
-            assert [hash(cut) for cut in got] == [hash(cut) for cut in want]
-            for got_cut, want_cut in zip(got, want, strict=True):
-                for side, ref in zip(got_cut, want_cut):
-                    assert side.segments == tuple(sorted(side.segments, key=_segment_key))
-                    assert side.__dict__ == ref.__dict__
-                    assert side.degree == ref.degree
-            # the text forms are functions of the fields: compare them on a sample
-            for k in sorted(rng.sample(range(len(got)), min(len(got), 12))):
-                for side, ref in zip(got[k], want[k]):
-                    assert (str(side), repr(side)) == (str(ref), repr(ref))
-                    assert canonical_dumps(multisegment_to_dict(side)) == canonical_dumps(
-                        multisegment_to_dict(ref)
-                    )
+            self.check(LadderShape(rng.choice(self.BASES), s, t, HalfInt(rng.randint(-9, 9))), rng)
+
+    # the benchmark pool's outer shapes, and the longest single row and column
+    @pytest.mark.parametrize("s,t", [(10, 4), (4, 10), (9, 3), (3, 9), (1, 12), (12, 1)])
+    def test_outer_shapes(self, s, t):
+        rng = random.Random(s * 100 + t)
+        for base, center in zip(self.BASES, (HalfInt(-7), HalfInt(4))):
+            self.check(LadderShape(base, s, t, center), rng)
+
+
+class TestCutGrowthGuard:
+    """What one ``jacquet_cuts`` call does, counted under ``sys.setprofile``:
+    two trusted builds per cut, one ``Segment`` per row piece, and Python
+    calls in a number linear in the cuts and the pieces.
+
+    A ladder has ``2 * s * t`` pieces and ``C(s+t, s)`` cuts, and
+    ``2 * s * t <= 2 * C(s+t, s)``, so the bound on the calls is at most
+    10 per cut, whatever ``s`` and ``t``.  A Python-level step per row of
+    every cut, or a side built through the sorting ``Multisegment(...)``,
+    breaks it on the larger shapes.
+    """
+
+    # Python calls per piece: its Segment's __init__ and __post_init__, a
+    # right piece's HalfInt, and the row's share of row_start and the
+    # comprehensions that build the pieces
+    PER_PIECE = 4
+
+    @pytest.mark.parametrize("s,t", [(7, 7), (10, 4), (4, 10), (1, 12)])
+    def test_calls_per_cut(self, s, t):
+        ladder = LadderShape(RHO, s, t, HalfInt(-3))
+        trusted = Multisegment._sorted.__func__.__code__
+        segment = Segment.__post_init__.__code__
+        counts = {"python": 0, "_sorted": 0, "Segment": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts["python"] += 1
+                code = frame.f_code
+                if code is trusted:
+                    counts["_sorted"] += 1
+                elif code is segment:
+                    counts["Segment"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            cuts = jacquet_cuts(ladder)
+        finally:
+            sys.setprofile(previous)
+        counts["python"] -= 1  # the call of jacquet_cuts itself
+        n, pieces = math.comb(s + t, s), 2 * s * t
+        assert len(cuts) == n and pieces <= 2 * n
+        assert counts["_sorted"] == 2 * n
+        assert counts["Segment"] == pieces
+        assert counts["python"] <= 2 * n + self.PER_PIECE * pieces
 
 
 class TestCutPiecesAreTrue:
-    """``jacquet_cuts`` drops missing row pieces with ``filter(None, ...)``:
-    that drops exactly the ``None`` markers only while no piece is false."""
+    """``jacquet_cuts`` drops the missing pieces of rows ``1..s-1`` (the
+    suffix it shares across ``c_0``) with ``filter(None, ...)``: that drops
+    exactly the ``None`` markers only while no piece is false."""
 
     def test_segment_defines_no_truth(self):
         for name in ("__bool__", "__len__"):
