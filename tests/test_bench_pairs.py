@@ -16,35 +16,27 @@ _spec.loader.exec_module(bench_pairs)
 
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
-# one `run.py --workload shapes --seed 1 --seconds 2 --trace 0`, as printed
-RUN_OUTPUT = """\
-workload shapes, seed 1: 1 passes over a pool of 104 jobs (8 blocks), 104 runs; reference kernel 0.6974 ms (median; 1 ms at reference speed)
-  jobs_per_s       160.7983 1/s  (104 correct runs / 0.647 s scaled; unscaled 224.4883)
-  job_p50_ms         4.5317 ms   (n=104 runs; unscaled 3.1938)
-  job_p90_ms        14.1571 ms   (n=104 runs, 11 beyond; unscaled 10.0878)
-  setup_s            0.0640 s    (median of 9 set-ups, unscaled 0.0776, 0.0349, 0.0445, 0.0428, 0.0483, 0.0453, 0.0500, 0.0447, 0.0398)
-  peak_rss_mb       26.1172 MB
-  failed_frac        0.0000      (0 failed / 104 runs attempted)
-{"correct": true, "attempted": 104, "failed": 0, "metrics": {"jobs_per_s": {"value": 160.79829800079608, "unit": "1/s"}, "job_p50_ms": {"value": 4.531733082196979, "unit": "ms"}, "job_p90_ms": {"value": 14.157090262338176, "unit": "ms"}, "setup_s": {"value": 0.06403035119294245, "unit": "s"}, "peak_rss_mb": {"value": 26.1171875, "unit": "MB"}}}
-"""
+# one real `run.py --workload shapes --seed 1 --trace 0` standard output, saved
+# as printed: the tool reads run.py's human-readable lines as well as its JSON
+RUN_OUTPUT = (ROOT / "tests" / "fixtures" / "run_py_shapes_seed1.txt").read_text(encoding="utf-8")
 
 
 def test_parses_the_scaled_and_unscaled_figures():
     run = bench_pairs.parse_run(RUN_OUTPUT)
-    assert (run["correct"], run["attempted"], run["failed"]) == (True, 104, 0)
-    assert run["kernel_ms"] == 0.6974
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 208, 0)
+    assert run["kernel_ms"] == 0.7251
     assert run["scaled"] == {
-        "jobs_per_s": 160.79829800079608,
-        "job_p50_ms": 4.531733082196979,
-        "job_p90_ms": 14.157090262338176,
-        "setup_s": 0.06403035119294245,
-        "peak_rss_mb": 26.1171875,
+        "jobs_per_s": 154.8978276325501,
+        "job_p50_ms": 4.393037076745864,
+        "job_p90_ms": 15.54050189758025,
+        "setup_s": 0.09327794397586277,
+        "peak_rss_mb": 26.265625,
     }
     assert run["unscaled"] == {
-        "jobs_per_s": 224.4883,
-        "job_p50_ms": 3.1938,
-        "job_p90_ms": 10.0878,
-        "setup_s": 0.0447,  # the median of the nine unscaled set-ups
+        "jobs_per_s": 181.7846,
+        "job_p50_ms": 3.7842,
+        "job_p90_ms": 12.8464,
+        "setup_s": 0.0676,  # the median of the nine unscaled set-ups
     }
 
 
@@ -61,18 +53,21 @@ def test_summary_is_a_complete_record():
     faster = {
         **parent,
         "scaled": {**parent["scaled"], "jobs_per_s": 170.0, "job_p90_ms": 13.0},
-        "unscaled": {**parent["unscaled"], "job_p90_ms": 11.0},
+        "unscaled": {**parent["unscaled"], "job_p90_ms": 13.5},
         "kernel_ms": 0.9,
     }
-    runs = {"parent": [parent, parent, parent], "change": [faster, parent, None]}
+    # a run with wrong outputs counts as failed, however fast it was
+    wrong = {**faster, "correct": False, "kernel_ms": 0.5}
+    runs = {"parent": [parent, parent, parent, parent], "change": [faster, parent, None, wrong]}
     table = bench_pairs.summarize(runs, METRICS)
-    assert table["pairs"] == 3
-    assert table["runs_failed"] == {"parent": 0, "change": 1}
-    assert table["kernel_runs_ms"] == {"parent": [0.6974] * 3, "change": [0.9, 0.6974]}
+    assert table["pairs"] == 4
+    assert table["runs_failed"] == {"parent": 0, "change": 2}
+    assert table["runs_correct"] is False
+    assert table["kernel_runs_ms"] == {"parent": [0.7251] * 4, "change": [0.9, 0.7251]}
     p90 = table["metrics"]["job_p90_ms"]
     # lower is better: the scaled reading won one pair, the unscaled one none
     assert p90["change_wins"] == 1 and p90["unscaled"]["change_wins"] == 0
-    assert p90["runs"]["change"] == [13.0, 14.1571]
+    assert p90["runs"]["change"] == [13.0, 15.5405]
     assert table["metrics"]["jobs_per_s"]["change_wins"] == 1
     assert "unscaled" not in table["metrics"]["peak_rss_mb"]
     for metric in METRICS:

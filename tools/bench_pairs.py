@@ -1,22 +1,22 @@
 """Interleaved parent/change pairs of the benchmark, written as one ``BENCH_*.json`` record.
 
 Runs ``perfbench/run.py --trace 0`` alternately in a parent source tree and
-in this one, each run in a fresh process: ``--pairs`` pairs at ``--seed`` and
-``--holdout-pairs`` at ``--holdout-seed``, for every workload of
-``BENCHMARK.json``.  Odd pairs run the parent first and even pairs the
-change first, and each pair runs every workload before the next pair starts.
-Standard library only; it changes nothing under ``perfbench/``.
+in this one, each run in a fresh process: 10 pairs at seed 1 and 5 at the
+held-out seed 1001, for every workload of ``BENCHMARK.json``, each run as
+long as its ``run_seconds``.  Odd pairs run the parent first and even pairs
+the change first, and each pair runs every workload before the next pair
+starts.  Standard library only; it changes nothing under ``perfbench/``.
 
-    python3 tools/bench_pairs.py PARENT_TREE --out BENCH_N.json \\
-        [--pairs 5] [--holdout-pairs 3] [--seconds 10] [--workload W ...]
+    python3 tools/bench_pairs.py PARENT_TREE --out BENCH_N.json
 
-``PARENT_TREE`` is a checkout of the parent commit, for example unpacked
-with ``git archive``.  Every run's scaled metrics come from the JSON object
+``PARENT_TREE`` is a git checkout of the parent commit, for example made
+with ``git clone``.  Every run's scaled metrics come from the JSON object
 ``run.py`` prints last; its reference-kernel median and the unscaled
 figures it prints before that (``jobs_per_s``, ``job_p50_ms``,
 ``job_p90_ms`` and the median of the unscaled set-ups) are kept beside
 them, since the scaling divides by a kernel time that moves between runs
-of the same code.
+of the same code.  Those are read from ``run.py``'s human-readable lines,
+so a change to their wording breaks this tool.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ["perfbench/run.py"]
+# (seed, pairs): run.py's default seed, then its first held-out seed.  Ten
+# pairs are what a claimed gain is judged on.
+SEEDS = ((1, 10), (1001, 5))
 
 # the figures run.py prints before its JSON line
 _KERNEL = re.compile(r"reference kernel ([\d.]+) ms")
@@ -74,10 +77,9 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict | None:
+def run_once(tree: Path, workload: str, seed: int) -> dict | None:
     """One benchmark run in ``tree``; ``None`` if it failed or printed no figures."""
-    argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"  {tree}: {workload} seed {seed} exited {proc.returncode}", file=sys.stderr)
@@ -101,15 +103,19 @@ def summarize(runs: dict[str, list[dict | None]], metrics: list[dict]) -> dict:
     """The record of one workload at one seed from its paired runs.
 
     ``runs[side][k]`` is pair ``k``'s run on that side, ``None`` if it
-    failed.  A pair counts for ``change_wins`` when both runs gave figures
-    and the change's is strictly better.
+    failed.  Only runs that gave figures and reported correct outputs
+    count in the spreads; a pair counts for ``change_wins`` when both of
+    its runs count and the change's is strictly better.
     """
-    ok = {side: [r for r in runs[side] if r is not None] for side in ("parent", "change")}
-    both = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p and c]
+    def counts(run: dict | None) -> bool:
+        return run is not None and run["correct"]
+
+    ok = {side: [r for r in runs[side] if counts(r)] for side in ("parent", "change")}
+    both = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if counts(p) and counts(c)]
     out: dict = {
         "pairs": len(runs["parent"]),
-        "runs_failed": {side: sum(r is None or not r["correct"] for r in runs[side]) for side in ok},
-        "runs_correct": all(r["correct"] for side in ok for r in ok[side]),
+        "runs_failed": {side: sum(not counts(r) for r in runs[side]) for side in ok},
+        "runs_correct": all(r is None or r["correct"] for side in ok for r in runs[side]),
         "kernel_ms": {side: _spread([r["kernel_ms"] for r in ok[side]]) for side in ok},
         "kernel_runs_ms": {side: [round(r["kernel_ms"], 4) for r in ok[side]] for side in ok},
         "metrics": {},
@@ -155,32 +161,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path, help="a checkout of the parent commit")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs at --seed")
-    parser.add_argument("--holdout-pairs", type=int, default=3, help="pairs at --holdout-seed")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--holdout-seed", type=int, default=1001)
-    parser.add_argument("--seconds", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--parent-commit", help="the parent's commit, if its tree has no .git")
     parser.add_argument("--change", default="", help="what the change does, for the record")
     parser.add_argument("--claim", default="", help="the gain the change claims, if any")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = benchmark["end_to_end"]
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     trees = {"parent": args.parent_tree.resolve(), "change": ROOT}
     for side, tree in trees.items():
         if not (tree / RUN[0]).is_file():
             parser.error(f"{side} tree {tree} has no {RUN[0]}")
-    seeds = [(args.seed, args.pairs), (args.holdout_seed, args.holdout_pairs)]
-    runs = {w: {seed: {"parent": [], "change": []} for seed, _ in seeds} for w in workloads}
-    for seed, pairs in seeds:
+    runs = {w: {seed: {"parent": [], "change": []} for seed, _ in SEEDS} for w in workloads}
+    for seed, pairs in SEEDS:
         for k in range(pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed)
                     runs[workload][seed][side].append(run)
                     shown = "failed" if run is None else f"{run['scaled']['jobs_per_s']:.2f} jobs/s"
                     print(f"seed {seed} pair {k + 1}/{pairs} {workload} {side}: {shown}", flush=True)
@@ -189,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": args.change,
         "claim": args.claim,
         "commits": {
-            "parent": args.parent_commit or _commit(trees["parent"]),
+            "parent": _commit(trees["parent"]),
             "change": _commit(ROOT),
         },
         "python": platform.python_version(),
@@ -201,20 +199,22 @@ def main(argv: list[str] | None = None) -> int:
                 side: any((tree / "src").rglob("*.pyc")) for side, tree in trees.items()
             },
         },
-        "command": f"python3 {RUN[0]} --workload W --seed S --seconds {args.seconds} --trace 0, "
-        "each run in a fresh process in the parent tree or the change tree",
+        "command": f"python3 {RUN[0]} --workload W --seed S --trace 0 (run_seconds "
+        f"{benchmark['run_seconds']} from BENCHMARK.json), each run in a fresh process in the "
+        "parent tree or the change tree",
         "pairing": "parent and change interleaved, odd pairs parent first and even pairs change "
-        f"first, every workload once per pair: {args.pairs} pairs at seed {args.seed}, then "
-        f"{args.holdout_pairs} at seed {args.holdout_seed}. The tables hold every run.",
-        "seeds": [seed for seed, _ in seeds],
+        "first, every workload once per pair: "
+        + ", then ".join(f"{pairs} pairs at seed {seed}" for seed, pairs in SEEDS)
+        + ". The tables hold every run.",
+        "seeds": [seed for seed, _ in SEEDS],
         "workloads": {
-            w: {f"seed_{seed}": summarize(runs[w][seed], metrics) for seed, _ in seeds}
+            w: {f"seed_{seed}": summarize(runs[w][seed], metrics) for seed, _ in SEEDS}
             for w in workloads
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for w in workloads:
-        for seed, _ in seeds:
+        for seed, _ in SEEDS:
             table = record["workloads"][w][f"seed_{seed}"]
             for name, entry in table["metrics"].items():
                 print(f"{w:<11} seed {seed:<5} {name:<12} {entry['parent']['median']} -> "
