@@ -3,7 +3,8 @@
 Runs ``perfbench/run.py --trace 0`` alternately in a parent source tree and
 in this one, each run in a fresh process: 10 pairs at seed 1 and 5 at the
 held-out seed 1001, for every workload of ``BENCHMARK.json``, each run as
-long as its ``run_seconds``.  Odd pairs run the parent first and even pairs
+long as its ``run_seconds`` (passed as ``--seconds``: a one-workload run of
+``run.py`` otherwise takes its own default).  Odd pairs run the parent first and even pairs
 the change first, and each pair runs every workload before the next pair
 starts.  Standard library only; it changes nothing under ``perfbench/``.
 
@@ -77,9 +78,10 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict | None:
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict | None:
     """One benchmark run in ``tree``; ``None`` if it failed or printed no figures."""
-    argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed)]
+    argv += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"  {tree}: {workload} seed {seed} exited {proc.returncode}", file=sys.stderr)
@@ -166,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = benchmark["end_to_end"]
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
     trees = {"parent": args.parent_tree.resolve(), "change": ROOT}
     for side, tree in trees.items():
@@ -178,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    run = run_once(trees[side], workload, seed)
+                    run = run_once(trees[side], workload, seed, seconds)
                     runs[workload][seed][side].append(run)
                     shown = "failed" if run is None else f"{run['scaled']['jobs_per_s']:.2f} jobs/s"
                     print(f"seed {seed} pair {k + 1}/{pairs} {workload} {side}: {shown}", flush=True)
@@ -199,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                 side: any((tree / "src").rglob("*.pyc")) for side, tree in trees.items()
             },
         },
-        "command": f"python3 {RUN[0]} --workload W --seed S --trace 0 (run_seconds "
-        f"{benchmark['run_seconds']} from BENCHMARK.json), each run in a fresh process in the "
-        "parent tree or the change tree",
+        "command": f"python3 {RUN[0]} --workload W --seed S --seconds {seconds} --trace 0 "
+        "(run_seconds of BENCHMARK.json), each run in a fresh process in the parent tree or "
+        "the change tree",
         "pairing": "parent and change interleaved, odd pairs parent first and even pairs change "
         "first, every workload once per pair: "
         + ", then ".join(f"{pairs} pairs at seed {seed}" for seed, pairs in SEEDS)
