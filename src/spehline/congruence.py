@@ -17,7 +17,7 @@ record contributes its weight to its mod-l class, the same at every
 level.  Weights are therefore level-free until read: tables, peels and
 the two sides of the check are sums over mod-l keys, and only torsion
 carries a level, as one integer per level.  Where a caller reads a
-level (``DimensionTable.entry``/``values``, ``ContributionSet.pairs``,
+level (``DimensionTable.values``, ``ContributionSet.pairs``,
 the ``Verdict`` sides and diffs) a weight is spread onto one formal
 symbol per (mod-l class, level), and torsion onto the reserved unit
 symbol of each level.  A symbol is a tuple ``(key, level)``, built by
@@ -370,8 +370,8 @@ class DimensionTable:
 
     A record weighs the same at every level, so the table keeps one
     level-free sum over mod-l keys per ``k`` (``sums[k]``) and the
-    torsion profile, the only part that carries a level.  ``entry`` and
-    ``values`` spread both onto ``DimensionProfileSymbol(key, n)`` and
+    torsion profile, the only part that carries a level.  ``values``
+    spreads both onto ``DimensionProfileSymbol(key, n)`` and
     ``unit_symbol(n)`` when read, each cell's sum built as one dict of
     tuple-backed symbols in one pass.  ``maximal`` (:func:`_maximal`): no
     ``pi``-factor exists or ``r`` is the largest radius of one, so not
@@ -384,14 +384,13 @@ class DimensionTable:
     torsion: TorsionProfile
     maximal: bool
 
-    def entry(self, k: int, n: int) -> GrothSum:
-        if not 0 <= k < self.r or n not in self.levels:
-            return GrothSum.zero()
-        return _spread(self.sums[k], (n,), {n: torsion_dimension(self.torsion, k, n)})
-
     @property
     def values(self) -> dict[tuple[int, int], GrothSum]:
-        return {(k, n): self.entry(k, n) for k in range(self.r) for n in self.levels}
+        return {
+            (k, n): _spread(self.sums[k], (n,), {n: torsion_dimension(self.torsion, k, n)})
+            for k in range(self.r)
+            for n in self.levels
+        }
 
 
 def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:

@@ -30,10 +30,9 @@ class DiagramPoint(NamedTuple):
     """A lattice point ``(r, i)`` of a support diagram.
 
     A tuple ``(r, i)``, so it is hashed and compared in C.  Its hash is
-    ``hash((r, i))``, as it was when points were frozen dataclasses, so
-    the hashes of the labels that hold a point are unchanged.  It is
-    immutable, and as a tuple it equals the plain tuple ``(r, i)``,
-    iterates as its two fields and orders by ``r``, then ``i``.
+    ``hash((r, i))``.  It is immutable, and as a tuple it equals the
+    plain tuple ``(r, i)``, iterates as its two fields and orders by
+    ``r``, then ``i``.
     """
 
     r: int

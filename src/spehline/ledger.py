@@ -14,8 +14,8 @@ set of shifts ``inf{-delta/2}`` and one ``zline.speh_tower`` of factors
 ``2n - 1`` one-cell rows are built once, give every term and every
 arrow label; ``torsion`` reads its Speh factors off a tower too.
 
-An expansion shares the Steinberg factors ``St_delta(pi)``, built on
-first use, among every shriek term of one resolution, builds each
+An expansion shares the Steinberg factors ``St_delta(pi)``, built
+once, among every shriek term of one resolution, builds each
 expanded term as one ``LedgerTerm`` straight from its ordered product,
 and gathers the terms into one dict that becomes the sum as it is.
 Those terms are built by the trusted ``LedgerTerm._expanded``, which
@@ -263,14 +263,12 @@ def _graded(
     """``(delta, ordered_product(inf, St_delta(pi)))`` for ``delta = 1..s_g - t``,
     after ``(0, inf)``: the graded parts of the shriek at ``t``.
 
-    ``steinbergs[delta - 1]`` holds ``St_delta(pi)``; a missing one is
-    built and appended, so callers that share the list build each once.
+    ``steinbergs`` is ``[St_1(pi), ..., St_m(pi)]`` with ``m >= s_g - t``,
+    built by the caller, so a caller that shares it builds each once.
     """
     _check_home(ctx, t, inf)
     yield 0, inf
     for delta in range(1, ctx.s_g - t + 1):
-        if delta > len(steinbergs):
-            steinbergs.append(make_steinberg(ctx.pi, delta).to_multisegment())
         yield delta, ordered_product(inf, steinbergs[delta - 1])
 
 
@@ -283,9 +281,13 @@ def filtration_graded(
     ``t + delta`` of ``inf`` ordered-times ``St_delta(pi)``, Tate twisted
     by ``delta/2``.  ``delta = 0`` is the plain intermediate at ``t``.
     """
+    # checked before St_1..St_{s_g - t} are built: a t far below 1 builds none
+    _check_home(ctx, t, inf)
+    n = ctx.s_g - t
+    steinbergs = [make_steinberg(ctx.pi, delta).to_multisegment() for delta in range(1, n + 1)]
     return [
         LedgerTerm(INTERMEDIATE, t + delta, part, tate=HalfInt(delta))
-        for delta, part in _graded(ctx, t, inf, [])
+        for delta, part in _graded(ctx, t, inf, steinbergs)
     ]
 
 

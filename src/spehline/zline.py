@@ -28,6 +28,9 @@ as plain data, so sorts and hashes read one tuple per segment.  A
 multisegment hashes as a multiset, through the sum of its segments' key
 hashes (``multiset_hash``), so a product's hash follows from its
 factors' sums.
+
+Mod-l reduction acts on labels alone (``reduced_label``), which
+``diagrams.LocalComponent.reduced`` applies to a component's factors.
 """
 
 from __future__ import annotations
@@ -120,9 +123,8 @@ class Segment:
     reads, so a sort or a hash of many segments reads one plain tuple per
     segment.  ``_key`` is not a field: equality, hash, repr and
     ``dataclasses.fields`` never see it.  It is plain data, the same under
-    every hash seed, so copies and pickles carry it; ``replace``,
-    ``shifted`` and ``Multisegment.reduced`` call the constructor, which
-    writes it afresh.
+    every hash seed, so copies and pickles carry it; ``replace`` and
+    ``shifted`` call the constructor, which writes it afresh.
     """
 
     base: InertialCuspidal
@@ -243,16 +245,15 @@ class Multisegment:
       starts rise with the row;
     - ``speh_tower``: one base, one length, and the starts rise by 2;
     - ``_union``, behind both products: it joins two sorted tuples,
-      inserts a one-segment factor into the other's tuple, and sorts only
-      when two longer runs interleave;
+      inserts a one-segment right factor into the left one's tuple, and
+      sorts otherwise;
     - ``jacquet_cuts``: it builds the rows but the first once per setting
       of theirs, then puts the first row's piece in front of the left side
       and into the right side where a sort would; its docstring proves
       that each side it builds is in ``_segment_key`` order.
 
     Every other multisegment is built through ``Multisegment(...)``,
-    which sorts; so does ``reduced``, since relabelling the bases can
-    reorder segments.
+    which sorts.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -314,15 +315,6 @@ class Multisegment:
     def without_wildcard(self) -> "Multisegment":
         return Multisegment._sorted(self.segments, self.tate, None, self.order_tag)
 
-    def reduced(self) -> "Multisegment":
-        """Every base replaced by the label of its mod-l class.
-
-        Idempotent, commutes with ``shifted`` and with the normalized
-        product, and fixes wildcards.
-        """
-        segs = tuple(Segment(reduced_label(s.base), s.start, s.length) for s in self.segments)
-        return Multisegment(segs, self.tate, self.wildcard, self.order_tag)
-
     def __str__(self) -> str:
         parts = [str(seg) for seg in self.segments]
         if self.wildcard is not None:
@@ -368,9 +360,6 @@ class LadderShape:
         )
         return Multisegment._sorted(rows)
 
-    def reduced(self) -> "LadderShape":
-        return LadderShape(reduced_label(self.base), self.s, self.t, self.center)
-
     def __str__(self) -> str:
         if self.s == 1:
             body = self.base.id if self.t == 1 else f"St_{self.t}({self.base.id})"
@@ -388,21 +377,16 @@ def make_steinberg(pi: InertialCuspidal, t: int) -> LadderShape:
     return LadderShape(base=pi, s=1, t=t, center=ZERO)
 
 
-def make_speh(pi_or_ladder: InertialCuspidal | LadderShape, s: int) -> LadderShape:
-    """``Speh_s`` of a cuspidal label or of a Steinberg shape.
+def make_speh(ladder: LadderShape, s: int) -> LadderShape:
+    """``Speh_s`` of a Steinberg shape, a one-row ladder.
 
     ``Speh_s(St_t(pi))`` stacks s copies of the row of ``St_t(pi)`` at
-    the staggered centers ``(1-s)/2, ..., (s-1)/2``.
+    the staggered centers ``(1-s)/2, ..., (s-1)/2``; ``Speh_s(pi)`` is
+    ``make_speh(make_steinberg(pi, 1), s)``.
     """
-    if isinstance(pi_or_ladder, InertialCuspidal):
-        return LadderShape(base=pi_or_ladder, s=s, t=1, center=ZERO)
-    if isinstance(pi_or_ladder, LadderShape):
-        if pi_or_ladder.s != 1:
-            raise ValueError("make_speh expects a cuspidal label or a one-row ladder")
-        return LadderShape(
-            base=pi_or_ladder.base, s=s, t=pi_or_ladder.t, center=pi_or_ladder.center
-        )
-    raise TypeError(f"cannot build a Speh shape from {pi_or_ladder!r}")
+    if ladder.s != 1:
+        raise ValueError("make_speh expects a one-row ladder")
+    return LadderShape(base=ladder.base, s=s, t=ladder.t, center=ladder.center)
 
 
 # Speh_0 of every base and centre, one instance: a tower builds only its rows
@@ -455,15 +439,14 @@ def _union(
     """The product of ``a`` and ``b``, its segments in ``_segment_key`` order.
 
     Both tuples are sorted, so when all of ``a`` comes before all of ``b``
-    (or after it) the tuples are joined as they are.  Otherwise a factor
-    of one segment is inserted into the other's tuple at the place a
-    binary search of the keys finds, and two longer runs are merged by
-    one stable sort.  Every branch orders as a stable sort of ``a + b``
-    does: a key tie keeps ``a``'s segment first.  So ``b`` goes first
-    only when it ends strictly before ``a`` starts, a lone ``b`` goes
-    after every key of ``a`` equal to its own (``bisect_right``) and a
-    lone ``a`` before every key of ``b`` equal to its own
-    (``bisect_left``).
+    (or after it) the tuples are joined as they are.  Otherwise a ``b`` of
+    one segment, as the Steinberg factor of every graded part of a
+    filtration, is inserted into ``a``'s tuple at the place a binary search
+    of the keys finds, and any other pair is merged by one stable sort.  Every branch orders as a
+    stable sort of ``a + b`` does: a key tie keeps ``a``'s segment first.
+    So ``b`` goes first only when it ends strictly before ``a`` starts, and
+    a lone ``b`` goes after every key of ``a`` equal to its own
+    (``bisect_right``).
     """
     if a.wildcard is not None and b.wildcard is not None:
         raise ValueError("cannot combine two wildcard factors in one product")
@@ -475,21 +458,12 @@ def _union(
     elif len(right) == 1:
         at = bisect_right(left, right[0]._key, key=_segment_key)
         segments = left[:at] + right + left[at:]
-    elif len(left) == 1:
-        at = bisect_left(right, left[0]._key, key=_segment_key)
-        segments = right[:at] + left + right[at:]
     else:
         segments = tuple(sorted(left + right, key=_segment_key))
-    # a zero marker, as on every ledger product, adds nothing: keep the other
-    if not b.tate.twice:
-        tate = a.tate
-    elif not a.tate.twice:
-        tate = b.tate
-    else:
-        tate = a.tate + b.tate
     return Multisegment._sorted(
         segments,
-        tate,
+        # a zero marker on b, as on every ledger product, adds nothing
+        a.tate + b.tate if b.tate.twice else a.tate,
         a.wildcard if a.wildcard is not None else b.wildcard,
         order_tag,
     )

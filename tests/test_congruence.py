@@ -133,29 +133,28 @@ class TestDSequence:
 
     def test_single_record_staircase(self):
         rec = datum("a", 3, 2, m=2, d_xi=3, inv_dim=1)  # r = 4, weight 6
-        table = d_sequence(dataset(rec), PI, 4)
+        cells = d_sequence(dataset(rec), PI, 4).values
         for n in (0, 1):
-            w0 = table.entry(0, n)
+            w0 = cells[0, n]
             assert not w0.is_zero
-            assert table.entry(1, n) == w0
-            assert table.entry(2, n) == w0
-            assert table.entry(3, n).is_zero
+            assert cells[1, n] == w0
+            assert cells[2, n] == w0
+            assert cells[3, n].is_zero
 
-    def test_entry_outside_table_is_zero(self):
+    def test_cells_cover_the_table_only(self):
         rec = datum("a", 3, 2, m=2, d_xi=3, inv_dim=1)  # r = 4
-        table = d_sequence(dataset(rec, torsion=TorsionProfile(t0=2, tau=(5, 7))), PI, 4)
-        assert not table.entry(0, 0).is_zero and not table.entry(3, 1).is_zero
-        for k, n in ((4, 0), (9, 1), (-1, 0), (0, 2), (1, -1)):
-            assert table.entry(k, n) == GrothSum.zero()
+        cells = d_sequence(dataset(rec, torsion=TorsionProfile(t0=2, tau=(5, 7))), PI, 4).values
+        assert set(cells) == {(k, n) for k in range(4) for n in (0, 1)}
+        assert not cells[0, 0].is_zero and not cells[3, 1].is_zero
 
     def test_torsion_hits_positive_degrees_only(self):
         prof = TorsionProfile(t0=2, tau=(5, 7))
-        table = d_sequence(dataset(torsion=prof), PI, 3)
+        cells = d_sequence(dataset(torsion=prof), PI, 3).values
         for n, tau in ((0, 5), (1, 7)):
-            assert table.entry(0, n).is_zero
+            assert cells[0, n].is_zero
             expected = GrothSum.of(unit_symbol(n), tau)
-            assert table.entry(1, n) == expected
-            assert table.entry(2, n) == expected
+            assert cells[1, n] == expected
+            assert cells[2, n] == expected
 
     def test_additive_in_dataset(self):
         a, b = datum("a", 2, 3, m=2), datum("b", 4, 1, d_xi=3)

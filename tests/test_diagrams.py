@@ -503,7 +503,8 @@ components = st.builds(
 
 class TestRebuildMatchesReplace:
     """``substituted`` and ``reduced`` of components, and labels built on
-    them, build what ``dataclasses.replace`` built."""
+    them, build what ``dataclasses.replace`` built; congruent components
+    reduce equal, and reducing twice reduces once."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -518,9 +519,19 @@ class TestRebuildMatchesReplace:
             return tuple((t, new if base == old else base) for t, base in x.factors)
 
         ref_sub = dataclasses.replace(c, factors=substituted(c))
+        # ref_red keeps c's wildcard: reduction leaves a wildcard fixed
         ref_red = dataclasses.replace(c, factors=tuple((t, reduced_label(b)) for t, b in c.factors))
+        # the same classes under other ids and self-twist counts
+        congruent = dataclasses.replace(
+            c,
+            factors=tuple(
+                (t, dataclasses.replace(b, id=b.id + "'", e_pi=b.e_pi + 1)) for t, b in c.factors
+            ),
+        )
         self.assert_same(c.substituted(old, new), ref_sub)
         self.assert_same(c.reduced(), ref_red)
+        self.assert_same(congruent.reduced(), ref_red)
+        self.assert_same(c.reduced().reduced(), ref_red)
         for k in range(1, len(c.factors) + 1):
             label = ConstituentLabel(c, DiagramPoint(r, i), k)
             sub = ConstituentLabel(label.component.substituted(old, new), label.point, k)

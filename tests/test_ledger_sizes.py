@@ -30,6 +30,7 @@ import copy
 import hashlib
 import io
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,13 +54,14 @@ from spehline import (
     filtration_graded,
     generic_infinitesimal,
     group_by_stratum,
+    make_steinberg,
     normalized_product,
     resolution_terms,
     speh_tower,
     strip_adjunction_core,
     torsion_transfer_label,
 )
-from spehline import ledger
+from spehline import ledger, zline
 from spehline.cli import main
 from spehline.jsonio import canonical_dumps, ledger_term_to_dict, multisegment_to_dict
 from spehline.ledger import INTERMEDIATE, SHRIEK
@@ -277,6 +279,47 @@ class TestGrowthGuard:
             assert len(built) <= 8 * (n + 1)
 
 
+class TestLedgerProductsNeverSort:
+    """Every ledger product joins its factors' tuples or inserts a lone
+    right segment: none reaches the stable sort of ``zline._union``.
+    Counted under ``sys.setprofile``, so a branch change that sends a
+    ledger case to the sort fails here, though every output is unchanged."""
+
+    @pytest.mark.parametrize("n,g", SIZES)
+    def test_no_sorted_call_in_union(self, n, g):
+        case = _case(n, g)
+        ctx, t = _context(case), case["t"]
+        inf = generic_infinitesimal(ctx, t)
+        union = zline._union.__code__
+        counts: dict[str, list[int]] = {}
+
+        def profile(frame, event, arg):
+            if frame.f_code is not union:
+                return
+            if event == "call":
+                counts[name][0] += 1
+            elif event == "c_call" and arg is sorted:
+                counts[name][1] += 1
+
+        previous = sys.getprofile()
+        for run in (expand_resolution, resolution_terms, filtration_graded):
+            name = run.__name__
+            counts[name] = [0, 0]
+            sys.setprofile(profile)
+            try:
+                run(ctx, t, inf)
+            finally:
+                sys.setprofile(previous)
+        # [products, sorts] of each run: one product per shriek of the
+        # resolution and one per graded part past 0 of a filtration, n at t
+        # and n(n + 1)/2 over every shriek the expansion filters
+        assert counts == {
+            "expand_resolution": [n + 1 + n * (n + 1) // 2, 0],
+            "resolution_terms": [n + 1, 0],
+            "filtration_graded": [n, 0],
+        }
+
+
 class TestSpehTable:
     """Every ``Speh_delta`` of a ``speh_tower`` is a slice of one list of
     shared cells, each built once."""
@@ -408,7 +451,7 @@ class TestNoSortingBuild:
 
 def _merged_expansion(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum:
     """The expansion's terms, summed through the merging constructor."""
-    steinbergs: list[Multisegment] = []
+    steinbergs = [make_steinberg(ctx.pi, delta).to_multisegment() for delta in range(1, ctx.s_g - t + 1)]
     return GrothSum(
         (
             LedgerTerm(INTERMEDIATE, term.stratum + delta, part, term.xi_power, HalfInt(delta)),
