@@ -587,8 +587,9 @@ def generate_dataset(
     ``pairs`` prescribes the contributing shapes exactly (repeats give
     multiplicity); when omitted a random admissible selection is drawn.
     All shapes satisfy ``s + t - 1 = r``; extra factors and fillers use
-    bases foreign to the anchor, so ``r`` stays maximal.  Unsatisfiable
-    constraints raise ``ValueError``.
+    bases foreign to the anchor, so ``r`` stays maximal.  A wildcard fills
+    each record up to degree ``d``, and a record whose factors fill ``d``
+    has none.  Unsatisfiable constraints raise ``ValueError``.
     """
     rng = random.Random(seed)
     d, g, pi = ctx.d, ctx.g, ctx.pi

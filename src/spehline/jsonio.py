@@ -18,16 +18,12 @@ Dataset files carry the traffic, thousands of records each, of which a
 query reads the few in one row.  Each record is checked once, on the raw
 document: :func:`_rows` makes every check of the checked reader and the
 constructors, and yields the record's row to the ``Dataset`` walk, which
-checks ids and degrees and indexes the records.  A file that passes
-becomes a dataset that builds each record from its raw fields when it is
-first read (:func:`_record`, see :class:`~spehline.congruence.Dataset`),
-so the document must not change after it is read.  A file that fails
-was checked up to the faulty record, and every record before it passed
-every check, and the checked reader reads the rest, record by record, so
-the first fault raises.  If none does, the records before it are built
-directly, or, when the walk refused that record, the walk's error is
-raised where the dataset would walk them.  Errors, their paths and which
-of two faults is reported do not depend on the check.
+checks ids and degrees and indexes the records.  A record that fails the
+check is read alone by the checked reader, which raises its first fault,
+so errors, their paths and which of two faults is reported do not depend
+on the check.  The dataset builds each record from its raw fields when it
+is first read (:func:`_record`, see :class:`~spehline.congruence.Dataset`),
+so the document must not change after it is read.
 """
 
 from __future__ import annotations
@@ -316,7 +312,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     """The record at ``path``, each field checked as it is read: the reader
-    that finds and reports the first fault of a file that fails the check."""
+    that finds and reports the first fault of a record that fails the check
+    of :func:`_rows`."""
     return AutomorphicDatum(
         id=_need(rec, "id", str, path),
         local=_local_from_dict(_need(rec, "local", dict, path), cuspidals, f"{path}.local"),
@@ -327,21 +324,18 @@ def _checked_record(rec: dict, cuspidals: dict, path: str) -> AutomorphicDatum:
     )
 
 
-def _rows(records: list, cuspidals: dict, stop: list):
-    """The walk's row of each record, once the record passes the checks of
-    :func:`_checked_record` and the constructors: exact types, the ``>= 1``
-    bounds, a factor or a wildcard, a wildcard degree ``>= 0`` and known
-    cuspidal ids.  Builds nothing; a failed check raises ``TypeError``, a
-    missing field ``KeyError``, ``TypeError`` or ``AttributeError``.
+def _rows(records: list, cuspidals: dict):
+    """The walk's row of each record, ``(id, s, factors, wildcard degree)``.
 
-    On leaving, at the end, at a failed check or when closed, it appends to
-    ``stop`` the position of the last record it took.  When a check here
-    or in the walk fails, that is the faulty record, and every record
-    before it passed every check.
+    A record is taken when it passes the checks of :func:`_checked_record`
+    and the constructors: exact types, the ``>= 1`` bounds, a factor or a
+    wildcard, a wildcard degree ``>= 0`` and known cuspidal ids.  That check
+    builds nothing.  A record that fails it is read on the spot by
+    :func:`_checked_record`, which raises the record's first fault; a record
+    that reader accepts gives its row from the record it built.
     """
-    idx = 0
-    try:
-        for idx, rec in enumerate(records):
+    for idx, rec in enumerate(records):
+        try:
             loc = rec["local"]
             factors, wild = loc["factors"], loc.get("wildcard")
             ident, s, m, d_xi, inv_dim, satake = (
@@ -371,15 +365,18 @@ def _rows(records: list, cuspidals: dict, stop: list):
                 if not (type(f) is dict and type(t) is int and type(cid) is str and t > 0):
                     raise TypeError
                 pairs.append((t, cuspidals[cid]))
-            yield ident, s, pairs, degree
-    finally:
-        stop.append(idx)
+        except (KeyError, TypeError, AttributeError):
+            datum = _checked_record(rec, cuspidals, f"data[{idx}]")
+            local = datum.local
+            ident, s, pairs = datum.id, local.s, local.factors
+            degree = 0 if local.wildcard is None else local.wildcard.degree
+        yield ident, s, pairs, degree
 
 
 def _record(rec: dict, cuspidals: dict) -> AutomorphicDatum:
     """The record :func:`_checked_record` builds from ``rec``, built from the
     raw fields by the same constructor calls, for a record that passed
-    :func:`_rows`: it has every field, at its exact type."""
+    :func:`_rows`: it has every field, at its type."""
     loc = rec["local"]
     wild = loc.get("wildcard")
     if wild is not None:
@@ -419,17 +416,15 @@ def _builder(records: list, cuspidals: dict):
 def dataset_from_dict(obj: dict) -> Dataset:
     """Read a dataset document.
 
-    When every record passes :func:`_rows` and the walk, the dataset
-    keeps the document's records and builds each from them when it is
-    first read (:func:`_builder`), so the document must not change
-    afterwards.  Otherwise the check stopped at a faulty record: the
-    records before it passed every check and are built directly, and the
-    checked reader reads the rest, record by record, so the first fault
-    raises as if it had read them all.  A fault the walk found (a repeated
-    id or a record of the wrong degree) is kept, and the records are not
-    walked again: ``Dataset._unbuilt`` raises it where ``Dataset(...)``
-    would walk them, after the checked records, the torsion, the levels,
-    the context and the level checks.
+    The dataset keeps the document's records and builds each from them
+    when it is first read (:func:`_builder`), so the document must not
+    change afterwards.  Every record is checked first, by :func:`_rows` and
+    the walk.  A fault the walk finds (a repeated id or a record of the
+    wrong degree) is kept while :func:`_rows` checks the rest, so a later
+    record's schema fault still raises first; the records are not walked
+    again: ``Dataset._unbuilt`` raises the kept error where
+    ``Dataset(...)`` would walk them, after the torsion, the levels, the
+    context and the level checks.
     """
     _version(obj)
     context = _need(obj, "context", dict, "")
@@ -438,23 +433,13 @@ def dataset_from_dict(obj: dict) -> Dataset:
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
     records = _need(obj, "data", list, "")
-    stop = [0]
-    rows = _rows(records, cuspidals, stop)
-    data = None
+    rows = _rows(records, cuspidals)
     try:
         walk = _walk(d, pi, rows)
-    except (KeyError, TypeError, AttributeError, InconsistentDataError) as fault:
-        # a fault of the walk is raised where the dataset would walk again
-        walk = fault if isinstance(fault, InconsistentDataError) else None
-        rows.close()  # paused at a record the walk refused: its position goes to ``stop``
-        start = stop[-1]
-        # checked first: a fault raises before the records ahead of it are built
-        rest = [
-            _checked_record(records[idx], cuspidals, f"data[{idx}]")
-            for idx in range(start, len(records))
-        ]
-        if walk is None:
-            data = tuple([_record(rec, cuspidals) for rec in records[:start]] + rest)
+    except InconsistentDataError as fault:
+        walk = fault
+        for _ in rows:  # the rest of the records, checked
+            pass
     torsion = _need(obj, "torsion", dict, "")
     context = GlobalContext(d=d, pi=pi, kappa=_fraction(kappa))
     torsion = TorsionProfile(
@@ -462,8 +447,6 @@ def dataset_from_dict(obj: dict) -> Dataset:
         tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
     )
     levels = _ints(_need(obj, "levels", list, ""), "levels")
-    if data is not None:
-        return Dataset(context=context, data=data, torsion=torsion, levels=levels)
     return Dataset._unbuilt(context, torsion, levels, walk, _builder(records, cuspidals))
 
 

@@ -41,13 +41,6 @@ class TorsionProfile:
         elif self.t0 < 1:
             raise ValueError(f"t0 must be >= 1, got {self.t0}")
 
-    def tau_at(self, n: int) -> int:
-        if self.t0 is None:
-            return 0
-        if not 0 <= n < len(self.tau):
-            raise ValueError(f"no torsion dimension recorded for level {n}")
-        return self.tau[n]
-
 
 def i_of_t(profile: TorsionProfile, t: int) -> int | float:
     """First degree with torsion at stratum ``t``: ``t - t0``, else +inf."""
@@ -103,4 +96,6 @@ def torsion_dimension(profile: TorsionProfile, k: int, n: int) -> int:
         raise ValueError(f"degree index must be >= 0, got {k}")
     if k == 0 or profile.t0 is None:
         return 0
-    return profile.tau_at(n)
+    if not 0 <= n < len(profile.tau):
+        raise ValueError(f"no torsion dimension recorded for level {n}")
+    return profile.tau[n]

@@ -319,6 +319,19 @@ class TestCongruenceCommand:
         assert out.strip() == "equal"
         assert json.loads(report.read_text())["exit_code"] == 0
 
+    def test_report_file_unequal(self, capsys, tmp_path):
+        a, b, s = self.write_pair(tmp_path)
+        obj = json.loads(Path(b).read_text())
+        obj["data"][0]["m"] += 1
+        Path(b).write_text(canonical_dumps(obj))
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "congruence", a, b, "--r", "4", "--s", str(s),
+            "--report", str(report),
+        )
+        assert (code, out) == (1, "unequal\n")
+        assert json.loads(report.read_text())["exit_code"] == 1
+
 
 # ------------------------------------------------------------ malformed input
 

@@ -413,6 +413,14 @@ class TestTheoremCheck:
         verdict = theorem_check(ds, PI, other, PI_TWIN, 4, s)
         assert verdict.equal and not verdict.diffs
 
+    def test_substituting_another_label_keeps_the_anchor(self):
+        ds = generate_dataset(3, CTX, r=4, noise_data=3)
+        noise = next(b for x in ds.data for _, b in x.local.factors if b.id != PI.id)
+        moved = InertialCuspidal("moved", noise.g, modl_class=noise.modl_class)
+        out = substitute_cuspidal(ds, noise, moved)
+        assert out.context == ds.context and out.context.pi is PI
+        assert moved in out.labels and noise not in out.labels
+
     def test_symmetric(self):
         ds = generate_dataset(5, CTX, r=4)
         other = substitute_cuspidal(ds, PI, PI_TWIN)

@@ -49,3 +49,12 @@ def test_sums_are_unhashable(total):
     # no code keys a dict or a set by a sum, as none does by the dataclasses holding one
     with pytest.raises(TypeError):
         hash(total)
+
+
+def test_foreign_operands_are_refused():
+    # a float scale or an int summand is a type error, and a sum equals no int
+    with pytest.raises(TypeError):
+        GrothSum.of("a") * 1.5
+    with pytest.raises(TypeError):
+        GrothSum() + 1
+    assert (GrothSum() == 0) is False

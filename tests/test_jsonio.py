@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -243,25 +244,53 @@ def test_every_double_fault_matches_table():
 
 # ------------------------------------------------------ the check pass is sound
 # ``dataset_from_dict`` checks every record on the document before it builds
-# any (``jsonio._rows``, then the walk).  With that check switched off, every
-# file is read record by record, as a file that fails it is.  A file the
-# check accepts must read the same both ways, and every file both readers
-# accept must pass the check, or a valid file would lose the lazy read.
+# any (``jsonio._rows``, then the walk), and reads a record by the checked
+# reader only where that check fails.  With the check switched off, every
+# record is read by the checked reader.  A file must read the same both ways,
+# and every JSON file the checked reader accepts must pass the check: its
+# read makes no call of the checked reader.
 
 
-def _refuse_first(*args):
-    """Rows whose check refuses the first record."""
-    raise TypeError
-    yield
+def _checked_rows(records, cuspidals):
+    """The walk's row of each record, read by the checked reader."""
+    for idx, rec in enumerate(records):
+        datum = jsonio._checked_record(rec, cuspidals, f"data[{idx}]")
+        local = datum.local
+        degree = 0 if local.wildcard is None else local.wildcard.degree
+        yield datum.id, local.s, local.factors, degree
 
 
 @contextlib.contextmanager
 def _check_off(monkeypatch):
-    """Inside, ``dataset_from_dict`` reads every file as one that fails the
-    check at its first record: every record by the checked reader."""
+    """Inside, ``dataset_from_dict`` reads every record by the checked reader."""
     with monkeypatch.context() as patch:
-        patch.setattr(jsonio, "_rows", _refuse_first)
+        patch.setattr(jsonio, "_rows", _checked_rows)
         yield
+
+
+@contextlib.contextmanager
+def _counting_checked(monkeypatch):
+    """Inside, the list yielded holds one entry per checked-reader call."""
+    calls = []
+    checked = jsonio._checked_record
+
+    def counted(*args):
+        calls.append(args[2])
+        return checked(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jsonio, "_checked_record", counted)
+        yield calls
+
+
+def _checked_data(doc: dict, ds: Dataset) -> tuple[AutomorphicDatum, ...]:
+    """The records of ``doc`` as the checked reader reads them, over the
+    label objects of ``ds``."""
+    cuspidals = {label.id: label for label in ds.labels}
+    return tuple(
+        jsonio._checked_record(rec, cuspidals, f"data[{idx}]")
+        for idx, rec in enumerate(doc["data"])
+    )
 
 
 def _read(doc):
@@ -276,19 +305,20 @@ def _read(doc):
 
 def _assert_same_read(doc, monkeypatch) -> bool:
     """The two reads of ``doc`` agree; returns whether it was accepted."""
-    lazy = _read(doc)
+    with _counting_checked(monkeypatch) as calls:
+        read = _read(doc)
     with _check_off(monkeypatch):
-        eager = _read(doc)
-    if eager[0] is False:  # accepted record by record: the check passes, the forms match
-        assert lazy[:2] == (True, eager[1]), doc
+        reference = _read(doc)
+    if reference[0] is True:  # accepted by the checked reader: the check passes
+        assert calls == [] and read[:2] == reference[:2], doc
         # the records built from the raw document equal the checked ones and
         # hold the dataset's own label objects
-        ds = lazy[2]
-        assert ds.data == eager[2].data, doc
+        ds = read[2]
+        assert ds.data == _checked_data(doc, ds), doc
         labels = {id(label) for label in ds.labels}
         assert all(id(base) in labels for x in ds.data for _, base in x.local.factors), doc
         return True
-    assert lazy == eager, doc
+    assert read == reference, doc
     return False
 
 
@@ -390,6 +420,20 @@ def test_a_document_json_cannot_give_reads_the_same(where, monkeypatch):
     assert not _assert_same_read(doc, monkeypatch)
 
 
+def test_a_dict_subclass_is_read_by_the_checked_reader(monkeypatch):
+    # ``json.load`` with ``object_pairs_hook=OrderedDict`` gives such a
+    # document: the check refuses every record, and the checked reader,
+    # which accepts any dict, reads each one alone into the same dataset
+    doc = small_dataset_doc()
+    ordered = json.loads(json.dumps(doc), object_pairs_hook=collections.OrderedDict)
+    with _counting_checked(monkeypatch) as calls:
+        ds = dataset_from_dict(ordered)
+    assert calls == [f"data[{idx}]" for idx in range(len(doc["data"]))]
+    plain = dataset_from_dict(doc)
+    assert ds._index == plain._index and ds.labels == plain.labels
+    assert ds == plain
+
+
 def test_random_mutations_read_the_same_with_and_without_the_check(monkeypatch):
     rng = random.Random(20261018)
     bases = _multi_record_docs()
@@ -434,13 +478,13 @@ class TestOneWalk:
         generate_dataset(5, GlobalContext(d=12, pi=PI), r=4)
         assert counts == {"walk": 1, "checked": 0}
 
-    def test_a_walk_fault_reads_record_by_record(self, counts):
-        # from the record the walk stopped at: the records before it passed
+    def test_a_walk_fault_reads_no_record_alone(self, counts):
+        # the records after the one the walk refused pass the check
         doc = small_dataset_doc()
         doc["data"][1]["id"] = doc["data"][0]["id"]
         with pytest.raises(InconsistentDataError, match="duplicate datum id"):
             dataset_from_dict(doc)
-        assert counts == {"walk": 1, "checked": 6}  # the walk's error is kept, not found again
+        assert counts == {"walk": 1, "checked": 0}  # the walk's error is kept, not found again
 
     def test_a_fault_in_the_last_record_reads_it_alone(self, counts):
         doc = small_dataset_doc()
@@ -450,20 +494,21 @@ class TestOneWalk:
         assert counts == {"walk": 1, "checked": 1}
 
 
-def _read_eagerly(doc, monkeypatch) -> Dataset:
-    with _check_off(monkeypatch):
-        ds = dataset_from_dict(doc)
-    assert not unbuilt(ds)
-    return ds
+def _built(ds: Dataset, doc: dict) -> Dataset:
+    """The dataset read from ``doc`` built from the checked reader's records,
+    over the label objects of ``ds``."""
+    return Dataset(ds.context, _checked_data(doc, ds), ds.torsion, ds.levels)
 
 
 class TestUnbuiltDataset:
-    """A dataset read with its records unbuilt behaves as one read eagerly."""
+    """A dataset read with its records unbuilt behaves as one built from the
+    checked reader's records."""
 
     @pytest.mark.parametrize("which", range(5))
-    def test_reads_match(self, which, monkeypatch):
+    def test_reads_match(self, which):
         doc = _multi_record_docs()[which]
-        lazy, eager = dataset_from_dict(doc), _read_eagerly(doc, monkeypatch)
+        lazy = dataset_from_dict(doc)
+        eager = _built(lazy, doc)
         assert unbuilt(lazy)
         assert lazy.labels == eager.labels
         anchors = [label for label in eager.labels if label.id in eager._index]
@@ -476,9 +521,9 @@ class TestUnbuiltDataset:
             assert twin == eager and twin.labels == eager.labels and not unbuilt(twin)
 
     @pytest.mark.parametrize("which", range(5))
-    def test_substitute_and_replace_match(self, which, monkeypatch):
+    def test_substitute_and_replace_match(self, which):
         doc = _multi_record_docs()[which]
-        eager = _read_eagerly(doc, monkeypatch)
+        eager = _built(dataset_from_dict(doc), doc)
 
         def same(make):
             lazy = dataset_from_dict(doc)

@@ -65,6 +65,10 @@ def test_quick_tour(tmp_path, monkeypatch, capsys):
     assert "degree 12" in capsys.readouterr().out
     terms = sl.resolution_terms(ns["ctx"], 2, ns["inf"])
     assert [(source, target) for source, target, _ in ns["arrows"]] == list(zip(terms[1:-1], terms))
+    # the README's congruence line reads the two files the tour wrote
+    (argv,) = [argv for argv in cli_lines() if argv[0] == "congruence"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "equal\n"
 
 
 def test_single_square_line(capsys):

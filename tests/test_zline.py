@@ -92,6 +92,14 @@ class TestShapes:
         assert (seg.start, seg.end, seg.length) == (HalfInt(-2), HalfInt(2), 3)
         assert row.degree == 3 * PI.g
 
+    def test_str_names_the_centre(self):
+        x = InertialCuspidal("x", 1)
+        assert str(LadderShape(x, s=2, t=3, center=HalfInt(1))) == "Speh_2(St_3(x)){1/2}"
+        assert str(LadderShape(x, s=2, t=3, center=ZERO)) == "Speh_2(St_3(x))"
+
+    def test_empty_multisegment_str(self):
+        assert str(Multisegment()) == "[]"
+
     def test_steinberg_degree_scan(self):
         for base in BASES:
             for t in range(1, 51):
@@ -806,6 +814,10 @@ class TestSegmentKey:
 class TestModLReduce:
     """``reduced_label``, the one mod-l reduction ``zline`` keeps; components
     apply it to their factors."""
+
+    def test_class_defaults_to_the_id(self):
+        assert InertialCuspidal("x", 1).modl_class == "x"
+        assert InertialCuspidal("x", 1, modl_class="a").modl_class == "a"
 
     def test_idempotent(self):
         once = reduced_label(PI)
