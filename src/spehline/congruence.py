@@ -14,15 +14,15 @@ datasets anchored at congruent cuspidals.
 
 Invariant dimensions are not computable from labels, so a matching
 record contributes its weight to its mod-l class, the same at every
-level.  Weights are therefore level-free until read: tables, peels and
-the two sides of the check are sums over mod-l keys, and only torsion
-carries a level, as one integer per level.  Where a caller reads a
-level (``DimensionTable.values``, ``ContributionSet.pairs``,
-the ``Verdict`` sides and diffs) a weight is spread onto one formal
-symbol per (mod-l class, level), and torsion onto the reserved unit
-symbol of each level.  A symbol is a tuple ``(key, level)``, built by
-``tuple.__new__``, and a spread sum is built as one dict in one pass,
-not merged term by term.
+level.  Weights are therefore level-free until read: tables, peels,
+contribution sets (``weights``) and the two sides of the check are sums
+over mod-l keys; torsion alone carries a level, one integer per level.
+Only where a caller reads a level (``DimensionTable.values``,
+``ContributionSet.pairs``, the ``Verdict`` sides and diffs) is a weight
+spread onto one formal symbol per (mod-l class, level), and torsion onto
+the reserved unit symbol of each level.  A symbol is a tuple
+``(key, level)``, built by ``tuple.__new__``, and a spread sum is built
+as one dict in one pass, not merged term by term.
 
 A record's mod-l class is the string ``modl_key``.  Its memo keeps the
 wildcard-free text of each traced term; a miss formats one
@@ -423,26 +423,33 @@ def d_sequence(ds: Dataset, pi: InertialCuspidal, r: int) -> DimensionTable:
 class ContributionSet:
     """The recovered ``(s, t)`` pairs of one radius, with their weights.
 
-    Every pair satisfies ``s + t - 1 = r``.  Weights are formal sums
-    over the level-indexed dimension symbols; witness ids, when known,
-    are carried as metadata and ignored by equality.
+    Every pair satisfies ``s + t - 1 = r``.  ``weights`` keeps each pair's
+    level-free weight, a sum over mod-l keys; ``pairs`` spreads them onto
+    ``levels`` when read, one ``DimensionProfileSymbol`` per (key, level).
+    Equality compares ``r``, ``levels`` and ``weights``, so two empty sets
+    on different towers differ; witness ids, when known, are metadata.
     """
 
     r: int
-    pairs: dict[tuple[int, int], GrothSum]
+    weights: dict[tuple[int, int], GrothSum]
+    levels: tuple[int, ...]
     witnesses: dict[tuple[int, int], tuple[str, ...]] = field(
         default_factory=dict, compare=False
     )
 
+    @property
+    def pairs(self) -> dict[tuple[int, int], GrothSum]:
+        return {shape: _spread(weight, self.levels) for shape, weight in self.weights.items()}
+
     def __post_init__(self) -> None:
-        for (s, t) in self.pairs:
+        for (s, t) in self.weights:
             if s < 1 or t < 1 or s + t - 1 != self.r:
                 raise InconsistentDataError(
                     f"pair ({s},{t}) incompatible with radius {self.r}"
                 )
 
     def shapes(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        return sorted(self.weights)
 
 
 def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
@@ -457,7 +464,8 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
     of the walk: a negative one rejects the table there and a positive
     one at ``k = 1`` of the peel, so no pair carries torsion.  At
     ``r = 1`` the walk still reaches ``k = 1``, on the zero row
-    ``d_{1,n}`` the peel reads, so every radius checks the claim.
+    ``d_{1,n}`` the peel reads, so every radius checks the claim.  Each
+    nonzero difference is kept level-free; an empty tower keeps none.
     """
     r, levels = table.r, table.levels
     sums = (*table.sums, GrothSum.zero())
@@ -471,7 +479,7 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
                 raise InconsistentTableError(
                     f"negative residue at k={k}, n={n} after torsion subtraction"
                 )
-    pairs: dict[tuple[int, int], GrothSum] = {}
+    weights: dict[tuple[int, int], GrothSum] = {}
     for k in range(r, 0, -1):
         diff = sums[k - 1] - sums[k]
         negative = diff.has_negative()
@@ -480,20 +488,20 @@ def infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-        weight = _spread(diff, levels)
-        if not weight.is_zero:
-            pairs[(k, r - k + 1)] = weight
-    return ContributionSet(r=r, pairs=pairs)
+        if not diff.is_zero and levels:
+            weights[(k, r - k + 1)] = diff
+    return ContributionSet(r=r, weights=weights, levels=levels)
 
 
 def expected_contributions(
     ds: Dataset, pi: InertialCuspidal, r: int
 ) -> ContributionSet:
-    """Ground-truth contribution set read directly off the records."""
+    """Ground-truth contribution set read off the records: level-free weights on ``ds.levels``."""
     rows = [(s, ds._build(row)) for s, row in _matching(ds, pi, r)[0].items()]
     return ContributionSet(
         r=r,
-        pairs={(s, r - s + 1): _spread(_weight(row, pi, r), ds.levels) for s, row in rows},
+        weights={(s, r - s + 1): _weight(row, pi, r) for s, row in rows},
+        levels=ds.levels,
         witnesses={(s, r - s + 1): tuple(datum.id for datum in row) for s, row in rows},
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,16 @@ def test_summary_is_a_complete_record():
     for metric in METRICS:
         for side in ("parent", "change"):
             assert isinstance(table["metrics"][metric["name"]][side]["median"], float)
+
+
+def test_a_run_that_times_out_counts_as_failed(monkeypatch, capsys):
+    seen = {}
+
+    def hung(argv, **kwargs):
+        seen.update(kwargs)
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", hung)
+    assert bench_pairs.run_once(ROOT, "shapes", 1, 10) is None
+    assert seen["timeout"] == bench_pairs.TIMEOUT_S == 300
+    assert "timed out after 300 s" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +35,7 @@ from spehline.jsonio import dataset_from_dict, dataset_to_dict
 from spehline.torsion import torsion_dimension
 
 from support import PI, PI_TWIN, RHO, single_field_mutations, unbuilt
+from test_golden_separation import INPUTS as GOLDEN_INPUTS
 
 CTX = GlobalContext(d=12, pi=PI)
 
@@ -211,8 +214,9 @@ class TestInferB:
             infer_B(table, phantom)
 
 
-def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> ContributionSet:
-    """``infer_B`` as a matrix of unit residues, one per cell ``(k, n)``."""
+def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> SimpleNamespace:
+    """``infer_B`` as a matrix of unit residues, one per cell ``(k, n)``: its
+    ``r`` and its ``pairs``, each weight spread onto the levels here."""
     r, levels = table.r, table.levels
     sums = (*table.sums, GrothSum.zero())
     units = {}  # the unit residue tau_table - tau_given of each cell
@@ -242,7 +246,7 @@ def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> Contribu
         )
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
-    return ContributionSet(r=r, pairs=pairs)
+    return SimpleNamespace(r=r, pairs=pairs)
 
 
 def random_profile(rng: random.Random) -> TorsionProfile:
@@ -360,6 +364,107 @@ class TestSpread:
             assert found and any(not v.equal for v in verdicts)
             assert all(type(symbol) is DimensionProfileSymbol for symbol in found)
         assert type(unit_symbol(3)) is DimensionProfileSymbol
+
+
+def merged_spread(weight: GrothSum, levels: tuple[int, ...]) -> GrothSum:
+    """A level-free weight on each level's symbols, through the merging constructor."""
+    return GrothSum(
+        [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in weight.items()]
+    )
+
+
+class TestPairsView:
+    """A contribution set keeps level-free ``weights``; ``pairs`` spreads them
+    onto ``levels`` when read, with the shapes, order and ``repr`` of a spread
+    merged term by term.  ``TestInferBPerCell`` checks the pairs themselves."""
+
+    @staticmethod
+    def check_view(found: ContributionSet) -> None:
+        want = {shape: merged_spread(w, found.levels) for shape, w in found.weights.items()}
+        got = found.pairs
+        assert list(got) == list(want)
+        assert [repr(weight) for weight in got.values()] == [repr(w) for w in want.values()]
+
+    def test_golden_inputs(self):
+        for _, seed, r, levels, tau in GOLDEN_INPUTS:
+            torsion = TorsionProfile(t0=2, tau=tau) if tau is not None else None
+            ds = generate_dataset(seed, CTX, r=r, levels=levels, torsion=torsion, noise_data=2)
+            table = d_sequence(ds, PI, r)
+            for found in (infer_B(table, ds.torsion), expected_contributions(ds, PI, r)):
+                assert found.weights and found.levels == levels
+                self.check_view(found)
+
+    def test_random_tables(self):
+        rng = random.Random(34)
+        peeled = empty_towers = 0
+        for _ in range(400):
+            table = random_table(rng)
+            try:
+                found = infer_B(table, table.torsion)
+            except ValueError:
+                continue
+            peeled += 1
+            assert found.levels == table.levels
+            self.check_view(found)
+            if not table.levels and any(table.sums):
+                # a nonzero peel on no level gives no pair, as its spread is 0
+                empty_towers += 1
+                assert found.weights == {} and found.pairs == {}
+        assert peeled > 100 and empty_towers > 5
+
+    def test_equality_reads_radius_levels_and_weights(self):
+        weights = {(2, 3): GrothSum.of("a", 2)}
+        found = ContributionSet(r=4, weights=weights, levels=(0, 1))
+        assert found == ContributionSet(
+            r=4, weights=dict(weights), levels=(0, 1), witnesses={(2, 3): ("x",)}
+        )
+        assert found != ContributionSet(r=4, weights=weights, levels=(0, 2))
+        assert found != ContributionSet(r=4, weights={(2, 3): GrothSum.of("a", 3)}, levels=(0, 1))
+        assert ContributionSet(r=4, weights={}, levels=(0,)) != ContributionSet(
+            r=5, weights={}, levels=(0,)
+        )
+        # two empty sets on different towers differ, though neither has a pair
+        one, two = (ContributionSet(r=4, weights={}, levels=levels) for levels in ((0,), (0, 1)))
+        assert one.pairs == two.pairs == {}
+        assert one != two
+        assert one == ContributionSet(r=4, weights={}, levels=(0,))
+
+
+class TestSpreadOnRead:
+    """Counted under ``sys.setprofile``: ``infer_B`` and
+    ``expected_contributions`` make no ``_spread`` call, and each read of
+    ``pairs`` makes exactly one per pair."""
+
+    TAU = (1, 0, 2, 5, 0, 3, 1, 4, 2, 0, 6, 2)
+
+    @staticmethod
+    def spread_calls(build):
+        code, calls = _spread.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            out = build()
+        finally:
+            sys.setprofile(previous)
+        return out, len(calls)
+
+    @pytest.mark.parametrize("torsion", [False, True])
+    def test_spread_only_on_read(self, torsion):
+        profile = TorsionProfile(t0=2, tau=self.TAU) if torsion else None
+        ds = generate_dataset(8, CTX, r=5, levels=tuple(range(12)), torsion=profile, noise_data=2)
+        table = d_sequence(ds, PI, 5)
+        builds = (lambda: infer_B(table, ds.torsion), lambda: expected_contributions(ds, PI, 5))
+        for build in builds:
+            found, calls = self.spread_calls(build)
+            assert calls == 0 and len(found.weights) > 1
+            for _ in range(2):
+                pairs, calls = self.spread_calls(lambda: found.pairs)
+                assert calls == len(pairs) == len(found.weights)
 
 
 class TestDimensionProfileSymbol:

@@ -35,7 +35,7 @@ REFUSALS = {
         ValueError, "radius must be >= 1, got 0",
     ),
     "contribution pair off its radius": (
-        lambda: ContributionSet(r=3, pairs={(1, 1): GrothSum()}),
+        lambda: ContributionSet(r=3, weights={(1, 1): GrothSum()}, levels=(0,)),
         InconsistentDataError, "pair (1,1) incompatible with radius 3",
     ),
     "generated radius 0": (

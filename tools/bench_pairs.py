@@ -6,7 +6,9 @@ held-out seed 1001, for every workload of ``BENCHMARK.json``, each run as
 long as its ``run_seconds`` (passed as ``--seconds``: a one-workload run of
 ``run.py`` otherwise takes its own default).  Odd pairs run the parent first and even pairs
 the change first, and each pair runs every workload before the next pair
-starts.  Standard library only; it changes nothing under ``perfbench/``.
+starts.  A run still going after ``TIMEOUT_S`` seconds is stopped and
+counts as failed.  Standard library only; it changes nothing under
+``perfbench/``.
 
     python3 tools/bench_pairs.py PARENT_TREE --out BENCH_N.json
 
@@ -37,6 +39,9 @@ RUN = ["perfbench/run.py"]
 # (seed, pairs): run.py's default seed, then its first held-out seed.  Ten
 # pairs are what a claimed gain is judged on.
 SEEDS = ((1, 10), (1001, 5))
+# seconds before a run is stopped and counted as failed: the bound run.py's
+# own child() puts on each of its runs
+TIMEOUT_S = 300
 
 # the figures run.py prints before its JSON line
 _KERNEL = re.compile(r"reference kernel ([\d.]+) ms")
@@ -79,10 +84,14 @@ def parse_run(stdout: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict | None:
-    """One benchmark run in ``tree``; ``None`` if it failed or printed no figures."""
+    """One benchmark run in ``tree``; ``None`` if it failed, timed out or printed no figures."""
     argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"  {tree}: {workload} seed {seed} timed out after {TIMEOUT_S} s", file=sys.stderr)
+        return None
     if proc.returncode != 0:
         print(f"  {tree}: {workload} seed {seed} exited {proc.returncode}", file=sys.stderr)
         return None
