@@ -25,9 +25,10 @@ the reserved unit symbol of each level.  A symbol is a tuple
 as one dict in one pass, not merged term by term.
 
 A record's mod-l class is the string ``modl_key``.  Its memo keeps the
-wildcard-free text of each traced term; a miss formats one
-``ConstituentLabel`` per factor of ``diagrams.traced_factors``, the one
-statement of which factors trace, and builds no formal sum.
+wildcard-free parts of each traced term; a miss writes the product and
+the marker of one ``ConstituentLabel`` per factor of
+``diagrams.traced_factors``, the one statement of which factors trace,
+and builds no formal sum.
 """
 
 from __future__ import annotations
@@ -299,49 +300,39 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
 
     One ``1*<label>`` per traced factor, the label's component reduced
     mod l, sorted and joined by ``;``; ``"0"`` when no factor traces.
+    The terms come in factor order, which the tests pin to the sorted
+    one, each written from the label's product, the wildcard and the
+    label's marker.
     """
     # The memo keys on the wildcard-free part: the rows, the factors and,
     # since labels compare by id, their classes.  Records repeat that part
-    # but each names its own wildcard, so the wildcard text is spliced into
-    # every term on each call instead of keyed.  A miss formats the labels
-    # of the factors ``diagrams.traced_factors`` yields, with no formal sum
-    # (see ``_traced_terms``); a hit only hashes the key and joins strings.
-    # The terms arrive sorted, in factor order: terms k < k' agree up to
-    # factor k, where term k writes ``R_<id>`` and term k' a ladder shape,
-    # which begins ``Speh_``, ``St_`` or a reduced id ``rl(``; ``R`` < ``S``
-    # < ``r``, whatever the classes and the wildcard spliced in after the
-    # factors.
+    # but each names its own wildcard, so the wildcard text goes between
+    # each term's product and marker on each call instead of being keyed.
     terms = _traced_terms(
         local.s, local.factors, pi, r, tuple([base.modl_class for _, base in local.factors])
     )
     if not terms:
         return "0"
-    if local.wildcard is None:
-        return ";".join([head + tail for head, tail in terms])
-    wild = f" x {local.wildcard}"
-    return ";".join([head + wild + tail for head, tail in terms])
+    wild = "" if local.wildcard is None else f" x {local.wildcard}"
+    return ";".join([product + wild + marker for product, marker in terms])
 
 
 @lru_cache(maxsize=16384)
 def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, _classes: tuple) -> tuple:
-    """Each traced term of ``modl_key`` without its wildcard, cut where the
-    wildcard goes: ``("1*" + product, " [xi_k, Xi^..]")``, in factor order.
+    """Each traced term of ``modl_key`` without its wildcard, as the pair
+    ``("1*" + product, marker)`` of its label, in factor order.
 
     A miss builds the reduced component once and one ``ConstituentLabel``
-    per factor of ``diagrams.traced_factors``, formats it once and cuts it
-    at the label's own marker, the last ``" ["``; it builds no formal sum.
+    per factor of ``diagrams.traced_factors``, and writes its product and
+    its marker apart; it builds no formal sum.
     """
     if not factors:
         return ()
     p = DiagramPoint(r, 0)
     bare = LocalComponent(s, factors)
     reduced = bare.reduced()
-    terms = []
-    for k in traced_factors(bare, pi, p):
-        label = str(ConstituentLabel(reduced, p, k))
-        cut = label.rindex(" [")
-        terms.append(("1*" + label[:cut], label[cut:]))
-    return tuple(terms)
+    labels = (ConstituentLabel(reduced, p, k) for k in traced_factors(bare, pi, p))
+    return tuple([("1*" + label.product_str(), label.marker()) for label in labels])
 
 
 modl_key.cache_info = _traced_terms.cache_info

@@ -207,8 +207,11 @@ class ConstituentLabel:
     def product_str(self) -> str:
         return _product_str(self.component, self.point, self.xi_index)
 
+    def marker(self) -> str:
+        return f" [xi_{self.xi_index}, Xi^{self.tate}]"
+
     def __str__(self) -> str:
-        return f"{self.product_str()} [xi_{self.xi_index}, Xi^{self.tate}]"
+        return self.product_str() + self.marker()
 
 
 def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
@@ -225,7 +228,8 @@ def traced_factors(
     ``(s, t_k)`` is nonzero at ``p``.
 
     The one statement of the rule: ``constituent_sum`` sums these factors,
-    and ``congruence.modl_key`` formats their labels without the sum.
+    and ``congruence.modl_key`` writes each one's label from its product
+    and its marker, without the sum.
     """
     for k, (t_k, base_k) in enumerate(c.factors, start=1):
         if base_k == pi and m_indicator(c.s, t_k, p.r, p.i):

@@ -265,8 +265,8 @@ def _graded(
 
     ``steinbergs`` is ``[St_1(pi), ..., St_m(pi)]`` with ``m >= s_g - t``,
     built by the caller, so a caller that shares it builds each once.
+    The caller checks ``(t, inf)`` against its home stratum.
     """
-    _check_home(ctx, t, inf)
     yield 0, inf
     for delta in range(1, ctx.s_g - t + 1):
         yield delta, ordered_product(inf, steinbergs[delta - 1])
@@ -345,8 +345,11 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     segment; the ``key_hash_sum`` of each shriek's infinitesimal; each
     marker ``HalfInt(delta)``, read off the shrieks' Xi-powers; and each
     expanded term, as one ``LedgerTerm`` straight from its ordered product
-    (the terms of :func:`filtration_graded` are never built).  Each shriek
-    term is checked against its home stratum.
+    (the terms of :func:`filtration_graded` are never built).  Only
+    ``(t, inf)`` is checked against its home stratum, by ``_resolution``:
+    each shriek is at home by construction, since its stratum
+    ``t + delta`` is at most ``s_g`` and its slack grows by
+    ``2 delta g``, a multiple of ``g``.
 
     Each term is built by the trusted ``LedgerTerm._expanded``, which
     skips the checks of ``__post_init__`` because they hold here: the
@@ -365,7 +368,7 @@ def expand_resolution(ctx: GlobalContext, t: int, inf: Multisegment) -> GrothSum
     two ever merge, and each coefficient is a sign.  The length check
     guards that count.
     """
-    shrieks = [term for term in resolution_terms(ctx, t, inf) if term.kind == SHRIEK]
+    shrieks = _resolution(ctx, t, inf)[0][:-1]  # all but the closing intermediate
     # the shriek at delta carries Xi-power HalfInt(delta): the graded markers
     markers = [term.xi_power for term in shrieks]
     n = ctx.s_g - t

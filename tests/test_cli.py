@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
-from spehline.cli import build_parser, main
+from spehline.cli import build_parser, entry, main
 from spehline.jsonio import _fraction, canonical_dumps, dataset_from_dict, dataset_to_dict
 
 from support import PI, PI_TWIN, field_paths
@@ -29,6 +29,15 @@ shriek h=2 sign=+1 xi=0 tate=0 deg=4 :: ?Pi[2](2)
 shriek h=3 sign=-1 xi=1/2 tate=0 deg=4 :: pi[1] + ?Pi[2](2){-1/2}
 shriek h=4 sign=+1 xi=1 tate=0 deg=4 :: pi[1/2] + pi[3/2] + ?Pi[2](2){-1}
 intermediate h=2 sign=+1 xi=0 tate=0 deg=4 :: ?Pi[2](2)
+"""
+
+
+# the SVG of a diagram with no point: one column at r = 1, no square
+EMPTY_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="66" height="66" viewBox="0 0 66 66">
+<line x1="11" y1="22" x2="55" y2="22" stroke="#999" stroke-width="1"/>
+<text x="22" y="60" font-size="10" text-anchor="middle">1</text>
+</svg>
 """
 
 
@@ -103,7 +112,7 @@ class TestDiagramCommand:
         [
             ("--ascii", lambda out: out == "(empty diagram)\n"),
             ("--json", lambda out: '"points":[]' in out),
-            ("--svg", lambda out: out.startswith("<svg") and "<rect" not in out),
+            ("--svg", lambda out: out == EMPTY_SVG),
         ],
     )
     def test_component_without_factors(self, capsys, tmp_path, flag, check):
@@ -141,15 +150,25 @@ class TestDiagramCommand:
         code, err = run_exit(capsys, *argv, "--out", str(tmp_path / "missing" / "x.txt"))
         assert code == 64 and err.startswith("error: cannot write")
 
+    @staticmethod
+    def assert_usage(capsys, message: str) -> None:
+        """A usage line, then ``error: <message>``, on stderr alone."""
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: spehline")
+        assert lines[-1] == f"error: {message}"
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram", "--s", "one", "--t", "3")
         assert err.value.code == 64
+        self.assert_usage(capsys, "argument --s: invalid int value: 'one'")
 
     def test_missing_shape_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram")
         assert err.value.code == 64
+        self.assert_usage(capsys, "either --component or both --s and --t are required")
 
     def test_at_r_requires_component(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -397,6 +416,21 @@ class TestMalformedInput:
         path.write_bytes(b'{"s": "\xff"}')
         code, err = run_exit(capsys, "diagram", "--component", str(path))
         assert code == 66 and "not valid JSON" in err
+
+
+class TestConsoleScript:
+    """The installed ``spehline`` script is ``cli.entry``: it reads
+    ``sys.argv`` and exits with ``main``'s code."""
+
+    def test_entry_runs_the_command_line(self, capsys, monkeypatch):
+        # a text match: Python 3.10 has no tomllib
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'spehline = "spehline.cli:entry"' in pyproject.splitlines()
+        monkeypatch.setattr(sys, "argv", ["spehline", "diagram", "--s", "1", "--t", "3", "--ascii"])
+        with pytest.raises(SystemExit) as err:
+            entry()
+        assert err.value.code == 0
+        assert capsys.readouterr() == ("i=  0 | . . #\n      +------\n     r: 1 2 3\n", "")
 
 
 class TestCheckedInPair:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -408,8 +409,8 @@ class TestModlKeyMemo:
 
     @pytest.mark.parametrize("n, traced, wild", [case for case in CASES if case[1] >= 2])
     def test_marker_text_in_classes_and_wildcards(self, n, traced, wild):
-        # a term is cut at the last " [": classes and wildcard ids that
-        # write the term's own markers must not move the cut
+        # classes and wildcard ids that write a term's own markers, between
+        # the product and the marker, must leave the key as the reference
         rng = random.Random(f"markers-{n}-{traced}-{wild}")
         for case in range(40):
             # the first two bases share a class, as PI and PI_TWIN do
@@ -443,8 +444,9 @@ class TestModlKeyMemo:
 
 
 class TestModlKeyMisses:
-    """A miss formats the traced labels without building a formal sum, and
-    the memo behind ``modl_key`` empties with ``_traced_terms.cache_clear``."""
+    """A miss writes the traced labels' products and markers without
+    building a formal sum or a whole label's text, and the memo behind
+    ``modl_key`` empties with ``_traced_terms.cache_clear``."""
 
     def test_a_cold_call_builds_no_sum(self, monkeypatch):
         built = []
@@ -462,6 +464,28 @@ class TestModlKeyMisses:
         assert modl_key.cache_info().misses == before.misses + 1
         assert built == []
         monkeypatch.undo()
+        assert key == reference_modl_key(c, probe, 4)
+        assert key.count("[xi_") == 2
+
+    def test_a_cold_call_formats_no_whole_label(self):
+        # counted under sys.setprofile: a miss writes no ConstituentLabel.__str__
+        code, calls = ConstituentLabel.__str__.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_code)
+
+        probe = dataclasses.replace(PI, id="str-probe", modl_class="str")
+        c = LocalComponent(s=2, factors=((3, probe), (1, RHO), (3, probe)), wildcard=Wildcard("w", 2))
+        before = modl_key.cache_info()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            key = modl_key(c, probe, 4)
+        finally:
+            sys.setprofile(previous)
+        assert modl_key.cache_info().misses == before.misses + 1
+        assert calls == []
         assert key == reference_modl_key(c, probe, 4)
         assert key.count("[xi_") == 2
 

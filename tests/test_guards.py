@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from spehline import (
+    DiagramPoint,
     GlobalContext,
     GrothSum,
     InvariantViolation,
@@ -14,9 +15,11 @@ from spehline import (
     Multisegment,
     Segment,
     TorsionProfile,
+    constituent,
     d_sequence,
     generate_dataset,
     i_of_t,
+    theorem_check,
     torsion_dimension,
     torsion_transfer_label,
 )
@@ -28,6 +31,7 @@ from support import PI
 
 CTX = GlobalContext(d=4, pi=PI)  # s_g = 4
 TORSION = TorsionProfile(t0=2, tau=(0, 1))
+PAIR = generate_dataset(1, CTX, r=2)  # the same dataset on both sides
 
 REFUSALS = {
     "d_sequence radius 0": (
@@ -89,6 +93,22 @@ REFUSALS = {
     "torsion degree index -1": (
         lambda: torsion_dimension(TORSION, -1, 0),
         ValueError, "degree index must be >= 0, got -1",
+    ),
+    "theorem_check s above r": (
+        lambda: theorem_check(PAIR, PI, PAIR, PI, 2, 3),
+        InconsistentDataError, "need 1 <= s <= r, got r=2, s=3",
+    ),
+    "theorem_check s 0": (
+        lambda: theorem_check(PAIR, PI, PAIR, PI, 2, 0),
+        InconsistentDataError, "need 1 <= s <= r, got r=2, s=0",
+    ),
+    "theorem_check r 0": (
+        lambda: theorem_check(PAIR, PI, PAIR, PI, 0, 1),
+        InconsistentDataError, "need 1 <= s <= r, got r=0, s=1",
+    ),
+    "constituent off its factor's support": (
+        lambda: constituent(LocalComponent(s=1, factors=((3, PI),)), DiagramPoint(1, 0), 1),
+        ValueError, "factor 1 does not annotate (1,0)",
     ),
     "segment length 0": (
         lambda: Segment(PI, ZERO, 0),

@@ -32,6 +32,7 @@ from spehline import (
     resolution_terms,
     strip_adjunction_core,
 )
+from spehline import ledger
 from spehline.jsonio import ledger_term_to_dict
 from spehline.ledger import INTERMEDIATE
 
@@ -141,6 +142,16 @@ class TestFiltration:
             assert graded[0].kind == "intermediate"
             assert graded[0].stratum == t
             assert graded[0].infinitesimal == inf
+
+    def test_far_stratum_refused_before_any_steinberg(self, monkeypatch):
+        # filtration_graded's own check is the only one before St_1..St_{s_g - t}
+        def unbuilt(*args):
+            raise AssertionError("a Steinberg factor was built")
+
+        monkeypatch.setattr(ledger, "make_steinberg", unbuilt)
+        ctx = GlobalContext(d=4, pi=InertialCuspidal("pi", 1))
+        with pytest.raises(InvariantViolation, match=r"stratum index t=-1000000 outside 1\.\.4"):
+            filtration_graded(ctx, -10**6, Multisegment())
 
     def test_degree_invariant_sweep(self):
         for ctx in all_contexts():
