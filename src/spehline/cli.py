@@ -7,7 +7,8 @@ Subcommands: ``diagram`` (render a shape or a superposed component),
     0  success / verdict equal
     1  verdict unequal
     2  inconsistent input (semantic invariant broken)
-    64 usage error, or an input or output path that cannot be read or written
+    64 usage error, an input or output path that cannot be read or written, or
+       standard output cannot be written; a pipe closed by its reader exits 64 silently
     65 stratum index out of range
     66 schema violation, file not UTF-8 or not JSON, JSON nested too deeply
        to read, or a config field of the wrong type
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .congruence import _rows_within_radius, theorem_check
@@ -51,7 +53,6 @@ from .render import ascii_diagram, svg_diagram
 from .zline import InertialCuspidal
 
 EX_OK = 0
-EX_UNEQUAL = 1
 EX_INCONSISTENT = 2
 EX_USAGE = 64
 EX_STRATUM = 65
@@ -77,7 +78,7 @@ def _load_json(path: str):
         raise SystemExit(EX_SCHEMA)
 
 
-def _context_from(args, parser: _Parser) -> GlobalContext:
+def _context_from(args) -> GlobalContext:
     """Flags override the ``--config`` file, whose fields are type-checked."""
     config = _load_json(args.config) if args.config else {}
 
@@ -87,7 +88,7 @@ def _context_from(args, parser: _Parser) -> GlobalContext:
 
     d, g = setting("d", int), setting("g", int)
     if d is None or g is None:
-        parser.error("d and g are required (flags or config file)")
+        args.parser.error("d and g are required (flags or config file)")
     pi = InertialCuspidal(id=setting("pi_id", str, "pi"), g=g, e_pi=setting("e_pi", int, 1))
     kappa = _fraction(str(setting("kappa", (str, int, float), "1")))
     return GlobalContext(d=d, pi=pi, kappa=kappa)
@@ -108,9 +109,9 @@ def _emit(text: str, out: str | None) -> None:
 # -------------------------------------------------------------------- commands
 
 
-def cmd_diagram(args, parser: _Parser) -> int:
+def cmd_diagram(args) -> int:
     if args.at_r is not None and not args.component:
-        parser.error("--at-r needs a --component file")
+        args.parser.error("--at-r needs a --component file")
     if args.component:
         component = component_from_dict(_load_json(args.component))
         if args.at_r is not None:
@@ -118,7 +119,7 @@ def cmd_diagram(args, parser: _Parser) -> int:
         diag = superpose(component)
     else:
         if args.s is None or args.t is None:
-            parser.error("either --component or both --s and --t are required")
+            args.parser.error("either --component or both --s and --t are required")
         diag = diagram(args.s, args.t)
 
     if args.format == "json":
@@ -147,8 +148,8 @@ def _emit_constituents(component: LocalComponent, r: int, out: str | None) -> in
     return EX_OK
 
 
-def cmd_ledger(args, parser: _Parser) -> int:
-    ctx = _context_from(args, parser)
+def cmd_ledger(args) -> int:
+    ctx = _context_from(args)
     if not 1 <= args.t <= ctx.s_g:
         print(
             f"error: t={args.t} outside 1..s_g={ctx.s_g} for d={ctx.d}, g={ctx.g}",
@@ -172,7 +173,7 @@ def cmd_ledger(args, parser: _Parser) -> int:
     return EX_OK
 
 
-def cmd_congruence(args, parser: _Parser) -> int:
+def cmd_congruence(args) -> int:
     _rows_within_radius(args.r, args.s)  # flags no file can satisfy: before any read
     obj_a = _load_json(args.dataset_a)
     obj_b = _load_json(args.dataset_b)
@@ -197,7 +198,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diag = sub.add_parser("diagram", help="render a support diagram")
-    p_diag.set_defaults(run=cmd_diagram, format="ascii")
+    p_diag.set_defaults(run=cmd_diagram, parser=p_diag, format="ascii")
     p_diag.add_argument("--s", type=int, default=None, help="row count")
     p_diag.add_argument("--t", type=int, default=None, help="row length")
     p_diag.add_argument("--component", default=None, help="local component JSON file")
@@ -213,7 +214,7 @@ def build_parser() -> _Parser:
 
     for name in ("resolution", "filtration"):
         p = sub.add_parser(name, help=f"list the {name} terms at stratum t")
-        p.set_defaults(run=cmd_ledger, format="text")
+        p.set_defaults(run=cmd_ledger, parser=p, format="text")
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--g", type=int, default=None)
         p.add_argument("--t", type=int, required=True)
@@ -225,7 +226,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
 
     p_cong = sub.add_parser("congruence", help="compare two datasets")
-    p_cong.set_defaults(run=cmd_congruence)
+    p_cong.set_defaults(run=cmd_congruence, parser=p_cong)
     p_cong.add_argument("dataset_a")
     p_cong.add_argument("dataset_b")
     p_cong.add_argument("--r", type=int, required=True)
@@ -236,20 +237,31 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        code = args.run(args)
+        sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
+        return code
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EX_SCHEMA
     except ValueError as exc:  # a constructor or check rejected well-typed input
         print(f"inconsistent input: {exc}", file=sys.stderr)
         return EX_INCONSISTENT
+    except BrokenPipeError:  # the reader has gone: nothing to tell it
+        return EX_USAGE
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return EX_USAGE
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # what main could not write is still buffered: drop it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

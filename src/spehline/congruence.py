@@ -616,6 +616,17 @@ def generate_dataset(
         InertialCuspidal(id=f"nz{j}", g=1, e_pi=1, modl_class=f"nz{j}~")
         for j in range(3)
     ]
+
+    def record(id_: str, wild_id: str, s: int, factors, satake: str) -> AutomorphicDatum:
+        used = s * sum(t_k * base.g for t_k, base in factors)
+        wildcard = Wildcard(wild_id, d - used) if d - used > 0 else None
+        return AutomorphicDatum(
+            id=id_,
+            local=LocalComponent(s=s, factors=tuple(factors), wildcard=wildcard),
+            m=rng.randint(1, 4), d_xi=rng.randint(1, 4), inv_dim=rng.randint(1, 4),
+            satake=satake,
+        )
+
     data = []
     for idx, (s, t) in enumerate(pairs):
         factors: list[tuple[int, InertialCuspidal]] = [(t, pi)]
@@ -623,36 +634,12 @@ def generate_dataset(
             extra_t = rng.randint(1, 2)
             if s * (t * g + extra_t) <= d:
                 factors.append((extra_t, rng.choice(noise_bases)))
-        used = s * sum(tk * bk.g for tk, bk in factors)
-        wildcard = Wildcard(f"w{idx}", d - used) if d - used > 0 else None
-        data.append(
-            AutomorphicDatum(
-                id=f"dat{idx}",
-                local=LocalComponent(s=s, factors=tuple(factors), wildcard=wildcard),
-                m=rng.randint(1, 4),
-                d_xi=rng.randint(1, 4),
-                inv_dim=rng.randint(1, 4),
-                satake=f"mt[{idx}]",
-            )
-        )
+        data.append(record(f"dat{idx}", f"w{idx}", s, factors, f"mt[{idx}]"))
     for j in range(noise_data):
         s_n = rng.randint(1, max(1, min(3, d)))
         base = rng.choice(noise_bases)
         t_n = rng.randint(1, max(1, min(3, d // s_n)))
-        used = s_n * t_n * base.g
-        wildcard = Wildcard(f"nw{j}", d - used) if d - used > 0 else None
-        data.append(
-            AutomorphicDatum(
-                id=f"noise{j}",
-                local=LocalComponent(
-                    s=s_n, factors=((t_n, base),), wildcard=wildcard
-                ),
-                m=rng.randint(1, 4),
-                d_xi=rng.randint(1, 4),
-                inv_dim=rng.randint(1, 4),
-                satake=f"nt[{j}]",
-            )
-        )
+        data.append(record(f"noise{j}", f"nw{j}", s_n, [(t_n, base)], f"nt[{j}]"))
     return Dataset(
         context=ctx,
         data=tuple(data),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -45,6 +46,14 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage(capsys, command: str, message: str) -> None:
+    """The usage of ``spehline <command>``, then ``error: <message>``, on stderr alone."""
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith(f"usage: spehline {command} ")
+    assert lines[-1] == f"error: {message}"
 
 
 class TestDiagramCommand:
@@ -150,30 +159,23 @@ class TestDiagramCommand:
         code, err = run_exit(capsys, *argv, "--out", str(tmp_path / "missing" / "x.txt"))
         assert code == 64 and err.startswith("error: cannot write")
 
-    @staticmethod
-    def assert_usage(capsys, message: str) -> None:
-        """A usage line, then ``error: <message>``, on stderr alone."""
-        out, err = capsys.readouterr()
-        lines = err.splitlines()
-        assert out == "" and lines[0].startswith("usage: spehline")
-        assert lines[-1] == f"error: {message}"
-
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram", "--s", "one", "--t", "3")
         assert err.value.code == 64
-        self.assert_usage(capsys, "argument --s: invalid int value: 'one'")
+        assert_usage(capsys, "diagram", "argument --s: invalid int value: 'one'")
 
     def test_missing_shape_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram")
         assert err.value.code == 64
-        self.assert_usage(capsys, "either --component or both --s and --t are required")
+        assert_usage(capsys, "diagram", "either --component or both --s and --t are required")
 
     def test_at_r_requires_component(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "diagram", "--s", "2", "--t", "2", "--at-r", "3")
         assert err.value.code == 64
+        assert_usage(capsys, "diagram", "--at-r needs a --component file")
 
 
 class TestLedgerCommands:
@@ -194,6 +196,12 @@ class TestLedgerCommands:
         code, out, _ = run(capsys, "resolution", "--d", "6", "--g", "2", "--t", "3")
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_missing_d_and_g(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "resolution", "--t", "1")
+        assert err.value.code == 64
+        assert_usage(capsys, "resolution", "d and g are required (flags or config file)")
 
     def test_stratum_out_of_range_exit_65(self, capsys):
         code, _, err = run(capsys, "resolution", "--d", "4", "--g", "1", "--t", "5")
@@ -435,7 +443,7 @@ class TestConsoleScript:
 
 class TestCheckedInPair:
     """``fixtures/congruence_{a,b}.json``: twin files with anchor records at
-    radii 2 to 5.  CI runs the installed script on the same cases."""
+    radii 2 to 5."""
 
     def run_pair(self, capsys, tmp_path, edit=None, r=5, s=5) -> tuple[int, str, str]:
         a, b = FIXTURES / "congruence_a.json", FIXTURES / "congruence_b.json"
@@ -498,6 +506,112 @@ class TestCheckedInPair:
 
         code, _, err = self.run_pair(capsys, tmp_path, spoil)
         assert code == 66 and "data[23].m: expected an integer" in err
+
+    def test_first_of_two_bad_types_wins_exit_66(self, capsys, tmp_path):
+        def spoil_twice(doc):
+            doc["data"][-1]["m"] = "1"
+            doc["data"][2]["m"] = "1"
+
+        code, out, err = self.run_pair(capsys, tmp_path, spoil_twice)
+        assert (code, out) == (66, "")
+        assert err == "schema error: data[2].m: expected an integer\n"
+
+    def test_wildcard_one_degree_too_large_exit_2(self, capsys, tmp_path):
+        def heavier(doc):
+            doc["data"][0]["local"]["wildcard"]["degree"] += 1
+
+        code, out, err = self.run_pair(capsys, tmp_path, heavier)
+        assert (code, out) == (2, "")
+        assert err == "inconsistent input: datum 'r2.dat0' has degree 13, expected 12\n"
+
+    def test_repeated_id_does_not_hide_a_later_bad_type_exit_66(self, capsys, tmp_path):
+        # a repeated id alone exits 2, but only once every record is read
+        def repeat_and_spoil(doc):
+            doc["data"][1]["id"] = doc["data"][0]["id"]
+            doc["data"][-1]["m"] = "1"
+
+        code, out, err = self.run_pair(capsys, tmp_path, repeat_and_spoil)
+        assert (code, out) == (66, "")
+        assert err == "schema error: data[23].m: expected an integer\n"
+
+
+# ------------------------------------------------------------ standard output
+
+PAIR = [str(FIXTURES / "congruence_a.json"), str(FIXTURES / "congruence_b.json"), "--r", "5", "--s", "5"]
+NO_SPACE = f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+class _Unwritable(io.StringIO):
+    """A standard output whose every write raises ``fault``."""
+
+    def __init__(self, fault: OSError):
+        super().__init__()
+        self.fault = fault
+
+    def write(self, text):
+        raise self.fault
+
+
+@pytest.mark.parametrize(
+    "fault, stderr",
+    [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), NO_SPACE),
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), ""),
+    ],
+    ids=["no-space", "broken-pipe"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagram", "--s", "2", "--t", "2", "--ascii"],
+        ["resolution", "--d", "4", "--g", "1", "--t", "2", "--json"],
+        ["congruence", *PAIR],
+        ["congruence", *PAIR, "--report", "{report}"],
+    ],
+    ids=["diagram", "resolution", "congruence-report", "congruence-verdict"],
+)
+def test_stdout_fault_exit_64(tmp_path, argv, fault, stderr):
+    # with --report, the report is written and the verdict line is what fails
+    report = tmp_path / "report.json"
+    stdout, err = sys.stdout, io.StringIO()
+    with contextlib.redirect_stdout(_Unwritable(fault)), contextlib.redirect_stderr(err):
+        code = main([arg.format(report=report) for arg in argv])
+    assert (code, err.getvalue()) == (64, stderr)
+    assert sys.stdout is stdout
+    if "--report" in argv:
+        assert json.loads(report.read_text(encoding="utf-8"))["equal"] is True
+
+
+class TestStdoutFaultsInAProcess:
+    """What only a process shows: a fault raised at a write or at ``main``'s
+    flush, and an exit flush that must not fail a second time (exit 120)."""
+
+    @staticmethod
+    def spawn(argv: list[str], stdout) -> subprocess.Popen:
+        # buffered, as by default, so a short verdict line fails only at a flush
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        return subprocess.Popen(
+            [sys.executable, "-m", "spehline.cli", *argv],
+            env={**env, "PYTHONPATH": str(SRC)},
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("extra", [[], ["--report", "{report}"]], ids=["report", "verdict-line"])
+    def test_full_disk(self, tmp_path, extra):
+        argv = ["congruence", *PAIR, *[arg.format(report=tmp_path / "r.json") for arg in extra]]
+        with open("/dev/full", "w") as full:
+            proc = self.spawn(argv, full)
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (64, NO_SPACE)
+
+    def test_pipe_closed_by_its_reader(self):
+        # the listing is larger than a pipe holds, so it cannot all be written
+        # before the reader closes its end
+        proc = self.spawn(["filtration", "--d", "400", "--g", "1", "--t", "1", "--json"], subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (64, "")
 
 
 # One valid document per input format, the argv that reads it, and fuzz

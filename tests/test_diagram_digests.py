@@ -12,8 +12,7 @@
   ``r`` from 0 past the right end exits 2);
 - for the same components, ``modl_key`` of every base and ``r``, and
   ``str``/``repr`` of every constituent label, plain and reduced;
-- the three formats and every ``--at-r`` of ``fixtures/triple_component.json``,
-  which CI also checks through the installed console script.
+- the three formats and every ``--at-r`` of ``fixtures/triple_component.json``.
 
 The digests were written while ``DiagramPoint`` was a frozen dataclass,
 so they pin the output of any faster point or diagram construction.
