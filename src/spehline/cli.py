@@ -11,7 +11,7 @@ Subcommands: ``diagram`` (render a shape or a superposed component),
        standard output cannot be written; a pipe closed by its reader exits 64 silently
     65 stratum index out of range
     66 schema violation, file not UTF-8 or not JSON, JSON nested too deeply
-       to read, or a config field of the wrong type
+       to read, a string UTF-8 cannot encode, or a config field of the wrong type
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .congruence import _rows_within_radius, theorem_check
@@ -34,6 +35,7 @@ from .diagrams import (
 )
 from .jsonio import (
     SchemaError,
+    _at,
     _fraction,
     _need,
     canonical_dumps,
@@ -65,14 +67,48 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
 
+    def print_help(self, file=None):  # flushed: argparse drops a write fault, then exits 0
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
+# a string UTF-8 cannot encode is a lone surrogate, which a decoded document
+# holds only where its text has a surrogate's escape
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+class _Decoder(json.JSONDecoder):
+    """``json``'s decoder, which walks a text with a surrogate escape and
+    refuses its first lone surrogate, in a key or a value, with the path."""
+
+    def decode(self, s: str, *args):
+        doc = super().decode(s, *args)
+        todo = [("", doc)] if _SURROGATE_ESCAPE.search(s) else []
+        while todo:
+            path, value = todo.pop()
+            if isinstance(value, dict):
+                for key, item in reversed(value.items()):
+                    at = _at(path, key.encode("utf-8", "backslashreplace").decode())
+                    todo += [(at, item), (at, key)]
+            elif isinstance(value, list):
+                todo += reversed([(f"{path}[{idx}]", item) for idx, item in enumerate(value)])
+            elif isinstance(value, str) and _SURROGATE.search(value):
+                raise SchemaError(path or ".", "a lone surrogate, which UTF-8 cannot encode")
+        return doc
+
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, cls=_Decoder)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+    except SchemaError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EX_SCHEMA)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EX_SCHEMA)
@@ -237,8 +273,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.run(args)
         sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
         return code

@@ -24,11 +24,11 @@ the reserved unit symbol of each level.  A symbol is a tuple
 ``(key, level)``, built by ``tuple.__new__``, and a spread sum is built
 as one dict in one pass, not merged term by term.
 
-A record's mod-l class is the string ``modl_key``.  Its memo keeps the
-wildcard-free parts of each traced term; a miss writes the product and
-the marker of one ``ConstituentLabel`` per factor of
-``diagrams.traced_factors``, the one statement of which factors trace,
-and builds no formal sum.
+A record's mod-l class is the string ``modl_key``.  Its memo keys on
+the rows, factors and classes, the anchor and the radius, and keeps the
+wildcard-free parts of each traced term.  A miss writes each reduced
+factor's text once, then joins them per factor of
+``diagrams.traced_factors``, the one statement of which factors trace.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .diagrams import ConstituentLabel, DiagramPoint, LocalComponent, traced_factors
+from .diagrams import DiagramPoint, LocalComponent, marker_text, traced_factors, traced_symbol
 # not called here; kept as a module attribute, which perfbench/spans.py wraps by name
 from .diagrams import constituent_sum
 from .formal import GrothSum
 from .ledger import GlobalContext
 from .torsion import TorsionProfile, torsion_dimension
-from .zline import InertialCuspidal, Wildcard
+from .zline import ZERO, InertialCuspidal, Wildcard, ladder_text, reduced_id
 
 
 class InconsistentDataError(ValueError):
@@ -318,21 +318,26 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
 
 
 @lru_cache(maxsize=16384)
-def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, _classes: tuple) -> tuple:
+def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, classes: tuple) -> tuple:
     """Each traced term of ``modl_key`` without its wildcard, as the pair
     ``("1*" + product, marker)`` of its label, in factor order.
 
-    A miss builds the reduced component once and one ``ConstituentLabel``
-    per factor of ``diagrams.traced_factors``, and writes its product and
-    its marker apart; it builds no formal sum.
+    The memo keys on every argument, ``classes`` being each factor's class
+    (labels compare by id).  A miss writes each factor's reduced ladder
+    text once and, per traced factor, joins them with its ``R`` symbol in
+    its place: the reduced component's ``ConstituentLabel.product_str``
+    and ``marker``, written without building a label.
     """
     if not factors:
         return ()
     p = DiagramPoint(r, 0)
-    bare = LocalComponent(s, factors)
-    reduced = bare.reduced()
-    labels = (ConstituentLabel(reduced, p, k) for k in traced_factors(bare, pi, p))
-    return tuple([("1*" + label.product_str(), label.marker()) for label in labels])
+    texts = [ladder_text(reduced_id(c), s, t) for (t, _), c in zip(factors, classes)]
+    terms = []
+    for k in traced_factors(LocalComponent(s, factors), pi, p):
+        parts = texts.copy()
+        parts[k - 1] = traced_symbol(reduced_id(classes[k - 1]), s, factors[k - 1][0], p)
+        terms.append(("1*" + " x ".join(parts), marker_text(k, ZERO)))
+    return tuple(terms)
 
 
 modl_key.cache_info = _traced_terms.cache_info

@@ -10,7 +10,9 @@ whose support holds it.  A local component is a product of such shapes
 sharing the row count ``s``; its diagram is the superposition of the
 per-factor diagrams.  A constituent is the triple (component, point,
 traced factor ``k``): the component with its k-th factor replaced by an
-opaque ``R`` symbol at the point.
+opaque ``R`` symbol at the point.  Its text is written by
+``traced_symbol``, ``marker_text`` and ``zline.ladder_text`` from plain
+parts, and ``congruence.modl_key`` writes its keys with the same three.
 
 A point is a ``DiagramPoint``, a named tuple ``(r, i)``: it is hashed,
 compared and ordered in C, and a diagram's points are built in C, so
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .formal import GrothSum
-from .zline import HalfInt, InertialCuspidal, LadderShape, Wildcard, reduced_label
+from .zline import HalfInt, InertialCuspidal, Wildcard, ladder_text, reduced_label
 
 
 class DiagramPoint(NamedTuple):
@@ -116,12 +118,22 @@ def _product_str(
 ) -> str:
     """``c`` as a product of shapes, factor ``k`` written as its ``R`` symbol at ``p``."""
     parts = [
-        f"R_{base.id}({c.s},{t}){p}" if j == k else str(LadderShape(base, c.s, t))
+        traced_symbol(base.id, c.s, t, p) if j == k else ladder_text(base.id, c.s, t)
         for j, (t, base) in enumerate(c.factors, start=1)
     ]
     if c.wildcard is not None:
         parts.append(str(c.wildcard))
     return " x ".join(parts)
+
+
+def traced_symbol(base_id: str, s: int, t: int, p: DiagramPoint) -> str:
+    """The opaque symbol ``R_<id>(s,t)(r,i)`` of a traced factor at ``p``."""
+    return f"R_{base_id}({s},{t}){p}"
+
+
+def marker_text(k: int, tate: HalfInt) -> str:
+    """The marker `` [xi_k, Xi^<tate>]`` of the constituent traced by factor ``k``."""
+    return f" [xi_{k}, Xi^{tate}]"
 
 
 Diagram = dict[DiagramPoint, tuple[int, ...]]  # point -> 1-based factor indices
@@ -200,15 +212,11 @@ class ConstituentLabel:
     point: DiagramPoint
     xi_index: int
 
-    @property
-    def tate(self) -> HalfInt:
-        return HalfInt(self.point.i)
-
     def product_str(self) -> str:
         return _product_str(self.component, self.point, self.xi_index)
 
     def marker(self) -> str:
-        return f" [xi_{self.xi_index}, Xi^{self.tate}]"
+        return marker_text(self.xi_index, HalfInt(self.point.i))
 
     def __str__(self) -> str:
         return self.product_str() + self.marker()
@@ -228,8 +236,8 @@ def traced_factors(
     ``(s, t_k)`` is nonzero at ``p``.
 
     The one statement of the rule: ``constituent_sum`` sums these factors,
-    and ``congruence.modl_key`` writes each one's label from its product
-    and its marker, without the sum.
+    and ``congruence.modl_key`` writes each one's label text, without the
+    sum or the label.
     """
     for k, (t_k, base_k) in enumerate(c.factors, start=1):
         if base_k == pi and m_indicator(c.s, t_k, p.r, p.i):

@@ -31,6 +31,8 @@ factors' sums.
 
 Mod-l reduction acts on labels alone (``reduced_label``), which
 ``diagrams.LocalComponent.reduced`` applies to a component's factors.
+``reduced_id`` and ``ladder_text`` write a reduced id and a ladder's text
+from plain parts, for the labels here, in ``diagrams`` and in ``modl_key``.
 """
 
 from __future__ import annotations
@@ -99,14 +101,19 @@ class InertialCuspidal:
         return self.id
 
 
+def reduced_id(modl_class: str) -> str:
+    """The id ``rl(<class>)`` of the reduced label of a mod-l class."""
+    return f"rl({modl_class})"
+
+
 def reduced_label(pi: InertialCuspidal) -> InertialCuspidal:
-    """The canonical label of the mod-l class of ``pi``.
+    """The canonical label of the mod-l class of ``pi``, with id :func:`reduced_id`.
 
     Only the class identifier and the GL dimension survive reduction;
     the self-twist count is not meaningful mod l and is normalized to 1
     so that congruent labels reduce to equal values.  Idempotent.
     """
-    rid = f"rl({pi.modl_class})"
+    rid = reduced_id(pi.modl_class)
     if pi.id == rid:
         return pi
     return InertialCuspidal(id=rid, g=pi.g, e_pi=1, modl_class=pi.modl_class)
@@ -361,15 +368,16 @@ class LadderShape:
         return Multisegment._sorted(rows)
 
     def __str__(self) -> str:
-        if self.s == 1:
-            body = self.base.id if self.t == 1 else f"St_{self.t}({self.base.id})"
-        elif self.t == 1:
-            body = f"Speh_{self.s}({self.base.id})"
-        else:
-            body = f"Speh_{self.s}(St_{self.t}({self.base.id}))"
+        body = ladder_text(self.base.id, self.s, self.t)
         if not self.center.is_zero:
             body += f"{{{self.center}}}"
         return body
+
+
+def ladder_text(base_id: str, s: int, t: int) -> str:
+    """The untwisted text of ``Speh_s(St_t(<base_id>))``, each trivial layer left out."""
+    body = base_id if t == 1 else f"St_{t}({base_id})"
+    return body if s == 1 else f"Speh_{s}({body})"
 
 
 def make_steinberg(pi: InertialCuspidal, t: int) -> LadderShape:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spehline import GlobalContext, generate_dataset, substitute_cuspidal
+from spehline import cli
 from spehline.cli import build_parser, entry, main
 from spehline.jsonio import _fraction, canonical_dumps, dataset_from_dict, dataset_to_dict
 
@@ -567,8 +569,9 @@ class _Unwritable(io.StringIO):
         ["resolution", "--d", "4", "--g", "1", "--t", "2", "--json"],
         ["congruence", *PAIR],
         ["congruence", *PAIR, "--report", "{report}"],
+        ["--help"],
     ],
-    ids=["diagram", "resolution", "congruence-report", "congruence-verdict"],
+    ids=["diagram", "resolution", "congruence-report", "congruence-verdict", "help"],
 )
 def test_stdout_fault_exit_64(tmp_path, argv, fault, stderr):
     # with --report, the report is written and the verdict line is what fails
@@ -587,12 +590,12 @@ class TestStdoutFaultsInAProcess:
     flush, and an exit flush that must not fail a second time (exit 120)."""
 
     @staticmethod
-    def spawn(argv: list[str], stdout) -> subprocess.Popen:
+    def spawn(argv: list[str], stdout, **extra_env: str) -> subprocess.Popen:
         # buffered, as by default, so a short verdict line fails only at a flush
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         return subprocess.Popen(
             [sys.executable, "-m", "spehline.cli", *argv],
-            env={**env, "PYTHONPATH": str(SRC)},
+            env={**env, "PYTHONPATH": str(SRC), **extra_env},
             stdout=stdout, stderr=subprocess.PIPE, text=True,
         )
 
@@ -602,6 +605,16 @@ class TestStdoutFaultsInAProcess:
         argv = ["congruence", *PAIR, *[arg.format(report=tmp_path / "r.json") for arg in extra]]
         with open("/dev/full", "w") as full:
             proc = self.spawn(argv, full)
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (64, NO_SPACE)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["congruence", "--help"]], ids=["help", "subcommand-help"])
+    @pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+    def test_help_into_a_full_disk(self, argv, env):
+        # argparse writes the help and exits before main's own flush
+        with open("/dev/full", "w") as full:
+            proc = self.spawn(argv, full, **env)
             _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (64, NO_SPACE)
 
@@ -627,6 +640,62 @@ DOCUMENTS = {
     ),
 }
 OTHER_JSON = (None, True, "x", 1.5, 7, [], {})
+LONE_SURROGATE = "\ud800x"  # a JSON escape can write it; UTF-8 cannot
+
+
+class TestLoneSurrogates:
+    """A string that UTF-8 cannot encode is refused where its file is read
+    (66), with the field's path, in every kind of file; an escaped pair is
+    one character and reads."""
+
+    ROWS = {
+        "component-base": ("component", lambda doc: doc["factors"][1].update(base_id=LONE_SURROGATE), "factors[1].base_id"),
+        "component-key": ("component", lambda doc: doc["cuspidals"].update({"\udfff": {"g": 1}}), "cuspidals.\\udfff"),
+        "dataset-id": ("dataset", lambda doc: doc["data"][2].update(id="a\udc00"), "data[2].id"),
+        "dataset-satake": ("dataset", lambda doc: doc["data"][0].update(satake=LONE_SURROGATE), "data[0].satake"),
+        "config-pi-id": ("config", lambda doc: doc.update(pi_id=LONE_SURROGATE), "pi_id"),
+    }
+
+    @staticmethod
+    def write(tmp_path, kind, edit) -> list[str]:
+        valid, argv = DOCUMENTS[kind]
+        doc = copy.deepcopy(valid)
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        intact = tmp_path / "intact.json"
+        intact.write_text(json.dumps(valid), encoding="utf-8")
+        paths = iter([str(path), str(intact)])
+        return [next(paths) if arg == "{}" else arg for arg in argv]
+
+    @pytest.mark.parametrize("kind, edit, where", ROWS.values(), ids=ROWS.keys())
+    def test_refused_at_read(self, capsys, tmp_path, kind, edit, where):
+        argv = self.write(tmp_path, kind, edit)
+        code, err = run_exit(capsys, *argv)
+        message = f"error: {tmp_path / 'doc.json'}: {where}: a lone surrogate, which UTF-8 cannot encode\n"
+        assert (code, err) == (66, message)
+
+    @pytest.mark.parametrize("base", ["\U0001f600", "\\ud800"], ids=["surrogate-pair", "escaped-backslash"])
+    def test_encodable_ids_read(self, capsys, tmp_path, base):
+        def rename(doc):
+            doc["factors"][1]["base_id"] = base
+            doc["cuspidals"][base] = doc["cuspidals"]["pi"]
+
+        argv = self.write(tmp_path, "component", rename)
+        if base == "\U0001f600":  # json.dumps writes the pair as two escapes, which the scan finds
+            assert "\\ud83d\\ude00" in (tmp_path / "doc.json").read_text()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert f"R_{base}(4,3)(4,0)" in out and err == ""
+
+    def test_only_a_surrogate_escape_is_walked(self, monkeypatch):
+        # the walk asks _SURROGATE of each string; a text without an escape has no walk
+        asked = []
+        monkeypatch.setattr(cli, "_SURROGATE", types.SimpleNamespace(search=asked.append))
+        json.loads(json.dumps(TRIPLE), cls=cli._Decoder)
+        assert asked == []
+        json.loads(json.dumps({"id": "\U0001f600"}), cls=cli._Decoder)
+        assert asked == ["id", "\U0001f600"]
 
 
 @st.composite
@@ -644,6 +713,8 @@ def mutated_documents(draw, fields=st.just(1)):
             choices += [0, -1]
         if key in ("base_id", "pi_id"):
             choices.append("ghost")
+        if isinstance(value, str):
+            choices.append(LONE_SURROGATE)
         choice = draw(st.sampled_from(choices))
         if choice == "delete":
             del owner[key]

@@ -502,6 +502,41 @@ class TestModlKeyMisses:
         assert (after.hits, after.misses, after.currsize) == (0, 1, 1)
 
 
+class TestModlKeyMissGrowth:
+    """What one cold ``modl_key`` call does, counted under ``sys.setprofile``:
+    Python calls linear in the factor count.  A miss writes each factor's
+    text once; one that wrote the whole product once per traced factor
+    would make calls quadratic in the factors, and breaks the bound."""
+
+    @staticmethod
+    def cold_calls(u: int) -> int:
+        # a base no other test uses, so the call misses; half the factors trace it
+        probe = dataclasses.replace(PI, id=f"growth-probe-{u}", modl_class=f"growth{u}")
+        factors = tuple((3, probe) if j % 2 == 0 else (1, RHO) for j in range(u))
+        c = LocalComponent(s=2, factors=factors, wildcard=Wildcard("w", 2))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        before = modl_key.cache_info()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            key = modl_key(c, probe, 4)
+        finally:
+            sys.setprofile(previous)
+        assert modl_key.cache_info().misses == before.misses + 1
+        assert key == reference_modl_key(c, probe, 4)
+        assert key.count("[xi_") == u // 2
+        return len(calls)
+
+    def test_calls_linear_in_the_factors(self):
+        calls = {u: self.cold_calls(u) for u in (4, 16, 64)}
+        assert calls[16] <= 4.5 * calls[4] and calls[64] <= 4.5 * calls[16], calls
+
+
 def constituent_to_json(x) -> str:
     """Canonical JSON of a component or a label, with the fields of every
     base: labels compare by id alone."""
