@@ -25,8 +25,9 @@ the reserved unit symbol of each level.  A symbol is a tuple
 as one dict in one pass, not merged term by term.
 
 A record's mod-l class is the string ``modl_key``.  Its memo keys on
-the rows, factors and classes, the anchor and the radius, and keeps the
-wildcard-free parts of each traced term.  A miss writes each reduced
+plain values: the rows, each factor's length, base id and class, the
+anchor's id and the radius.  It keeps the key's text cut where the
+wildcard's text goes, so a hit is one join.  A miss writes each reduced
 factor's text once, then joins them per factor of
 ``diagrams.traced_factors``, the one statement of which factors trace.
 """
@@ -303,41 +304,40 @@ def modl_key(local: LocalComponent, pi: InertialCuspidal, r: int) -> str:
     The terms come in factor order, which the tests pin to the sorted
     one, each written from the label's product, the wildcard and the
     label's marker.
+
+    The memo (:func:`_traced_terms`) keys on plain values, so a hit hashes
+    and compares no label in Python.  Records repeat a key but each names
+    its own wildcard, so a hit is one join of the memo's pieces with the
+    record's wildcard text.
     """
-    # The memo keys on the wildcard-free part: the rows, the factors and,
-    # since labels compare by id, their classes.  Records repeat that part
-    # but each names its own wildcard, so the wildcard text goes between
-    # each term's product and marker on each call instead of being keyed.
-    terms = _traced_terms(
-        local.s, local.factors, pi, r, tuple([base.modl_class for _, base in local.factors])
-    )
-    if not terms:
-        return "0"
-    wild = "" if local.wildcard is None else f" x {local.wildcard}"
-    return ";".join([product + wild + marker for product, marker in terms])
+    w = local.wildcard
+    factors = tuple([(t, base.id, base.modl_class) for t, base in local.factors])
+    return ("" if w is None else f" x {w}").join(_traced_terms(local.s, factors, pi.id, r))
 
 
 @lru_cache(maxsize=16384)
-def _traced_terms(s: int, factors: tuple, pi: InertialCuspidal, r: int, classes: tuple) -> tuple:
-    """Each traced term of ``modl_key`` without its wildcard, as the pair
-    ``("1*" + product, marker)`` of its label, in factor order.
+def _traced_terms(s: int, factors: tuple, pi_id: str, r: int) -> tuple[str, ...]:
+    """The text of ``modl_key`` cut at each place its wildcard text goes,
+    between a traced term's product and its marker; ``("0",)`` when no
+    factor traces.
 
-    The memo keys on every argument, ``classes`` being each factor's class
-    (labels compare by id).  A miss writes each factor's reduced ladder
-    text once and, per traced factor, joins them with its ``R`` symbol in
-    its place: the reduced component's ``ConstituentLabel.product_str``
-    and ``marker``, written without building a label.
+    ``factors`` holds each factor as ``(t, base id, mod-l class)``, and
+    ``pi_id`` is the anchor's id.  A miss asks ``diagrams.traced_factors``
+    which factors trace, writes each factor's reduced ladder text once
+    and, per traced factor, joins them with its ``R`` symbol in its
+    place: the reduced component's ``ConstituentLabel.product_str`` and
+    ``marker``, written without building a label.
     """
-    if not factors:
-        return ()
     p = DiagramPoint(r, 0)
-    texts = [ladder_text(reduced_id(c), s, t) for (t, _), c in zip(factors, classes)]
-    terms = []
-    for k in traced_factors(LocalComponent(s, factors), pi, p):
+    texts = [ladder_text(reduced_id(c), s, t) for t, _, c in factors]
+    pieces, tail = [], ""  # tail: the previous term's marker, then ";"
+    for k in traced_factors(s, [(t, bid) for t, bid, _ in factors], pi_id, p):
+        t, _, c = factors[k - 1]
         parts = texts.copy()
-        parts[k - 1] = traced_symbol(reduced_id(classes[k - 1]), s, factors[k - 1][0], p)
-        terms.append(("1*" + " x ".join(parts), marker_text(k, ZERO)))
-    return tuple(terms)
+        parts[k - 1] = traced_symbol(reduced_id(c), s, t, p)
+        pieces.append(tail + "1*" + " x ".join(parts))
+        tail = marker_text(k, ZERO) + ";"
+    return (*pieces, tail[:-1]) if pieces else ("0",)
 
 
 modl_key.cache_info = _traced_terms.cache_info

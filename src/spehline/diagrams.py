@@ -13,6 +13,8 @@ traced factor ``k``): the component with its k-th factor replaced by an
 opaque ``R`` symbol at the point.  Its text is written by
 ``traced_symbol``, ``marker_text`` and ``zline.ladder_text`` from plain
 parts, and ``congruence.modl_key`` writes its keys with the same three.
+Which factors trace is ``traced_factors``, also on plain parts (lengths
+and ids), so ``constituent_sum`` and a ``modl_key`` miss share the rule.
 
 A point is a ``DiagramPoint``, a named tuple ``(r, i)``: it is hashed,
 compared and ordered in C, and a diagram's points are built in C, so
@@ -22,7 +24,7 @@ compared and ordered in C, and a diagram's points are built in C, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .formal import GrothSum
 from .zline import HalfInt, InertialCuspidal, Wildcard, ladder_text, reduced_label
@@ -229,18 +231,20 @@ def constituent(c: LocalComponent, p: DiagramPoint, k: int) -> ConstituentLabel:
 
 
 def traced_factors(
-    c: LocalComponent, pi: InertialCuspidal, p: DiagramPoint
+    s: int, factors: Iterable[tuple[int, str]], pi_id: str, p: DiagramPoint
 ) -> Iterator[int]:
     """The 1-based index ``k`` of each factor that traces ``pi`` at ``p``, in
-    factor order: ``base_k`` is equal to ``pi`` and the indicator of
-    ``(s, t_k)`` is nonzero at ``p``.
+    factor order, from plain parts: the row count ``s``, each factor as its
+    ``(t_k, base id)`` and the id of ``pi``.  Factor ``k`` traces when its
+    base id is ``pi_id`` (labels compare by id, so this is ``base_k == pi``)
+    and the indicator of ``(s, t_k)`` is nonzero at ``p``.
 
     The one statement of the rule: ``constituent_sum`` sums these factors,
-    and ``congruence.modl_key`` writes each one's label text, without the
-    sum or the label.
+    and a miss of ``congruence.modl_key`` writes each one's label text,
+    without the sum or the label.
     """
-    for k, (t_k, base_k) in enumerate(c.factors, start=1):
-        if base_k == pi and m_indicator(c.s, t_k, p.r, p.i):
+    for k, (t_k, base_id) in enumerate(factors, start=1):
+        if base_id == pi_id and m_indicator(s, t_k, p.r, p.i):
             yield k
 
 
@@ -249,6 +253,8 @@ def constituent_sum(
 ) -> GrothSum:
     """Sum of the constituents at ``p`` over factors whose base is equal to ``pi``.
 
-    One unit term per factor index ``k`` of :func:`traced_factors`.
+    One unit term per factor index ``k`` of :func:`traced_factors`, asked
+    on each factor's length and base id and on the id of ``pi``.
     """
-    return GrothSum((ConstituentLabel(c, p, k), 1) for k in traced_factors(c, pi, p))
+    factors = [(t, base.id) for t, base in c.factors]
+    return GrothSum((ConstituentLabel(c, p, k), 1) for k in traced_factors(c.s, factors, pi.id, p))

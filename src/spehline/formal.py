@@ -26,6 +26,7 @@ are nonzero:
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Any, Iterable, Iterator
 
 
@@ -87,7 +88,8 @@ class GrothSum:
     def __sub__(self, other: "GrothSum") -> "GrothSum":
         if not isinstance(other, GrothSum):
             return NotImplemented
-        return self + (-other)
+        terms = other._terms
+        return GrothSum._wrap(_merge(dict(self._terms), zip(terms, map(neg, terms.values()))))
 
     def __mul__(self, k: int) -> "GrothSum":
         if not isinstance(k, int):

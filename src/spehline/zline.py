@@ -32,7 +32,8 @@ factors' sums.
 Mod-l reduction acts on labels alone (``reduced_label``), which
 ``diagrams.LocalComponent.reduced`` applies to a component's factors.
 ``reduced_id`` and ``ladder_text`` write a reduced id and a ladder's text
-from plain parts, for the labels here, in ``diagrams`` and in ``modl_key``.
+from plain parts, for the labels here, in ``diagrams`` and in a miss of
+``modl_key``'s memo, which holds ids and classes, not labels.
 """
 
 from __future__ import annotations

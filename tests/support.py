@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 
 from spehline import (
     AutomorphicDatum,
+    ConstituentLabel,
     Dataset,
+    DiagramPoint,
     HalfInt,
     InertialCuspidal,
     LadderShape,
@@ -16,6 +18,7 @@ from spehline import (
     Multisegment,
     Segment,
     Wildcard,
+    constituent_sum,
 )
 
 # a small pool of labels; pi and pi_twin share a mod-l class
@@ -76,6 +79,18 @@ def indicator_oracle(s: int, t: int, r: int, i: int) -> bool:
         return abs(i) <= bound and (i - (s + t - 1 - r)) % 2 == 0
     bound = s - 1 - (t - r)
     return abs(i) <= bound and (i - (s - t - 1 + r)) % 2 == 0
+
+
+def reference_modl_key(c: LocalComponent, pi: InertialCuspidal, r: int) -> str:
+    """The key built from the whole component: reduce it, take the
+    constituent sum at ``(r, 0)``, then sort and join the unit terms."""
+    p = DiagramPoint(r, 0)
+    reduced = c.reduced()
+    terms = sorted(
+        f"1*{ConstituentLabel(reduced, p, label.xi_index)}"
+        for label in constituent_sum(c, pi, p).labels()
+    )
+    return ";".join(terms) or "0"
 
 
 def enumerate_support(s: int, t: int) -> set[tuple[int, int]]:

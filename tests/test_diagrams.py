@@ -29,7 +29,7 @@ from spehline import (
 from spehline.congruence import _traced_terms
 from spehline.jsonio import _local_to_dict, canonical_dumps, cuspidal_to_dict
 
-from support import BASES, PI, PI_TWIN, RHO, TAU, enumerate_support, hull_vertices
+from support import BASES, PI, PI_TWIN, RHO, TAU, enumerate_support, hull_vertices, reference_modl_key
 
 
 def closed_form(s: int, t: int) -> int:
@@ -346,18 +346,6 @@ class TestConstituentStrings:
         assert modl_key(self.C, PI, 3) != modl_key(moved, PI, 3)
 
 
-def reference_modl_key(c: LocalComponent, pi, r: int) -> str:
-    """The key built from the whole component: reduce it, take the
-    constituent sum at ``(r, 0)``, then sort and join the unit terms."""
-    p = DiagramPoint(r, 0)
-    reduced = c.reduced()
-    terms = sorted(
-        f"1*{ConstituentLabel(reduced, p, label.xi_index)}"
-        for label in constituent_sum(c, pi, p).labels()
-    )
-    return ";".join(terms) or "0"
-
-
 # the text a traced term's own format writes around and between its factors
 MARKERS = (" [", "]", "xi_", "Xi^", " x ", ";")
 
@@ -500,6 +488,60 @@ class TestModlKeyMisses:
         modl_key(c, PI, 2)
         after = modl_key.cache_info()
         assert (after.hits, after.misses, after.currsize) == (0, 1, 1)
+
+
+class TestModlKeyHit:
+    """A warm ``modl_key`` call, counted under ``sys.setprofile``.  The memo
+    keys on plain values, so a hit hashes and compares no label in Python:
+    it calls ``modl_key``, the comprehension that writes the key (a frame of
+    its own before Python 3.12), ``Wildcard.__str__`` and its ``is_zero``."""
+
+    def test_a_warm_call_hashes_no_label(self):
+        probe = dataclasses.replace(PI, id="hit-probe", modl_class="hit")
+        c = LocalComponent(s=2, factors=((3, probe), (1, RHO)), wildcard=Wildcard("w", 4))
+        modl_key(c, probe, 4)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        before = modl_key.cache_info()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            key = modl_key(c, probe, 4)
+        finally:
+            sys.setprofile(previous)
+        assert modl_key.cache_info().hits == before.hits + 1
+        assert not {"__hash__", "__eq__"} & set(calls), calls
+        assert len(calls) <= 4, calls
+        assert key == reference_modl_key(c, probe, 4)
+
+
+class TestTracingById:
+    """A factor traces the anchor when its base has the anchor's id, in
+    ``modl_key`` and in ``constituent_sum`` alike: another object with that
+    id traces, and a base that shares only the anchor's class does not."""
+
+    ANCHOR = InertialCuspidal("by-id-anchor", 1, modl_class="by-id")
+    # the id built afresh, so neither the label nor its id is the anchor's object
+    SAME_ID = InertialCuspidal("".join(["by-id-", "anchor"]), 1, modl_class="by-id-other")
+    SAME_CLASS = InertialCuspidal("by-id-class", 1, modl_class="by-id")
+
+    def test_another_object_with_the_id_traces(self):
+        assert self.SAME_ID.id is not self.ANCHOR.id
+        c = LocalComponent(s=2, factors=((2, self.SAME_ID), (1, RHO)), wildcard=Wildcard("w", 2))
+        labels = list(constituent_sum(c, self.ANCHOR, DiagramPoint(3, 0)).labels())
+        assert [label.xi_index for label in labels] == [1]
+        assert modl_key(c, self.ANCHOR, 3) == (
+            "1*R_rl(by-id-other)(2,2)(3,0) x Speh_2(rl(b)) x ?w(2) [xi_1, Xi^0]"
+        )
+
+    def test_a_shared_class_alone_does_not_trace(self):
+        c = LocalComponent(s=2, factors=((2, self.SAME_CLASS), (1, RHO)), wildcard=Wildcard("w", 2))
+        assert constituent_sum(c, self.ANCHOR, DiagramPoint(3, 0)).is_zero
+        assert modl_key(c, self.ANCHOR, 3) == "0"
 
 
 class TestModlKeyMissGrowth:

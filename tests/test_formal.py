@@ -29,6 +29,12 @@ def test_results_hold_no_zero_coefficient(a, b, k):
         assert cancelled.is_zero and len(cancelled) == 0
 
 
+@given(sums, sums)
+def test_difference_is_the_sum_of_the_negation(a, b):
+    # the same dict as adding the negation, insertion order included
+    assert list((a - b)._terms.items()) == list((a + (-b))._terms.items())
+
+
 @given(sum_lists, coefficients)
 def test_operands_are_never_mutated(parts, k):
     before = [part.items() for part in parts]
@@ -52,9 +58,11 @@ def test_sums_are_unhashable(total):
 
 
 def test_foreign_operands_are_refused():
-    # a float scale or an int summand is a type error, and a sum equals no int
+    # a float scale, an int summand or subtrahend is a type error, and a sum equals no int
     with pytest.raises(TypeError):
         GrothSum.of("a") * 1.5
     with pytest.raises(TypeError):
         GrothSum() + 1
+    with pytest.raises(TypeError):
+        GrothSum.of("a") - 1
     assert (GrothSum() == 0) is False
