@@ -2,7 +2,9 @@
 
 Subcommands: ``diagram`` (render a shape or a superposed component),
 ``resolution`` and ``filtration`` (ledger listings), ``congruence``
-(two-sided dataset comparison).  Exit codes are fixed for scripting:
+(two-sided dataset comparison).  Commands return their exit code and text;
+``main`` writes the text (``congruence`` writes ``--report`` itself) and maps
+every refusal to its code.  Exit codes are fixed for scripting:
 
     0  success / verdict equal
     1  verdict unequal
@@ -61,11 +63,13 @@ EX_STRATUM = 65
 EX_SCHEMA = 66
 
 
+class _Refusal(Exception):
+    """``(exit code, stderr text)``: ``main`` prints the text and returns the code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 64 instead of argparse's default 2
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        raise _Refusal(EX_USAGE, f"{self.format_usage()}error: {message}")
 
     def print_help(self, file=None):  # flushed: argparse drops a write fault, then exits 0
         file = file or sys.stdout
@@ -77,6 +81,14 @@ class _Parser(argparse.ArgumentParser):
 # holds only where its text has a surrogate's escape
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(text: str) -> str:
+    """``--pi-id``'s type: a byte argv cannot decode arrives as a lone
+    surrogate, refused as in a file, so every id can be written back."""
+    if _SURROGATE.search(text):
+        raise argparse.ArgumentTypeError("a lone surrogate, which UTF-8 cannot encode")
+    return text
 
 
 class _Decoder(json.JSONDecoder):
@@ -104,14 +116,19 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, cls=_Decoder)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        raise _Refusal(EX_USAGE, f"error: cannot read {path}: {exc.strerror or exc}")
     except SchemaError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_SCHEMA)
+        raise _Refusal(EX_SCHEMA, f"error: {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-        print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EX_SCHEMA)
+        raise _Refusal(EX_SCHEMA, f"error: {path} is not valid JSON: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Refusal(EX_USAGE, f"error: cannot write {path}: {exc.strerror or exc}")
 
 
 def _context_from(args) -> GlobalContext:
@@ -130,28 +147,16 @@ def _context_from(args) -> GlobalContext:
     return GlobalContext(d=d, pi=pi, kappa=kappa)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-            raise SystemExit(EX_USAGE)
-    else:
-        sys.stdout.write(text)
-
-
 # -------------------------------------------------------------------- commands
 
 
-def cmd_diagram(args) -> int:
+def cmd_diagram(args) -> tuple[int, str]:
     if args.at_r is not None and not args.component:
         args.parser.error("--at-r needs a --component file")
     if args.component:
         component = component_from_dict(_load_json(args.component))
         if args.at_r is not None:
-            return _emit_constituents(component, args.at_r, args.out)
+            return EX_OK, _constituents(component, args.at_r)
         diag = superpose(component)
     else:
         if args.s is None or args.t is None:
@@ -159,15 +164,13 @@ def cmd_diagram(args) -> int:
         diag = diagram(args.s, args.t)
 
     if args.format == "json":
-        _emit(canonical_dumps(diagram_to_dict(diag)) + "\n", args.out)
-    elif args.format == "svg":
-        _emit(svg_diagram(diag), args.out)
-    else:
-        _emit(ascii_diagram(diag, show_counts=args.component is not None), args.out)
-    return EX_OK
+        return EX_OK, canonical_dumps(diagram_to_dict(diag)) + "\n"
+    if args.format == "svg":
+        return EX_OK, svg_diagram(diag)
+    return EX_OK, ascii_diagram(diag, show_counts=args.component is not None)
 
 
-def _emit_constituents(component: LocalComponent, r: int, out: str | None) -> int:
+def _constituents(component: LocalComponent, r: int) -> str:
     p = DiagramPoint(r, 0)
     lines = []
     for k, (t_k, _) in enumerate(component.factors, start=1):
@@ -178,51 +181,43 @@ def _emit_constituents(component: LocalComponent, r: int, out: str | None) -> in
         source = f"comes from {origin}" if origin else "no higher origin"
         lines.append(f"{p} factor {k} (t={t_k}): {label.product_str()}  <- {source}\n")
     if not lines:
-        print(f"no support at {p}", file=sys.stderr)
-        return EX_INCONSISTENT
-    _emit("".join(lines), out)
-    return EX_OK
+        raise _Refusal(EX_INCONSISTENT, f"no support at {p}")
+    return "".join(lines)
 
 
-def cmd_ledger(args) -> int:
+def cmd_ledger(args) -> tuple[int, str]:
     ctx = _context_from(args)
     if not 1 <= args.t <= ctx.s_g:
-        print(
-            f"error: t={args.t} outside 1..s_g={ctx.s_g} for d={ctx.d}, g={ctx.g}",
-            file=sys.stderr,
-        )
-        return EX_STRATUM
+        message = f"error: t={args.t} outside 1..s_g={ctx.s_g} for d={ctx.d}, g={ctx.g}"
+        raise _Refusal(EX_STRATUM, message)
     inf = generic_infinitesimal(ctx, args.t)
     expand = resolution_terms if args.command == "resolution" else filtration_graded
     terms = expand(ctx, args.t, inf)
     if args.format == "json":
-        listing = ledger_listing_to_dict(ctx.d, ctx.g, args.t, terms)
-        _emit(canonical_dumps(listing) + "\n", args.out)
-    else:
-        lines = [
-            f"{term.kind} h={term.stratum} sign={term.sign:+d} "
-            f"xi={term.xi_power} tate={term.tate} deg={term.degree(ctx.g)} "
-            f":: {term.infinitesimal}"
-            for term in terms
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+        return EX_OK, canonical_dumps(ledger_listing_to_dict(ctx.d, ctx.g, args.t, terms)) + "\n"
+    lines = [
+        f"{term.kind} h={term.stratum} sign={term.sign:+d} "
+        f"xi={term.xi_power} tate={term.tate} deg={term.degree(ctx.g)} "
+        f":: {term.infinitesimal}"
+        for term in terms
+    ]
+    return EX_OK, "\n".join(lines) + "\n"
 
 
-def cmd_congruence(args) -> int:
+def cmd_congruence(args) -> tuple[int, str]:
     _rows_within_radius(args.r, args.s)  # flags no file can satisfy: before any read
     obj_a = _load_json(args.dataset_a)
     obj_b = _load_json(args.dataset_b)
     ds_a = dataset_from_dict(obj_a)
     ds_b = dataset_from_dict(obj_b)
     verdict = theorem_check(ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, args.r, args.s)
-    report = canonical_dumps(verdict_to_dict(verdict))
-    _emit(report + "\n", args.report)
+    text = canonical_dumps(verdict_to_dict(verdict)) + "\n"
     if args.report:
-        print("equal" if verdict.equal else "unequal")
+        _write(args.report, text)
+        text = "equal\n" if verdict.equal else "unequal\n"
     for warning in verdict.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return verdict.exit_code
+    return verdict.exit_code, text
 
 
 # ---------------------------------------------------------------------- parser
@@ -255,14 +250,14 @@ def build_parser() -> _Parser:
         p.add_argument("--g", type=int, default=None)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--e-pi", dest="e_pi", type=int, default=None)
-        p.add_argument("--pi-id", dest="pi_id", default=None)
+        p.add_argument("--pi-id", dest="pi_id", type=_encodable, default=None)
         p.add_argument("--kappa", default=None)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--json", dest="format", action="store_const", const="json")
         p.add_argument("--out", default=None)
 
     p_cong = sub.add_parser("congruence", help="compare two datasets")
-    p_cong.set_defaults(run=cmd_congruence, parser=p_cong)
+    p_cong.set_defaults(run=cmd_congruence, parser=p_cong, out=None)
     p_cong.add_argument("dataset_a")
     p_cong.add_argument("dataset_b")
     p_cong.add_argument("--r", type=int, required=True)
@@ -275,20 +270,29 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.run(args)
+        code, text = args.run(args)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
         sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
+        return code
+    except _Refusal as exc:
+        code, text = exc.args
+        print(text, file=sys.stderr)
         return code
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EX_SCHEMA
+    except BrokenPipeError:  # the reader has gone: nothing to tell it
+        return EX_USAGE
+    except (OSError, UnicodeEncodeError) as exc:  # stdout, or its encoding, cannot take the text
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot write standard output: {reason}", file=sys.stderr)
+        return EX_USAGE
     except ValueError as exc:  # a constructor or check rejected well-typed input
         print(f"inconsistent input: {exc}", file=sys.stderr)
         return EX_INCONSISTENT
-    except BrokenPipeError:  # the reader has gone: nothing to tell it
-        return EX_USAGE
-    except OSError as exc:
-        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
-        return EX_USAGE
 
 
 def entry() -> None:

@@ -183,7 +183,7 @@ class Wildcard:
 
     def __str__(self) -> str:
         body = f"?{self.id}({self.degree})"
-        if not self.shift.is_zero:
+        if self.shift.twice:
             body += f"{{{self.shift}}}"
         return body
 

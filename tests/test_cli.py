@@ -162,21 +162,15 @@ class TestDiagramCommand:
         assert code == 64 and err.startswith("error: cannot write")
 
     def test_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "diagram", "--s", "one", "--t", "3")
-        assert err.value.code == 64
+        assert main(["diagram", "--s", "one", "--t", "3"]) == 64
         assert_usage(capsys, "diagram", "argument --s: invalid int value: 'one'")
 
     def test_missing_shape_flags(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "diagram")
-        assert err.value.code == 64
+        assert main(["diagram"]) == 64
         assert_usage(capsys, "diagram", "either --component or both --s and --t are required")
 
     def test_at_r_requires_component(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "diagram", "--s", "2", "--t", "2", "--at-r", "3")
-        assert err.value.code == 64
+        assert main(["diagram", "--s", "2", "--t", "2", "--at-r", "3"]) == 64
         assert_usage(capsys, "diagram", "--at-r needs a --component file")
 
 
@@ -200,9 +194,7 @@ class TestLedgerCommands:
         assert len(out.splitlines()) == 2
 
     def test_missing_d_and_g(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "resolution", "--t", "1")
-        assert err.value.code == 64
+        assert main(["resolution", "--t", "1"]) == 64
         assert_usage(capsys, "resolution", "d and g are required (flags or config file)")
 
     def test_stratum_out_of_range_exit_65(self, capsys):
@@ -585,6 +577,41 @@ def test_stdout_fault_exit_64(tmp_path, argv, fault, stderr):
         assert json.loads(report.read_text(encoding="utf-8"))["equal"] is True
 
 
+def write_pi_component(tmp_path: Path) -> str:
+    """The triple component with its base id renamed ``π``, a character
+    ASCII cannot encode."""
+    doc = copy.deepcopy(TRIPLE)
+    for factor in doc["factors"]:
+        factor["base_id"] = "π"
+    doc["cuspidals"] = {"π": doc["cuspidals"].pop("pi")}
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestStdoutEncoding:
+    """Valid text that stdout's encoding cannot write is a stdout fault
+    (64), not inconsistent input (2); an ``--out`` file is always UTF-8."""
+
+    def test_ascii_stdout_exit_64(self, tmp_path):
+        argv = ["diagram", "--component", write_pi_component(tmp_path), "--at-r", "4"]
+        stdout, err = io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) == (64, 1)
+        assert lines[0].startswith("error: cannot write standard output: 'ascii' codec can't encode")
+        assert stdout.buffer.getvalue() == b""
+
+    def test_out_file_is_utf8(self, capsys, tmp_path):
+        argv = ["diagram", "--component", write_pi_component(tmp_path), "--at-r", "4"]
+        _, printed, _ = run(capsys, *argv)
+        target = tmp_path / "x.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode("utf-8")
+        assert "R_π(4,3)(4,0)" in printed
+
+
 class TestStdoutFaultsInAProcess:
     """What only a process shows: a fault raised at a write or at ``main``'s
     flush, and an exit flush that must not fail a second time (exit 120)."""
@@ -617,6 +644,14 @@ class TestStdoutFaultsInAProcess:
             proc = self.spawn(argv, full, **env)
             _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (64, NO_SPACE)
+
+    def test_stdout_encoding_cannot_write_the_text(self, tmp_path):
+        argv = ["diagram", "--component", write_pi_component(tmp_path), "--at-r", "4"]
+        proc = self.spawn(argv, subprocess.PIPE, PYTHONIOENCODING="ascii")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (64, "")
+        assert err.startswith("error: cannot write standard output: 'ascii' codec can't encode")
+        assert err.count("\n") == 1
 
     def test_pipe_closed_by_its_reader(self):
         # the listing is larger than a pipe holds, so it cannot all be written
@@ -687,6 +722,20 @@ class TestLoneSurrogates:
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert f"R_{base}(4,3)(4,0)" in out and err == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--out", "{out}"]], ids=["text", "json", "out-file"])
+    def test_pi_id_flag_refused_at_parse(self, capsys, tmp_path, extra):
+        # a byte the command line cannot decode reaches argv as a lone surrogate
+        out = tmp_path / "l.txt"
+        argv = ["resolution", "--d", "4", "--g", "1", "--t", "2", "--pi-id", "\udcff"]
+        assert main([*argv, *[arg.format(out=out) for arg in extra]]) == 64
+        assert_usage(capsys, "resolution", "argument --pi-id: a lone surrogate, which UTF-8 cannot encode")
+        assert not out.exists()
+
+    def test_pi_id_flag_encodable_reads(self, capsys):
+        code, out, err = run(capsys, "resolution", "--d", "4", "--g", "1", "--t", "2", "--pi-id", "\U0001f600")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_RESOLUTION_4_1_2.replace("pi[", "\U0001f600[")
 
     def test_only_a_surrogate_escape_is_walked(self, monkeypatch):
         # the walk asks _SURROGATE of each string; a text without an escape has no walk
