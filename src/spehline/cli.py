@@ -47,12 +47,7 @@ from .jsonio import (
     ledger_listing_to_dict,
     verdict_to_dict,
 )
-from .ledger import (
-    GlobalContext,
-    filtration_graded,
-    generic_infinitesimal,
-    resolution_terms,
-)
+from .ledger import GlobalContext, filtration_graded, generic_infinitesimal, resolution_terms
 from .render import ascii_diagram, svg_diagram
 from .zline import InertialCuspidal
 
@@ -111,16 +106,21 @@ class _Decoder(json.JSONDecoder):
         return doc
 
 
-def _load_json(path: str):
+def _read(path: str, build):
+    """``build(document at path)``; every fault of the file is refused with its path."""
+    doc = _read  # no document is this function: the file is not decoded yet
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, cls=_Decoder)
+            doc = json.load(fh, cls=_Decoder)
+        return build(doc)
     except OSError as exc:
         raise _Refusal(EX_USAGE, f"error: cannot read {path}: {exc.strerror or exc}")
-    except SchemaError as exc:
-        raise _Refusal(EX_SCHEMA, f"error: {path}: {exc}")
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-        raise _Refusal(EX_SCHEMA, f"error: {path} is not valid JSON: {exc}")
+    except SchemaError as exc:  # a field, or a lone surrogate
+        raise _Refusal(EX_SCHEMA, f"schema error: {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        if doc is _read:  # not UTF-8, not JSON, or too deep
+            raise _Refusal(EX_SCHEMA, f"error: {path} is not valid JSON: {exc}")
+        raise _Refusal(EX_INCONSISTENT, f"inconsistent input: {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:
@@ -131,30 +131,37 @@ def _write(path: str, text: str) -> None:
         raise _Refusal(EX_USAGE, f"error: cannot write {path}: {exc.strerror or exc}")
 
 
+# each ``--config`` field: its type, and its value when no flag or file gives it
+_SETTINGS = {"d": (int, None), "g": (int, None), "pi_id": (str, "pi"), "e_pi": (int, 1),
+             "kappa": ((str, int, float), "1")}
+
+
+def _settings(doc) -> dict:
+    """The fields of a ``--config`` document, every one type-checked."""
+    return {key: _need(doc, key, typ, "", default) for key, (typ, default) in _SETTINGS.items()}
+
+
 def _context_from(args) -> GlobalContext:
-    """Flags override the ``--config`` file, whose fields are type-checked."""
-    config = _load_json(args.config) if args.config else {}
-
-    def setting(key: str, typ, default=None):
-        flag = getattr(args, key)
-        return flag if flag is not None else _need(config, key, typ, "", default)
-
-    d, g = setting("d", int), setting("g", int)
+    """The ``--config`` file's settings, each overridden by its flag."""
+    config = _read(args.config, _settings) if args.config is not None else {}
+    d, g, pi_id, e_pi, kappa = (
+        getattr(args, key) if getattr(args, key) is not None else config.get(key, default)
+        for key, (_, default) in _SETTINGS.items()
+    )
     if d is None or g is None:
         args.parser.error("d and g are required (flags or config file)")
-    pi = InertialCuspidal(id=setting("pi_id", str, "pi"), g=g, e_pi=setting("e_pi", int, 1))
-    kappa = _fraction(str(setting("kappa", (str, int, float), "1")))
-    return GlobalContext(d=d, pi=pi, kappa=kappa)
+    pi = InertialCuspidal(id=pi_id, g=g, e_pi=e_pi)
+    return GlobalContext(d=d, pi=pi, kappa=_fraction(str(kappa)))
 
 
 # -------------------------------------------------------------------- commands
 
 
 def cmd_diagram(args) -> tuple[int, str]:
-    if args.at_r is not None and not args.component:
+    if args.at_r is not None and args.component is None:
         args.parser.error("--at-r needs a --component file")
-    if args.component:
-        component = component_from_dict(_load_json(args.component))
+    if args.component is not None:
+        component = _read(args.component, component_from_dict)
         if args.at_r is not None:
             return EX_OK, _constituents(component, args.at_r)
         diag = superpose(component)
@@ -206,13 +213,11 @@ def cmd_ledger(args) -> tuple[int, str]:
 
 def cmd_congruence(args) -> tuple[int, str]:
     _rows_within_radius(args.r, args.s)  # flags no file can satisfy: before any read
-    obj_a = _load_json(args.dataset_a)
-    obj_b = _load_json(args.dataset_b)
-    ds_a = dataset_from_dict(obj_a)
-    ds_b = dataset_from_dict(obj_b)
+    ds_a = _read(args.dataset_a, dataset_from_dict)
+    ds_b = _read(args.dataset_b, dataset_from_dict)
     verdict = theorem_check(ds_a, ds_a.context.pi, ds_b, ds_b.context.pi, args.r, args.s)
     text = canonical_dumps(verdict_to_dict(verdict)) + "\n"
-    if args.report:
+    if args.report is not None:
         _write(args.report, text)
         text = "equal\n" if verdict.equal else "unequal\n"
     for warning in verdict.warnings:
@@ -233,12 +238,8 @@ def build_parser() -> _Parser:
     p_diag.add_argument("--s", type=int, default=None, help="row count")
     p_diag.add_argument("--t", type=int, default=None, help="row length")
     p_diag.add_argument("--component", default=None, help="local component JSON file")
-    p_diag.add_argument(
-        "--at-r", type=int, default=None, help="list constituents at (r, 0)"
-    )
-    p_diag.add_argument(
-        "--ascii", dest="format", action="store_const", const="ascii"
-    )
+    p_diag.add_argument("--at-r", type=int, default=None, help="list constituents at (r, 0)")
+    p_diag.add_argument("--ascii", dest="format", action="store_const", const="ascii")
     p_diag.add_argument("--json", dest="format", action="store_const", const="json")
     p_diag.add_argument("--svg", dest="format", action="store_const", const="svg")
     p_diag.add_argument("--out", default=None, help="write output to a file")
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code, text = args.run(args)
-        if args.out:
+        if args.out is not None:
             _write(args.out, text)
         else:
             sys.stdout.write(text)
@@ -281,9 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         code, text = exc.args
         print(text, file=sys.stderr)
         return code
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EX_SCHEMA
     except BrokenPipeError:  # the reader has gone: nothing to tell it
         return EX_USAGE
     except (OSError, UnicodeEncodeError) as exc:  # stdout, or its encoding, cannot take the text

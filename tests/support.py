@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 
 import hypothesis.strategies as st
 
@@ -20,6 +22,7 @@ from spehline import (
     Wildcard,
     constituent_sum,
 )
+from spehline.cli import main
 
 # a small pool of labels; pi and pi_twin share a mod-l class
 PI = InertialCuspidal("pi", 1, e_pi=1, modl_class="a")
@@ -62,6 +65,17 @@ ladders = st.builds(
     t=st.integers(1, 5),
     center=st.builds(HalfInt, st.integers(-4, 4)),
 )
+
+
+# ------------------------------------------------------------ the command line
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    """``spehline *argv`` run in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # ------------------------------------------------------ diagram support oracle

@@ -22,7 +22,7 @@ from spehline import cli
 from spehline.cli import build_parser, entry, main
 from spehline.jsonio import _fraction, canonical_dumps, dataset_from_dict, dataset_to_dict
 
-from support import PI, PI_TWIN, field_paths
+from support import PI, PI_TWIN, field_paths, run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -44,12 +44,6 @@ EMPTY_SVG = """\
 """
 
 
-def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def assert_usage(capsys, command: str, message: str) -> None:
     """The usage of ``spehline <command>``, then ``error: <message>``, on stderr alone."""
     out, err = capsys.readouterr()
@@ -59,20 +53,20 @@ def assert_usage(capsys, command: str, message: str) -> None:
 
 
 class TestDiagramCommand:
-    def test_single_square(self, capsys):
-        code, out, _ = run(capsys, "diagram", "--s", "1", "--t", "3", "--ascii")
+    def test_single_square(self):
+        code, out, _ = run_cli("diagram", "--s", "1", "--t", "3", "--ascii")
         assert code == 0
         row = next(line for line in out.splitlines() if line.startswith("i=  0"))
         assert row.split("| ")[1] == ". . #"
         assert out.count("#") == 1
 
-    def test_speh_triangle_point_count(self, capsys):
-        code, out, _ = run(capsys, "diagram", "--s", "4", "--t", "1")
+    def test_speh_triangle_point_count(self):
+        code, out, _ = run_cli("diagram", "--s", "4", "--t", "1")
         assert code == 0
         assert out.count("#") == 10
 
-    def test_json_output_roundtrips(self, capsys):
-        code, out, _ = run(capsys, "diagram", "--s", "2", "--t", "2", "--json")
+    def test_json_output_roundtrips(self):
+        code, out, _ = run_cli("diagram", "--s", "2", "--t", "2", "--json")
         assert code == 0
         obj = json.loads(out)
         assert canonical_dumps(obj) == out.strip()
@@ -80,9 +74,8 @@ class TestDiagramCommand:
             (1, 0), (2, -1), (2, 1), (3, 0),
         }
 
-    def test_component_constituents(self, capsys):
-        code, out, _ = run(
-            capsys,
+    def test_component_constituents(self):
+        code, out, _ = run_cli(
             "diagram",
             "--component",
             str(FIXTURES / "triple_component.json"),
@@ -100,9 +93,8 @@ class TestDiagramCommand:
         assert lines[2].endswith("comes from (8,0)")
 
     @pytest.mark.parametrize("r", [0, 9, -1])
-    def test_component_without_support_at_r(self, capsys, r):
-        code, out, err = run(
-            capsys,
+    def test_component_without_support_at_r(self, r):
+        code, out, err = run_cli(
             "diagram",
             "--component",
             str(FIXTURES / "triple_component.json"),
@@ -113,8 +105,8 @@ class TestDiagramCommand:
         assert out == ""
         assert err == f"no support at ({r},0)\n"
 
-    def test_svg_smoke(self, capsys):
-        code, out, _ = run(capsys, "diagram", "--s", "3", "--t", "2", "--svg")
+    def test_svg_smoke(self):
+        code, out, _ = run_cli("diagram", "--s", "3", "--t", "2", "--svg")
         assert code == 0
         assert out.startswith("<svg") and out.count("<rect") == 8
 
@@ -126,39 +118,35 @@ class TestDiagramCommand:
             ("--svg", lambda out: out == EMPTY_SVG),
         ],
     )
-    def test_component_without_factors(self, capsys, tmp_path, flag, check):
+    def test_component_without_factors(self, tmp_path, flag, check):
         # a lone wildcard carries no point of the diagram
         doc = copy.deepcopy(TRIPLE)
         doc.update(factors=[], wildcard={"id": "w", "degree": 4})
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "diagram", "--component", str(path), flag)
+        code, out, _ = run_cli("diagram", "--component", str(path), flag)
         assert code == 0 and check(out)
 
-    def test_component_render_counts_factors(self, capsys):
-        code, out, _ = run(
-            capsys, "diagram", "--component", str(FIXTURES / "triple_component.json")
-        )
+    def test_component_render_counts_factors(self):
+        code, out, _ = run_cli("diagram", "--component", str(FIXTURES / "triple_component.json"))
         assert code == 0
         row = next(line for line in out.splitlines() if line.startswith("i=  0"))
         assert "3" in row  # (4, 0) carries all three factors
 
-    def test_out_file(self, capsys, tmp_path):
+    def test_out_file(self, tmp_path):
         target = tmp_path / "d.svg"
-        code, out, _ = run(
-            capsys, "diagram", "--s", "1", "--t", "1", "--svg", "--out", str(target)
-        )
+        code, out, _ = run_cli("diagram", "--s", "1", "--t", "1", "--svg", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("<svg")
 
-    def test_constituents_out_file(self, capsys, tmp_path):
+    def test_constituents_out_file(self, tmp_path):
         argv = ["diagram", "--component", str(FIXTURES / "triple_component.json"), "--at-r", "4"]
-        _, printed, _ = run(capsys, *argv)
+        _, printed, _ = run_cli(*argv)
         target = tmp_path / "x.txt"
-        code, out, _ = run(capsys, *argv, "--out", str(target))
+        code, out, _ = run_cli(*argv, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == printed
-        code, err = run_exit(capsys, *argv, "--out", str(tmp_path / "missing" / "x.txt"))
+        code, _, err = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.txt"))
         assert code == 64 and err.startswith("error: cannot write")
 
     def test_usage_error(self, capsys):
@@ -175,21 +163,19 @@ class TestDiagramCommand:
 
 
 class TestLedgerCommands:
-    def test_resolution_golden_text(self, capsys):
-        code, out, _ = run(
-            capsys, "resolution", "--d", "4", "--g", "1", "--t", "2"
-        )
+    def test_resolution_golden_text(self):
+        code, out, _ = run_cli("resolution", "--d", "4", "--g", "1", "--t", "2")
         assert code == 0
         assert out == GOLDEN_RESOLUTION_4_1_2
 
-    def test_degree_column_constant(self, capsys):
-        code, out, _ = run(capsys, "filtration", "--d", "12", "--g", "3", "--t", "1")
+    def test_degree_column_constant(self):
+        code, out, _ = run_cli("filtration", "--d", "12", "--g", "3", "--t", "1")
         assert code == 0
         for line in out.splitlines():
             assert "deg=12" in line
 
-    def test_top_stratum_two_lines(self, capsys):
-        code, out, _ = run(capsys, "resolution", "--d", "6", "--g", "2", "--t", "3")
+    def test_top_stratum_two_lines(self):
+        code, out, _ = run_cli("resolution", "--d", "6", "--g", "2", "--t", "3")
         assert code == 0
         assert len(out.splitlines()) == 2
 
@@ -197,24 +183,20 @@ class TestLedgerCommands:
         assert main(["resolution", "--t", "1"]) == 64
         assert_usage(capsys, "resolution", "d and g are required (flags or config file)")
 
-    def test_stratum_out_of_range_exit_65(self, capsys):
-        code, _, err = run(capsys, "resolution", "--d", "4", "--g", "1", "--t", "5")
+    def test_stratum_out_of_range_exit_65(self):
+        code, _, err = run_cli("resolution", "--d", "4", "--g", "1", "--t", "5")
         assert code == 65
         assert "s_g" in err
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
+    def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"d": 4, "g": 1, "kappa": "1/2"}))
-        code, out, _ = run(
-            capsys, "resolution", "--config", str(config), "--t", "2"
-        )
+        code, out, _ = run_cli("resolution", "--config", str(config), "--t", "2")
         assert code == 0
         assert out == GOLDEN_RESOLUTION_4_1_2
 
-    def test_json_listing(self, capsys):
-        code, out, _ = run(
-            capsys, "resolution", "--d", "4", "--g", "1", "--t", "2", "--json"
-        )
+    def test_json_listing(self):
+        code, out, _ = run_cli("resolution", "--d", "4", "--g", "1", "--t", "2", "--json")
         assert code == 0
         obj = json.loads(out)
         assert [t["stratum"] for t in obj["terms"]] == [2, 3, 4, 2]
@@ -232,59 +214,59 @@ class TestCongruenceCommand:
         s = ds.data[0].local.s
         return str(a), str(b), s
 
-    def test_substituted_pair_exit_0(self, capsys, tmp_path):
+    def test_substituted_pair_exit_0(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
-        code, out, _ = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, out, _ = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 0
         assert json.loads(out)["equal"] is True
 
-    def test_mutated_pair_exit_1(self, capsys, tmp_path):
+    def test_mutated_pair_exit_1(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())
         obj["data"][0]["m"] += 1
         Path(b).write_text(canonical_dumps(obj))
-        code, out, _ = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, out, _ = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 1
         report = json.loads(out)
         assert report["equal"] is False and report["diffs"]
 
-    def test_torsion_inconsistent_exit_2(self, capsys, tmp_path):
+    def test_torsion_inconsistent_exit_2(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(a).read_text())
         obj["torsion"] = {"t0": None, "tau": [1, 0, 0]}
         Path(a).write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, _, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 2
         assert "inconsistent" in err
 
-    def test_schema_violation_exit_66(self, capsys, tmp_path):
+    def test_schema_violation_exit_66(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(a).read_text())
         del obj["data"][0]["inv_dim"]
         Path(a).write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, _, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 66
         assert "data[0].inv_dim" in err
 
-    def test_level_order_ignored(self, capsys, tmp_path):
+    def test_level_order_ignored(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())
         obj["levels"].reverse()
         Path(b).write_text(canonical_dumps(obj))
-        code, out, _ = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, out, _ = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 0
         assert json.loads(out)["equal"] is True
 
-    def test_duplicate_id_exit_2(self, capsys, tmp_path):
+    def test_duplicate_id_exit_2(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(a).read_text())
         obj["data"][1]["id"] = obj["data"][0]["id"]
         Path(a).write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, _, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 2
         assert f"duplicate datum id {obj['data'][0]['id']!r}" in err
 
-    def test_class_on_two_gl_exit_2(self, capsys, tmp_path):
+    def test_class_on_two_gl_exit_2(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(a).read_text())
         local = next(
@@ -295,59 +277,59 @@ class TestCongruenceCommand:
         local["wildcard"]["degree"] -= 2 * local["s"]
         obj["cuspidals"]["rho"] = {"g": 2, "e_pi": 1, "modl_class": "a"}
         Path(a).write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, _, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 2
         assert "mod-l class 'a' holds 'pi' on GL_1 and 'rho' on GL_2" in err
 
-    def test_empty_class_exit_2(self, capsys, tmp_path):
+    def test_empty_class_exit_2(self, tmp_path):
         # read as the label's own id, "" would put x in y's class "x"
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(a).read_text())
         obj["cuspidals"]["x"] = {"g": 1, "e_pi": 1, "modl_class": ""}
         obj["cuspidals"]["y"] = {"g": 1, "e_pi": 1, "modl_class": "x"}
         Path(a).write_text(canonical_dumps(obj))
-        code, out, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, out, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert (code, out) == (2, "")
-        assert err == "inconsistent input: cuspidals[x].modl_class: empty mod-l class\n"
+        assert err == f"inconsistent input: {a}: cuspidals[x].modl_class: empty mod-l class\n"
 
-    def test_files_disagree_on_an_id_exit_2(self, capsys, tmp_path):
+    def test_files_disagree_on_an_id_exit_2(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())
         shared = min(set(obj["cuspidals"]) & set(json.loads(Path(a).read_text())["cuspidals"]))
         obj["cuspidals"][shared]["e_pi"] += 1
         Path(b).write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "congruence", a, b, "--r", "4", "--s", str(s))
+        code, _, err = run_cli("congruence", a, b, "--r", "4", "--s", str(s))
         assert code == 2
         assert f"cuspidal id {shared!r} names two labels" in err
 
-    def test_ambient_degrees_differ_exit_2(self, capsys, tmp_path):
+    def test_ambient_degrees_differ_exit_2(self, tmp_path):
         a, _, s = self.write_pair(tmp_path)
         other = generate_dataset(21, GlobalContext(d=14, pi=PI_TWIN), r=4)
         b = tmp_path / "b14.json"
         b.write_text(canonical_dumps(dataset_to_dict(other)))
-        code, out, err = run(capsys, "congruence", a, str(b), "--r", "4", "--s", str(s))
+        code, out, err = run_cli("congruence", a, str(b), "--r", "4", "--s", str(s))
         assert (code, out) == (2, "")
         assert err == "inconsistent input: datasets have different ambient degrees\n"
 
-    def test_report_file(self, capsys, tmp_path):
+    def test_report_file(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         report = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "congruence", a, b, "--r", "4", "--s", str(s),
+        code, out, _ = run_cli(
+            "congruence", a, b, "--r", "4", "--s", str(s),
             "--report", str(report),
         )
         assert code == 0
         assert out.strip() == "equal"
         assert json.loads(report.read_text())["exit_code"] == 0
 
-    def test_report_file_unequal(self, capsys, tmp_path):
+    def test_report_file_unequal(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())
         obj["data"][0]["m"] += 1
         Path(b).write_text(canonical_dumps(obj))
         report = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "congruence", a, b, "--r", "4", "--s", str(s),
+        code, out, _ = run_cli(
+            "congruence", a, b, "--r", "4", "--s", str(s),
             "--report", str(report),
         )
         assert (code, out) == (1, "unequal\n")
@@ -357,15 +339,6 @@ class TestCongruenceCommand:
 # ------------------------------------------------------------ malformed input
 
 TRIPLE = json.loads((FIXTURES / "triple_component.json").read_text())
-
-
-def run_exit(capsys, *argv: str) -> tuple[int, str]:
-    """Exit status and stderr, whether ``main`` returns or exits."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().err
 
 
 class TestMalformedInput:
@@ -379,7 +352,7 @@ class TestMalformedInput:
             (
                 lambda c: c["cuspidals"]["pi"].update(modl_class=""),
                 2,
-                "inconsistent input: cuspidals[pi].modl_class: empty mod-l class",
+                "inconsistent input: {file}: cuspidals[pi].modl_class: empty mod-l class",
             ),
             (lambda c: c.update(wildcard={"id": "w", "degree": -1}), 2, "degree"),
             (lambda c: c.pop("schema_version"), 66, "schema_version: missing field"),
@@ -390,33 +363,33 @@ class TestMalformedInput:
             "no-version", "version-7",
         ],
     )
-    def test_component(self, capsys, tmp_path, edit, code, where):
+    def test_component(self, tmp_path, edit, code, where):
         doc = copy.deepcopy(TRIPLE)
         edit(doc)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
-        got, err = run_exit(capsys, "diagram", "--component", str(path))
-        assert got == code and where in err
+        got, _, err = run_cli("diagram", "--component", str(path))
+        assert got == code and str(path) in err and where.format(file=path) in err
 
-    def test_shape_out_of_range(self, capsys):
-        code, err = run_exit(capsys, "diagram", "--s", "0", "--t", "2")
+    def test_shape_out_of_range(self):
+        code, _, err = run_cli("diagram", "--s", "0", "--t", "2")
         assert code == 2 and "positive" in err
 
-    def test_config_field_type(self, capsys, tmp_path):
+    def test_config_field_type(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"d": "4", "g": 1}))
-        code, err = run_exit(capsys, "resolution", "--config", str(config), "--t", "2")
+        code, _, err = run_cli("resolution", "--config", str(config), "--t", "2")
         assert code == 66
-        assert err.startswith("schema error: d:")
+        assert err.startswith(f"schema error: {config}: d:")
 
-    def test_directory_path(self, capsys, tmp_path):
-        code, err = run_exit(capsys, "diagram", "--component", str(tmp_path))
+    def test_directory_path(self, tmp_path):
+        code, _, err = run_cli("diagram", "--component", str(tmp_path))
         assert code == 64 and str(tmp_path) in err
 
-    def test_not_utf8(self, capsys, tmp_path):
+    def test_not_utf8(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_bytes(b'{"s": "\xff"}')
-        code, err = run_exit(capsys, "diagram", "--component", str(path))
+        code, _, err = run_cli("diagram", "--component", str(path))
         assert code == 66 and "not valid JSON" in err
 
 
@@ -439,21 +412,21 @@ class TestCheckedInPair:
     """``fixtures/congruence_{a,b}.json``: twin files with anchor records at
     radii 2 to 5."""
 
-    def run_pair(self, capsys, tmp_path, edit=None, r=5, s=5) -> tuple[int, str, str]:
+    def run_pair(self, tmp_path, edit=None, r=5, s=5) -> tuple[int, str, str]:
         a, b = FIXTURES / "congruence_a.json", FIXTURES / "congruence_b.json"
         if edit is not None:
             doc = json.loads(b.read_text(encoding="utf-8"))
             edit(doc)
             b = tmp_path / "b.json"
             b.write_text(json.dumps(doc), encoding="utf-8")
-        return run(capsys, "congruence", str(a), str(b), "--r", str(r), "--s", str(s))
+        return run_cli("congruence", str(a), str(b), "--r", str(r), "--s", str(s))
 
-    def test_twins_exit_0(self, capsys, tmp_path):
-        code, out, err = self.run_pair(capsys, tmp_path)
+    def test_twins_exit_0(self, tmp_path):
+        code, out, err = self.run_pair(tmp_path)
         assert (code, err) == (0, "") and json.loads(out)["lhs"]
 
-    def test_radius_beyond_anchors_warns_exit_0(self, capsys, tmp_path):
-        code, out, err = self.run_pair(capsys, tmp_path, r=6, s=2)
+    def test_radius_beyond_anchors_warns_exit_0(self, tmp_path):
+        code, out, err = self.run_pair(tmp_path, r=6, s=2)
         assert code == 0 and json.loads(out)["warnings"]
         assert err == "".join(
             f"warning: dataset {side}: r=6 is not the maximal radius (observed 5); "
@@ -462,71 +435,71 @@ class TestCheckedInPair:
         )
 
     @pytest.mark.parametrize("r, s", [(5, 6), (5, 0), (0, 0)])
-    def test_rows_outside_radius_exit_2(self, capsys, tmp_path, r, s):
-        code, out, err = self.run_pair(capsys, tmp_path, r=r, s=s)
+    def test_rows_outside_radius_exit_2(self, tmp_path, r, s):
+        code, out, err = self.run_pair(tmp_path, r=r, s=s)
         assert (code, out) == (2, "")
         assert err == f"inconsistent input: need 1 <= s <= r, got r={r}, s={s}\n"
 
     @pytest.mark.parametrize("r, s", [(5, 6), (5, 0), (0, 0)])
-    def test_rows_refused_before_files_are_read(self, capsys, tmp_path, r, s):
+    def test_rows_refused_before_files_are_read(self, tmp_path, r, s):
         def spoil(doc):
             doc["data"][23]["m"] = "1"
 
         # the spoiled file alone exits 66, so its schema error must never show
-        code, out, err = self.run_pair(capsys, tmp_path, spoil, r=r, s=s)
+        code, out, err = self.run_pair(tmp_path, spoil, r=r, s=s)
         assert (code, out) == (2, "")
         assert err == f"inconsistent input: need 1 <= s <= r, got r={r}, s={s}\n"
-        code, _, err = run(capsys, "congruence", "/nonexistent", "x", "--r", str(r), "--s", str(s))
+        code, _, err = run_cli("congruence", "/nonexistent", "x", "--r", str(r), "--s", str(s))
         assert code == 2 and err.startswith("inconsistent input: need 1 <= s <= r")
 
-    def test_level_towers_differ_exit_2(self, capsys, tmp_path):
+    def test_level_towers_differ_exit_2(self, tmp_path):
         def extend(doc):
             doc["levels"].append(3)
 
-        code, out, err = self.run_pair(capsys, tmp_path, extend)
+        code, out, err = self.run_pair(tmp_path, extend)
         assert (code, out) == (2, "")
         assert err == "inconsistent input: datasets have different level towers\n"
 
-    def test_bumped_m_exit_1(self, capsys, tmp_path):
+    def test_bumped_m_exit_1(self, tmp_path):
         def bump(doc):
             doc["data"][19]["m"] += 1
 
-        code, out, _ = self.run_pair(capsys, tmp_path, bump)
+        code, out, _ = self.run_pair(tmp_path, bump)
         assert code == 1 and json.loads(out)["diffs"]
 
-    def test_bad_type_in_last_record_exit_66(self, capsys, tmp_path):
+    def test_bad_type_in_last_record_exit_66(self, tmp_path):
         def spoil(doc):
             doc["data"][-1]["m"] = "1"
 
-        code, _, err = self.run_pair(capsys, tmp_path, spoil)
+        code, _, err = self.run_pair(tmp_path, spoil)
         assert code == 66 and "data[23].m: expected an integer" in err
 
-    def test_first_of_two_bad_types_wins_exit_66(self, capsys, tmp_path):
+    def test_first_of_two_bad_types_wins_exit_66(self, tmp_path):
         def spoil_twice(doc):
             doc["data"][-1]["m"] = "1"
             doc["data"][2]["m"] = "1"
 
-        code, out, err = self.run_pair(capsys, tmp_path, spoil_twice)
+        code, out, err = self.run_pair(tmp_path, spoil_twice)
         assert (code, out) == (66, "")
-        assert err == "schema error: data[2].m: expected an integer\n"
+        assert err == f"schema error: {tmp_path / 'b.json'}: data[2].m: expected an integer\n"
 
-    def test_wildcard_one_degree_too_large_exit_2(self, capsys, tmp_path):
+    def test_wildcard_one_degree_too_large_exit_2(self, tmp_path):
         def heavier(doc):
             doc["data"][0]["local"]["wildcard"]["degree"] += 1
 
-        code, out, err = self.run_pair(capsys, tmp_path, heavier)
+        code, out, err = self.run_pair(tmp_path, heavier)
         assert (code, out) == (2, "")
-        assert err == "inconsistent input: datum 'r2.dat0' has degree 13, expected 12\n"
+        assert err == f"inconsistent input: {tmp_path / 'b.json'}: datum 'r2.dat0' has degree 13, expected 12\n"
 
-    def test_repeated_id_does_not_hide_a_later_bad_type_exit_66(self, capsys, tmp_path):
+    def test_repeated_id_does_not_hide_a_later_bad_type_exit_66(self, tmp_path):
         # a repeated id alone exits 2, but only once every record is read
         def repeat_and_spoil(doc):
             doc["data"][1]["id"] = doc["data"][0]["id"]
             doc["data"][-1]["m"] = "1"
 
-        code, out, err = self.run_pair(capsys, tmp_path, repeat_and_spoil)
+        code, out, err = self.run_pair(tmp_path, repeat_and_spoil)
         assert (code, out) == (66, "")
-        assert err == "schema error: data[23].m: expected an integer\n"
+        assert err == f"schema error: {tmp_path / 'b.json'}: data[23].m: expected an integer\n"
 
 
 # ------------------------------------------------------------ standard output
@@ -603,11 +576,11 @@ class TestStdoutEncoding:
         assert lines[0].startswith("error: cannot write standard output: 'ascii' codec can't encode")
         assert stdout.buffer.getvalue() == b""
 
-    def test_out_file_is_utf8(self, capsys, tmp_path):
+    def test_out_file_is_utf8(self, tmp_path):
         argv = ["diagram", "--component", write_pi_component(tmp_path), "--at-r", "4"]
-        _, printed, _ = run(capsys, *argv)
+        _, printed, _ = run_cli(*argv)
         target = tmp_path / "x.txt"
-        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert run_cli(*argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == printed.encode("utf-8")
         assert "R_π(4,3)(4,0)" in printed
 
@@ -704,14 +677,14 @@ class TestLoneSurrogates:
         return [next(paths) if arg == "{}" else arg for arg in argv]
 
     @pytest.mark.parametrize("kind, edit, where", ROWS.values(), ids=ROWS.keys())
-    def test_refused_at_read(self, capsys, tmp_path, kind, edit, where):
+    def test_refused_at_read(self, tmp_path, kind, edit, where):
         argv = self.write(tmp_path, kind, edit)
-        code, err = run_exit(capsys, *argv)
-        message = f"error: {tmp_path / 'doc.json'}: {where}: a lone surrogate, which UTF-8 cannot encode\n"
+        code, _, err = run_cli(*argv)
+        message = f"schema error: {tmp_path / 'doc.json'}: {where}: a lone surrogate, which UTF-8 cannot encode\n"
         assert (code, err) == (66, message)
 
     @pytest.mark.parametrize("base", ["\U0001f600", "\\ud800"], ids=["surrogate-pair", "escaped-backslash"])
-    def test_encodable_ids_read(self, capsys, tmp_path, base):
+    def test_encodable_ids_read(self, tmp_path, base):
         def rename(doc):
             doc["factors"][1]["base_id"] = base
             doc["cuspidals"][base] = doc["cuspidals"]["pi"]
@@ -719,9 +692,8 @@ class TestLoneSurrogates:
         argv = self.write(tmp_path, "component", rename)
         if base == "\U0001f600":  # json.dumps writes the pair as two escapes, which the scan finds
             assert "\\ud83d\\ude00" in (tmp_path / "doc.json").read_text()
-        assert main(argv) == 0
-        out, err = capsys.readouterr()
-        assert f"R_{base}(4,3)(4,0)" in out and err == ""
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "") and f"R_{base}(4,3)(4,0)" in out
 
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--out", "{out}"]], ids=["text", "json", "out-file"])
     def test_pi_id_flag_refused_at_parse(self, capsys, tmp_path, extra):
@@ -732,8 +704,8 @@ class TestLoneSurrogates:
         assert_usage(capsys, "resolution", "argument --pi-id: a lone surrogate, which UTF-8 cannot encode")
         assert not out.exists()
 
-    def test_pi_id_flag_encodable_reads(self, capsys):
-        code, out, err = run(capsys, "resolution", "--d", "4", "--g", "1", "--t", "2", "--pi-id", "\U0001f600")
+    def test_pi_id_flag_encodable_reads(self):
+        code, out, err = run_cli("resolution", "--d", "4", "--g", "1", "--t", "2", "--pi-id", "\U0001f600")
         assert (code, err) == (0, "")
         assert out == GOLDEN_RESOLUTION_4_1_2.replace("pi[", "\U0001f600[")
 
@@ -789,19 +761,13 @@ def check_documented_exit(case):
     exit code, never in a traceback."""
     kind, doc = case
     valid, argv = DOCUMENTS[kind]
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         broken, intact = Path(tmp) / "broken.json", Path(tmp) / "intact.json"
         broken.write_text(json.dumps(doc))
         intact.write_text(json.dumps(valid))
         paths = iter([str(broken), str(intact)])
-        argv = [next(paths) if arg == "{}" else arg for arg in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    assert code in {0, 1, 2, 64, 65, 66}, err.getvalue()
+        code, _, err = run_cli(*[next(paths) if arg == "{}" else arg for arg in argv])
+    assert code in {0, 1, 2, 64, 65, 66}, err
 
 
 @pytest.mark.parametrize(
@@ -813,13 +779,13 @@ def check_documented_exit(case):
     ],
     ids=["dataset", "config", "flag"],
 )
-def test_kappa_zero_denominator(capsys, tmp_path, kind, edit, extra):
+def test_kappa_zero_denominator(tmp_path, kind, edit, extra):
     doc, argv = copy.deepcopy(DOCUMENTS[kind][0]), DOCUMENTS[kind][1]
     edit(doc)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argv = [str(path) if arg == "{}" else arg for arg in argv] + extra
-    code, err = run_exit(capsys, *argv)
+    code, _, err = run_cli(*argv)
     assert code == 2 and err.startswith("inconsistent input:") and "1/0" in err
 
 
@@ -880,7 +846,7 @@ def test_kappa_exponent_bound(text, scale, power):
 
 @pytest.mark.parametrize("text", ["1e4300", "12e4299", "1e-4300"])
 @pytest.mark.parametrize("kind", ["dataset", "config", "flag"])
-def test_kappa_beyond_the_digit_limit(capsys, tmp_path, kind, text):
+def test_kappa_beyond_the_digit_limit(tmp_path, kind, text):
     # a numerator or denominator of 4301 digits could not be written back
     doc, argv = copy.deepcopy(DOCUMENTS["config" if kind == "flag" else kind])
     if kind == "dataset":
@@ -891,7 +857,7 @@ def test_kappa_beyond_the_digit_limit(capsys, tmp_path, kind, text):
         argv += ["--kappa", text]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, err = run_exit(capsys, *[str(path) if arg == "{}" else arg for arg in argv])
+    code, _, err = run_cli(*[str(path) if arg == "{}" else arg for arg in argv])
     assert code == 2 and err.startswith("inconsistent input:") and "4300 digits" in err
 
 
@@ -904,19 +870,30 @@ def test_kappa_at_the_digit_limit_round_trips():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refusal",
     [
-        ["diagram", "--s", "2", "--t", "2", "--out", "{missing}/x.txt"],
-        ["congruence", "{data}", "{data}", "--r", "4", "--s", "2", "--report", "{missing}/r.json"],
+        (["diagram", "--s", "2", "--t", "2", "--out", "{missing}/x.txt"], "cannot write {missing}/"),
+        (
+            ["congruence", "{data}", "{data}", "--r", "4", "--s", "2", "--report", "{missing}/r.json"],
+            "cannot write {missing}/",
+        ),
+        # an empty path is a path, one that no file has
+        (["diagram", "--s", "1", "--t", "2", "--out", ""], "cannot write : "),
+        (["congruence", "{data}", "{data}", "--r", "4", "--s", "2", "--report", ""], "cannot write : "),
+        (["resolution", "--d", "4", "--g", "1", "--t", "2", "--config", ""], "cannot read : "),
+        (["diagram", "--component", "", "--s", "1", "--t", "2"], "cannot read : "),
     ],
-    ids=["diagram-out", "congruence-report"],
+    ids=[
+        "diagram-out", "congruence-report", "diagram-empty-out", "congruence-empty-report",
+        "resolution-empty-config", "diagram-empty-component",
+    ],
 )
-def test_unwritable_output(capsys, tmp_path, argv):
+def test_unwritable_output(tmp_path, argv, refusal):
     data, missing = tmp_path / "ds.json", tmp_path / "missing"
     data.write_text(json.dumps(DATASET))
     argv = [arg.format(data=data, missing=missing) for arg in argv]
-    code, err = run_exit(capsys, *argv)
-    assert code == 64 and err.startswith(f"error: cannot write {missing}/")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (64, "") and err.startswith("error: " + refusal.format(missing=missing))
 
 
 @pytest.mark.parametrize(
@@ -928,21 +905,26 @@ def test_unwritable_output(capsys, tmp_path, argv):
     ],
     ids=["congruence", "diagram", "resolution"],
 )
-def test_json_nested_too_deep(capsys, tmp_path, argv):
+def test_json_nested_too_deep(tmp_path, argv):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)
-    code, err = run_exit(capsys, *[arg.format(deep=deep) for arg in argv])
+    code, _, err = run_cli(*[arg.format(deep=deep) for arg in argv])
     assert code == 66 and str(deep) in err
 
 
-def run_broken_dataset(capsys, tmp_path, edit) -> tuple[int, str]:
-    """``congruence`` on a copy of ``DATASET`` changed by ``edit`` and an intact one."""
+def run_broken_dataset(tmp_path, edit, first: bool = True) -> tuple[int, str]:
+    """``congruence`` on a copy of ``DATASET`` changed by ``edit`` and an
+    intact one, the broken file first or second.  Exit code and stderr,
+    which names the broken file, shown as ``{file}``, and not the intact one."""
     doc = copy.deepcopy(DATASET)
     edit(doc)
     broken, intact = tmp_path / "broken.json", tmp_path / "intact.json"
     broken.write_text(json.dumps(doc))
     intact.write_text(json.dumps(DATASET))
-    return run_exit(capsys, "congruence", str(broken), str(intact), "--r", "4", "--s", "2")
+    pair = [str(broken), str(intact)][:: 1 if first else -1]
+    code, _, err = run_cli("congruence", *pair, "--r", "4", "--s", "2")
+    assert str(intact) not in err
+    return code, err.replace(str(broken), "{file}")
 
 
 def _set(path: str, value):
@@ -987,59 +969,73 @@ def _factorless(factors):
     ],
     ids=["factors-string", "factors-object", "data-object", "wildcard-list", "m-true"],
 )
-def test_dataset_container_types(capsys, tmp_path, edit, message):
-    code, err = run_broken_dataset(capsys, tmp_path, edit)
-    assert (code, err) == (66, f"schema error: {message}\n")
+def test_dataset_container_types(tmp_path, edit, message):
+    code, err = run_broken_dataset(tmp_path, edit)
+    assert (code, err) == (66, f"schema error: {{file}}: {message}\n")
 
 
 # When several fields are broken, the first one the reader reaches decides
 # the error: a record's fields in order (its component is built before ``m``
 # is read), records in order, then the torsion profile and the levels, and
-# only then the checks across records.
+# only then the checks across records.  Whichever file is broken, first or
+# second, the error names it.
 @pytest.mark.parametrize(
-    "edit, code, message",
+    "edit, code, message, first",
     [
         (
             _edits(_set("data.0.local.s", 0), _set("data.0.m", "x")),
             2,
-            "inconsistent input: component needs s >= 1, got 0",
+            "inconsistent input: {file}: component needs s >= 1, got 0",
+            True,
         ),
         (
             _edits(_set("data.0.m", "x"), _set("data.1.local.s", 0)),
             66,
-            "schema error: data[0].m: expected an integer",
+            "schema error: {file}: data[0].m: expected an integer",
+            True,
         ),
         (
             _edits(_set("data.0.m", 0), lambda doc: doc["data"][0].pop("satake")),
             66,
-            "schema error: data[0].satake: missing field",
+            "schema error: {file}: data[0].satake: missing field",
+            True,
         ),
         (
             _edits(_set("data.1.id", DATASET["data"][0]["id"]), _set("levels", [0, "x"])),
             66,
-            "schema error: levels[1]: expected an integer",
+            "schema error: {file}: levels[1]: expected an integer",
+            True,
         ),
+        (_set("data.0.m", "x"), 66, "schema error: {file}: data[0].m: expected an integer", False),
+        (
+            _set("data.1.id", DATASET["data"][0]["id"]),
+            2,
+            f"inconsistent input: {{file}}: duplicate datum id {DATASET['data'][0]['id']!r}",
+            False,
+        ),
+        *[
+            (
+                _set("data.0.satake", LONE_SURROGATE),
+                66,
+                "schema error: {file}: data[0].satake: a lone surrogate, which UTF-8 cannot encode",
+                first,
+            )
+            for first in (True, False)
+        ],
     ],
-    ids=["component-before-m", "record-order", "satake-before-m-check", "levels-before-duplicates"],
+    ids=[
+        "component-before-m", "record-order", "satake-before-m-check", "levels-before-duplicates",
+        "schema-second", "invariant-second", "surrogate-first", "surrogate-second",
+    ],
 )
-def test_dataset_error_order(capsys, tmp_path, edit, code, message):
-    assert run_broken_dataset(capsys, tmp_path, edit) == (code, message + "\n")
+def test_dataset_error_order(tmp_path, edit, code, message, first):
+    assert run_broken_dataset(tmp_path, edit, first) == (code, message + "\n")
 
 
 # ------------------------------------------------------------ one parser
 
 
-def call(capsys, argv: list[str]) -> tuple[int, str, str]:
-    """Exit status, stdout and stderr, whether ``main`` returns or exits."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_one_parser_serves_every_call(capsys, tmp_path):
+def test_one_parser_serves_every_call(tmp_path):
     a, b, s = TestCongruenceCommand().write_pair(tmp_path)
     calls = [
         ["diagram", "--s", "2", "--t"],
@@ -1049,10 +1045,10 @@ def test_one_parser_serves_every_call(capsys, tmp_path):
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
-        fresh.append(call(capsys, argv))
+        fresh.append(run_cli(*argv))
     build_parser.cache_clear()
     parser = build_parser()
-    shared = [call(capsys, argv) for argv in calls]
+    shared = [run_cli(*argv) for argv in calls]
     assert build_parser() is parser
     assert [code for code, _, _ in shared] == [64, 0, 0]
     assert shared == fresh

@@ -20,17 +20,16 @@ so they pin the output of any faster point or diagram construction.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
 from spehline import ConstituentLabel, constituent, modl_key, superpose
-from spehline.cli import main
 from spehline.jsonio import component_from_dict
+
+from support import run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FORMATS = ("json", "svg", "ascii")
@@ -62,20 +61,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code != 0 or not err.getvalue()
-    return code, out.getvalue()
-
-
 def _shown(argv: list[str]) -> dict:
     """The digest of each format's output; each must exit 0."""
     digests = {}
     for fmt in FORMATS:
-        code, text = _run(argv + [f"--{fmt}"])
-        assert code == 0, (argv, fmt)
+        code, text, err = run_cli(*argv, f"--{fmt}")
+        assert (code, err) == (0, ""), (argv, fmt)
         digests[fmt] = _sha(text)
     return digests
 
@@ -88,8 +79,9 @@ def cli_digests(path: Path, doc: dict) -> dict:
     digests = _shown(argv)
     at_r = {}
     for r in range(doc["s"] + max(f["t"] for f in doc["factors"]) + 1):
-        code, text = _run(argv + ["--at-r", str(r)])
+        code, text, err = run_cli(*argv, "--at-r", str(r))
         if code == 0:
+            assert not err, r
             at_r[str(r)] = _sha(text)
         else:
             assert code == 2 and not text, r

@@ -1,22 +1,25 @@
 """Which refusal wins when one call holds an argument fault and a file fault.
 
 Each table crosses the argument faults of one subcommand with the faults
-of the file it reads and gives the exit code of every pair, in the order
-the README's exit-code section states: the command line, then the files
-as they are read, then the checks that need both, then the output.
+of the file it reads and gives the exit code of every pair.  Every
+subcommand follows the one order the README's exit-code section states:
+
+1. parse the command line;
+2. check the flags no file enters;
+3. read and check each file whole, in the order of the command line;
+4. run the checks that need flags and files together;
+5. write the output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
 from pathlib import Path
 
 import pytest
 
-from spehline.cli import main
+from support import run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPONENT = json.loads((FIXTURES / "triple_component.json").read_text(encoding="utf-8"))
@@ -54,14 +57,6 @@ def _write(tmp_path: Path, name: str, doc: dict, fault: str, edits: dict = EDITS
     return str(path)
 
 
-def _code(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
-
-
 def _table(rows: dict, columns: list[str]):
     return [
         (row, column, code)
@@ -90,7 +85,7 @@ DIAGRAM = {
 @pytest.mark.parametrize("argv_fault, file_fault, code", _table(DIAGRAM, FILE_FAULTS))
 def test_diagram(tmp_path, argv_fault, file_fault, code):
     path = _write(tmp_path, "c.json", COMPONENT, file_fault)
-    assert _code(["diagram", "--component", path, *DIAGRAM_ARGV[argv_fault]]) == code
+    assert run_cli("diagram", "--component", path, *DIAGRAM_ARGV[argv_fault])[0] == code
 
 
 CONFIG = {"d": 12, "g": 3, "e_pi": 1, "kappa": "1/2", "pi_id": "pi"}
@@ -110,13 +105,14 @@ LEDGER_ARGV = {
     "--t beyond s_g": ["--d", "12", "--g", "3", "--t", "9"],
     "--out unwritable": ["--d", "12", "--g", "3", "--t", "1", "--out", UNWRITABLE],
 }
-# g and e_pi are range-checked with the label, before kappa is read;
-# d with the context, after it
+# every config field is type-checked as the file is read, also one a flag
+# overrides; the settings are range-checked after that, g and e_pi with the
+# label, then kappa, then d with the context
 LEDGER = {
     "none": [0, 64, 66, 66, 66, 0],
     "no --d, --g": [64, 64, 66, 66, 66, 0],
     "--t not an integer": [64, 64, 64, 64, 64, 64],
-    "--g 0": [2, 64, 66, 66, 2, 2],
+    "--g 0": [2, 64, 66, 66, 66, 2],
     "--d below g": [2, 64, 66, 66, 66, 2],
     "--t beyond s_g": [65, 64, 66, 66, 66, 65],
     "--out unwritable": [64, 64, 66, 66, 66, 64],
@@ -129,17 +125,18 @@ def test_ledger(tmp_path, command, argv_fault, file_fault, code):
     argv = [command, *LEDGER_ARGV[argv_fault]]
     if file_fault != "no --config":
         argv += ["--config", _write(tmp_path, "config.json", CONFIG, file_fault, CONFIG_EDITS)]
-    assert _code(argv) == code
+    assert run_cli(*argv)[0] == code
 
 
-# the first file's fault by row, the second file's by column
+# the first file's fault by row, the second file's by column; the first
+# file is read and checked whole before the second is opened
 CONGRUENCE = {
     "--r 4 --s 2": {
         "none": [0, 64, 66, 66, 2],
         "missing": [64, 64, 64, 64, 64],
         "not json": [66, 66, 66, 66, 66],
-        "schema": [66, 64, 66, 66, 66],
-        "invariant": [2, 64, 66, 2, 2],
+        "schema": [66, 66, 66, 66, 66],
+        "invariant": [2, 2, 2, 2, 2],
     },
     # flags no dataset can satisfy are refused before either file is opened
     "--r 4 --s 5": {first: [2] * 5 for first in FILE_FAULTS},
@@ -148,8 +145,8 @@ CONGRUENCE = {
         "none": [64, 64, 66, 66, 2],
         "missing": [64, 64, 64, 64, 64],
         "not json": [66, 66, 66, 66, 66],
-        "schema": [66, 64, 66, 66, 66],
-        "invariant": [2, 64, 66, 2, 2],
+        "schema": [66, 66, 66, 66, 66],
+        "invariant": [2, 2, 2, 2, 2],
     },
 }
 
@@ -165,4 +162,4 @@ CONGRUENCE = {
 def test_congruence(tmp_path, flags, first, second, code):
     a = _write(tmp_path, "a.json", DATASETS[0], first)
     b = _write(tmp_path, "b.json", DATASETS[1], second)
-    assert _code(["congruence", a, b, *flags.split()]) == code
+    assert run_cli("congruence", a, b, *flags.split())[0] == code
