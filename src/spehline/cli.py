@@ -9,8 +9,9 @@ every refusal to its code.  Exit codes are fixed for scripting:
     0  success / verdict equal
     1  verdict unequal
     2  inconsistent input (semantic invariant broken)
-    64 usage error, an input or output path that cannot be read or written, or
-       standard output cannot be written; a pipe closed by its reader exits 64 silently
+    64 usage error, an input or output path that cannot be read or written (an
+       empty one is shown as ''), or standard output cannot be written; a pipe
+       closed by its reader exits 64 silently
     65 stratum index out of range
     66 schema violation, file not UTF-8 or not JSON, JSON nested too deeply
        to read, a string UTF-8 cannot encode, or a config field of the wrong type
@@ -38,7 +39,6 @@ from .diagrams import (
 from .jsonio import (
     SchemaError,
     _at,
-    _fraction,
     _need,
     canonical_dumps,
     component_from_dict,
@@ -114,7 +114,7 @@ def _read(path: str, build):
             doc = json.load(fh, cls=_Decoder)
         return build(doc)
     except OSError as exc:
-        raise _Refusal(EX_USAGE, f"error: cannot read {path}: {exc.strerror or exc}")
+        raise _Refusal(EX_USAGE, f"error: cannot read {path or repr(path)}: {exc.strerror or exc}")
     except SchemaError as exc:  # a field, or a lone surrogate
         raise _Refusal(EX_SCHEMA, f"schema error: {path}: {exc}")
     except (ValueError, RecursionError) as exc:
@@ -128,12 +128,11 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _Refusal(EX_USAGE, f"error: cannot write {path}: {exc.strerror or exc}")
+        raise _Refusal(EX_USAGE, f"error: cannot write {path or repr(path)}: {exc.strerror or exc}")
 
 
 # each ``--config`` field: its type, and its value when no flag or file gives it
-_SETTINGS = {"d": (int, None), "g": (int, None), "pi_id": (str, "pi"), "e_pi": (int, 1),
-             "kappa": ((str, int, float), "1")}
+_SETTINGS = {"d": (int, None), "g": (int, None), "pi_id": (str, "pi"), "e_pi": (int, 1)}
 
 
 def _settings(doc) -> dict:
@@ -142,16 +141,17 @@ def _settings(doc) -> dict:
 
 
 def _context_from(args) -> GlobalContext:
-    """The ``--config`` file's settings, each overridden by its flag."""
+    """The ``--config`` file's settings, each overridden by its flag; the
+    file's other keys are not read."""
     config = _read(args.config, _settings) if args.config is not None else {}
-    d, g, pi_id, e_pi, kappa = (
+    d, g, pi_id, e_pi = (
         getattr(args, key) if getattr(args, key) is not None else config.get(key, default)
         for key, (_, default) in _SETTINGS.items()
     )
     if d is None or g is None:
         args.parser.error("d and g are required (flags or config file)")
     pi = InertialCuspidal(id=pi_id, g=g, e_pi=e_pi)
-    return GlobalContext(d=d, pi=pi, kappa=_fraction(str(kappa)))
+    return GlobalContext(d=d, pi=pi)
 
 
 # -------------------------------------------------------------------- commands
@@ -252,7 +252,6 @@ def build_parser() -> _Parser:
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--e-pi", dest="e_pi", type=int, default=None)
         p.add_argument("--pi-id", dest="pi_id", type=_encodable, default=None)
-        p.add_argument("--kappa", default=None)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--json", dest="format", action="store_const", const="json")
         p.add_argument("--out", default=None)

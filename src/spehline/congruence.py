@@ -90,6 +90,9 @@ class AutomorphicDatum:
     satake: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m * self.d_xi * self.inv_dim, int):  # the weight
+            factors = (self.m, self.d_xi, self.inv_dim)
+            raise TypeError(f"multiplicities and dimensions must be integers, got {factors}")
         if min(self.m, self.d_xi, self.inv_dim) < 1:
             raise ValueError("multiplicities and dimensions must be >= 1")
 
@@ -183,7 +186,10 @@ class Dataset:
 
     def _finish(self, labels: Iterable[InertialCuspidal], index: dict, build: Callable) -> None:
         """The checks after the walk, then keep what it found."""
-        if self.torsion.t0 is not None and max(self.levels) >= len(self.torsion.tau):
+        t0, s_g = self.torsion.t0, self.context.s_g
+        if t0 is not None and t0 > s_g:  # as torsion_transfer_label refuses it
+            raise InconsistentDataError(f"need t0 <= s_g={s_g}, got t0={t0}")
+        if t0 is not None and max(self.levels) >= len(self.torsion.tau):
             raise InconsistentDataError(
                 "torsion profile does not cover every level of the tower"
             )
@@ -282,7 +288,11 @@ def _maximal(observed: int | None, r: int) -> bool:
 
 def _weight(records: Iterable[AutomorphicDatum], pi: InertialCuspidal, r: int) -> GrothSum:
     """The level-free weight of ``records``: each record's weight on its mod-l key."""
-    return GrothSum((modl_key(datum.local, pi, r), datum.weight) for datum in records)
+    terms: dict[str, int] = {}
+    for datum in records:
+        key = modl_key(datum.local, pi, r)
+        terms[key] = terms.get(key, 0) + datum.weight
+    return GrothSum._wrap(terms)
 
 
 def members(
@@ -531,7 +541,9 @@ def theorem_check(
     ambient degree and level tower.  A side warns when ``r`` is not
     maximal (:func:`_maximal`): the largest radius of its ``pi``-factors
     is not ``r``.  Only the rows ``s`` are built, and both sides are
-    compared level-free, then spread onto the levels.
+    compared level-free, then spread onto the levels.  Torsion is outside
+    the comparison: the sides hold record weights only, so two datasets
+    that differ only in their torsion profiles read equal.
     """
     if pi_a.modl_class != pi_b.modl_class:
         raise InconsistentDataError(

@@ -17,6 +17,8 @@ dicts whose labels are distinct by construction and whose coefficients
 are nonzero:
 
 - ``congruence._spread`` relabels the terms of a normal sum;
+- ``congruence._weight`` adds record weights, each an ``int >= 1`` by
+  ``AutomorphicDatum``, so no coefficient is zero;
 - ``ledger.expand_resolution`` names each term by its two markers
   ``(xi, tate)``, the ``delta`` of its shriek and of its graded part, so
   no two terms coincide, and each coefficient is a sign; a length check

@@ -29,8 +29,6 @@ so the document must not change after it is read.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from typing import Any, Iterable
 
 from .congruence import AutomorphicDatum, Dataset, InconsistentDataError, Verdict, _walk
@@ -45,7 +43,6 @@ _REQUIRED = object()
 _NULL = type(None)
 _TYPE_NAMES = {
     int: "an integer",
-    float: "a number",
     str: "a string",
     dict: "an object",
     list: "a list",
@@ -63,38 +60,6 @@ class SchemaError(ValueError):
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# the most digits of a fraction's numerator or denominator, Python's limit on
-# the digits of an int string; no decimal exponent beyond it is expanded
-_MAX_DIGITS = 4300
-_TOO_LONG = 10**_MAX_DIGITS
-# the exponent digits at the end of a literal such as "1.5e-7"
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-
-
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``; a zero denominator is rejected like any other bad literal.
-
-    So is a numerator or denominator of more than ``_MAX_DIGITS`` digits,
-    which ``str`` could not write back.  A decimal exponent beyond that
-    either way is refused before ``Fraction`` expands it into an integer
-    of that many digits: at ``1e999999999`` that takes minutes.
-    """
-    exponent = _EXPONENT.search(text)
-    if exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(_MAX_DIGITS)) or int(digits or "0") > _MAX_DIGITS:
-            raise ValueError(f"exponent of {text[:40]!r} beyond +-{_MAX_DIGITS}")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
-        raise ValueError(
-            f"numerator or denominator of {text[:40]!r} beyond {_MAX_DIGITS} digits"
-        )
-    return value
 
 
 def _at(path: str, key: str) -> str:
@@ -285,11 +250,7 @@ def component_from_dict(obj: dict) -> LocalComponent:
 def dataset_to_dict(ds: Dataset) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "context": {
-            "d": ds.context.d,
-            "kappa": str(ds.context.kappa),
-            "pi_id": ds.context.pi.id,
-        },
+        "context": {"d": ds.context.d, "pi_id": ds.context.pi.id},
         "cuspidals": cuspidal_registry(ds.labels),
         "data": [
             {
@@ -429,7 +390,6 @@ def dataset_from_dict(obj: dict) -> Dataset:
     _version(obj)
     context = _need(obj, "context", dict, "")
     d = _need(context, "d", int, "context")
-    kappa = _need(context, "kappa", str, "context")
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
     records = _need(obj, "data", list, "")
@@ -441,7 +401,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
         for _ in rows:  # the rest of the records, checked
             pass
     torsion = _need(obj, "torsion", dict, "")
-    context = GlobalContext(d=d, pi=pi, kappa=_fraction(kappa))
+    context = GlobalContext(d=d, pi=pi)
     torsion = TorsionProfile(
         t0=_need(torsion, "t0", (int, _NULL), "torsion"),
         tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formal import GrothSum
 from .zline import (
@@ -64,21 +63,14 @@ class InvariantViolation(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class GlobalContext:
-    """Ambient dimension ``d``, anchor cuspidal ``pi`` and scalar ``kappa``.
-
-    ``kappa`` is the configured multiplicity prefactor; it never enters
-    the formal bookkeeping, both sides of every comparison share it.
-    """
+    """Ambient dimension ``d`` and anchor cuspidal ``pi``."""
 
     d: int
     pi: InertialCuspidal
-    kappa: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if self.d < self.pi.g:
             raise ValueError(f"need d >= g, got d={self.d}, g={self.pi.g}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
     @property
     def g(self) -> int:

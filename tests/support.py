@@ -260,7 +260,7 @@ def small_dataset_doc() -> dict:
 
     return {
         "schema_version": 1,
-        "context": {"d": 12, "kappa": "3/2", "pi_id": "pi"},
+        "context": {"d": 12, "pi_id": "pi"},
         "cuspidals": {
             "pi": {"g": 1, "e_pi": 1, "modl_class": "a"},
             "nz0": {"g": 1, "e_pi": 1, "modl_class": "nz0~"},

@@ -526,6 +526,17 @@ class TestTheoremCheck:
         assert out.context == ds.context and out.context.pi is PI
         assert moved in out.labels and noise not in out.labels
 
+    def test_torsion_is_outside_the_comparison(self):
+        # a twin that differs in its torsion profile as well reads as the one
+        # that does not, and equal, in every cell s = 1..r
+        ds = generate_dataset(7, CTX, r=4, torsion=TorsionProfile(t0=2, tau=(3, 3, 3)))
+        twin = substitute_cuspidal(ds, PI, PI_TWIN)
+        other = dataclasses.replace(twin, torsion=TorsionProfile(t0=2, tau=(5, 5, 5)))
+        verdicts = [theorem_check(ds, PI, other, PI_TWIN, 4, s) for s in range(1, 5)]
+        assert verdicts == [theorem_check(ds, PI, twin, PI_TWIN, 4, s) for s in range(1, 5)]
+        assert all(verdict.equal for verdict in verdicts)
+        assert any(not verdict.lhs.is_zero for verdict in verdicts)
+
     def test_symmetric(self):
         ds = generate_dataset(5, CTX, r=4)
         other = substitute_cuspidal(ds, PI, PI_TWIN)

@@ -23,7 +23,7 @@ from spehline import (
     torsion_dimension,
     torsion_transfer_label,
 )
-from spehline.congruence import ContributionSet, InconsistentDataError
+from spehline.congruence import AutomorphicDatum, ContributionSet, Dataset, InconsistentDataError
 from spehline.ledger import SHRIEK
 from spehline.zline import ZERO
 
@@ -61,6 +61,14 @@ REFUSALS = {
     "factor index 0": (
         lambda: LocalComponent(s=1, factors=((4, PI),)).factor(0),
         ValueError, "factor index 0 out of range",
+    ),
+    "record multiplicity not an integer": (
+        lambda: AutomorphicDatum("x", LocalComponent(s=1, factors=((4, PI),)), 1.5, 1, 1, "h"),
+        TypeError, "multiplicities and dimensions must be integers, got (1.5, 1, 1)",
+    ),
+    "dataset t0 beyond s_g": (
+        lambda: Dataset(CTX, (), TorsionProfile(t0=5, tau=(0,))),
+        InconsistentDataError, "need t0 <= s_g=4, got t0=5",
     ),
     "float coefficient": (
         lambda: GrothSum([("a", 1.5)]),

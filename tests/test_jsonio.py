@@ -143,13 +143,14 @@ def _shown(value) -> str:
 
 
 def single_mutations():
-    """``(path, value, doc)`` for each row of the mutation table."""
+    """``(path, value, doc)`` for each row of the mutation table; the last
+    row sets ``t0`` above ``s_g = 12``."""
     base = dataset_to_dict(generate_dataset(3, GlobalContext(d=12, pi=PI), r=4))
-    for path in field_paths(base):
-        for value in REPLACEMENTS:
-            doc = copy.deepcopy(base)
-            _mutate(doc, path, value)
-            yield path, value, doc
+    cases = [(path, value) for path in field_paths(base) for value in REPLACEMENTS]
+    for path, value in cases + [(("torsion", "t0"), 13)]:
+        doc = copy.deepcopy(base)
+        _mutate(doc, path, value)
+        yield path, value, doc
 
 
 def mutation_lines() -> list[str]:
@@ -172,7 +173,7 @@ def test_every_single_field_mutation_matches_table():
 # Each pair puts a fault the record walk finds (a duplicate id, a wrong
 # degree, a mod-l class on two ``g``) early in ``data`` next to a fault
 # that is read before that walk: a record's schema or constructor fault at
-# a later index, or a fault of ``kappa``, ``torsion``, ``levels`` or the
+# a later index, or a fault of the context, ``torsion``, ``levels`` or the
 # registry.  Every fault also stands alone.  An unreferenced registry entry
 # whose class clashes is accepted.  The fixture was written by the reader
 # that built every record before it walked them;
@@ -202,8 +203,6 @@ READ_FAULTS = (
     (("data", 3, "local", "factors", 1, "t"), 0),
     (("data", 1, "local", "wildcard", "degree"), -1),
     (("data", 5), "x"),
-    (("context", "kappa"), "1/0"),
-    (("context", "kappa"), "0"),
     (("context", "d"), 0),
     (("cuspidals", "rho", "g"), 0),
     (("torsion", "t0"), "x"),

@@ -88,14 +88,9 @@ def test_diagram(tmp_path, argv_fault, file_fault, code):
     assert run_cli("diagram", "--component", path, *DIAGRAM_ARGV[argv_fault])[0] == code
 
 
-CONFIG = {"d": 12, "g": 3, "e_pi": 1, "kappa": "1/2", "pi_id": "pi"}
-CONFIG_FAULTS = [
-    "no --config", "missing", "not json", "e_pi not an integer", "kappa not a number", "good",
-]
-CONFIG_EDITS = {
-    "e_pi not an integer": lambda config: config.update(e_pi="1"),
-    "kappa not a number": lambda config: config.update(kappa=[]),
-}
+CONFIG = {"d": 12, "g": 3, "e_pi": 1, "pi_id": "pi"}
+CONFIG_FAULTS = ["no --config", "missing", "not json", "e_pi not an integer", "good"]
+CONFIG_EDITS = {"e_pi not an integer": lambda config: config.update(e_pi="1")}
 LEDGER_ARGV = {
     "none": ["--d", "12", "--g", "3", "--t", "1"],
     "no --d, --g": ["--t", "1"],
@@ -107,15 +102,15 @@ LEDGER_ARGV = {
 }
 # every config field is type-checked as the file is read, also one a flag
 # overrides; the settings are range-checked after that, g and e_pi with the
-# label, then kappa, then d with the context
+# label, then d with the context
 LEDGER = {
-    "none": [0, 64, 66, 66, 66, 0],
-    "no --d, --g": [64, 64, 66, 66, 66, 0],
-    "--t not an integer": [64, 64, 64, 64, 64, 64],
-    "--g 0": [2, 64, 66, 66, 66, 2],
-    "--d below g": [2, 64, 66, 66, 66, 2],
-    "--t beyond s_g": [65, 64, 66, 66, 66, 65],
-    "--out unwritable": [64, 64, 66, 66, 66, 64],
+    "none": [0, 64, 66, 66, 0],
+    "no --d, --g": [64, 64, 66, 66, 0],
+    "--t not an integer": [64, 64, 64, 64, 64],
+    "--g 0": [2, 64, 66, 66, 2],
+    "--d below g": [2, 64, 66, 66, 2],
+    "--t beyond s_g": [65, 64, 66, 66, 65],
+    "--out unwritable": [64, 64, 66, 66, 64],
 }
 
 

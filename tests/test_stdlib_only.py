@@ -73,3 +73,14 @@ def test_congruence_without_site_packages(tmp_path):
     done = spehline(tmp_path, "congruence", "a.json", "b.json", "--r", "4", "--s", s)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["equal"] is True
+
+
+def test_import_loads_no_exact_number_types():
+    # cold start: no setting needs fractions, and decimal is the costliest
+    # module fractions would bring in
+    code = "import sys, spehline; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
