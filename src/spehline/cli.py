@@ -150,8 +150,14 @@ def _context_from(args) -> GlobalContext:
     )
     if d is None or g is None:
         args.parser.error("d and g are required (flags or config file)")
-    pi = InertialCuspidal(id=pi_id, g=g, e_pi=e_pi)
-    return GlobalContext(d=d, pi=pi)
+    try:
+        return GlobalContext(d=d, pi=InertialCuspidal(id=pi_id, g=g, e_pi=e_pi))
+    except ValueError as exc:
+        # every default is in range, so a reported value without its flag is the file's
+        reported = ("g",) if g < 1 else ("e_pi",) if e_pi < 1 else ("d", "g")
+        if any(getattr(args, key) is None for key in reported):
+            raise _Refusal(EX_INCONSISTENT, f"inconsistent input: {args.config}: {exc}")
+        raise
 
 
 # -------------------------------------------------------------------- commands

@@ -9,16 +9,16 @@ of a fixed trace-back radius ``r``; shapes with ``s`` rows contribute to
 ``k = 0..s-1`` only, and torsion contributes a level profile to every
 ``k >= 1`` and nothing to ``k = 0``.  Peeling consecutive differences of
 the table therefore recovers the contributing ``(s, t)`` pairs exactly,
-and the two-sided check compares the formal level-indexed sums of two
-datasets anchored at congruent cuspidals.
+and the two-sided check compares the formal sums of two datasets anchored
+at congruent cuspidals, one coefficient per mod-l class.
 
 Invariant dimensions are not computable from labels, so a matching
 record contributes its weight to its mod-l class, the same at every
 level.  Weights are therefore level-free until read: tables, peels,
-contribution sets (``weights``) and the two sides of the check are sums
-over mod-l keys; torsion alone carries a level, one integer per level.
-Only where a caller reads a level (``DimensionTable.values``,
-``ContributionSet.pairs``, the ``Verdict`` sides and diffs) is a weight
+contribution sets (``weights``) and the two-sided check, its
+``Verdict`` included, are sums over mod-l keys; torsion alone carries a
+level, one integer per level.  Only where a caller reads a level
+(``DimensionTable.values``, ``ContributionSet.pairs``) is a weight
 spread onto one formal symbol per (mod-l class, level), and torsion onto
 the reserved unit symbol of each level.  A symbol is a tuple
 ``(key, level)``, built by ``tuple.__new__``, and a spread sum is built
@@ -514,12 +514,14 @@ def expected_contributions(
 
 @dataclass
 class Verdict:
-    """Outcome of the two-sided identity check."""
+    """Outcome of the two-sided identity check: sums over mod-l keys, the same
+    on each of ``levels``, and ``(key, lhs, rhs)`` for each key that differs."""
 
     equal: bool
+    levels: tuple[int, ...]
     lhs: GrothSum
     rhs: GrothSum
-    diffs: list[tuple[DimensionProfileSymbol, int, int]]
+    diffs: list[tuple[str, int, int]]
     warnings: list[str]
 
     @property
@@ -541,7 +543,7 @@ def theorem_check(
     ambient degree and level tower.  A side warns when ``r`` is not
     maximal (:func:`_maximal`): the largest radius of its ``pi``-factors
     is not ``r``.  Only the rows ``s`` are built, and both sides are
-    compared level-free, then spread onto the levels.  Torsion is outside
+    compared level-free, the same on every level.  Torsion is outside
     the comparison: the sides hold record weights only, so two datasets
     that differ only in their torsion profiles read equal.
     """
@@ -565,13 +567,10 @@ def theorem_check(
                 f"(observed {observed}); check performed anyway"
             )
         sides.append(_weight(ds._build(rows.get(s, ())), pi, r))
-    lhs, rhs, delta = (_spread(x, ds_a.levels) for x in (*sides, sides[0] - sides[1]))
-    diffs = [
-        (symbol, lhs.coefficient(symbol), rhs.coefficient(symbol))
-        for symbol, _ in delta.items()
-    ]
+    lhs, rhs = sides
+    diffs = [(key, lhs.coefficient(key), rhs.coefficient(key)) for key, _ in (lhs - rhs).items()]
     return Verdict(
-        equal=delta.is_zero, lhs=lhs, rhs=rhs, diffs=diffs, warnings=warnings
+        equal=not diffs, levels=ds_a.levels, lhs=lhs, rhs=rhs, diffs=diffs, warnings=warnings
     )
 
 

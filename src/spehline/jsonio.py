@@ -3,8 +3,9 @@
 Multisegments serialize to a bit-stable canonical form: the segment list
 is sorted, keys are emitted in sorted order and the encoding carries no
 whitespace, so equal values produce byte-equal documents and file diffs
-are meaningful.  Every document written carries a ``schema_version``,
-and dataset and component files are read only at ``SCHEMA_VERSION``.
+are meaningful.  Every document written carries a ``schema_version``, 2 for
+the level-free congruence report and ``SCHEMA_VERSION`` for every other, the
+one version at which dataset and component files are read.
 
 Each input format has one checked reader, which type-checks every field
 through :func:`_need` as it reads it and builds the object in the same
@@ -414,21 +415,14 @@ def dataset_from_dict(obj: dict) -> Dataset:
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
-    def side(total):
-        return [
-            {"key": sym.key, "level": sym.level, "coeff": coeff}
-            for sym, coeff in total.items()
-        ]
-
+    """The report: ``levels`` once, then one entry per mod-l key, sorted by key."""
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": 2,
+        "levels": list(verdict.levels),
         "equal": verdict.equal,
         "exit_code": verdict.exit_code,
         "warnings": list(verdict.warnings),
-        "lhs": side(verdict.lhs),
-        "rhs": side(verdict.rhs),
-        "diffs": [
-            {"key": sym.key, "level": sym.level, "lhs": ca, "rhs": cb}
-            for sym, ca, cb in verdict.diffs
-        ],
+        "lhs": [{"key": key, "coeff": coeff} for key, coeff in verdict.lhs.items()],
+        "rhs": [{"key": key, "coeff": coeff} for key, coeff in verdict.rhs.items()],
+        "diffs": [{"key": key, "lhs": ca, "rhs": cb} for key, ca, cb in verdict.diffs],
     }

@@ -381,6 +381,24 @@ class TestMalformedInput:
         assert code == 66
         assert err.startswith(f"schema error: {config}: d:")
 
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({"d": 4, "g": 0}, [], "{file}: g must be >= 1, got 0"),
+            ({"d": 4, "g": 1, "e_pi": 0}, [], "{file}: e_pi must be >= 1, got 0"),
+            ({"d": 2, "g": 3}, ["--d", "2"], "{file}: need d >= g, got d=2, g=3"),
+            ({"d": 4, "g": 1}, ["--g", "0"], "g must be >= 1, got 0"),
+        ],
+        ids=["file-g", "file-e-pi", "file-g-above-flag-d", "flag-g"],
+    )
+    def test_config_value_out_of_range(self, tmp_path, doc, flags, message):
+        # the refusal names the file when a value it reports came from there
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli("resolution", "--config", str(config), "--t", "1", *flags)
+        assert code == 2
+        assert err == f"inconsistent input: {message.format(file=config)}\n"
+
     def test_directory_path(self, tmp_path):
         code, _, err = run_cli("diagram", "--component", str(tmp_path))
         assert code == 64 and str(tmp_path) in err

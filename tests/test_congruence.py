@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import sys
@@ -31,11 +32,11 @@ from spehline import (
     theorem_check,
 )
 from spehline.congruence import ContributionSet, DimensionTable, _spread, unit_symbol
-from spehline.jsonio import dataset_from_dict, dataset_to_dict
+from spehline.jsonio import dataset_from_dict, dataset_to_dict, verdict_to_dict
 from spehline.torsion import torsion_dimension
 
 from support import PI, PI_TWIN, RHO, single_field_mutations, unbuilt
-from test_golden_separation import INPUTS as GOLDEN_INPUTS
+from test_golden_separation import INPUTS as GOLDEN_INPUTS, _bumped
 
 CTX = GlobalContext(d=12, pi=PI)
 
@@ -342,26 +343,17 @@ class TestSpread:
     def test_every_read_symbol_is_exactly_the_symbol_type(self):
         # the spread builds symbols through tuple.__new__: the class must be
         # the symbol's own, on every path that hands a level-indexed sum out
-        def symbols(*sums):
-            return [label for total in sums for label in total.labels()]
-
         for seed in range(6):
             torsion = TorsionProfile(t0=1, tau=(1, 2, 3)) if seed % 2 else TorsionProfile()
             ds = generate_dataset(seed, CTX, r=4, torsion=torsion, levels=(0, 2))
-            other = substitute_cuspidal(ds, PI, PI_TWIN)
             table = d_sequence(ds, PI, 4)
-            verdicts = [
-                theorem_check(ds, PI, side, PI_TWIN, 4, s)
-                for side in (other, dataclasses.replace(other, data=other.data[1:]))
-                for s in range(1, 5)
-            ]
-            found = symbols(
+            sums = (
                 *table.values.values(),
                 *infer_B(table, ds.torsion).pairs.values(),
                 *expected_contributions(ds, PI, 4).pairs.values(),
-                *(side for v in verdicts for side in (v.lhs, v.rhs)),
-            ) + [symbol for v in verdicts for symbol, _, _ in v.diffs]
-            assert found and any(not v.equal for v in verdicts)
+            )
+            found = [label for total in sums for label in total.labels()]
+            assert found
             assert all(type(symbol) is DimensionProfileSymbol for symbol in found)
         assert type(unit_symbol(3)) is DimensionProfileSymbol
 
@@ -465,6 +457,19 @@ class TestSpreadOnRead:
             for _ in range(2):
                 pairs, calls = self.spread_calls(lambda: found.pairs)
                 assert calls == len(pairs) == len(found.weights)
+
+    def test_no_spread_in_the_verdict(self):
+        ds = generate_dataset(8, CTX, r=5, levels=tuple(range(12)), noise_data=2)
+        twin = substitute_cuspidal(ds, PI, PI_TWIN)
+        bumped = _bumped(twin, twin.data[0].id)
+        unequal = 0
+        for s in range(1, 6):
+            report, calls = self.spread_calls(
+                lambda: verdict_to_dict(theorem_check(ds, PI, bumped, PI_TWIN, 5, s))
+            )
+            assert calls == 0
+            unequal += bool(report["diffs"])
+        assert unequal
 
 
 class TestDimensionProfileSymbol:
@@ -613,6 +618,55 @@ class TestTheoremCheck:
         assert verdict.warnings and verdict.equal
 
 
+class TestLevelFreeReport:
+    """The report states the tower once and each mod-l key at most once per
+    side, and loses nothing: each side, spread over ``levels``, is the
+    per-level sum of its members' weights, merged term by term."""
+
+    FIELDS = {"schema_version", "levels", "equal", "exit_code", "warnings", "lhs", "rhs", "diffs"}
+
+    @staticmethod
+    def per_level(ds: Dataset, pi: InertialCuspidal, r: int, s: int) -> GrothSum:
+        return GrothSum(
+            (DimensionProfileSymbol(modl_key(datum.local, pi, r), n), datum.weight)
+            for datum in members(ds, pi, r, s)
+            for n in ds.levels
+        )
+
+    def test_golden_inputs(self):
+        seen = set()
+        for _, seed, r, levels, tau in GOLDEN_INPUTS:
+            torsion = TorsionProfile(t0=2, tau=tau) if tau is not None else None
+            ds = generate_dataset(seed, CTX, r=r, levels=levels, torsion=torsion, noise_data=2)
+            twin = substitute_cuspidal(ds, PI, PI_TWIN)
+            bumped = _bumped(twin, twin.data[0].id)
+            for other, s in itertools.product((twin, bumped), range(1, r + 1)):
+                report = verdict_to_dict(theorem_check(ds, PI, other, PI_TWIN, r, s))
+                assert set(report) == self.FIELDS
+                assert report["schema_version"] == 2 and report["levels"] == list(levels)
+                coeffs = []
+                for side, (ds_x, pi_x) in (("lhs", (ds, PI)), ("rhs", (other, PI_TWIN))):
+                    entries = report[side]
+                    keys = [entry["key"] for entry in entries]
+                    assert keys == sorted(set(keys))
+                    assert all(set(entry) == {"key", "coeff"} for entry in entries)
+                    spread = GrothSum(
+                        (DimensionProfileSymbol(entry["key"], n), entry["coeff"])
+                        for n in report["levels"]
+                        for entry in entries
+                    )
+                    assert spread == self.per_level(ds_x, pi_x, r, s)
+                    coeffs.append({entry["key"]: entry["coeff"] for entry in entries})
+                lhs, rhs = coeffs
+                differing = sorted(k for k in {*lhs, *rhs} if lhs.get(k, 0) != rhs.get(k, 0))
+                assert report["diffs"] == [
+                    {"key": k, "lhs": lhs.get(k, 0), "rhs": rhs.get(k, 0)} for k in differing
+                ]
+                assert report["equal"] is (not differing)
+                seen.add((len(levels), report["equal"], bool(lhs)))
+        assert seen >= {(n, equal, True) for n in (1, 3, 12) for equal in (True, False)}
+
+
 class TestGenerator:
     def test_deterministic(self):
         assert generate_dataset(42, CTX, r=4) == generate_dataset(42, CTX, r=4)
@@ -663,7 +717,7 @@ class TestOneRecordFilter:
             ids = tuple(datum.id for datum in members(ds, PI, r, s))
             assert expected.witnesses.get(shape, ()) == ids
             lhs = theorem_check(ds, PI, ds, PI, r, s).lhs
-            assert lhs == expected.pairs.get(shape, GrothSum.zero())
+            assert lhs == expected.weights.get(shape, GrothSum.zero())
 
 
 def scan(ds: Dataset, pi: InertialCuspidal, r: int):
