@@ -44,7 +44,7 @@ from .jsonio import (
     component_from_dict,
     dataset_from_dict,
     diagram_to_dict,
-    ledger_listing_to_dict,
+    ledger_listing_text,
     verdict_to_dict,
 )
 from .ledger import GlobalContext, filtration_graded, generic_infinitesimal, resolution_terms
@@ -207,7 +207,7 @@ def cmd_ledger(args) -> tuple[int, str]:
     expand = resolution_terms if args.command == "resolution" else filtration_graded
     terms = expand(ctx, args.t, inf)
     if args.format == "json":
-        return EX_OK, canonical_dumps(ledger_listing_to_dict(ctx.d, ctx.g, args.t, terms)) + "\n"
+        return EX_OK, ledger_listing_text(ctx.d, ctx.g, args.t, terms) + "\n"
     lines = [
         f"{term.kind} h={term.stratum} sign={term.sign:+d} "
         f"xi={term.xi_power} tate={term.tate} deg={term.degree(ctx.g)} "

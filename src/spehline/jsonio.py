@@ -1,11 +1,11 @@
 """Canonical JSON forms and schema checking for every file the CLI touches.
 
-Multisegments serialize to a bit-stable canonical form: the segment list
-is sorted, keys are emitted in sorted order and the encoding carries no
-whitespace, so equal values produce byte-equal documents and file diffs
-are meaningful.  Every document written carries a ``schema_version``, 2 for
-the level-free congruence report and ``SCHEMA_VERSION`` for every other, the
-one version at which dataset and component files are read.
+Every document is written in one canonical form: sorted keys, no whitespace
+and sorted segment lists, so equal values give byte-equal files.
+:func:`ledger_listing_text` writes the ledger listings as that text directly;
+every other document is a dict passed to :func:`canonical_dumps`.  Each carries
+a ``schema_version``: 2 for the level-free congruence report, else
+``SCHEMA_VERSION``, the one version dataset and component files are read at.
 
 Each input format has one checked reader, which type-checks every field
 through :func:`_need` as it reads it and builds the object in the same
@@ -30,15 +30,16 @@ so the document must not change after it is read.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
 from .congruence import AutomorphicDatum, Dataset, InconsistentDataError, Verdict, _walk
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
-from .zline import HalfInt, InertialCuspidal, Multisegment, Wildcard
+from .zline import HalfInt, InertialCuspidal, Multisegment, Segment, Wildcard
 
 SCHEMA_VERSION = 1
+_str = json.encoder.encode_basestring_ascii  # json.dumps's escaper, under its ensure_ascii
 
 _REQUIRED = object()
 _NULL = type(None)
@@ -139,16 +140,20 @@ def _optional_wildcard(obj: dict, path: str) -> Wildcard | None:
     )
 
 
-def multisegment_to_dict(m: Multisegment) -> dict:
-    return {
-        "segments": [
-            {"base_id": s.base.id, "start_twice": s.start.twice, "length": s.length}
-            for s in m.segments
-        ],
-        "tate_twice": m.tate.twice,
-        "wildcard": None if m.wildcard is None else wildcard_to_dict(m.wildcard),
-        "order_tag": None if m.order_tag is None else list(m.order_tag),
-    }
+def _segment_text(s: Segment) -> str:
+    return f'{{"base_id":{_str(s.base.id)},"length":{s.length},"start_twice":{s.start.twice}}}'
+
+
+def _multisegment_text(m: Multisegment) -> str:
+    tag, wild = m.order_tag, m.wildcard
+    tag = "null" if tag is None else f"[{','.join(map(str, tag))}]"
+    if wild is not None:
+        wild = f'{{"degree":{wild.degree},"id":{_str(wild.id)},"shift_twice":{wild.shift.twice}}}'
+    segments = ",".join([_segment_text(seg) for seg in m.segments])
+    return (
+        f'{{"order_tag":{tag},"segments":[{segments}],'
+        f'"tate_twice":{m.tate.twice},"wildcard":{wild or "null"}}}'
+    )
 
 
 # -------------------------------------------------------------------- cuspidals
@@ -156,10 +161,6 @@ def multisegment_to_dict(m: Multisegment) -> dict:
 
 def cuspidal_to_dict(pi: InertialCuspidal) -> dict:
     return {"g": pi.g, "e_pi": pi.e_pi, "modl_class": pi.modl_class}
-
-
-def cuspidal_registry(bases: Iterable[InertialCuspidal]) -> dict:
-    return {pi.id: cuspidal_to_dict(pi) for pi in bases}
 
 
 def registry_from_dict(obj: dict) -> dict[str, InertialCuspidal]:
@@ -183,27 +184,25 @@ def registry_from_dict(obj: dict) -> dict[str, InertialCuspidal]:
 # ----------------------------------------------------------------- ledger terms
 
 
-def ledger_term_to_dict(term: LedgerTerm) -> dict:
-    return {
-        "kind": term.kind,
-        "stratum": term.stratum,
-        "sign": term.sign,
-        "xi_twice": term.xi_power.twice,
-        "tate_twice": term.tate.twice,
-        "infinitesimal": multisegment_to_dict(term.infinitesimal),
-    }
+def _term_text(term: LedgerTerm) -> str:
+    return (
+        f'{{"infinitesimal":{_multisegment_text(term.infinitesimal)},"kind":{_str(term.kind)},'
+        f'"sign":{term.sign},"stratum":{term.stratum},'
+        f'"tate_twice":{term.tate.twice},"xi_twice":{term.xi_power.twice}}}'
+    )
 
 
-def ledger_listing_to_dict(
-    d: int, g: int, t: int, terms: list[LedgerTerm]
-) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "d": d,
-        "g": g,
-        "t": t,
-        "terms": [ledger_term_to_dict(term) for term in terms],
-    }
+def ledger_listing_text(d: int, g: int, t: int, terms: list[LedgerTerm]) -> str:
+    """``canonical_dumps`` of the ``resolution``/``filtration`` document, byte
+    for byte, written with each key in sorted order as a literal.
+
+    Strings go through ``json.dumps``'s escaper and integers are written as
+    ``{x}``, ``json``'s form of a plain ``int``.  Each is one: ``d``, ``g`` and
+    ``t`` pass argparse's ``type=int`` or :func:`_need`, which refuses booleans,
+    and the rest are ``HalfInt.twice`` values, signs, strata, lengths and degrees.
+    """
+    body = ",".join([_term_text(term) for term in terms])
+    return f'{{"d":{d},"g":{g},"schema_version":{SCHEMA_VERSION},"t":{t},"terms":[{body}]}}'
 
 
 # --------------------------------------------------------------------- diagrams
@@ -252,7 +251,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "context": {"d": ds.context.d, "pi_id": ds.context.pi.id},
-        "cuspidals": cuspidal_registry(ds.labels),
+        "cuspidals": {pi.id: cuspidal_to_dict(pi) for pi in ds.labels},
         "data": [
             {
                 "id": datum.id,

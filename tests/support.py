@@ -16,6 +16,7 @@ from spehline import (
     HalfInt,
     InertialCuspidal,
     LadderShape,
+    LedgerTerm,
     LocalComponent,
     Multisegment,
     Segment,
@@ -23,6 +24,7 @@ from spehline import (
     constituent_sum,
 )
 from spehline.cli import main
+from spehline.jsonio import SCHEMA_VERSION, canonical_dumps, wildcard_to_dict
 
 # a small pool of labels; pi and pi_twin share a mod-l class
 PI = InertialCuspidal("pi", 1, e_pi=1, modl_class="a")
@@ -65,6 +67,51 @@ ladders = st.builds(
     t=st.integers(1, 5),
     center=st.builds(HalfInt, st.integers(-4, 4)),
 )
+
+
+# ------------------------------------------------------- the listing's document
+
+
+def multisegment_to_dict(m: Multisegment) -> dict:
+    """The documented form of a multisegment: the oracle of the listing writer."""
+    return {
+        "segments": [
+            {"base_id": s.base.id, "start_twice": s.start.twice, "length": s.length}
+            for s in m.segments
+        ],
+        "tate_twice": m.tate.twice,
+        "wildcard": None if m.wildcard is None else wildcard_to_dict(m.wildcard),
+        "order_tag": None if m.order_tag is None else list(m.order_tag),
+    }
+
+
+def ledger_term_to_dict(term: LedgerTerm) -> dict:
+    return {
+        "kind": term.kind,
+        "stratum": term.stratum,
+        "sign": term.sign,
+        "xi_twice": term.xi_power.twice,
+        "tate_twice": term.tate.twice,
+        "infinitesimal": multisegment_to_dict(term.infinitesimal),
+    }
+
+
+def ledger_listing_to_dict(d: int, g: int, t: int, terms: list[LedgerTerm]) -> dict:
+    """The documented ``resolution``/``filtration`` document, which
+    ``jsonio.ledger_listing_text`` writes as canonical text."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "d": d,
+        "g": g,
+        "t": t,
+        "terms": [ledger_term_to_dict(term) for term in terms],
+    }
+
+
+def golden_listing(case: dict, kind: str) -> str:
+    """The canonical text of the ``kind`` listing of a ``golden_ledger.json`` case."""
+    doc = {"schema_version": SCHEMA_VERSION, "d": case["d"], "g": case["g"], "t": case["t"]}
+    return canonical_dumps({**doc, "terms": case[kind]})
 
 
 # ------------------------------------------------------------ the command line

@@ -40,12 +40,13 @@ from spehline import (
     theorem_check,
     trace_back,
 )
-from spehline.jsonio import ledger_term_to_dict
+from spehline.jsonio import ledger_listing_text
 
 from support import (
     PI,
     PI_TWIN,
     enumerate_support,
+    golden_listing,
     hull_vertices,
     single_field_mutations,
 )
@@ -150,14 +151,10 @@ def test_ledger_golden_and_invariants():
             pi = InertialCuspidal(case["pi"]["id"], case["pi"]["g"])
             ctx = GlobalContext(d=case["d"], pi=pi)
             inf = generic_infinitesimal(ctx, case["t"])
-            got_res = [
-                ledger_term_to_dict(t) for t in resolution_terms(ctx, case["t"], inf)
-            ]
-            got_fil = [
-                ledger_term_to_dict(t) for t in filtration_graded(ctx, case["t"], inf)
-            ]
-            assert got_res == case["resolution"]
-            assert got_fil == case["filtration"]
+            for kind, expand in (("resolution", resolution_terms), ("filtration", filtration_graded)):
+                terms = expand(ctx, case["t"], inf)
+                got = ledger_listing_text(ctx.d, ctx.g, case["t"], terms)
+                assert got == golden_listing(case, kind)
 
         for d in range(1, 31):
             for g in range(1, d + 1):

@@ -16,12 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spehline import GlobalContext, generate_dataset, substitute_cuspidal
+from spehline import (
+    GlobalContext,
+    InertialCuspidal,
+    filtration_graded,
+    generate_dataset,
+    generic_infinitesimal,
+    resolution_terms,
+    substitute_cuspidal,
+)
 from spehline import cli
 from spehline.cli import build_parser, entry, main
 from spehline.jsonio import canonical_dumps, dataset_to_dict
 
-from support import PI, PI_TWIN, field_paths, run_cli
+from support import PI, PI_TWIN, field_paths, ledger_listing_to_dict, run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -199,6 +207,21 @@ class TestLedgerCommands:
         assert code == 0
         obj = json.loads(out)
         assert [t["stratum"] for t in obj["terms"]] == [2, 3, 4, 2]
+
+    @pytest.mark.parametrize("command", ["resolution", "filtration"])
+    def test_json_listing_escapes_the_id(self, tmp_path, command):
+        # a quote, a backslash, a non-ASCII letter and an astral character
+        pi_id = 'a"b\\é𝔭'
+        ctx = GlobalContext(d=4, pi=InertialCuspidal(pi_id, g=1))
+        expand = resolution_terms if command == "resolution" else filtration_graded
+        doc = ledger_listing_to_dict(4, 1, 2, expand(ctx, 2, generic_infinitesimal(ctx, 2)))
+        want = canonical_dumps(doc) + "\n"
+        assert '"base_id":"a\\"b\\\\\\u00e9\\ud835\\udd2d"' in want
+        flags = ("--d", "4", "--g", "1", "--t", "2", "--json")
+        assert run_cli(command, *flags, "--pi-id", pi_id) == (0, want, "")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pi_id": pi_id}, ensure_ascii=False), encoding="utf-8")
+        assert run_cli(command, *flags, "--config", str(config)) == (0, want, "")
 
 
 class TestCongruenceCommand:

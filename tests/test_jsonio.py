@@ -14,17 +14,24 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spehline import (
     AutomorphicDatum,
     GlobalContext,
     HalfInt,
+    InertialCuspidal,
+    LedgerTerm,
     Multisegment,
     Segment,
     TorsionProfile,
+    Wildcard,
     congruence,
+    filtration_graded,
     generate_dataset,
+    generic_infinitesimal,
     jsonio,
+    resolution_terms,
 )
 from spehline.congruence import (
     Dataset,
@@ -39,21 +46,90 @@ from spehline.jsonio import (
     canonical_dumps,
     dataset_from_dict,
     dataset_to_dict,
-    multisegment_to_dict,
+    ledger_listing_text,
 )
+from spehline.ledger import INTERMEDIATE, SHRIEK
 
-from support import PI, PI_TWIN, field_paths, small_dataset_doc, unbuilt
+from support import (
+    PI,
+    PI_TWIN,
+    field_paths,
+    ledger_listing_to_dict,
+    ledger_term_to_dict,
+    multisegment_to_dict,
+    small_dataset_doc,
+    unbuilt,
+)
 
 
 class TestMultisegmentForm:
     def test_canonical_form_is_sorted_and_stable(self):
         a = Multisegment((Segment(PI, HalfInt(2), 1), Segment(PI, HalfInt(-2), 1)))
         b = Multisegment((Segment(PI, HalfInt(-2), 1), Segment(PI, HalfInt(2), 1)))
-        assert canonical_dumps(multisegment_to_dict(a)) == canonical_dumps(
-            multisegment_to_dict(b)
-        )
-        starts = [s["start_twice"] for s in multisegment_to_dict(a)["segments"]]
+        assert jsonio._multisegment_text(a) == jsonio._multisegment_text(b)
+        starts = [s["start_twice"] for s in json.loads(jsonio._multisegment_text(a))["segments"]]
         assert starts == sorted(starts)
+
+
+# ids that need escapes: a quote, a backslash, a control character, a
+# non-ASCII letter, an astral character and a lone surrogate
+_IDS = ['a"b', "c\\d", "\x01", "é", "𝔭", "\ud800", "pi", ""]
+_ids = st.sampled_from(_IDS) | st.text(max_size=3)
+_half = st.builds(HalfInt, st.integers(-9, 9))
+_segments = st.builds(
+    Segment,
+    base=st.builds(InertialCuspidal, _ids, st.integers(1, 3)),
+    start=_half,
+    length=st.integers(1, 4),
+)
+_multisegments = st.builds(
+    Multisegment,
+    segments=st.lists(_segments, max_size=4).map(tuple),
+    tate=_half,
+    wildcard=st.none() | st.builds(Wildcard, _ids, st.integers(0, 9), _half),
+    order_tag=st.none() | st.tuples(st.integers(0, 30), st.integers(0, 30)),
+)
+_terms = st.builds(
+    LedgerTerm,
+    kind=st.sampled_from([SHRIEK, INTERMEDIATE]),
+    stratum=st.integers(1, 9),
+    infinitesimal=_multisegments,
+    xi_power=_half,
+    tate=_half,
+    sign=st.sampled_from([-1, 1]),
+)
+
+
+class TestListingWriter:
+    """The listing's text is ``canonical_dumps`` of the documented document,
+    byte for byte: the dict builders of ``support`` are the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(-5, 99), st.integers(-5, 9), st.integers(-5, 99), st.lists(_terms, max_size=4)
+    )
+    def test_drawn_terms(self, d, g, t, terms):
+        want = canonical_dumps(ledger_listing_to_dict(d, g, t, terms))
+        assert ledger_listing_text(d, g, t, terms) == want
+        for term in terms:
+            m = term.infinitesimal
+            assert jsonio._term_text(term) == canonical_dumps(ledger_term_to_dict(term))
+            assert jsonio._multisegment_text(m) == canonical_dumps(multisegment_to_dict(m))
+            for seg, want in zip(m.segments, multisegment_to_dict(m)["segments"], strict=True):
+                assert jsonio._segment_text(seg) == canonical_dumps(want)
+
+    def test_every_listing_up_to_degree_24(self):
+        count = 0
+        for g in (1, 2, 3):
+            for d in range(g, 25):
+                ctx = GlobalContext(d, InertialCuspidal('a"b\\é𝔭', g))
+                for t in range(1, ctx.s_g + 1):
+                    inf = generic_infinitesimal(ctx, t)
+                    for terms in (resolution_terms(ctx, t, inf), filtration_graded(ctx, t, inf)):
+                        want = canonical_dumps(ledger_listing_to_dict(d, g, t, terms))
+                        assert ledger_listing_text(d, g, t, terms) == want
+                        count += 1
+        assert count == 2 * sum(d // g for g in (1, 2, 3) for d in range(g, 25))
 
 
 class TestDatasetForm:

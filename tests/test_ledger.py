@@ -33,8 +33,10 @@ from spehline import (
     strip_adjunction_core,
 )
 from spehline import ledger
-from spehline.jsonio import ledger_term_to_dict
+from spehline.jsonio import ledger_listing_text
 from spehline.ledger import INTERMEDIATE
+
+from support import golden_listing
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -86,8 +88,8 @@ class TestResolution:
     def test_golden(self, case):
         ctx = context_for(case)
         inf = generic_infinitesimal(ctx, case["t"])
-        got = [ledger_term_to_dict(t) for t in resolution_terms(ctx, case["t"], inf)]
-        assert got == case["resolution"]
+        got = ledger_listing_text(ctx.d, ctx.g, case["t"], resolution_terms(ctx, case["t"], inf))
+        assert got == golden_listing(case, "resolution")
 
     def test_term_count(self):
         ctx = GlobalContext(d=10, pi=InertialCuspidal("pi", 2))
@@ -130,8 +132,8 @@ class TestFiltration:
     def test_golden(self, case):
         ctx = context_for(case)
         inf = generic_infinitesimal(ctx, case["t"])
-        got = [ledger_term_to_dict(t) for t in filtration_graded(ctx, case["t"], inf)]
-        assert got == case["filtration"]
+        got = ledger_listing_text(ctx.d, ctx.g, case["t"], filtration_graded(ctx, case["t"], inf))
+        assert got == golden_listing(case, "filtration")
 
     def test_count_and_first_part(self):
         ctx = GlobalContext(d=12, pi=InertialCuspidal("pi", 3))

@@ -62,9 +62,11 @@ from spehline import (
     torsion_transfer_label,
 )
 from spehline import ledger, zline
-from spehline.cli import main
-from spehline.jsonio import canonical_dumps, ledger_term_to_dict, multisegment_to_dict
+from spehline.cli import build_parser, main
+from spehline.jsonio import _term_text, canonical_dumps
 from spehline.ledger import INTERMEDIATE, SHRIEK
+
+from support import ledger_term_to_dict, multisegment_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZES = [(n, g) for n in (6, 12, 18) for g in (1, 2, 3)]
@@ -99,15 +101,14 @@ def _sha(text: str) -> str:
 
 
 def _sum_digest(total) -> str:
-    return _sha(
-        canonical_dumps(
-            [[ledger_term_to_dict(term), total.coefficient(term)] for term in total.labels()]
-        )
-    )
+    """The digest of ``[[term, coefficient], ...]``, each term as the listing writes it."""
+    pairs = [f"[{_term_text(term)},{total.coefficient(term)}]" for term in total.labels()]
+    return _sha(f"[{','.join(pairs)}]")
 
 
 def _terms_digest(terms) -> str:
-    return _sha(canonical_dumps([ledger_term_to_dict(term) for term in terms]))
+    """The digest of the listing's ``terms`` as the listing writes them."""
+    return _sha(f"[{','.join(map(_term_text, terms))}]")
 
 
 def _cli_digest(command: str, case: dict, json_mode: bool = True) -> str:
@@ -318,6 +319,36 @@ class TestLedgerProductsNeverSort:
             "resolution_terms": [n + 1, 0],
             "filtration_graded": [n, 0],
         }
+
+
+class TestListingCallsAreLinear:
+    """The ``--json`` listings make a number of Python calls linear in the
+    segments they write: counted under ``sys.setprofile``, the calls per
+    output segment of ``cli.main`` do not grow with ``d``.  A writer that
+    wrote each term again for every later one would grow with the term count."""
+
+    @pytest.mark.parametrize("command", ["resolution", "filtration"])
+    def test_calls_per_segment_do_not_grow(self, command):
+        build_parser()  # built once, at the first call
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        ratios = []
+        previous = sys.getprofile()
+        for d in (20, 80, 160):
+            calls[0], out = 0, io.StringIO()
+            with contextlib.redirect_stdout(out):
+                sys.setprofile(profile)
+                try:
+                    code = main([command, "--d", str(d), "--g", "1", "--t", "1", "--json"])
+                finally:
+                    sys.setprofile(previous)
+            assert code == 0
+            ratios.append(calls[0] / out.getvalue().count('"base_id":'))
+        assert ratios == sorted(ratios, reverse=True), ratios
 
 
 class TestSpehTable:
