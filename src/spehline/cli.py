@@ -14,7 +14,7 @@ every refusal to its code.  Exit codes are fixed for scripting:
        closed by its reader exits 64 silently
     65 stratum index out of range
     66 schema violation, file not UTF-8 or not JSON, JSON nested too deeply
-       to read, a string UTF-8 cannot encode, or a config field of the wrong type
+       to read, or a string UTF-8 cannot encode
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .diagrams import (
 from .jsonio import (
     SchemaError,
     _at,
-    _need,
     canonical_dumps,
     component_from_dict,
     dataset_from_dict,
@@ -131,35 +130,6 @@ def _write(path: str, text: str) -> None:
         raise _Refusal(EX_USAGE, f"error: cannot write {path or repr(path)}: {exc.strerror or exc}")
 
 
-# each ``--config`` field: its type, and its value when no flag or file gives it
-_SETTINGS = {"d": (int, None), "g": (int, None), "pi_id": (str, "pi"), "e_pi": (int, 1)}
-
-
-def _settings(doc) -> dict:
-    """The fields of a ``--config`` document, every one type-checked."""
-    return {key: _need(doc, key, typ, "", default) for key, (typ, default) in _SETTINGS.items()}
-
-
-def _context_from(args) -> GlobalContext:
-    """The ``--config`` file's settings, each overridden by its flag; the
-    file's other keys are not read."""
-    config = _read(args.config, _settings) if args.config is not None else {}
-    d, g, pi_id, e_pi = (
-        getattr(args, key) if getattr(args, key) is not None else config.get(key, default)
-        for key, (_, default) in _SETTINGS.items()
-    )
-    if d is None or g is None:
-        args.parser.error("d and g are required (flags or config file)")
-    try:
-        return GlobalContext(d=d, pi=InertialCuspidal(id=pi_id, g=g, e_pi=e_pi))
-    except ValueError as exc:
-        # every default is in range, so a reported value without its flag is the file's
-        reported = ("g",) if g < 1 else ("e_pi",) if e_pi < 1 else ("d", "g")
-        if any(getattr(args, key) is None for key in reported):
-            raise _Refusal(EX_INCONSISTENT, f"inconsistent input: {args.config}: {exc}")
-        raise
-
-
 # -------------------------------------------------------------------- commands
 
 
@@ -167,6 +137,8 @@ def cmd_diagram(args) -> tuple[int, str]:
     if args.at_r is not None and args.component is None:
         args.parser.error("--at-r needs a --component file")
     if args.component is not None:
+        if args.s is not None or args.t is not None:  # the file holds the shape
+            args.parser.error("--s and --t are not allowed with --component")
         component = _read(args.component, component_from_dict)
         if args.at_r is not None:
             return EX_OK, _constituents(component, args.at_r)
@@ -199,7 +171,7 @@ def _constituents(component: LocalComponent, r: int) -> str:
 
 
 def cmd_ledger(args) -> tuple[int, str]:
-    ctx = _context_from(args)
+    ctx = GlobalContext(d=args.d, pi=InertialCuspidal(id=args.pi_id, g=args.g, e_pi=args.e_pi))
     if not 1 <= args.t <= ctx.s_g:
         message = f"error: t={args.t} outside 1..s_g={ctx.s_g} for d={ctx.d}, g={ctx.g}"
         raise _Refusal(EX_STRATUM, message)
@@ -253,12 +225,11 @@ def build_parser() -> _Parser:
     for name in ("resolution", "filtration"):
         p = sub.add_parser(name, help=f"list the {name} terms at stratum t")
         p.set_defaults(run=cmd_ledger, parser=p, format="text")
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--g", type=int, default=None)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
-        p.add_argument("--e-pi", dest="e_pi", type=int, default=None)
-        p.add_argument("--pi-id", dest="pi_id", type=_encodable, default=None)
-        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--e-pi", dest="e_pi", type=int, default=1)
+        p.add_argument("--pi-id", dest="pi_id", type=_encodable, default="pi")
         p.add_argument("--json", dest="format", action="store_const", const="json")
         p.add_argument("--out", default=None)
 

@@ -198,8 +198,8 @@ def ledger_listing_text(d: int, g: int, t: int, terms: list[LedgerTerm]) -> str:
 
     Strings go through ``json.dumps``'s escaper and integers are written as
     ``{x}``, ``json``'s form of a plain ``int``.  Each is one: ``d``, ``g`` and
-    ``t`` pass argparse's ``type=int`` or :func:`_need`, which refuses booleans,
-    and the rest are ``HalfInt.twice`` values, signs, strata, lengths and degrees.
+    ``t`` pass argparse's ``type=int``, and the rest are ``HalfInt.twice``
+    values, signs, strata, lengths and degrees.
     """
     body = ",".join([_term_text(term) for term in terms])
     return f'{{"d":{d},"g":{g},"schema_version":{SCHEMA_VERSION},"t":{t},"terms":[{body}]}}'

@@ -188,19 +188,16 @@ class TestLedgerCommands:
 
     def test_missing_d_and_g(self, capsys):
         assert main(["resolution", "--t", "1"]) == 64
-        assert_usage(capsys, "resolution", "d and g are required (flags or config file)")
+        assert_usage(capsys, "resolution", "the following arguments are required: --d, --g")
 
     def test_stratum_out_of_range_exit_65(self):
         code, _, err = run_cli("resolution", "--d", "4", "--g", "1", "--t", "5")
         assert code == 65
         assert "s_g" in err
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"d": 4, "g": 1}))
-        code, out, _ = run_cli("resolution", "--config", str(config), "--t", "2")
-        assert code == 0
-        assert out == GOLDEN_RESOLUTION_4_1_2
+    def test_config_is_an_unknown_flag(self):
+        code, out, err = run_cli("resolution", "--d", "4", "--g", "1", "--t", "2", "--config", "x.json")
+        assert (code, out) == (64, "") and "unrecognized arguments: --config x.json" in err
 
     def test_json_listing(self):
         code, out, _ = run_cli("resolution", "--d", "4", "--g", "1", "--t", "2", "--json")
@@ -209,7 +206,7 @@ class TestLedgerCommands:
         assert [t["stratum"] for t in obj["terms"]] == [2, 3, 4, 2]
 
     @pytest.mark.parametrize("command", ["resolution", "filtration"])
-    def test_json_listing_escapes_the_id(self, tmp_path, command):
+    def test_json_listing_escapes_the_id(self, command):
         # a quote, a backslash, a non-ASCII letter and an astral character
         pi_id = 'a"b\\é𝔭'
         ctx = GlobalContext(d=4, pi=InertialCuspidal(pi_id, g=1))
@@ -219,9 +216,6 @@ class TestLedgerCommands:
         assert '"base_id":"a\\"b\\\\\\u00e9\\ud835\\udd2d"' in want
         flags = ("--d", "4", "--g", "1", "--t", "2", "--json")
         assert run_cli(command, *flags, "--pi-id", pi_id) == (0, want, "")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"pi_id": pi_id}, ensure_ascii=False), encoding="utf-8")
-        assert run_cli(command, *flags, "--config", str(config)) == (0, want, "")
 
 
 class TestCongruenceCommand:
@@ -397,30 +391,18 @@ class TestMalformedInput:
         code, _, err = run_cli("diagram", "--s", "0", "--t", "2")
         assert code == 2 and "positive" in err
 
-    def test_config_field_type(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"d": "4", "g": 1}))
-        code, _, err = run_cli("resolution", "--config", str(config), "--t", "2")
-        assert code == 66
-        assert err.startswith(f"schema error: {config}: d:")
-
     @pytest.mark.parametrize(
-        "doc, flags, message",
+        "flags, message",
         [
-            ({"d": 4, "g": 0}, [], "{file}: g must be >= 1, got 0"),
-            ({"d": 4, "g": 1, "e_pi": 0}, [], "{file}: e_pi must be >= 1, got 0"),
-            ({"d": 2, "g": 3}, ["--d", "2"], "{file}: need d >= g, got d=2, g=3"),
-            ({"d": 4, "g": 1}, ["--g", "0"], "g must be >= 1, got 0"),
+            (["--d", "4", "--g", "0"], "g must be >= 1, got 0"),
+            (["--d", "4", "--g", "1", "--e-pi", "0"], "e_pi must be >= 1, got 0"),
+            (["--d", "2", "--g", "3"], "need d >= g, got d=2, g=3"),
         ],
-        ids=["file-g", "file-e-pi", "file-g-above-flag-d", "flag-g"],
+        ids=["flag-g", "flag-e-pi", "flag-d-below-g"],
     )
-    def test_config_value_out_of_range(self, tmp_path, doc, flags, message):
-        # the refusal names the file when a value it reports came from there
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        code, _, err = run_cli("resolution", "--config", str(config), "--t", "1", *flags)
-        assert code == 2
-        assert err == f"inconsistent input: {message.format(file=config)}\n"
+    def test_setting_out_of_range(self, flags, message):
+        code, _, err = run_cli("resolution", *flags, "--t", "1")
+        assert (code, err) == (2, f"inconsistent input: {message}\n")
 
     def test_directory_path(self, tmp_path):
         code, _, err = run_cli("diagram", "--component", str(tmp_path))
@@ -682,10 +664,6 @@ DATASET = dataset_to_dict(generate_dataset(3, CTX, r=4))
 DOCUMENTS = {
     "dataset": (DATASET, ["congruence", "{}", "{}", "--r", "4", "--s", "2"]),
     "component": (TRIPLE, ["diagram", "--component", "{}", "--at-r", "4"]),
-    "config": (
-        {"d": 4, "g": 1, "e_pi": 1, "pi_id": "pi"},
-        ["resolution", "--config", "{}", "--t", "2"],
-    ),
 }
 OTHER_JSON = (None, True, "x", 1.5, 7, [], {})
 LONE_SURROGATE = "\ud800x"  # a JSON escape can write it; UTF-8 cannot
@@ -701,7 +679,6 @@ class TestLoneSurrogates:
         "component-key": ("component", lambda doc: doc["cuspidals"].update({"\udfff": {"g": 1}}), "cuspidals.\\udfff"),
         "dataset-id": ("dataset", lambda doc: doc["data"][2].update(id="a\udc00"), "data[2].id"),
         "dataset-satake": ("dataset", lambda doc: doc["data"][0].update(satake=LONE_SURROGATE), "data[0].satake"),
-        "config-pi-id": ("config", lambda doc: doc.update(pi_id=LONE_SURROGATE), "pi_id"),
     }
 
     @staticmethod
@@ -810,7 +787,7 @@ def check_documented_exit(case):
     assert code in {0, 1, 2, 64, 65, 66}, err
 
 
-@pytest.mark.parametrize("kind", ["dataset", "config", "flag"])
+@pytest.mark.parametrize("kind", ["dataset", "flag"])
 def test_kappa_zero_denominator(tmp_path, kind):
     """``kappa`` is read nowhere: a file's ``kappa``, a zero denominator, a
     list or none at all, gives the exit code and output of ``"1"``, and
@@ -824,9 +801,8 @@ def test_kappa_zero_denominator(tmp_path, kind):
 
     def outcome(kappa):
         edited = copy.deepcopy(doc)
-        owner = edited["context"] if kind == "dataset" else edited
         if kappa is not None:
-            owner["kappa"] = kappa
+            edited["context"]["kappa"] = kappa
         path.write_text(json.dumps(edited))
         return run_cli(*[str(path) if arg == "{}" else arg for arg in argv])[:2]
 
@@ -846,12 +822,11 @@ def test_kappa_zero_denominator(tmp_path, kind):
         # an empty path is a path, one that no file has
         (["diagram", "--s", "1", "--t", "2", "--out", ""], "cannot write '': "),
         (["congruence", "{data}", "{data}", "--r", "4", "--s", "2", "--report", ""], "cannot write '': "),
-        (["resolution", "--d", "4", "--g", "1", "--t", "2", "--config", ""], "cannot read '': "),
-        (["diagram", "--component", "", "--s", "1", "--t", "2"], "cannot read '': "),
+        (["diagram", "--component", ""], "cannot read '': "),
     ],
     ids=[
         "diagram-out", "congruence-report", "diagram-empty-out", "congruence-empty-report",
-        "resolution-empty-config", "diagram-empty-component",
+        "diagram-empty-component",
     ],
 )
 def test_unwritable_output(tmp_path, argv, refusal):
@@ -867,9 +842,8 @@ def test_unwritable_output(tmp_path, argv, refusal):
     [
         ["congruence", "{deep}", "{deep}", "--r", "4", "--s", "2"],
         ["diagram", "--component", "{deep}"],
-        ["resolution", "--config", "{deep}", "--t", "1"],
     ],
-    ids=["congruence", "diagram", "resolution"],
+    ids=["congruence", "diagram"],
 )
 def test_json_nested_too_deep(tmp_path, argv):
     deep = tmp_path / "deep.json"

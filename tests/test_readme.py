@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from spehline import DiagramPoint, GlobalContext, generate_dataset, substitute_cuspidal
-from spehline.cli import main
+from spehline.cli import build_parser, main
 from spehline.jsonio import canonical_dumps, dataset_to_dict
 
 from support import PI, PI_TWIN
@@ -25,11 +26,16 @@ def fenced(lang: str, after: str) -> str:
     return match.group(1)
 
 
-def section_blocks(lang: str, heading: str) -> list[str]:
-    """Every ``lang`` code block in the section under ``## heading``."""
+def section(heading: str) -> str:
+    """The text of the section under ``## heading``."""
     match = re.search(rf"^## {heading}\n(.*?)(?=^## )", README, re.S | re.M)
     assert match, f"no section '## {heading}'"
-    return re.findall(rf"```{lang}\n(.*?)```", match.group(1), re.S)
+    return match.group(1)
+
+
+def section_blocks(lang: str, heading: str) -> list[str]:
+    """Every ``lang`` code block in the section under ``## heading``."""
+    return re.findall(rf"```{lang}\n(.*?)```", section(heading), re.S)
 
 
 def key_paths(doc, at: str = "") -> set[str]:
@@ -94,6 +100,20 @@ def test_cli_line_without_input_file(argv, tmp_path, monkeypatch, capsys):
         assert out == "" and written.read_text().startswith("<svg")
     else:
         assert out
+
+
+def test_command_line_names_every_flag():
+    (subcommands,) = [
+        action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    named = set(re.findall(r"--[a-z][a-z-]*", section("Command line")))
+    assert named == flags - {"-h", "--help"}
 
 
 def test_output_files_document_every_field(tmp_path, monkeypatch, capsys):
