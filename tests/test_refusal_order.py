@@ -116,7 +116,10 @@ LEDGER = {
 
 
 @pytest.mark.parametrize("command", ["resolution", "filtration"])
-@pytest.mark.parametrize("argv_fault, code", LEDGER.items())
+# each id says that the call passes no --config, a flag the parser refuses
+@pytest.mark.parametrize(
+    "argv_fault, code", LEDGER.items(), ids=[f"{fault}-no --config-{code}" for fault, code in LEDGER.items()]
+)
 def test_ledger(command, argv_fault, code):
     assert run_cli(command, *LEDGER_ARGV[argv_fault])[0] == code
 
