@@ -105,8 +105,9 @@ class AutomorphicDatum:
 class Dataset:
     """A context, its records, a torsion profile and a level tower.
 
-    Construction walks the records once (:func:`_walk`), and checks
-    that one id names one label (:func:`_one_label_per_id`).  It keeps
+    Construction checks the levels, walks the records once
+    (:func:`_walk`), then checks the torsion profile and that one id
+    names one label (:func:`_one_label_per_id`).  It keeps
     ``labels``, the distinct label objects, anchor first, and the index
     the separation reads, where each base id maps ``(s + t - 1, s)`` to
     the positions of its records in dataset order (a record once per
@@ -114,9 +115,10 @@ class Dataset:
     ``dataclasses.replace`` rebuilds both.
 
     A dataset read from a file can hold its records unbuilt.  The reader
-    walks the document's rows and hands over the walk's result and a
-    builder (:meth:`_unbuilt`): a row's records are built when a query
-    reads it, and ``data`` when it is read, each record once.  Equality,
+    checks every record of the document and hands over their rows and a
+    builder (:meth:`_unbuilt`), and the dataset walks those rows: a
+    row's records are built when a query reads it, and ``data`` when it
+    is read, each record once.  Equality,
     ``repr``, hashing, ``replace``, copying and pickling read ``data``,
     so they build it.
     """
@@ -130,36 +132,29 @@ class Dataset:
     _build: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._check_levels()
         rows = (
             (x.id, local.s, local.factors, 0 if local.wildcard is None else local.wildcard.degree)
             for x in self.data
             for local in [x.local]
         )
         data = self.data
-        walk = _walk(self.context.d, self.context.pi, rows)
-        self._finish(*walk, lambda positions: [data[idx] for idx in positions])
+        self._finish(rows, lambda positions: [data[idx] for idx in positions])
 
     @classmethod
     def _unbuilt(
-        cls, context, torsion, levels, walk: tuple | InconsistentDataError, build: Callable
+        cls, context, torsion, levels, rows: Iterable[tuple], build: Callable
     ) -> "Dataset":
-        """A dataset whose records passed the walk unbuilt.
+        """A dataset of records not yet built, from their checked rows.
 
-        ``walk`` is what :func:`_walk` returned on their rows, and
+        ``rows`` holds each record's row for :func:`_walk`, and
         ``build(positions)`` returns the records at ``positions`` (all of
         them for ``None``), building each on its first request.  The
-        checks around the walk run as in ``__post_init__``.  When the walk
-        raised instead, ``walk`` is its :class:`InconsistentDataError`,
-        raised here, where ``__post_init__`` would walk the records.
+        dataset is checked and walked as ``Dataset(...)`` is.
         """
         ds = object.__new__(cls)
         for name, value in (("context", context), ("torsion", torsion), ("levels", levels)):
             object.__setattr__(ds, name, value)
-        ds._check_levels()
-        if isinstance(walk, InconsistentDataError):
-            raise walk
-        ds._finish(*walk, build)
+        ds._finish(rows, build)
         return ds
 
     def __getattr__(self, name: str):
@@ -174,22 +169,22 @@ class Dataset:
         # a copy or a pickle is built from the records and holds no builder
         return type(self), (self.context, self.data, self.torsion, self.levels)
 
-    def _check_levels(self) -> None:
-        """Sort the levels and check them: the checks before the walk."""
-        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
-        if not self.levels:
+    def _finish(self, rows: Iterable[tuple], build: Callable) -> None:
+        """Construction's checks and walk, in their order, from the records'
+        rows; then keep what the walk found."""
+        levels = tuple(sorted(self.levels))
+        object.__setattr__(self, "levels", levels)
+        if not levels:
             raise InconsistentDataError("dataset needs at least one level")
-        if len(set(self.levels)) != len(self.levels):
+        if len(set(levels)) != len(levels):
             raise InconsistentDataError("levels must be distinct")
-        if any(n < 0 for n in self.levels):
+        if any(n < 0 for n in levels):
             raise InconsistentDataError("levels must be >= 0")
-
-    def _finish(self, labels: Iterable[InertialCuspidal], index: dict, build: Callable) -> None:
-        """The checks after the walk, then keep what it found."""
+        labels, index = _walk(self.context.d, self.context.pi, rows)
         t0, s_g = self.torsion.t0, self.context.s_g
         if t0 is not None and t0 > s_g:  # as torsion_transfer_label refuses it
             raise InconsistentDataError(f"need t0 <= s_g={s_g}, got t0={t0}")
-        if t0 is not None and max(self.levels) >= len(self.torsion.tau):
+        if t0 is not None and max(levels) >= len(self.torsion.tau):
             raise InconsistentDataError(
                 "torsion profile does not cover every level of the tower"
             )
@@ -241,7 +236,10 @@ def _walk(d: int, pi: InertialCuspidal, rows: Iterable[tuple]) -> tuple[Iterable
 
 
 def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
-    """Reject an id that names two labels, or a mod-l class on two ``g``.
+    """Reject an id that names two labels, a mod-l class on two ``g``, or a
+    class that holds a parenthesis: ``modl_key`` writes each class inside
+    ``rl(...)``, and one that could close it early lets two components
+    share a key.
 
     Fields are compared only when an id comes back as another object:
     the records of a file share its registry's labels.
@@ -251,6 +249,10 @@ def _one_label_per_id(labels: Iterable[InertialCuspidal]) -> None:
     for label in labels:
         seen = by_id.get(label.id)
         if seen is None:
+            if "(" in label.modl_class or ")" in label.modl_class:
+                raise InconsistentDataError(
+                    f"mod-l class {label.modl_class!r} of {label.id!r} holds a parenthesis"
+                )
             by_id[label.id] = label
             first = by_class.setdefault(label.modl_class, label)
             if first.g != label.g:

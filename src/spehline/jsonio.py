@@ -18,13 +18,14 @@ that reader.
 Dataset files carry the traffic, thousands of records each, of which a
 query reads the few in one row.  Each record is checked once, on the raw
 document: :func:`_rows` makes every check of the checked reader and the
-constructors, and yields the record's row to the ``Dataset`` walk, which
-checks ids and degrees and indexes the records.  A record that fails the
-check is read alone by the checked reader, which raises its first fault,
-so errors, their paths and which of two faults is reported do not depend
-on the check.  The dataset builds each record from its raw fields when it
-is first read (:func:`_record`, see :class:`~spehline.congruence.Dataset`),
-so the document must not change after it is read.
+constructors and gives the record's row, which ``Dataset`` walks once
+every record is checked, to check ids and degrees and index the records.
+A record that fails the check is read alone by the checked reader, which
+raises its first fault, so errors, their paths and which of two faults
+is reported do not depend on the check.  The dataset builds each record
+from its raw fields when it is first read (:func:`_record`, see
+:class:`~spehline.congruence.Dataset`), so the document must not change
+after it is read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .congruence import AutomorphicDatum, Dataset, InconsistentDataError, Verdict, _walk
+from .congruence import AutomorphicDatum, Dataset, Verdict
 from .diagrams import Diagram, LocalComponent
 from .ledger import GlobalContext, LedgerTerm
 from .torsion import TorsionProfile
@@ -377,15 +378,11 @@ def _builder(records: list, cuspidals: dict):
 def dataset_from_dict(obj: dict) -> Dataset:
     """Read a dataset document.
 
-    The dataset keeps the document's records and builds each from them
-    when it is first read (:func:`_builder`), so the document must not
-    change afterwards.  Every record is checked first, by :func:`_rows` and
-    the walk.  A fault the walk finds (a repeated id or a record of the
-    wrong degree) is kept while :func:`_rows` checks the rest, so a later
-    record's schema fault still raises first; the records are not walked
-    again: ``Dataset._unbuilt`` raises the kept error where
-    ``Dataset(...)`` would walk them, after the torsion, the levels, the
-    context and the level checks.
+    Every record is checked (:func:`_rows`), then the torsion and the
+    levels are read, then ``Dataset._unbuilt`` checks and walks the rows
+    as ``Dataset(...)`` does its records.  The dataset keeps the
+    document's records and builds each from them when it is first read
+    (:func:`_builder`), so the document must not change afterwards.
     """
     _version(obj)
     context = _need(obj, "context", dict, "")
@@ -393,13 +390,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
     cuspidals = registry_from_dict(_need(obj, "cuspidals", dict, ""))
     pi = _cuspidal(context, "pi_id", cuspidals, "context")
     records = _need(obj, "data", list, "")
-    rows = _rows(records, cuspidals)
-    try:
-        walk = _walk(d, pi, rows)
-    except InconsistentDataError as fault:
-        walk = fault
-        for _ in rows:  # the rest of the records, checked
-            pass
+    rows = list(_rows(records, cuspidals))
     torsion = _need(obj, "torsion", dict, "")
     context = GlobalContext(d=d, pi=pi)
     torsion = TorsionProfile(
@@ -407,7 +398,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
         tau=_ints(_need(torsion, "tau", list, "torsion"), "torsion.tau"),
     )
     levels = _ints(_need(obj, "levels", list, ""), "levels")
-    return Dataset._unbuilt(context, torsion, levels, walk, _builder(records, cuspidals))
+    return Dataset._unbuilt(context, torsion, levels, rows, _builder(records, cuspidals))
 
 
 # ---------------------------------------------------------------------- verdict

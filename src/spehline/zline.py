@@ -98,9 +98,6 @@ class InertialCuspidal:
         if not self.modl_class:
             object.__setattr__(self, "modl_class", self.id)
 
-    def __str__(self) -> str:
-        return self.id
-
 
 def reduced_id(modl_class: str) -> str:
     """The id ``rl(<class>)`` of the reduced label of a mod-l class."""

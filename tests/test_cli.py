@@ -308,6 +308,35 @@ class TestCongruenceCommand:
         assert (code, out) == (2, "")
         assert err == f"inconsistent input: {a}: cuspidals[x].modl_class: empty mod-l class\n"
 
+    def test_class_with_a_parenthesis_exit_2(self, tmp_path):
+        # written inside rl(...), "q) x rl(w" would give A's record the key of
+        # B's three-factor record: 1*R_rl(a)(1,1)(1,0) x rl(q) x rl(w) [xi_1, Xi^0]
+        def write(name: str, classes: dict[str, tuple[int, str]]) -> str:
+            path = tmp_path / name
+            path.write_text(canonical_dumps({
+                "schema_version": 1,
+                "context": {"d": 3, "pi_id": "pi"},
+                "cuspidals": {
+                    cid: {"g": g, "e_pi": 1, "modl_class": c} for cid, (g, c) in classes.items()
+                },
+                "data": [{
+                    "id": "x",
+                    "local": {"s": 1, "factors": [{"t": 1, "base_id": cid} for cid in classes]},
+                    "m": 1, "d_xi": 1, "inv_dim": 1, "satake": "h",
+                }],
+                "torsion": {"t0": None, "tau": [0]},
+                "levels": [0],
+            }))
+            return str(path)
+
+        a = write("a.json", {"pi": (1, "a"), "z": (2, "q) x rl(w")})
+        b = write("b.json", {"pi": (1, "a"), "q": (1, "q"), "w": (1, "w")})
+        code, out, err = run_cli("congruence", a, b, "--r", "1", "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"inconsistent input: {a}: mod-l class 'q) x rl(w' of 'z' holds a parenthesis\n"
+        )
+
     def test_files_disagree_on_an_id_exit_2(self, tmp_path):
         a, b, s = self.write_pair(tmp_path)
         obj = json.loads(Path(b).read_text())

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import sys
 
 import hypothesis.strategies as st
@@ -674,3 +675,152 @@ class TestModlKeyOrder:
             several += len(constituent_sum(c, anchor, DiagramPoint(r, 0))) > 1
             assert modl_key(c, anchor, r) == reference_modl_key(c, anchor, r), c
         assert several >= 300
+
+
+# A factor of a mod-l key: traced, ``R_rl(<class>)(<s>,<t>)(<r>,0)``, or not,
+# ``[Speh_<s>(][St_<t>(]rl(<class>)`` and a ``)`` for each optional layer.
+KEY_FACTOR = re.compile(
+    r"R_rl\(([^()]*)\)\((\d+),(\d+)\)\((\d+),0\)|(Speh_\d+\()?(?:St_(\d+)\()?rl\(([^()]*)\)"
+)
+
+
+def key_text(s: int, r: int, factors, traced, wildcard) -> str:
+    """The mod-l key of a reading, written from the documented forms."""
+    def factor(c: str, t: int, k: int, traced_k: int) -> str:
+        if k == traced_k:
+            return f"R_rl({c})({s},{t})({r},0)"
+        body = f"rl({c})" if t == 1 else f"St_{t}(rl({c}))"
+        return body if s == 1 else f"Speh_{s}({body})"
+
+    wild = ""
+    if wildcard is not None:
+        wid, degree, twice = wildcard
+        wild = f" x ?{wid}({degree})" + (f"{{{HalfInt(twice)}}}" if twice else "")
+    return ";".join(
+        "1*" + " x ".join(factor(c, t, k, j) for k, (t, c) in enumerate(factors, start=1))
+        + f"{wild} [xi_{j}, Xi^0]"
+        for j in traced
+    )
+
+
+def wildcard_reading(text: str):
+    """``(id, degree, twice the shift)`` of a wildcard's text `` x ?...``, read
+    from the right, or ``None`` for no text; ``False`` when it is not one."""
+    if not text:
+        return None
+    if not text.startswith(" x ?"):
+        return False
+    body, twice = text[4:], 0
+    if body.endswith("}"):
+        brace = body.rindex("{")
+        shift, body = body[brace + 1 : -1], body[:brace]
+        num, _, den = shift.partition("/")
+        if not re.fullmatch(r"-?\d+", num) or den not in ("", "2"):
+            return False
+        twice = int(num) * (2 if not den else 1)
+    paren = body.rfind("(")
+    if not body.endswith(")") or paren < 0 or not body[paren + 1 : -1].isdigit():
+        return False
+    return body[:paren], int(body[paren + 1 : -1]), twice
+
+
+def key_readings(key: str) -> list[tuple]:
+    """Every ``(s, r, factors as (t, class), traced indices, wildcard)``
+    whose key is ``key``, for classes without a parenthesis.
+
+    The first term's factors are read left to right: each ``rl(`` closes
+    at its first ``)``, and a factor never starts with the wildcard's
+    ``?``.  Its one traced factor gives ``s``, ``r`` and the first traced
+    index.  Then every set of traced indices is tried whose factors share
+    that factor's class; the set fixes the wildcard's length, so its text,
+    which is read from the right.  A reading counts when it writes ``key``.
+    """
+    if not key.startswith("1*"):
+        return []
+    pos, read = 2, []  # read: (t, class, (s, r) of a traced factor or None)
+    while True:
+        m = KEY_FACTOR.match(key, pos)
+        if m is None:
+            return []
+        pos = m.end()
+        if m[1] is not None:
+            read.append((int(m[3]), m[1], (int(m[2]), int(m[4]))))
+        else:
+            layers = (m[5] is not None) + (m[6] is not None)
+            if key[pos : pos + layers] != ")" * layers:
+                return []
+            pos += layers
+            read.append((int(m[6] or 1), m[7], None))
+        if not key.startswith(" x ", pos) or key.startswith(" x ?", pos):
+            break
+        pos += 3
+    first = [k for k, f in enumerate(read, start=1) if f[2] is not None]
+    if len(first) != 1:
+        return []
+    (first,) = first
+    (s, r), factors = read[first - 1][2], tuple((t, c) for t, c, _ in read)
+    anchor_class = factors[first - 1][1]
+    later = [k for k in range(first + 1, len(factors) + 1) if factors[k - 1][1] == anchor_class]
+    readings = []
+    for size in range(len(later) + 1):
+        for rest in itertools.combinations(later, size):
+            traced = (first, *rest)
+            bare = len(key_text(s, r, factors, traced, None))
+            if (len(key) - bare) % len(traced):
+                continue
+            wildcard = wildcard_reading(key[pos : pos + (len(key) - bare) // len(traced)])
+            if wildcard is not False and key_text(s, r, factors, traced, wildcard) == key:
+                readings.append((s, r, factors, traced, wildcard))
+    return readings
+
+
+class TestModlKeysParseBack:
+    """A key names one component's constituent sum: without a parenthesis in
+    any class, each key parses back into ``s``, ``r``, each factor's
+    ``(t, class)``, the traced factors and the wildcard, and into nothing
+    else, whatever the wildcard's id holds."""
+
+    CLASS_PIECES = tuple(p for p in TestModlKeyOrder.PIECES if "(" not in p and ")" not in p)
+
+    def test_each_key_has_one_reading(self):
+        rng = random.Random(20261021)
+
+        def text(pieces) -> str:
+            return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+
+        parsed = several = 0
+        for case in range(3000):
+            classes = [text(self.CLASS_PIECES) or "a" for _ in range(3)]
+            anchor = InertialCuspidal(f"o{case}", 1, modl_class=classes[0])
+            # a base that shares the anchor's class but not its id does not trace
+            bases = [anchor] + [
+                InertialCuspidal(f"o{case}.{j}", 1, modl_class=c) for j, c in enumerate(classes)
+            ]
+            s = rng.randint(1, 3)
+            factors = tuple(
+                (rng.randint(1, 4), anchor if rng.random() < 0.5 else rng.choice(bases))
+                for _ in range(rng.randint(1, 5))
+            )
+            wild_id, shift = text(TestModlKeyOrder.PIECES), HalfInt(rng.choice([-3, 0, 1, 2]))
+            wildcard = rng.choice([None, Wildcard(wild_id, rng.randint(0, 6), shift)])
+            c = LocalComponent(s=s, factors=factors, wildcard=wildcard)
+            r = rng.randint(1, s + 4)
+            key = modl_key(c, anchor, r)
+            traced = tuple(
+                k for k, (t, base) in enumerate(factors, start=1)
+                if base is anchor and m_indicator(s, t, r, 0)
+            )
+            if not traced:
+                assert key == "0"
+                continue
+            truth = (
+                s,
+                r,
+                tuple((t, base.modl_class) for t, base in factors),
+                traced,
+                None if wildcard is None else (wildcard.id, wildcard.degree, wildcard.shift.twice),
+            )
+            assert key_readings(key) == [truth], (c, r, key)
+            parsed += 1
+            several += len(traced) > 1
+        assert parsed >= 1000 and several >= 250

@@ -251,8 +251,7 @@ def test_every_single_field_mutation_matches_table():
 # that is read before that walk: a record's schema or constructor fault at
 # a later index, or a fault of the context, ``torsion``, ``levels`` or the
 # registry.  Every fault also stands alone.  An unreferenced registry entry
-# whose class clashes is accepted.  The fixture was written by the reader
-# that built every record before it walked them;
+# whose class clashes is accepted.
 # ``PYTHONPATH=src python tests/test_jsonio.py double`` prints the table.
 
 DOUBLE_FAULT_TABLE = Path(__file__).parent / "fixtures" / "dataset_double_faults.tsv"
@@ -315,6 +314,48 @@ def test_every_double_fault_matches_table():
     assert len(got) == len(expected)
     mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
     assert not mismatches, mismatches[:5]
+
+
+def _in_memory(doc: dict) -> Dataset:
+    """``Dataset(...)`` of the parts of ``doc``, its records read by the checked reader."""
+    cuspidals = jsonio.registry_from_dict(doc["cuspidals"])
+    return Dataset(
+        GlobalContext(d=doc["context"]["d"], pi=cuspidals[doc["context"]["pi_id"]]),
+        tuple(
+            jsonio._checked_record(rec, cuspidals, f"data[{idx}]")
+            for idx, rec in enumerate(doc["data"])
+        ),
+        TorsionProfile(doc["torsion"]["t0"], tuple(doc["torsion"]["tau"])),
+        tuple(doc["levels"]),
+    )
+
+
+# the level faults, found before the walk, and the torsion's, found after it
+AROUND_THE_WALK = [
+    fault for fault in READ_FAULTS if fault[0] == ("levels",) and fault[1] != [0, "x"]
+] + [(("torsion", "tau"), [0, 1])]
+
+
+def _faulty(*faults) -> dict:
+    doc = small_dataset_doc()
+    for path, value in faults:
+        _mutate(doc, path, value)
+    return doc
+
+
+@pytest.mark.parametrize("other", AROUND_THE_WALK, ids=lambda f: f"{_path_str(f[0])}={_shown(f[1])}")
+# WALK_FAULTS[:5] are the records' faults; the rest are the registry's
+@pytest.mark.parametrize("walk", WALK_FAULTS[:5], ids=lambda f: f"{_path_str(f[0])}={_shown(f[1])}")
+def test_both_dataset_forms_report_one_fault(walk, other):
+    # read from a file or built in memory, a dataset reports its levels'
+    # fault before the walk's, and the walk's before its torsion's
+    first = other if other[0] == ("levels",) else walk
+    with pytest.raises(InconsistentDataError) as alone:
+        dataset_from_dict(_faulty(first))
+    for read in (dataset_from_dict, _in_memory):
+        with pytest.raises(InconsistentDataError) as both:
+            read(_faulty(walk, other))
+        assert str(both.value) == str(alone.value)
 
 
 # ------------------------------------------------------ the check pass is sound
@@ -536,8 +577,7 @@ class TestOneWalk:
             counts["checked"] += 1
             return checked(*args)
 
-        for module in (congruence, jsonio):
-            monkeypatch.setattr(module, "_walk", counted_walk)
+        monkeypatch.setattr(congruence, "_walk", counted_walk)
         monkeypatch.setattr(jsonio, "_checked_record", counted_checked)
         return counts
 
@@ -559,14 +599,14 @@ class TestOneWalk:
         doc["data"][1]["id"] = doc["data"][0]["id"]
         with pytest.raises(InconsistentDataError, match="duplicate datum id"):
             dataset_from_dict(doc)
-        assert counts == {"walk": 1, "checked": 0}  # the walk's error is kept, not found again
+        assert counts == {"walk": 1, "checked": 0}
 
     def test_a_fault_in_the_last_record_reads_it_alone(self, counts):
         doc = small_dataset_doc()
         doc["data"][-1]["m"] = "2"
         with pytest.raises(SchemaError, match=r"^data\[6\]\.m: expected an integer$"):
             dataset_from_dict(doc)
-        assert counts == {"walk": 1, "checked": 1}
+        assert counts == {"walk": 0, "checked": 1}  # every record is checked before the walk
 
 
 def _built(ds: Dataset, doc: dict) -> Dataset:
