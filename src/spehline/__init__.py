@@ -5,7 +5,6 @@ from .congruence import (
     AutomorphicDatum,
     ContributionSet,
     Dataset,
-    DimensionProfileSymbol,
     DimensionTable,
     InconsistentDataError,
     InconsistentTableError,

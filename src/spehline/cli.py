@@ -139,6 +139,8 @@ def cmd_diagram(args) -> tuple[int, str]:
     if args.component is not None:
         if args.s is not None or args.t is not None:  # the file holds the shape
             args.parser.error("--s and --t are not allowed with --component")
+        if args.at_r is not None and args.format is not None:  # a listing has one format
+            args.parser.error("--ascii, --json and --svg are not allowed with --at-r")
         component = _read(args.component, component_from_dict)
         if args.at_r is not None:
             return EX_OK, _constituents(component, args.at_r)
@@ -212,7 +214,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diag = sub.add_parser("diagram", help="render a support diagram")
-    p_diag.set_defaults(run=cmd_diagram, parser=p_diag, format="ascii")
+    p_diag.set_defaults(run=cmd_diagram, parser=p_diag, format=None)
     p_diag.add_argument("--s", type=int, default=None, help="row count")
     p_diag.add_argument("--t", type=int, default=None, help="row length")
     p_diag.add_argument("--component", default=None, help="local component JSON file")

@@ -14,15 +14,13 @@ at congruent cuspidals, one coefficient per mod-l class.
 
 Invariant dimensions are not computable from labels, so a matching
 record contributes its weight to its mod-l class, the same at every
-level.  Weights are therefore level-free until read: tables, peels,
-contribution sets (``weights``) and the two-sided check, its
-``Verdict`` included, are sums over mod-l keys; torsion alone carries a
-level, one integer per level.  Only where a caller reads a level
-(``DimensionTable.values``, ``ContributionSet.pairs``) is a weight
-spread onto one formal symbol per (mod-l class, level), and torsion onto
-the reserved unit symbol of each level.  A symbol is a tuple
-``(key, level)``, built by ``tuple.__new__``, and a spread sum is built
-as one dict in one pass, not merged term by term.
+level.  Weights are therefore level-free: tables, peels, contribution
+sets (``weights``) and the two-sided check, its ``Verdict`` included,
+are sums over mod-l keys; torsion alone carries a level, one integer
+per level.  Two views read a level (``DimensionTable.values``,
+``ContributionSet.pairs``): each puts a weight on the labels
+``(key, n)`` of each level ``n``, and torsion on ``("1", n)``.  No
+mod-l key is ``"1"``.
 
 A record's mod-l class is the string ``modl_key``.  Its memo keys on
 plain values: the rows, each factor's length, base id and class, the
@@ -38,7 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .diagrams import DiagramPoint, LocalComponent, marker_text, traced_factors, traced_symbol
 # not called here; kept as a module attribute, which perfbench/spans.py wraps by name
@@ -55,27 +53,6 @@ class InconsistentDataError(ValueError):
 
 class InconsistentTableError(InconsistentDataError):
     """A dimension table produced a negative residue while peeling."""
-
-
-class DimensionProfileSymbol(NamedTuple):
-    """Formal symbol for the invariant dimension of a mod-l class at a level.
-
-    A tuple ``(key, level)``, so it is hashed and compared in C.  It is
-    immutable, and as a tuple it equals the plain tuple ``(key, level)``,
-    iterates as its two fields and orders as a tuple.  Formal sums order
-    their terms by ``str``, not by the tuple order.
-    """
-
-    key: str
-    level: int
-
-    def __str__(self) -> str:
-        return f"dim<{self.key} @n={self.level}>"
-
-
-def unit_symbol(n: int) -> DimensionProfileSymbol:
-    """The reserved symbol of level ``n`` that torsion units land on."""
-    return tuple.__new__(DimensionProfileSymbol, ("1", n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,23 +332,6 @@ def _traced_terms(s: int, factors: tuple, pi_id: str, r: int) -> tuple[str, ...]
 modl_key.cache_info = _traced_terms.cache_info
 
 
-def _spread(weight: GrothSum, levels: Iterable[int], units: dict | None = None) -> GrothSum:
-    """Put a level-free sum over mod-l keys on each level's symbols, and
-    ``units[n]`` on the unit symbol of level ``n`` where it is not 0.
-
-    The sum is built as one dict: its labels ``(key, n)`` are distinct,
-    and the coefficients of ``weight`` are nonzero already.  No mod-l key
-    is the unit key ``"1"``, so a unit never lands on a weight's symbol.
-    """
-    terms = weight._terms.items()
-    new = tuple.__new__  # the namedtuple's own __new__ runs in Python
-    out = {new(DimensionProfileSymbol, (key, n)): c for n in levels for key, c in terms}
-    for n, c in (units or {}).items():
-        if c:
-            out[unit_symbol(n)] = c
-    return GrothSum._wrap(out)
-
-
 @dataclass
 class DimensionTable:
     """The table ``d_{k,n}`` for ``k = 0..r-1`` over a level tower.
@@ -379,11 +339,11 @@ class DimensionTable:
     A record weighs the same at every level, so the table keeps one
     level-free sum over mod-l keys per ``k`` (``sums[k]``) and the
     torsion profile, the only part that carries a level.  ``values``
-    spreads both onto ``DimensionProfileSymbol(key, n)`` and
-    ``unit_symbol(n)`` when read, each cell's sum built as one dict of
-    tuple-backed symbols in one pass.  ``maximal`` (:func:`_maximal`): no
-    ``pi``-factor exists or ``r`` is the largest radius of one, so not
-    when ``r`` lies beyond all of them; ``theorem_check`` warns otherwise.
+    reads the cells ``d_{k,n}``: ``sums[k]`` on the labels ``(key, n)``
+    plus the torsion dimension on ``("1", n)``.  ``maximal``
+    (:func:`_maximal`): no ``pi``-factor exists or ``r`` is the largest
+    radius of one, so not when ``r`` lies beyond all of them;
+    ``theorem_check`` warns otherwise.
     """
 
     r: int
@@ -394,8 +354,12 @@ class DimensionTable:
 
     @property
     def values(self) -> dict[tuple[int, int], GrothSum]:
+        rows = [[(key, row.coefficient(key)) for key in row.labels()] for row in self.sums]
         return {
-            (k, n): _spread(self.sums[k], (n,), {n: torsion_dimension(self.torsion, k, n)})
+            (k, n): GrothSum(
+                [((key, n), c) for key, c in rows[k]]
+                + [(("1", n), torsion_dimension(self.torsion, k, n))]
+            )
             for k in range(self.r)
             for n in self.levels
         }
@@ -432,8 +396,8 @@ class ContributionSet:
     """The recovered ``(s, t)`` pairs of one radius, with their weights.
 
     Every pair satisfies ``s + t - 1 = r``.  ``weights`` keeps each pair's
-    level-free weight, a sum over mod-l keys; ``pairs`` spreads them onto
-    ``levels`` when read, one ``DimensionProfileSymbol`` per (key, level).
+    level-free weight, a sum over mod-l keys; ``pairs`` reads each weight
+    on the labels ``(key, n)`` of every level ``n`` of ``levels``.
     Equality compares ``r``, ``levels`` and ``weights``, so two empty sets
     on different towers differ; witness ids, when known, are metadata.
     """
@@ -447,7 +411,12 @@ class ContributionSet:
 
     @property
     def pairs(self) -> dict[tuple[int, int], GrothSum]:
-        return {shape: _spread(weight, self.levels) for shape, weight in self.weights.items()}
+        return {
+            shape: GrothSum(
+                ((key, n), weight.coefficient(key)) for n in self.levels for key in weight.labels()
+            )
+            for shape, weight in self.weights.items()
+        }
 
     def __post_init__(self) -> None:
         for (s, t) in self.weights:

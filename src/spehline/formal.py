@@ -16,7 +16,6 @@ integer coefficients as it is.  Outside this module its callers build
 dicts whose labels are distinct by construction and whose coefficients
 are nonzero:
 
-- ``congruence._spread`` relabels the terms of a normal sum;
 - ``congruence._weight`` adds record weights, each an ``int >= 1`` by
   ``AutomorphicDatum``, so no coefficient is zero;
 - ``ledger.expand_resolution`` names each term by its two markers

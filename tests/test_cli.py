@@ -168,6 +168,13 @@ class TestDiagramCommand:
         assert main(["diagram", "--s", "2", "--t", "2", "--at-r", "3"]) == 64
         assert_usage(capsys, "diagram", "--at-r needs a --component file")
 
+    @pytest.mark.parametrize("fmt", ["--ascii", "--json", "--svg"])
+    def test_at_r_refuses_a_format_flag(self, capsys, fmt):
+        # a constituent listing is text only
+        path = str(FIXTURES / "triple_component.json")
+        assert main(["diagram", "--component", path, "--at-r", "4", fmt]) == 64
+        assert_usage(capsys, "diagram", "--ascii, --json and --svg are not allowed with --at-r")
+
 
 class TestLedgerCommands:
     def test_resolution_golden_text(self):

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
-import pickle
 import random
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +10,6 @@ import pytest
 from spehline import (
     AutomorphicDatum,
     Dataset,
-    DimensionProfileSymbol,
     GlobalContext,
     GrothSum,
     InconsistentDataError,
@@ -31,7 +27,7 @@ from spehline import (
     substitute_cuspidal,
     theorem_check,
 )
-from spehline.congruence import ContributionSet, DimensionTable, _spread, unit_symbol
+from spehline.congruence import ContributionSet, DimensionTable
 from spehline.jsonio import dataset_from_dict, dataset_to_dict, verdict_to_dict
 from spehline.torsion import torsion_dimension
 
@@ -156,7 +152,7 @@ class TestDSequence:
         cells = d_sequence(dataset(torsion=prof), PI, 3).values
         for n, tau in ((0, 5), (1, 7)):
             assert cells[0, n].is_zero
-            expected = GrothSum.of(unit_symbol(n), tau)
+            expected = GrothSum([(("1", n), tau)])
             assert cells[1, n] == expected
             assert cells[2, n] == expected
 
@@ -240,10 +236,10 @@ def per_cell_infer_B(table: DimensionTable, torsion: TorsionProfile) -> SimpleNa
                 raise InconsistentTableError(
                     f"negative difference between degrees {k - 1} and {k} at n={n}"
                 )
-        # built through the merging constructor, not the trusted build of _spread
+        # one label (key, n) per mod-l key and level, and ("1", n) per unit residue
         weight = GrothSum(
-            [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in diff.items()]
-            + [(unit_symbol(n), unit_diff[n]) for n in levels]
+            [((key, n), c) for n in levels for key, c in diff.items()]
+            + [(("1", n), unit_diff[n]) for n in levels]
         )
         if not weight.is_zero:
             pairs[(k, r - k + 1)] = weight
@@ -318,51 +314,45 @@ class TestInferBPerCell:
 
 
 class TestSpread:
-    """``_spread`` builds its dict directly; it must equal the sum merged from
-    the explicit pairs, term for term and in ``repr``."""
+    """``values`` and ``pairs`` put level-free sums on the labels ``(key, n)``
+    of each level, and torsion on ``("1", n)``: each cell and each pair must
+    equal the sum merged from the explicit pairs, term for term and in
+    ``repr``."""
 
     def test_matches_merged_pairs(self):
         rng = random.Random(17)
-        for _ in range(500):
-            weight = GrothSum(
+
+        def draw() -> GrothSum:
+            return GrothSum(
                 (rng.choice(("a", "b", "c", "1*x", "0")), rng.randint(-3, 3))
                 for _ in range(rng.randint(0, 5))
             )
-            levels = rng.choice(((0,), (3,), (0, 1), (0, 1, 2), (1, 4, 7)))
-            units = rng.choice((None, {}, {n: rng.randint(-2, 2) for n in levels}))
-            got = _spread(weight, levels, units)
-            want = GrothSum(
-                [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in weight.items()]
-                + [(unit_symbol(n), c) for n, c in (units or {}).items()]
-            )
-            assert got == want
-            assert all(got.coefficient(label) != 0 for label in got.labels())
-            assert repr(got) == repr(want)
-            assert all(type(label) is DimensionProfileSymbol for label in got.labels())
 
-    def test_every_read_symbol_is_exactly_the_symbol_type(self):
-        # the spread builds symbols through tuple.__new__: the class must be
-        # the symbol's own, on every path that hands a level-indexed sum out
-        for seed in range(6):
-            torsion = TorsionProfile(t0=1, tau=(1, 2, 3)) if seed % 2 else TorsionProfile()
-            ds = generate_dataset(seed, CTX, r=4, torsion=torsion, levels=(0, 2))
-            table = d_sequence(ds, PI, 4)
-            sums = (
-                *table.values.values(),
-                *infer_B(table, ds.torsion).pairs.values(),
-                *expected_contributions(ds, PI, 4).pairs.values(),
+        for _ in range(500):
+            rows = (draw(), draw())
+            levels = rng.choice(((0,), (3,), (0, 1), (0, 1, 2), (1, 4, 7)))
+            torsion = rng.choice(
+                (TorsionProfile(), TorsionProfile(1, tuple(rng.randint(0, 2) for _ in range(8))))
             )
-            found = [label for total in sums for label in total.labels()]
-            assert found
-            assert all(type(symbol) is DimensionProfileSymbol for symbol in found)
-        assert type(unit_symbol(3)) is DimensionProfileSymbol
+            cells = DimensionTable(2, levels, rows, torsion, maximal=True).values
+            assert set(cells) == {(k, n) for k in range(2) for n in levels}
+            found = ContributionSet(r=2, weights={(1, 2): rows[0], (2, 1): rows[1]}, levels=levels)
+            for (k, n), got in cells.items():
+                want = GrothSum(
+                    [((key, n), c) for key, c in rows[k].items()]
+                    + [(("1", n), torsion_dimension(torsion, k, n))]
+                )
+                assert got == want and repr(got) == repr(want)
+                assert all(got.coefficient(label) != 0 for label in got.labels())
+            for shape, got in found.pairs.items():
+                want = merged_spread(found.weights[shape], levels)
+                assert got == want and repr(got) == repr(want)
+                assert all(type(label) is tuple for label in got.labels())
 
 
 def merged_spread(weight: GrothSum, levels: tuple[int, ...]) -> GrothSum:
-    """A level-free weight on each level's symbols, through the merging constructor."""
-    return GrothSum(
-        [(DimensionProfileSymbol(key, n), c) for n in levels for key, c in weight.items()]
-    )
+    """A level-free weight on the labels ``(key, n)`` of each level, merged term by term."""
+    return GrothSum([((key, n), c) for n in levels for key, c in weight.items()])
 
 
 class TestPairsView:
@@ -423,40 +413,27 @@ class TestPairsView:
 
 
 class TestSpreadOnRead:
-    """Counted under ``sys.setprofile``: ``infer_B`` and
-    ``expected_contributions`` make no ``_spread`` call, and each read of
-    ``pairs`` makes exactly one per pair."""
+    """The engine keeps sums over mod-l keys: every label of a table's
+    ``sums``, of a contribution set's ``weights`` and of a verdict's sides
+    is a ``str``.  Only a read of ``pairs`` puts a weight on levels."""
 
     TAU = (1, 0, 2, 5, 0, 3, 1, 4, 2, 0, 6, 2)
 
     @staticmethod
-    def spread_calls(build):
-        code, calls = _spread.__code__, []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                calls.append(frame.f_code)
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            out = build()
-        finally:
-            sys.setprofile(previous)
-        return out, len(calls)
+    def keys_only(*sums: GrothSum) -> bool:
+        return all(type(label) is str for total in sums for label in total.labels())
 
     @pytest.mark.parametrize("torsion", [False, True])
     def test_spread_only_on_read(self, torsion):
         profile = TorsionProfile(t0=2, tau=self.TAU) if torsion else None
         ds = generate_dataset(8, CTX, r=5, levels=tuple(range(12)), torsion=profile, noise_data=2)
         table = d_sequence(ds, PI, 5)
-        builds = (lambda: infer_B(table, ds.torsion), lambda: expected_contributions(ds, PI, 5))
-        for build in builds:
-            found, calls = self.spread_calls(build)
-            assert calls == 0 and len(found.weights) > 1
-            for _ in range(2):
-                pairs, calls = self.spread_calls(lambda: found.pairs)
-                assert calls == len(pairs) == len(found.weights)
+        assert self.keys_only(*table.sums)
+        for found in (infer_B(table, ds.torsion), expected_contributions(ds, PI, 5)):
+            assert len(found.weights) > 1 and self.keys_only(*found.weights.values())
+            pairs = found.pairs
+            assert pairs == {shape: merged_spread(w, ds.levels) for shape, w in found.weights.items()}
+            assert {n for w in pairs.values() for _, n in w.labels()} == set(ds.levels)
 
     def test_no_spread_in_the_verdict(self):
         ds = generate_dataset(8, CTX, r=5, levels=tuple(range(12)), noise_data=2)
@@ -464,32 +441,11 @@ class TestSpreadOnRead:
         bumped = _bumped(twin, twin.data[0].id)
         unequal = 0
         for s in range(1, 6):
-            report, calls = self.spread_calls(
-                lambda: verdict_to_dict(theorem_check(ds, PI, bumped, PI_TWIN, 5, s))
-            )
-            assert calls == 0
-            unequal += bool(report["diffs"])
+            verdict = theorem_check(ds, PI, bumped, PI_TWIN, 5, s)
+            assert self.keys_only(verdict.lhs, verdict.rhs)
+            assert all(type(key) is str for key, _, _ in verdict.diffs)
+            unequal += bool(verdict.diffs)
         assert unequal
-
-
-class TestDimensionProfileSymbol:
-    """The symbol's contract, whatever represents it."""
-
-    def test_contract(self):
-        symbol = DimensionProfileSymbol("k", 3)
-        assert str(symbol) == "dim<k @n=3>"
-        assert repr(symbol) == "DimensionProfileSymbol(key='k', level=3)"
-        assert (symbol.key, symbol.level) == ("k", 3)
-        with pytest.raises(AttributeError):
-            symbol.key = "j"
-        with pytest.raises(AttributeError):
-            symbol.level = 4
-        for copied in (pickle.loads(pickle.dumps(symbol)), copy.deepcopy(symbol)):
-            assert copied == symbol and hash(copied) == hash(symbol)
-            assert type(copied) is DimensionProfileSymbol
-        assert unit_symbol(2) == DimensionProfileSymbol("1", 2)
-        # documented: a symbol is the tuple (key, level)
-        assert symbol == ("k", 3) and hash(symbol) == hash(("k", 3))
 
 
 class TestInferBAtRadiusOne:
@@ -628,7 +584,7 @@ class TestLevelFreeReport:
     @staticmethod
     def per_level(ds: Dataset, pi: InertialCuspidal, r: int, s: int) -> GrothSum:
         return GrothSum(
-            (DimensionProfileSymbol(modl_key(datum.local, pi, r), n), datum.weight)
+            ((modl_key(datum.local, pi, r), n), datum.weight)
             for datum in members(ds, pi, r, s)
             for n in ds.levels
         )
@@ -651,7 +607,7 @@ class TestLevelFreeReport:
                     assert keys == sorted(set(keys))
                     assert all(set(entry) == {"key", "coeff"} for entry in entries)
                     spread = GrothSum(
-                        (DimensionProfileSymbol(entry["key"], n), entry["coeff"])
+                        ((entry["key"], n), entry["coeff"])
                         for n in report["levels"]
                         for entry in entries
                     )

@@ -1,9 +1,11 @@
-"""Golden separation transcript: tables, recovered pairs, table errors and
-verdicts of seeded datasets, pinned byte for byte.
+"""Golden separation transcript: tables, recovered weights, table errors
+and verdicts of seeded datasets, pinned byte for byte.
 
 Each input is a ``generate_dataset`` output with 1, 3 or 12 levels, with
-and without torsion; twelve levels put ``@n=10`` before ``@n=2`` in every
-sorted sum.  Regenerate the fixture after a deliberate change with
+and without torsion.  The transcript is level-free: a table is written as
+its levels, one sum over mod-l keys per ``k`` and the torsion integer at
+each level, and a contribution set as one weight per pair.  Regenerate
+the fixture after a deliberate change with
 
     PYTHONPATH=src python tests/test_golden_separation.py --write
 """
@@ -24,6 +26,7 @@ from spehline import (
     infer_B,
     substitute_cuspidal,
     theorem_check,
+    torsion_dimension,
 )
 from spehline.jsonio import canonical_dumps, verdict_to_dict
 
@@ -64,13 +67,13 @@ def _profiles(levels: tuple[int, ...], tau: tuple[int, ...] | None) -> dict:
     return out
 
 
-def _pairs(found) -> list[str]:
-    return [f"{shape}: {weight!r}" for shape, weight in found.pairs.items()]
+def _weights(found) -> list[str]:
+    return [f"{shape}: {weight!r}" for shape, weight in found.weights.items()]
 
 
 def _outcome(table, profile) -> list[str] | str:
     try:
-        return _pairs(infer_B(table, profile))
+        return _weights(infer_B(table, profile))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -94,10 +97,13 @@ def transcript() -> dict:
         bumped = _bumped(twin, ds.data[0].id)
         checks = [(r, s) for s in range(1, r + 1)] + [(r - 1, 1)]
         out[name] = {
-            "table": [f"{cell}: {value!r}" for cell, value in table.values.items()],
+            "levels": list(table.levels),
+            "sums": [f"{k}: {row!r}" for k, row in enumerate(table.sums)],
+            # torsion adds the same integer to every k >= 1 of a level
+            "torsion": [torsion_dimension(table.torsion, 1, n) for n in table.levels],
             "maximal": table.maximal,
-            "infer_B": _pairs(infer_B(table, ds.torsion)),
-            "expected": _pairs(expected),
+            "infer_B": _weights(infer_B(table, ds.torsion)),
+            "expected": _weights(expected),
             "witnesses": [f"{shape}: {ids}" for shape, ids in expected.witnesses.items()],
             "mismatched_profiles": {
                 label: _outcome(table, profile)
@@ -125,13 +131,13 @@ def test_golden_separation_transcript():
 
 def test_transcript_reaches_every_outcome():
     """The fixture pins errors of both peeling phases, a short profile, a
-    twelve-level string order and unequal verdicts, not only equal ones."""
+    refusal at the twelfth level and unequal verdicts, not only equal ones."""
     text = GOLDEN.read_text(encoding="utf-8")
     for needle in (
         "InconsistentTableError: negative residue at k=1",
         "InconsistentTableError: negative difference between degrees 0 and 1",
         "ValueError: no torsion dimension recorded",
-        '@n=10>',
+        "negative residue at k=1, n=11 after torsion subtraction",
         '\\"equal\\":false',
         "is not the maximal radius",
     ):

@@ -74,6 +74,7 @@ DIAGRAM_ARGV = {
     "none": ["--at-r", "4"],
     "--s not an integer": ["--at-r", "4", "--s", "x"],
     "--s, --t beside --component": ["--at-r", "4", "--s", "9", "--t", "9"],
+    "--svg beside --at-r": ["--at-r", "4", "--svg"],
     "no support at --at-r": ["--at-r", "9"],
     "--out unwritable": ["--at-r", "4", "--out", UNWRITABLE],
 }
@@ -82,6 +83,8 @@ DIAGRAM = {
     "--s not an integer": [64, 64, 64, 64, 64],
     # the file holds the shape, so shape flags beside it are refused before it is opened
     "--s, --t beside --component": [64, 64, 64, 64, 64],
+    # a constituent listing is text only, so a format flag is refused before the file is opened
+    "--svg beside --at-r": [64, 64, 64, 64, 64],
     "no support at --at-r": [2, 64, 66, 66, 2],
     "--out unwritable": [64, 64, 66, 66, 2],
 }
