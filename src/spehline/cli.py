@@ -3,8 +3,9 @@
 Subcommands: ``diagram`` (render a shape or a superposed component),
 ``resolution`` and ``filtration`` (ledger listings), ``congruence``
 (two-sided dataset comparison).  Commands return their exit code and text;
-``main`` writes the text (``congruence`` writes ``--report`` itself) and maps
-every refusal to its code.  Exit codes are fixed for scripting:
+``main`` writes the text and maps every refusal to its code.  Only
+``congruence`` writes for itself: its ``--report`` file and its warnings on
+stderr.  Exit codes are fixed for scripting:
 
     0  success / verdict equal
     1  verdict unequal

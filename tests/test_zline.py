@@ -225,7 +225,7 @@ class TestNormalizedProduct:
 
 
 class TestHashOnce:
-    """A multisegment keeps its hash, and no copy or rebuild inherits it."""
+    """Hashing a multisegment changes nothing in it, and a rebuild hashes like a fresh build."""
 
     def test_rebuilt_multisegment_hashes_like_a_fresh_one(self):
         a, b = Segment(PI, HalfInt(0), 2), Segment(PI_TWIN, HalfInt(1), 1)
@@ -664,7 +664,7 @@ class TestKeptHash:
 
     SEGS = TestTrustedConstructor.SEGS
 
-    def test_kept_on_first_hash_and_never_copied(self):
+    def test_copies_hash_like_the_original(self):
         m = Multisegment(self.SEGS, HalfInt(1), Wildcard("w", 2, HalfInt(-1)), (3, 4))
         h = hash(m)
         for copied in (copy.copy(m), pickle.loads(pickle.dumps(m)), replace(m)):
