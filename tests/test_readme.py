@@ -8,11 +8,9 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 from spehline import DiagramPoint, GlobalContext, generate_dataset, substitute_cuspidal
 from spehline.cli import build_parser, main
-from spehline.jsonio import canonical_dumps, dataset_to_dict
+from spehline.jsonio import canonical_dumps, component_from_dict, dataset_to_dict
 
 from support import PI, PI_TWIN
 
@@ -61,6 +59,7 @@ def cli_lines() -> list[list[str]]:
 
 
 def test_quick_tour(tmp_path, monkeypatch, capsys):
+    """The tour, then every command line in order, in the directory the tour wrote to."""
     monkeypatch.chdir(tmp_path)
     ns: dict = {}
     exec(compile(fenced("python", "Quick tour"), "README.md", "exec"), ns)
@@ -71,10 +70,15 @@ def test_quick_tour(tmp_path, monkeypatch, capsys):
     assert "degree 12" in capsys.readouterr().out
     terms = sl.resolution_terms(ns["ctx"], 2, ns["inf"])
     assert [(source, target) for source, target, _ in ns["arrows"]] == list(zip(terms[1:-1], terms))
-    # the README's congruence line reads the two files the tour wrote
-    (argv,) = [argv for argv in cli_lines() if argv[0] == "congruence"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "equal\n"
+    for argv in cli_lines():
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            assert out == "" and Path(argv[argv.index("--out") + 1]).read_text().startswith("<svg")
+        elif "--report" in argv:  # the tour's two datasets
+            assert out == "equal\n"
+        else:
+            assert out
 
 
 def test_single_square_line(capsys):
@@ -86,20 +90,12 @@ def test_single_square_line(capsys):
     assert zero_row.split("| ")[1].split() == [".", ".", "#"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [argv for argv in cli_lines() if not any(a.endswith(".json") for a in argv)],
-    ids=" ".join,
-)
-def test_cli_line_without_input_file(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    if "--out" in argv:
-        written = tmp_path / argv[argv.index("--out") + 1]
-        assert out == "" and written.read_text().startswith("<svg")
-    else:
-        assert out
+def test_component_file_example(tmp_path):
+    (block,) = section_blocks("json", "Command line")
+    component = component_from_dict(json.loads(block))
+    assert component.s == 4 and [(t, base.id) for t, base in component.factors] == [(1, "pi"), (3, "pi")]
+    (tmp_path / "c.json").write_text(block, encoding="utf-8")
+    assert main(["diagram", "--component", str(tmp_path / "c.json")]) == 0
 
 
 def test_command_line_names_every_flag():

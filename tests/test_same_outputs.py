@@ -1,4 +1,4 @@
-"""``tools/same_outputs.py`` on two tiny trees whose one message differs."""
+"""``tools/same_outputs.py`` on tiny trees: one message differs, or tier-1 does not run whole."""
 
 from __future__ import annotations
 
@@ -30,40 +30,13 @@ def test_refusal(tmp_path):
     (tmp_path / "in.txt").write_text("read")
     assert main(["refuse", str(tmp_path / "in.txt")]) == 64
 '''
-README = '''## Quick tour
-
-```python
-greeting = "hello"
-```
-
-## Command line
-
-```sh
-spehline hello            # greets
-```
-'''
-WORKLOADS = '''from spehline import cli
 
 
-class Hello:
-    def setup(self, seed, workdir):
-        return [[seed]]
-
-    def run(self, job):
-        return cli.main(["hello"])
-
-
-WORKLOADS = {"hello": Hello()}
-'''
-
-
-def tree(at: Path, message: str) -> Path:
+def tree(at: Path, message: str, tests: str = TESTS) -> Path:
     for path, text in (
         ("src/spehline/__init__.py", ""),
         ("src/spehline/cli.py", CLI + f"\n\nMESSAGE = {message!r}\n"),
-        ("tests/test_cli.py", TESTS),
-        ("README.md", README),
-        ("perfbench/workloads.py", WORKLOADS),
+        ("tests/test_cli.py", tests),
         ("tools/same_outputs.py", TOOL),
     ):
         (at / path).parent.mkdir(parents=True, exist_ok=True)
@@ -71,28 +44,39 @@ def tree(at: Path, message: str) -> Path:
     return at
 
 
-def test_reports_the_one_call_whose_message_differs(tmp_path):
-    parent = tree(tmp_path / "parent", "cannot refuse")
-    changed = tree(tmp_path / "changed", "will not refuse")
-    proc = subprocess.run(
+def compare(changed: Path, parent: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(changed / "tools" / "same_outputs.py"), str(parent)],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def test_reports_the_one_call_whose_message_differs(tmp_path):
+    parent = tree(tmp_path / "parent", "cannot refuse")
+    changed = tree(tmp_path / "changed", "will not refuse")
+    proc = compare(changed, parent)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(" in ")[0] for line in lines if line.startswith("tier-1")] == [
         "tier-1 at parent: 2 passed", "tier-1 at tree: 2 passed",
     ]
-    # tier-1 calls hello in the tree, the README and the pool in a temporary directory
-    assert (
-        "calls recorded: parent 4 (tier-1 2, readme 1, perfbench 1); "
-        "tree 4 (tier-1 2, readme 1, perfbench 1); 3 distinct, each replayed on both trees"
-    ) in lines
+    assert "calls recorded: parent 2, tree 2; 2 distinct, each replayed on both trees" in lines
     differs = [line for line in lines if line.startswith("differs:")]
     assert differs == [
-        "differs: spehline refuse '<tmp>/test_refusal0/in.txt'  "
-        "[cwd <tree>; recorded by parent tier-1, tree tier-1]"
+        "differs: spehline refuse '<tmp>/test_refusal0/in.txt'  [cwd <tree>; recorded at parent, tree]"
     ]
     assert "  stderr  parent 'refuse: read: cannot refuse'" in lines
     assert "          tree 'refuse: read: will not refuse'" in lines
-    assert lines[-1] == "1 of 3 calls differ"
+    assert lines[-1] == "1 of 2 calls differ"
+
+
+def test_refuses_trees_whose_tests_did_not_all_run(tmp_path):
+    parent = tree(tmp_path / "parent", "cannot refuse", tests="from spehline.cli import missing\n")
+    interrupted = TESTS + "\n\ndef test_stop():\n    import pytest\n    pytest.exit('stopped')\n"
+    changed = tree(tmp_path / "changed", "cannot refuse", tests=interrupted)
+    proc = compare(changed, parent)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    # no test collected, and a run stopped after two calls
+    assert "error: tier-1 at parent exited 1 with 0 calls recorded:" in proc.stderr
+    assert "error: tier-1 at tree exited 2 with 2 calls recorded:" in proc.stderr
+    assert "calls differ" not in proc.stdout

@@ -1,8 +1,8 @@
 """The benchmark's own code, run in tier-1 through its tracer.
 
 For every workload that ``BENCHMARK.json`` names, the seed-1 pool is built
-through ``perfbench/workloads.py`` (read, not changed), and the first job of
-each block is run and passed to that workload's ``check``.  The jobs run
+through ``perfbench/workloads.py`` (read, not changed), and every job of
+every block is run and passed to that workload's ``check``.  The jobs run
 with ``perfbench/spans.py``'s ``Tracer`` installed, as the traced pass of
 ``perfbench/run.py`` runs them, so each program name the benchmark reaches
 is looked up, called and counted here:
@@ -45,9 +45,9 @@ def test_first_job_of_each_block_passes_its_check(monkeypatch, tmp_path, name):
         tracer.install()
         patched = list(tracer._undo)
         for block in blocks:
-            job = block[0]
-            tracer.job = job.job
-            assert workload.check(job, workload.run(job)) is None
+            for job in block:
+                tracer.job = job.job
+                assert workload.check(job, workload.run(job)) is None, job.job
         assert set(spans.COUNTERS) <= set(tracer.names)
         # run.py reads the memo after the traced pass, and empties the caches
         # before each pass through the attributes that have a cache_clear

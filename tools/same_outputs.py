@@ -5,19 +5,14 @@
 compares the source tree this tool sits in with ``PARENT_TREE``, a
 checkout of this repository (``git archive REV | tar -x -C DIR`` makes
 one).  On each tree the tool records the calls to ``spehline.cli.main``
-that
-
-- tier-1 makes: ``python -m pytest`` runs in the tree with this module
-  loaded as a plugin (``-p same_outputs``);
-- the README's ``Command line`` block makes, run in an empty directory
-  after its ``Quick tour`` block, which writes ``a.json`` and ``b.json``
-  (a file that no README step writes is read as missing);
-- one pass of each seed-1 ``perfbench`` pool makes, through
-  ``workloads.<W>.run``.
+that tier-1 makes: ``python -m pytest`` runs in the tree with this module
+loaded as a plugin (``-p same_outputs``).  Tier-1 runs the README's command
+lines and every job of the seed-1 benchmark pools, so their calls are
+among these.
 
 A call is recorded as its argv, the directory it ran in, and the sha256 of
 each input file and the directories that its argv names.  A path under the
-tree or under the source's temporary directory is written as
+tree or under tier-1's temporary directory is written as
 ``<tree>/...`` or ``<tmp>/...``, so a call that both trees make is one
 call.
 
@@ -26,9 +21,10 @@ and in a fresh directory per call that holds the call's input files.  A
 replay gives the exit code and the sha256 of stdout, stderr and every file
 written, with the replay directory's path normalised in each.  Every call
 whose replays differ is printed with both sides, and the tool exits 1 if
-any does, 0 if none does and 2 if a tree cannot be recorded.  Standard
-library only.  Nothing is written to either tree except what its own
-tier-1 run writes.
+any does, 0 if none does and 2 if a tree cannot be recorded: its pytest
+exits with a code other than 0 or 1 (the run was stopped, or found no
+test), or records no call.  Standard library only.  Nothing is written to
+either tree except what its own tier-1 run writes.
 """
 
 from __future__ import annotations
@@ -40,13 +36,11 @@ import hashlib
 import io
 import json
 import os
-import re
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,11 +65,10 @@ class Recorder:
     ``blobs`` under their digest.
     """
 
-    def __init__(self, log: str, blobs: str, roots: list[tuple[str, str]], source: str):
+    def __init__(self, log: str, blobs: str, roots: list[tuple[str, str]]):
         self.log = Path(log)
         self.blobs = Path(blobs)
         self.roots = [(os.path.realpath(path), token) for path, token in roots]
-        self.source = source
 
     def install(self) -> None:
         from spehline import cli
@@ -126,49 +119,12 @@ class Recorder:
         args = [self._arg(arg, cwd, files, dirs) for arg in argv]
         call = {"argv": args, "cwd": self._token(cwd) or "<cwd>", "files": files, "dirs": sorted(dirs)}
         with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"source": self.source, "call": call}) + "\n")
+            fh.write(json.dumps(call) + "\n")
 
 
 def pytest_configure(config) -> None:
     """Loaded by ``pytest -p same_outputs``: record every ``cli.main`` call of the run."""
-    Recorder(os.environ[LOG], os.environ[BLOBS], json.loads(os.environ[ROOTS]), "tier-1").install()
-
-
-def _block(text: str, heading: str, lang: str) -> str:
-    match = re.search(rf"^## {heading}\n.*?```{lang}\n(.*?)```", text, re.S | re.M)
-    return match.group(1) if match else ""
-
-
-def record_examples(tree: str, log: str, blobs: str, tmp: str) -> None:
-    """Record the README's command lines and one pass of each perfbench pool."""
-    from spehline import cli
-
-    recorder = Recorder(log, blobs, [(tmp, "<tmp>"), (tree, "<tree>")], "readme")
-    recorder.install()
-    readme = Path(tree, "README.md")
-    text = readme.read_text(encoding="utf-8") if readme.is_file() else ""
-    here = Path(tmp, "readme")
-    here.mkdir(parents=True)
-    os.chdir(here)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        exec(compile(_block(text, "Quick tour", "python"), str(readme), "exec"), {})
-        for line in _block(text, "Command line", "sh").splitlines():
-            argv = shlex.split(line, comments=True)
-            if argv[:1] == ["spehline"]:
-                cli.main(argv[1:])
-    bench = Path(tree, "perfbench")
-    if not (bench / "workloads.py").is_file():
-        return
-    recorder.source = "perfbench"
-    sys.path.insert(0, str(bench))
-    import workloads
-
-    for name, workload in workloads.WORKLOADS.items():
-        workdir = Path(tmp, "pools", name)
-        workdir.mkdir(parents=True)
-        for block in workload.setup(1, workdir):
-            for job in block:
-                workload.run(job)
+    Recorder(os.environ[LOG], os.environ[BLOBS], json.loads(os.environ[ROOTS])).install()
 
 
 # -------------------------------------------------------------------- replay
@@ -241,10 +197,10 @@ def _env(tree: Path, **extra: str) -> dict:
 
 
 def _record(trees: dict, work: Path) -> dict[str, list[dict]]:
-    """Each tree's recorded calls, all four recorders running side by side."""
+    """Each tree's recorded calls, both tier-1 runs side by side."""
     blobs = work / "blobs"
     blobs.mkdir()
-    procs = []
+    procs = {}
     for side, tree in trees.items():
         here = work / side
         here.mkdir()
@@ -253,34 +209,22 @@ def _record(trees: dict, work: Path) -> dict[str, list[dict]]:
                             ROOTS: json.dumps([[str(tier1), "<tmp>"], [str(tree), "<tree>"]])})
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_outputs",
                 f"--basetemp={tier1}", "--continue-on-collection-errors"]
-        procs.append((side, "tier-1", subprocess.Popen(
-            argv, cwd=tree, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT, text=True)))
-        code = (f"import same_outputs; same_outputs.record_examples("
-                f"{str(tree)!r}, {str(here / 'examples.jsonl')!r}, {str(blobs)!r}, {str(here / 'tmp')!r})")
-        procs.append((side, "examples", subprocess.Popen(
-            [sys.executable, "-c", code], cwd=work, env=_env(tree), stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)))
-    failed = False
-    for side, what, proc in procs:
+        procs[side] = subprocess.Popen(argv, cwd=tree, env=env, stdin=subprocess.DEVNULL,
+                                       stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    recorded, failed = {}, False
+    for side, proc in procs.items():
         output, _ = proc.communicate()
-        last = output.strip().splitlines()[-1:] or ["(no output)"]
-        if what == "tier-1":
-            print(f"tier-1 at {side}: {last[0]}")
-        elif proc.returncode:
-            print(f"error: recording the README and pools at {side} failed:\n{output[-3000:]}",
-                  file=sys.stderr)
+        print(f"tier-1 at {side}: {(output.strip().splitlines() or ['(no output)'])[-1]}")
+        log = work / side / "tier-1.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        recorded[side] = [json.loads(line) for line in lines]
+        if proc.returncode not in (0, 1) or not recorded[side]:
+            print(f"error: tier-1 at {side} exited {proc.returncode} with {len(recorded[side])} calls "
+                  f"recorded:\n{output[-3000:]}", file=sys.stderr)
             failed = True
     if failed:
         raise SystemExit(2)
-    return {
-        side: [
-            json.loads(line)
-            for log in (work / side / "tier-1.jsonl", work / side / "examples.jsonl") if log.exists()
-            for line in log.read_text(encoding="utf-8").splitlines()
-        ]
-        for side in trees
-    }
+    return recorded
 
 
 def _first_difference(a: str, b: str) -> tuple[str, str]:
@@ -292,7 +236,7 @@ def _first_difference(a: str, b: str) -> tuple[str, str]:
 
 def _show(call: dict, whence: list[str], old: dict, new: dict) -> None:
     """One differing call: its argv, then each part that differs, parent first."""
-    where = f"cwd {call['cwd']}; recorded by {', '.join(whence)}"
+    where = f"cwd {call['cwd']}; recorded at {', '.join(whence)}"
     print(f"differs: spehline {shlex.join(call['argv'])}  [{where}]")
     if old["exit"] != new["exit"]:
         print(f"  exit    parent {old['exit']!r} | tree {new['exit']!r}")
@@ -319,12 +263,11 @@ def main(argv: list[str] | None = None) -> int:
         calls: dict[str, dict] = {}
         whence: dict[str, list[str]] = {}
         for side, lines in recorded.items():
-            for line in lines:
-                key = json.dumps(line["call"], sort_keys=True)
-                calls[key] = line["call"]
-                label = f"{side} {line['source']}"
-                if label not in whence.setdefault(key, []):
-                    whence[key].append(label)
+            for call in lines:
+                key = json.dumps(call, sort_keys=True)
+                calls[key] = call
+                if side not in whence.setdefault(key, []):
+                    whence[key].append(side)
         keys = sorted(calls)
         (work / "calls.json").write_text(json.dumps([calls[key] for key in keys]), encoding="utf-8")
         procs = {}
@@ -340,11 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         outcomes = {side: json.loads((work / side / "outcomes.json").read_text(encoding="utf-8"))
                     for side in trees}
-    counts = "; ".join(
-        f"{side} {len(lines)} ({', '.join(f'{source} {n}' for source, n in sources.items())})"
-        for side, lines in recorded.items()
-        for sources in [Counter(line["source"] for line in lines)]
-    )
+    counts = ", ".join(f"{side} {len(lines)}" for side, lines in recorded.items())
     print(f"calls recorded: {counts}; {len(keys)} distinct, each replayed on both trees")
     differ = 0
     for key, old, new in zip(keys, outcomes["parent"], outcomes["tree"]):
